@@ -199,6 +199,18 @@ class TestDetectorInvariances:
             assert forward or mirrored
 
 
+def numeric_group_records():
+    return records_from_columns(
+        g=[1.0, 1.0, 2.0, 2.0], out=[True, False, True, False], cov=["u"] * 4
+    )
+
+
+def text_outcome_records():
+    return records_from_columns(
+        g=["a", "a", "b", "b"], out=["y", "n", "y", "n"], cov=["u"] * 4
+    )
+
+
 class TestStratify:
     def test_reconstructs_hospital_table(self):
         records = hospital_records()
@@ -257,6 +269,16 @@ class TestStratify:
         )
         with pytest.raises(EmptyStratumSide, match="v"):
             stratify(records, "g", "out", "cov")
+
+    def test_group_and_outcome_kinds_are_checked(self):
+        with pytest.raises(ValidationError, match="group column 'g' must be categorical"):
+            stratify(numeric_group_records(), "g", "out", "cov")
+        with pytest.raises(ValidationError, match="outcome column 'out' must be boolean"):
+            stratify(text_outcome_records(), "g", "out", "cov")
+
+    def test_unknown_covariate_wins_over_group_kind(self):
+        with pytest.raises(UnknownColumn, match="ghost"):
+            stratify(numeric_group_records(), "g", "out", "ghost")
 
 
 class TestBinNumeric:
@@ -336,6 +358,20 @@ class TestScan:
         assert kinds == {"condition": Finding, "ghost": SkippedCandidate}
         skip = [r for r in results if isinstance(r, SkippedCandidate)][0]
         assert skip.reason == "unknown-column"
+
+    def test_group_and_outcome_kinds_skip_every_candidate(self):
+        """A numeric group column or a non-boolean outcome column is not a
+        scan-level error: each candidate becomes an invalid-value skip, and
+        an unknown candidate still reports unknown-column."""
+        for records, detail in (
+            (numeric_group_records(), "group column 'g' must be categorical"),
+            (text_outcome_records(), "outcome column 'out' must be boolean"),
+        ):
+            results = scan(records, "g", "out", ["cov", "ghost"])
+            assert results == [
+                SkippedCandidate("cov", "invalid-value", detail),
+                SkippedCandidate("ghost", "unknown-column", "no column named 'ghost'"),
+            ]
 
     def test_filtering_can_restore_detectability(self):
         # one tiny stratum with an empty side; min size 2 drops it
