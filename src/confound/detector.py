@@ -233,18 +233,34 @@ def _bin_label(i: int, lo: float, hi: float, last: bool) -> str:
     return f"bin{i:02d} [{lo:.6g}, {hi:.6g}{close}"
 
 
-def _tally(
+def _two_groups(records: RecordTable, group_col: str) -> list:
+    groups = sorted(set(records.values(group_col)))
+    if len(groups) != 2:
+        raise NotTwoGroups(
+            f"group column {group_col!r} must take exactly two values, "
+            f"found {len(groups)}: {groups}"
+        )
+    return groups
+
+
+def _stratified(
     records: RecordTable,
     group_col: str,
     outcome_col: str,
     covariate: str,
+    groups: list | None,
     binning: str | None,
     bins: int,
-) -> tuple[list[tuple[str, list[int], list[int]]], str]:
-    """Per-stratum [total, positive] tallies for both groups, plus a
-    binning description. Strata with no rows at all are dropped (numeric
-    bins can be empty); strata empty on one side are kept for the caller
-    to judge."""
+    min_stratum_size: int = 1,
+) -> tuple[StratifiedComparison, str]:
+    """Stratify records by one covariate, plus a binning description.
+
+    ``groups`` are the two sorted group labels when the caller already
+    found them; ``None`` finds them here, after the column checks. Strata
+    with no rows at all are never formed (numeric bins can be empty);
+    strata smaller than ``min_stratum_size`` are dropped before the
+    empty-side check.
+    """
     gi = records.column_index(group_col)
     oi = records.column_index(outcome_col)
     ci = records.column_index(covariate)
@@ -252,25 +268,19 @@ def _tally(
         raise ValidationError(f"group column {group_col!r} must be categorical")
     if records.columns[oi].kind != "boolean":
         raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
-
-    groups = sorted({row[gi] for row in records.rows})
-    if len(groups) != 2:
-        raise NotTwoGroups(
-            f"group column {group_col!r} must take exactly two values, "
-            f"found {len(groups)}: {groups}"
-        )
+    if groups is None:
+        groups = _two_groups(records, group_col)
 
     kind = records.columns[ci].kind
     if binning is None:
         binning = "categorical" if kind == "categorical" else "quantile"
-
+    column = records.values(covariate)
     if binning == "categorical":
         if kind != "categorical":
             raise ValidationError(
                 f"covariate {covariate!r} is {kind}; pick a numeric binning"
             )
-        labels = sorted({row[ci] for row in records.rows})
-        assign = {row_i: row[ci] for row_i, row in enumerate(records.rows)}
+        keys, labels = column, None
         description = "categorical"
     elif binning in ("quantile", "equal_width"):
         if kind != "numeric":
@@ -278,30 +288,47 @@ def _tally(
                 f"covariate {covariate!r} is {kind}; numeric binning needs a "
                 "numeric column"
             )
-        col = [row[ci] for row in records.rows]
-        edges = bin_numeric(col, binning, bins)
-        lo, hi = min(col), max(col)
-        bounds = [lo, *edges, hi]
-        all_labels = [
+        edges = bin_numeric(column, binning, bins)
+        bounds = [min(column), *edges, max(column)]
+        labels = [
             _bin_label(i, bounds[i], bounds[i + 1], i == bins - 1)
             for i in range(bins)
         ]
-        assign = {
-            row_i: all_labels[bisect_right(edges, v)]
-            for row_i, v in enumerate(col)
-        }
-        labels = [l for l in all_labels if l in set(assign.values())]
+        keys = [bisect_right(edges, v) for v in column]
         description = f"{binning} k={bins} edges={[round(e, 6) for e in edges]}"
     else:
         raise ValidationError(f"unknown binning {binning!r}")
 
-    tallies = {label: ([0, 0], [0, 0]) for label in labels}
-    for row_i, row in enumerate(records.rows):
-        cell = tallies[assign[row_i]][0 if row[gi] == groups[0] else 1]
-        cell[0] += 1
-        if row[oi]:
-            cell[1] += 1
-    return [(label, *tallies[label]) for label in labels], description
+    tally = Counter(
+        zip(keys, records.values(group_col), records.values(outcome_col))
+    )
+
+    def counts(key, group) -> Counts:
+        positive = tally[key, group, True]
+        return Counts(positive + tally[key, group, False], positive)
+
+    strata = [
+        Stratum(
+            key if labels is None else labels[key],
+            counts(key, groups[0]),
+            counts(key, groups[1]),
+        )
+        for key in sorted({key for key, _, _ in tally})
+    ]
+    kept = [
+        s for s in strata if s.first.total + s.second.total >= min_stratum_size
+    ]
+    if not kept:
+        raise AllStrataFiltered(
+            f"every stratum of {covariate!r} is smaller than {min_stratum_size}"
+        )
+    for s in kept:
+        if s.first.total == 0 or s.second.total == 0:
+            empty = groups[0] if s.first.total == 0 else groups[1]
+            raise EmptyStratumSide(
+                f"stratum {s.label!r} has no rows for group {empty!r}"
+            )
+    return StratifiedComparison(groups[0], groups[1], tuple(kept)), description
 
 
 def stratify(
@@ -322,20 +349,9 @@ def stratify(
     with rows on only one side is an error here (scans downgrade it to a
     per-candidate skip).
     """
-    tallies, _ = _tally(records, group_col, outcome_col, covariate, binning, bins)
-    gi = records.column_index(group_col)
-    groups = sorted({row[gi] for row in records.rows})
-    strata = []
-    for label, first_cell, second_cell in tallies:
-        if first_cell[0] == 0 or second_cell[0] == 0:
-            empty = groups[0] if first_cell[0] == 0 else groups[1]
-            raise EmptyStratumSide(
-                f"stratum {label!r} has no rows for group {empty!r}"
-            )
-        strata.append(
-            Stratum(label, Counts(*first_cell), Counts(*second_cell))
-        )
-    return StratifiedComparison(groups[0], groups[1], tuple(strata))
+    return _stratified(
+        records, group_col, outcome_col, covariate, None, binning, bins
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +415,28 @@ def scan(
     if len(set(candidates)) != len(candidates):
         raise ValidationError(f"duplicate candidates in {list(candidates)}")
     # group/outcome problems are global: validate once, outside the loop
-    gi = records.column_index(group_col)
+    records.column_index(group_col)
     records.column_index(outcome_col)
-    groups = sorted({row[gi] for row in records.rows})
-    if len(groups) != 2:
-        raise NotTwoGroups(
-            f"group column {group_col!r} must take exactly two values, "
-            f"found {len(groups)}: {groups}"
-        )
+    groups = _two_groups(records, group_col)
 
     results: list[ScanResult] = []
     for cand in candidates:
         try:
-            results.append(_scan_one(records, group_col, outcome_col, cand, config))
+            binning = (
+                "categorical"
+                if records.kind(cand) == "categorical"
+                else config.binning
+            )
+            sc, description = _stratified(
+                records, group_col, outcome_col, cand, groups, binning,
+                config.bins, config.min_stratum_size,
+            )
+            report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:
             results.append(SkippedCandidate(cand, exc.code, str(exc)))
+        else:
+            sizes = tuple(s.first.total + s.second.total for s in sc.strata)
+            results.append(Finding(cand, description, report, sizes))
 
     findings = sorted(
         (r for r in results if isinstance(r, Finding)),
@@ -425,43 +448,3 @@ def scan(
     )
     return [*findings, *skips]
 
-
-def _scan_one(
-    records: RecordTable,
-    group_col: str,
-    outcome_col: str,
-    covariate: str,
-    config: ScanConfig,
-) -> Finding:
-    kind = records.kind(covariate)
-    binning = "categorical" if kind == "categorical" else config.binning
-    tallies, description = _tally(
-        records, group_col, outcome_col, covariate, binning, config.bins
-    )
-
-    kept = [
-        (label, f, s)
-        for label, f, s in tallies
-        if f[0] + s[0] >= config.min_stratum_size
-    ]
-    if not kept:
-        raise AllStrataFiltered(
-            f"every stratum of {covariate!r} is smaller than "
-            f"{config.min_stratum_size}"
-        )
-    gi = records.column_index(group_col)
-    groups = sorted({row[gi] for row in records.rows})
-    for label, f, s in kept:
-        if f[0] == 0 or s[0] == 0:
-            empty = groups[0] if f[0] == 0 else groups[1]
-            raise EmptyStratumSide(
-                f"stratum {label!r} has no rows for group {empty!r}"
-            )
-    sc = StratifiedComparison(
-        groups[0],
-        groups[1],
-        tuple(Stratum(label, Counts(*f), Counts(*s)) for label, f, s in kept),
-    )
-    report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
-    sizes = tuple(f[0] + s[0] for _, f, s in kept)
-    return Finding(covariate, description, report, sizes)
