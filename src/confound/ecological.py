@@ -64,25 +64,30 @@ def _numeric_values(records: RecordTable, col: str) -> list[float]:
     return [float(v) for v in records.values(col)]
 
 
-def group_means(
+def _grouped(
     records: RecordTable, group_col: str, x_col: str, y_col: str
-) -> list[GroupSummary]:
-    """Per-group sizes and (x, y) means, ordered by group label."""
+) -> tuple[list[float], list[float], list[tuple[GroupSummary, list]]]:
+    """The x and y columns, and each group's summary with its (x, y)
+    points, ordered by group label."""
     xs = _numeric_values(records, x_col)
     ys = _numeric_values(records, y_col)
     gi = records.column_index(group_col)
     buckets: dict[str, list[tuple[float, float]]] = {}
     for row, x, y in zip(records.rows, xs, ys):
         buckets.setdefault(str(row[gi]), []).append((x, y))
-    return [
-        GroupSummary(
-            label,
-            len(pts),
-            sum(p[0] for p in pts) / len(pts),
-            sum(p[1] for p in pts) / len(pts),
-        )
-        for label, pts in sorted(buckets.items())
-    ]
+    groups = []
+    for label, pts in sorted(buckets.items()):
+        m = len(pts)
+        gx, gy = sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m
+        groups.append((GroupSummary(label, m, gx, gy), pts))
+    return xs, ys, groups
+
+
+def group_means(
+    records: RecordTable, group_col: str, x_col: str, y_col: str
+) -> list[GroupSummary]:
+    """Per-group sizes and (x, y) means, ordered by group label."""
+    return [g for g, _ in _grouped(records, group_col, x_col, y_col)[2]]
 
 
 def _corr(cov: float, var_x: float, var_y: float) -> float | None:
@@ -105,8 +110,7 @@ def decompose(
         raise InsufficientData(
             f"need at least 2 rows to decompose, got {records.n_rows}"
         )
-    xs = _numeric_values(records, x_col)
-    ys = _numeric_values(records, y_col)
+    xs, ys, groups = _grouped(records, group_col, x_col, y_col)
     n = records.n_rows
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
@@ -114,18 +118,10 @@ def decompose(
     var_x = sum((x - mean_x) ** 2 for x in xs) / n
     var_y = sum((y - mean_y) ** 2 for y in ys) / n
 
-    gi = records.column_index(group_col)
-    buckets: dict[str, list[tuple[float, float]]] = {}
-    for row, x, y in zip(records.rows, xs, ys):
-        buckets.setdefault(str(row[gi]), []).append((x, y))
-
     between_cov = within_cov = 0.0
     bvar_x = bvar_y = wvar_x = wvar_y = 0.0
-    summaries = []
-    for label, pts in sorted(buckets.items()):
-        m = len(pts)
-        gx = sum(p[0] for p in pts) / m
-        gy = sum(p[1] for p in pts) / m
+    for g, pts in groups:
+        m, gx, gy = g.n, g.mean_x, g.mean_y
         share = m / n
         between_cov += share * (gx - mean_x) * (gy - mean_y)
         bvar_x += share * (gx - mean_x) ** 2
@@ -133,7 +129,6 @@ def decompose(
         within_cov += share * (sum((p[0] - gx) * (p[1] - gy) for p in pts) / m)
         wvar_x += share * (sum((p[0] - gx) ** 2 for p in pts) / m)
         wvar_y += share * (sum((p[1] - gy) ** 2 for p in pts) / m)
-        summaries.append(GroupSummary(label, m, gx, gy))
 
     return EcologicalDecomposition(
         total_cov=total_cov,
@@ -142,7 +137,7 @@ def decompose(
         total_corr=_corr(total_cov, var_x, var_y),
         between_corr=_corr(between_cov, bvar_x, bvar_y),
         within_corr=_corr(within_cov, wvar_x, wvar_y),
-        group_summaries=tuple(summaries),
+        group_summaries=tuple(g for g, _ in groups),
     )
 
 
