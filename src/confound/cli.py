@@ -64,13 +64,11 @@ DEFAULT_FALSE_VALUES = ("0", "false", "no")
 
 
 def _parse_count(field: str, name: str, line: int) -> int:
-    try:
-        value = int(field)
-    except ValueError:
-        raise BadCount(f"{name} {field!r} is not an integer", line) from None
-    if value < 0:
-        raise BadCount(f"{name} must be >= 0, got {value}", line)
-    return value
+    # ASCII digits only: int() would also take "1_000", " 5", "+5" and "٣",
+    # which serialize back differently
+    if not (field.isascii() and field.isdigit()):
+        raise BadCount(f"{name} {field!r} is not a non-negative integer", line)
+    return int(field)
 
 
 def parse_table_csv(text: str) -> StratifiedComparison:
@@ -91,8 +89,6 @@ def parse_table_csv(text: str) -> StratifiedComparison:
         )
 
     cells: dict[tuple[str, str], Counts] = {}
-    strata_order: list[str] = []
-    groups_order: list[str] = []
     for row in reader:
         line = reader.line_num
         if not row:
@@ -110,13 +106,12 @@ def parse_table_csv(text: str) -> StratifiedComparison:
                 f"duplicate cell for stratum {stratum!r}, group {group!r}", line
             )
         cells[key] = Counts(total, positive)
-        if stratum not in strata_order:
-            strata_order.append(stratum)
-        if group not in groups_order:
-            groups_order.append(group)
 
     if not cells:
         raise EmptyData("no data rows after the header")
+    # cells keeps row order, so these keep the order of first appearance
+    strata_order = list(dict.fromkeys(stratum for stratum, _ in cells))
+    groups_order = list(dict.fromkeys(group for _, group in cells))
     if len(groups_order) != 2:
         raise NotTwoGroups(
             f"expected exactly two group values, found {len(groups_order)}: "

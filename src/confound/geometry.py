@@ -203,11 +203,10 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
             f'x2="{_fmt(tx)}" y2="{_fmt(ty)}" stroke="{color}" stroke-width="2"/>'
         )
 
-        marked = [(g.terminal, f"{g.label} {g.terminal} {g.terminal_slope.percent()}")]
+        marked = {g.terminal: f"{g.label} {g.terminal} {g.terminal_slope.percent()}"}
         for v, slope in zip(g.vectors, g.segment_slopes):
-            if all(v != p for p, _ in marked):
-                marked.append((v, f"{v} {slope.percent()}"))
-        for p, label in marked:
+            marked.setdefault(v, f"{v} {slope.percent()}")
+        for p, label in marked.items():
             cx, cy = px(p)
             parts.append(
                 f'<circle class="marker" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" '

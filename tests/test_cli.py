@@ -83,13 +83,22 @@ class TestParseTableCsv:
         with pytest.raises(DuplicateCell, match="line 4"):
             parse_table_csv(text)
 
-    def test_bad_count_names_line(self):
+    def test_bad_count_names_line(self, tmp_path, capsys):
         with pytest.raises(BadCount, match="line 2"):
             parse_table_csv(HEADER + "s,g1,five,1\n")
         with pytest.raises(BadCount, match="line 3"):
             parse_table_csv(HEADER + "s,g1,5,1\ns,g2,5,-1\n")
         with pytest.raises(BadCount, match="exceeds"):
             parse_table_csv(HEADER + "s,g1,5,6\n")
+        # counts are ASCII digits only, so parse -> serialize is byte-stable
+        p = tmp_path / "t.csv"
+        for field in ("1_000", " 5", "5 ", "+5", "-1", "\u0663", "\uff15", "", "5.0"):
+            text = HEADER + f"s,g1,9,1\ns,g2,{field},0\n"
+            with pytest.raises(BadCount, match="line 3"):
+                parse_table_csv(text)
+            p.write_text(text, encoding="utf-8")
+            assert run(["analyze", str(p)]) == 2
+            assert capsys.readouterr().err.startswith("error:bad-count:")
 
     def test_ragged_row(self):
         with pytest.raises(RaggedRow, match="line 2"):
