@@ -177,6 +177,61 @@ class TestParseRecordsCsv:
         with pytest.raises(RaggedRow, match="line 3"):
             parse_records_csv("g,out\na,1\nb\n", boolean_columns=("out",))
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # a bad number on line 3 comes before the ragged row on line 5
+            ("g,x\na,1\nb,zz\nc,2\nd\n", NonNumeric,
+             "line 3: column 'x': 'zz' is not a number"),
+            # the ragged row on line 3 comes before the bad number on line 4
+            ("g,x\na,1\nb\nc,zz\n", RaggedRow,
+             "line 3: expected 2 fields, got 1"),
+            # two bad cells in one row: the leftmost wins
+            ("g,x,y\na,1,2\nb,p,q\n", NonNumeric,
+             "line 3: column 'x': 'p' is not a number"),
+            ("g,out,x\na,1,2\nb,maybe,inf\n", BadOutcomeValue,
+             "line 3: column 'out': 'maybe' is not in the true/false lexicon"),
+            ("g,x,out\na,2,1\nb,inf,maybe\n", NonNumeric,
+             "line 3: column 'x': 'inf' is not finite"),
+            # blank lines still count
+            ("g,x\n\na,1\n\n\nb,zz\n", NonNumeric,
+             "line 6: column 'x': 'zz' is not a number"),
+            # a quoted field spanning two lines
+            ('g,x\n"a\nb",1\nc,zz\n', NonNumeric,
+             "line 4: column 'x': 'zz' is not a number"),
+            ('g,x\n"a\n\nb",1\n\nc\n', RaggedRow,
+             "line 6: expected 2 fields, got 1"),
+        ],
+    )
+    def test_first_error_and_its_line(self, text, error, message):
+        header = text.split("\n")[0].split(",")
+        with pytest.raises(error) as err:
+            parse_records_csv(
+                text,
+                numeric_columns=[c for c in ("x", "y") if c in header],
+                boolean_columns=[c for c in ("out",) if c in header],
+            )
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("blank_lines", [0, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_error_near_a_chunk_boundary(self, blank_lines, offset):
+        # the bad row is data row CHUNK_ROWS + offset (0-based)
+        chunk = 1024
+        good = ["a,1"] * (chunk + offset)
+        lines = ["g,x", *[""] * blank_lines, *good, "b,zz", "c,1"]
+        with pytest.raises(NonNumeric) as err:
+            parse_records_csv("\n".join(lines) + "\n", numeric_columns=("x",))
+        line = 1 + blank_lines + len(good) + 1
+        assert str(err.value) == f"line {line}: column 'x': 'zz' is not a number"
+
+    def test_rows_across_chunks_keep_order(self):
+        n = 2 * 1024 + 7
+        text = "g,x\n" + "".join(f"g{i % 3},{i}\n" for i in range(n))
+        records = parse_records_csv(text, numeric_columns=("x",))
+        assert records.values("x") == [float(i) for i in range(n)]
+        assert records.values("g") == [f"g{i % 3}" for i in range(n)]
+
     def test_expanded_hospital_round_trip(self):
         records = hospital_records()
         lines = ["hospital,death,condition"]

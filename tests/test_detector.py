@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from confound.detector import (
     Classification,
+    Column,
     Finding,
+    RecordTable,
     ScanConfig,
     SkippedCandidate,
     bin_numeric,
@@ -209,6 +211,88 @@ def text_outcome_records():
     return records_from_columns(
         g=["a", "a", "b", "b"], out=["y", "n", "y", "n"], cov=["u"] * 4
     )
+
+
+def _cols(*spec: str) -> tuple[Column, ...]:
+    """Columns from ``name:kind`` strings."""
+    return tuple(Column(*item.split(":")) for item in spec)
+
+
+class TestRecordTableValidation:
+    """The public constructor's errors, each pinned by its exact message."""
+
+    @pytest.mark.parametrize(
+        "columns, rows, message",
+        [
+            (_cols("a:categorical", "a:numeric"), [],
+             "duplicate column names: ['a', 'a']"),
+            (_cols("a:categorical", "b:text"), [("x", "y")],
+             "unknown column kind 'text'"),
+            (_cols("g:categorical", "x:numeric"), [("a", 1.0), ("b",)],
+             "row 1 has 1 cells, expected 2"),
+            (_cols("g:categorical", "x:numeric"), [("a", 1.0), ("b", 2.0, 3.0)],
+             "row 1 has 3 cells, expected 2"),
+            (_cols("g:categorical"), [("a",), (3,)],
+             "row 1, column 'g': expected text, got 3"),
+            (_cols("g:categorical", "out:boolean"), [("a", True), ("b", 1)],
+             "row 1, column 'out': expected bool, got 1"),
+            (_cols("out:boolean"), [("yes",)],
+             "row 0, column 'out': expected bool, got 'yes'"),
+            (_cols("x:numeric"), [(1,), (True,)],
+             "row 1, column 'x': expected a number, got True"),
+            (_cols("x:numeric"), [("1.5",)],
+             "row 0, column 'x': expected a number, got '1.5'"),
+            (_cols("x:numeric"), [(1.0,), (float("inf"),)],
+             "row 1, column 'x': non-finite value"),
+            (_cols("x:numeric"), [(float("nan"),)],
+             "row 0, column 'x': non-finite value"),
+        ],
+    )
+    def test_message(self, columns, rows, message):
+        with pytest.raises(ValidationError) as err:
+            RecordTable(columns, rows)
+        assert str(err.value) == message
+
+    def test_first_bad_cell_in_row_order_wins(self):
+        columns = _cols("g:categorical", "out:boolean", "x:numeric")
+        rows = [("a", True, 1.0), ("b", True, "2"), (3, "no", 1.0)]
+        with pytest.raises(ValidationError) as err:
+            RecordTable(columns, rows)
+        assert str(err.value) == "row 1, column 'x': expected a number, got '2'"
+
+    def test_leftmost_bad_cell_of_a_row_wins(self):
+        columns = _cols("g:categorical", "out:boolean", "x:numeric")
+        with pytest.raises(ValidationError) as err:
+            RecordTable(columns, [("a", True, 1.0), ("b", 0, float("nan"))])
+        assert str(err.value) == "row 1, column 'out': expected bool, got 0"
+
+    def test_ragged_row_is_checked_before_its_cells(self):
+        columns = _cols("g:categorical", "x:numeric")
+        with pytest.raises(ValidationError) as err:
+            RecordTable(columns, [("a", 1.0), (1, "x", 3)])
+        assert str(err.value) == "row 1 has 3 cells, expected 2"
+
+    def test_bad_cell_before_a_ragged_row_wins(self):
+        columns = _cols("g:categorical", "x:numeric")
+        with pytest.raises(ValidationError) as err:
+            RecordTable(columns, [("a", 1.0), ("b", "x"), ("c",)])
+        assert str(err.value) == "row 1, column 'x': expected a number, got 'x'"
+
+    def test_valid_table_keeps_rows_and_values(self):
+        columns = _cols("g:categorical", "out:boolean", "x:numeric")
+        rows = [("a", True, 1), ["b", False, 2.5]]
+        records = RecordTable(columns, rows)
+        assert records.n_rows == 2
+        assert records.rows == (("a", True, 1), ("b", False, 2.5))
+        assert records.values("x") == [1, 2.5]
+        assert records.values("out") == [True, False]
+        assert records == RecordTable(columns, records.rows)
+
+    def test_empty_table(self):
+        records = RecordTable(_cols("g:categorical", "x:numeric"), [])
+        assert records.n_rows == 0
+        assert records.rows == ()
+        assert records.values("x") == []
 
 
 class TestStratify:
