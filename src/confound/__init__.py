@@ -9,9 +9,7 @@ vector-diagram picture of a comparison as deterministic SVG.
 
 from .detector import (
     Classification,
-    Column,
     Finding,
-    RecordTable,
     ReversalReport,
     ScanConfig,
     SkippedCandidate,
@@ -37,6 +35,7 @@ from .geometry import (
     slope_bounds,
     to_vectors,
 )
+from .records import Column, RecordTable
 from .standardize import (
     StandardizedComparison,
     WeightVector,

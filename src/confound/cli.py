@@ -21,17 +21,11 @@ import json
 import math
 import os
 import sys
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
-from .detector import (
-    Column,
-    Finding,
-    RecordTable,
-    ScanConfig,
-    detect_reversal,
-    scan,
-)
+from .detector import Finding, ScanConfig, detect_reversal, scan
 from .ecological import decompose, sign_divergence_report
 from .errors import (
     BadCount,
@@ -49,6 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import RenderOptions, render_svg, to_vectors
+from .records import Column, RecordTable
 from .standardize import reference_weights, standardized_comparison
 from .synth import generate_reversal
 from .tables import Counts, StratifiedComparison, Stratum, aggregate, rate
@@ -57,6 +52,9 @@ TABLE_HEADER = ("stratum", "group", "total", "positive")
 FORMAT_VERSION = "1"
 DEFAULT_TRUE_VALUES = ("1", "true", "yes")
 DEFAULT_FALSE_VALUES = ("0", "false", "no")
+# record CSVs are read and typed this many reader rows at a time, so peak
+# memory holds one chunk of raw cells rather than the whole file's
+CHUNK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +192,53 @@ def parse_records_csv(
         for name in header
     )
 
-    rows = []
-    for row in reader:
-        line = reader.line_num
+    lexicon = {**dict.fromkeys(truthy, True), **dict.fromkeys(falsy, False)}
+    kinds = [c.kind for c in columns]
+    memos: list[dict] = [{} for _ in columns]
+    data: list[list] = [[] for _ in columns]
+    read = 1  # rows the reader has yielded, header and blank lines included
+    n_rows = 0
+    while chunk := list(islice(reader, CHUNK_ROWS)):
+        rows = [row for row in chunk if row]
+        typed = None
+        if set(map(len, rows)) <= {len(header)}:
+            typed = list(map(_typed_column, kinds, zip(*rows), repeat(lexicon), memos))
+        if typed is None or None in typed:
+            _raise_first_error(text, read, columns, lexicon)
+        for cells, column in zip(data, typed):
+            cells.extend(column)
+        read += len(chunk)
+        n_rows += len(rows)
+    if not n_rows:
+        raise EmptyData("no data rows after the header")
+    return RecordTable._of_columns(columns, data, n_rows)
+
+
+def _typed_column(kind: str, cells: Sequence[str], lexicon: dict, memo: dict):
+    """One chunk of one column's cells as typed values; ``None`` if a cell
+    is bad. Repeated categorical labels share one string through ``memo``."""
+    if kind == "numeric":
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            return None
+        return values if all(map(math.isfinite, values)) else None
+    if kind == "boolean":
+        values = list(map(lexicon.get, map(str.lower, cells)))
+        return None if None in values else values
+    return list(map(memo.setdefault, cells, cells))
+
+
+def _raise_first_error(text: str, start: int, columns, lexicon: dict) -> None:
+    """Re-read ``text`` row by row from reader row ``start`` and raise the
+    first bad row's error, with its physical line number."""
+    reader = csv.reader(io.StringIO(text))
+    for row in islice(reader, start, None):
         if not row:
             continue
-        if len(row) != len(header):
-            raise RaggedRow(
-                f"expected {len(header)} fields, got {len(row)}", line
-            )
-        values: list[object] = []
+        line = reader.line_num
+        if len(row) != len(columns):
+            raise RaggedRow(f"expected {len(columns)} fields, got {len(row)}", line)
         for col, cell in zip(columns, row):
             if col.kind == "numeric":
                 try:
@@ -216,24 +251,11 @@ def parse_records_csv(
                     raise NonNumeric(
                         f"column {col.name!r}: {cell!r} is not finite", line
                     )
-                values.append(v)
-            elif col.kind == "boolean":
-                low = cell.lower()
-                if low in truthy:
-                    values.append(True)
-                elif low in falsy:
-                    values.append(False)
-                else:
-                    raise BadOutcomeValue(
-                        f"column {col.name!r}: {cell!r} is not in the "
-                        f"true/false lexicon", line
-                    )
-            else:
-                values.append(cell)
-        rows.append(tuple(values))
-    if not rows:
-        raise EmptyData("no data rows after the header")
-    return RecordTable(columns, tuple(rows))
+            elif col.kind == "boolean" and lexicon.get(cell.lower()) is None:
+                raise BadOutcomeValue(
+                    f"column {col.name!r}: {cell!r} is not in the "
+                    f"true/false lexicon", line
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +438,15 @@ def build_generate_report(sc: StratifiedComparison, k: int, scale: int, seed: in
 # Text rendering
 
 
+# C0 and C1 control characters and DEL, written as \xNN in text reports so a
+# label cannot move the cursor or set colours on a terminal
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+
+def _safe(label: str) -> str:
+    return label.translate(_CONTROL_ESCAPES)
+
+
 def _color_enabled() -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
@@ -449,8 +480,8 @@ def _pct(v: float) -> str:
 
 
 def render_analyze_text(doc: dict, color: bool = False) -> str:
-    g1 = doc["groups"]["first"]
-    g2 = doc["groups"]["second"]
+    g1 = _safe(doc["groups"]["first"])
+    g2 = _safe(doc["groups"]["second"])
     lines = [
         f"table: {doc['input']['strata']} strata x 2 groups, "
         f"{doc['input']['subjects']} subjects",
@@ -461,7 +492,7 @@ def render_analyze_text(doc: dict, color: bool = False) -> str:
     for r in doc["rates"]["strata"]:
         rows.append(
             (
-                r["stratum"],
+                _safe(r["stratum"]),
                 _cell_text(r["first"]),
                 _cell_text(r["second"]),
                 _dir_text(r["direction"], g1, g2),
@@ -500,8 +531,8 @@ def _standardized_text(s: dict, g1: str, g2: str) -> str:
 
 
 def render_standardize_text(doc: dict, color: bool = False) -> str:
-    g1 = doc["groups"]["first"]
-    g2 = doc["groups"]["second"]
+    g1 = _safe(doc["groups"]["first"])
+    g2 = _safe(doc["groups"]["second"])
     pooled = doc["pooled"]
     s = doc["standardized"]
     lines = [
@@ -509,7 +540,7 @@ def render_standardize_text(doc: dict, color: bool = False) -> str:
         f"pooled: {g1} {_cell_text(pooled['first'])}  "
         f"{g2} {_cell_text(pooled['second'])}",
         _standardized_text(s, g1, g2),
-        "weights: " + "  ".join(f"{label}={w:.6f}" for label, w in s["weights"]),
+        "weights: " + "  ".join(f"{_safe(label)}={w:.6f}" for label, w in s["weights"]),
     ]
     return "\n".join(lines) + "\n"
 
@@ -524,7 +555,7 @@ def render_scan_text(doc: dict, color: bool = False) -> str:
         for f in doc["findings"]:
             rows.append(
                 (
-                    f["covariate"],
+                    _safe(f["covariate"]),
                     f["report"]["classification"],
                     str(len(f["stratum_sizes"])),
                     ",".join(str(n) for n in f["stratum_sizes"]),
@@ -534,7 +565,9 @@ def render_scan_text(doc: dict, color: bool = False) -> str:
         lines.append("")
         lines.extend(_columns(rows))
     for s in doc["skipped"]:
-        lines.append(f"skipped: {s['covariate']} ({s['reason']}): {s['detail']}")
+        lines.append(
+            f"skipped: {_safe(s['covariate'])} ({s['reason']}): {_safe(s['detail'])}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -551,7 +584,9 @@ def render_decompose_text(doc: dict, color: bool = False) -> str:
     ]
     rows = [("group", "n", "mean_x", "mean_y")]
     for g in doc["groups"]:
-        rows.append((g["label"], str(g["n"]), f"{g['mean_x']:.6f}", f"{g['mean_y']:.6f}"))
+        rows.append(
+            (_safe(g["label"]), str(g["n"]), f"{g['mean_x']:.6f}", f"{g['mean_y']:.6f}")
+        )
     lines.extend(_columns(rows))
     lines.append("")
     lines.append(
@@ -618,10 +653,11 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         pair = _split_list(ns.groups)
         if len(pair) != 2:
             raise NotTwoGroups(f"--groups needs exactly two labels, got {pair}")
-        gi = records.column_index(ns.group_col)
-        records = RecordTable(
+        keep = list(map(set(pair).__contains__, records._column(ns.group_col)))
+        records = RecordTable._of_columns(
             records.columns,
-            tuple(row for row in records.rows if row[gi] in pair),
+            [compress(records._column(c.name), keep) for c in records.columns],
+            sum(keep),
         )
     config = ScanConfig(
         binning=ns.binning,
@@ -768,6 +804,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2 if isinstance(exc, InputError) else 3
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
+        return 2
+    except csv.Error as exc:  # the csv module's own limits, such as field size
+        print(f"error:csv: {exc}", file=sys.stderr)
         return 2
 
 

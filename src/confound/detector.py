@@ -22,6 +22,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from operator import add
 from typing import Literal, Sequence, Union
 
 from .errors import (
@@ -31,10 +33,10 @@ from .errors import (
     EmptyStratumSide,
     NotTwoGroups,
     TooFewDistinctValues,
-    UnknownColumn,
     ValidationError,
     ZeroTotal,
 )
+from .records import RecordTable
 from .tables import (
     Counts,
     Direction,
@@ -120,79 +122,7 @@ def detect_reversal(
 
 
 # ---------------------------------------------------------------------------
-# Record-level data
-
-
-ColumnKind = Literal["categorical", "numeric", "boolean"]
-
-
-@dataclass(frozen=True)
-class Column:
-    name: str
-    kind: ColumnKind
-
-
-@dataclass(frozen=True)
-class RecordTable:
-    """Row-level data with a declared column schema.
-
-    Categorical cells are text, numeric cells are finite reals, boolean
-    cells are bools (outcome columns). Every row carries exactly the
-    declared columns, in declaration order.
-    """
-
-    columns: tuple[Column, ...]
-    rows: tuple[tuple[object, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate column names: {names}")
-        for c in self.columns:
-            if c.kind not in ("categorical", "numeric", "boolean"):
-                raise ValidationError(f"unknown column kind {c.kind!r}")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValidationError(
-                    f"row {i} has {len(row)} cells, expected {len(self.columns)}"
-                )
-            for c, v in zip(self.columns, row):
-                if c.kind == "categorical" and not isinstance(v, str):
-                    raise ValidationError(
-                        f"row {i}, column {c.name!r}: expected text, got {v!r}"
-                    )
-                if c.kind == "boolean" and not isinstance(v, bool):
-                    raise ValidationError(
-                        f"row {i}, column {c.name!r}: expected bool, got {v!r}"
-                    )
-                if c.kind == "numeric":
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise ValidationError(
-                            f"row {i}, column {c.name!r}: expected a number, got {v!r}"
-                        )
-                    if not math.isfinite(v):
-                        raise ValidationError(
-                            f"row {i}, column {c.name!r}: non-finite value"
-                        )
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise UnknownColumn(f"no column named {name!r}")
-
-    def kind(self, name: str) -> ColumnKind:
-        return self.columns[self.column_index(name)].kind
-
-    def values(self, name: str) -> list:
-        i = self.column_index(name)
-        return [row[i] for row in self.rows]
+# Stratification of row-level records (see :mod:`confound.records`)
 
 
 BinStrategy = Literal["quantile", "equal_width"]
@@ -210,14 +140,15 @@ def bin_numeric(
     """
     if k < 2:
         raise ValidationError(f"bin count must be >= 2, got {k}")
-    vals = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in vals):
+    vals = list(map(float, values))
+    if not all(map(math.isfinite, vals)):
         raise ValidationError("values must be finite")
     if strategy == "quantile":
-        if len(set(vals)) < k:
+        distinct = len(set(vals))
+        if distinct < k:
             raise TooFewDistinctValues(
                 f"quantile binning into {k} bins needs at least {k} distinct "
-                f"values, got {len(set(vals))}"
+                f"values, got {distinct}"
             )
         return statistics.quantiles(vals, n=k, method="inclusive")
     if strategy == "equal_width":
@@ -233,8 +164,25 @@ def _bin_label(i: int, lo: float, hi: float, last: bool) -> str:
     return f"bin{i:02d} [{lo:.6g}, {hi:.6g}{close}"
 
 
+def _sides(
+    records: RecordTable, group_col: str, outcome_col: str, groups: list | None
+) -> tuple[list, list[int]]:
+    """The two sorted group labels, and each row's side code
+    ``2 * group index + outcome``. ``groups=None`` finds the labels here,
+    after the column checks."""
+    if records.kind(group_col) != "categorical":
+        raise ValidationError(f"group column {group_col!r} must be categorical")
+    if records.kind(outcome_col) != "boolean":
+        raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
+    if groups is None:
+        groups = _two_groups(records, group_col)
+    side = {groups[0]: 0, groups[1]: 2}.__getitem__
+    group, outcome = records._column(group_col), records._column(outcome_col)
+    return groups, list(map(add, map(side, group), outcome))
+
+
 def _two_groups(records: RecordTable, group_col: str) -> list:
-    groups = sorted(set(records.values(group_col)))
+    groups = sorted(set(records._column(group_col)))
     if len(groups) != 2:
         raise NotTwoGroups(
             f"group column {group_col!r} must take exactly two values, "
@@ -245,36 +193,23 @@ def _two_groups(records: RecordTable, group_col: str) -> list:
 
 def _stratified(
     records: RecordTable,
-    group_col: str,
-    outcome_col: str,
     covariate: str,
-    groups: list | None,
+    sides: tuple[list, list[int]],
     binning: str | None,
     bins: int,
     min_stratum_size: int = 1,
 ) -> tuple[StratifiedComparison, str]:
     """Stratify records by one covariate, plus a binning description.
 
-    ``groups`` are the two sorted group labels when the caller already
-    found them; ``None`` finds them here, after the column checks. Strata
-    with no rows at all are never formed (numeric bins can be empty);
-    strata smaller than ``min_stratum_size`` are dropped before the
-    empty-side check.
+    ``sides`` is what :func:`_sides` returns. Strata with no rows at all
+    are never formed (numeric bins can be empty); strata smaller than
+    ``min_stratum_size`` are dropped before the empty-side check.
     """
-    gi = records.column_index(group_col)
-    oi = records.column_index(outcome_col)
-    ci = records.column_index(covariate)
-    if records.columns[gi].kind != "categorical":
-        raise ValidationError(f"group column {group_col!r} must be categorical")
-    if records.columns[oi].kind != "boolean":
-        raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
-    if groups is None:
-        groups = _two_groups(records, group_col)
-
-    kind = records.columns[ci].kind
+    groups, code = sides
+    kind = records.kind(covariate)
     if binning is None:
         binning = "categorical" if kind == "categorical" else "quantile"
-    column = records.values(covariate)
+    column = records._column(covariate)
     if binning == "categorical":
         if kind != "categorical":
             raise ValidationError(
@@ -290,34 +225,23 @@ def _stratified(
             )
         edges = bin_numeric(column, binning, bins)
         bounds = [min(column), *edges, max(column)]
-        labels = [
-            _bin_label(i, bounds[i], bounds[i + 1], i == bins - 1)
-            for i in range(bins)
-        ]
-        keys = [bisect_right(edges, v) for v in column]
+        labels = [_bin_label(i, *bounds[i : i + 2], i == bins - 1) for i in range(bins)]
+        keys = list(map(partial(bisect_right, edges), column))
         description = f"{binning} k={bins} edges={[round(e, 6) for e in edges]}"
     else:
         raise ValidationError(f"unknown binning {binning!r}")
 
-    tally = Counter(
-        zip(keys, records.values(group_col), records.values(outcome_col))
-    )
+    tally = Counter(zip(keys, code))
 
-    def counts(key, group) -> Counts:
-        positive = tally[key, group, True]
-        return Counts(positive + tally[key, group, False], positive)
+    def counts(key, side: int) -> Counts:
+        positive = tally[key, side + 1]
+        return Counts(positive + tally[key, side], positive)
 
     strata = [
-        Stratum(
-            key if labels is None else labels[key],
-            counts(key, groups[0]),
-            counts(key, groups[1]),
-        )
-        for key in sorted({key for key, _, _ in tally})
+        Stratum(key if labels is None else labels[key], counts(key, 0), counts(key, 2))
+        for key in sorted({key for key, _ in tally})
     ]
-    kept = [
-        s for s in strata if s.first.total + s.second.total >= min_stratum_size
-    ]
+    kept = [s for s in strata if s.first.total + s.second.total >= min_stratum_size]
     if not kept:
         raise AllStrataFiltered(
             f"every stratum of {covariate!r} is smaller than {min_stratum_size}"
@@ -349,9 +273,10 @@ def stratify(
     with rows on only one side is an error here (scans downgrade it to a
     per-candidate skip).
     """
-    return _stratified(
-        records, group_col, outcome_col, covariate, None, binning, bins
-    )[0]
+    for name in (group_col, outcome_col, covariate):
+        records.column_index(name)
+    sides = _sides(records, group_col, outcome_col, None)
+    return _stratified(records, covariate, sides, binning, bins)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +339,21 @@ def scan(
         raise EmptyCandidates("no candidate covariates given")
     if len(set(candidates)) != len(candidates):
         raise ValidationError(f"duplicate candidates in {list(candidates)}")
-    # group/outcome problems are global: validate once, outside the loop
+    # group/outcome problems are global: validate once, outside the loop; a
+    # group or outcome column of the wrong kind skips every known candidate
     records.column_index(group_col)
     records.column_index(outcome_col)
     groups = _two_groups(records, group_col)
 
     results: list[ScanResult] = []
+    sides = None  # found with the first known candidate
     for cand in candidates:
         try:
-            binning = (
-                "categorical"
-                if records.kind(cand) == "categorical"
-                else config.binning
-            )
+            kind = records.kind(cand)
+            sides = sides or _sides(records, group_col, outcome_col, groups)
+            binning = "categorical" if kind == "categorical" else config.binning
             sc, description = _stratified(
-                records, group_col, outcome_col, cand, groups, binning,
-                config.bins, config.min_stratum_size,
+                records, cand, sides, binning, config.bins, config.min_stratum_size
             )
             report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:
@@ -438,13 +362,8 @@ def scan(
             sizes = tuple(s.first.total + s.second.total for s in sc.strata)
             results.append(Finding(cand, description, report, sizes))
 
-    findings = sorted(
-        (r for r in results if isinstance(r, Finding)),
-        key=lambda f: (_CLASS_ORDER[f.report.classification], f.covariate),
-    )
-    skips = sorted(
-        (r for r in results if isinstance(r, SkippedCandidate)),
-        key=lambda s: s.covariate,
-    )
-    return [*findings, *skips]
+    return sorted(results, key=lambda r: (
+        _CLASS_ORDER[r.report.classification] if isinstance(r, Finding) else 3,
+        r.covariate,
+    ))
 

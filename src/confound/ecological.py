@@ -17,8 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientData, NonNumeric, UndefinedCorrelation
-from .detector import RecordTable
+from .errors import (
+    InsufficientData,
+    NonNumeric,
+    NumericOverflow,
+    UndefinedCorrelation,
+)
+from .records import RecordTable
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class DivergenceReport:
 def _numeric_values(records: RecordTable, col: str) -> list[float]:
     if records.kind(col) != "numeric":
         raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
-    return [float(v) for v in records.values(col)]
+    return list(map(float, records._column(col)))
 
 
 def _grouped(
@@ -71,10 +76,9 @@ def _grouped(
     points, ordered by group label."""
     xs = _numeric_values(records, x_col)
     ys = _numeric_values(records, y_col)
-    gi = records.column_index(group_col)
     buckets: dict[str, list[tuple[float, float]]] = {}
-    for row, x, y in zip(records.rows, xs, ys):
-        buckets.setdefault(str(row[gi]), []).append((x, y))
+    for group, x, y in zip(records._column(group_col), xs, ys):
+        buckets.setdefault(str(group), []).append((x, y))
     groups = []
     for label, pts in sorted(buckets.items()):
         m = len(pts)
@@ -105,30 +109,45 @@ def _corr(cov: float, var_x: float, var_y: float) -> float | None:
 def decompose(
     records: RecordTable, group_col: str, x_col: str, y_col: str
 ) -> EcologicalDecomposition:
-    """Split the total x-y covariance into between- and within-group parts."""
+    """Split the total x-y covariance into between- and within-group parts.
+
+    Values whose sums or squares leave the float range raise
+    :class:`NumericOverflow` rather than yield infinite or NaN moments.
+    """
     if records.n_rows < 2:
         raise InsufficientData(
             f"need at least 2 rows to decompose, got {records.n_rows}"
         )
     xs, ys, groups = _grouped(records, group_col, x_col, y_col)
     n = records.n_rows
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    total_cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs) / n
-    var_y = sum((y - mean_y) ** 2 for y in ys) / n
+    overflow = NumericOverflow(
+        f"columns {x_col!r} and {y_col!r} are too large for float moments"
+    )
+    try:
+        mean_x = sum(xs) / n
+        mean_y = sum(ys) / n
+        total_cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / n
+        var_x = sum((x - mean_x) ** 2 for x in xs) / n
+        var_y = sum((y - mean_y) ** 2 for y in ys) / n
 
-    between_cov = within_cov = 0.0
-    bvar_x = bvar_y = wvar_x = wvar_y = 0.0
-    for g, pts in groups:
-        m, gx, gy = g.n, g.mean_x, g.mean_y
-        share = m / n
-        between_cov += share * (gx - mean_x) * (gy - mean_y)
-        bvar_x += share * (gx - mean_x) ** 2
-        bvar_y += share * (gy - mean_y) ** 2
-        within_cov += share * (sum((p[0] - gx) * (p[1] - gy) for p in pts) / m)
-        wvar_x += share * (sum((p[0] - gx) ** 2 for p in pts) / m)
-        wvar_y += share * (sum((p[1] - gy) ** 2 for p in pts) / m)
+        between_cov = within_cov = 0.0
+        bvar_x = bvar_y = wvar_x = wvar_y = 0.0
+        for g, pts in groups:
+            m, gx, gy = g.n, g.mean_x, g.mean_y
+            share = m / n
+            between_cov += share * (gx - mean_x) * (gy - mean_y)
+            bvar_x += share * (gx - mean_x) ** 2
+            bvar_y += share * (gy - mean_y) ** 2
+            within_cov += share * (sum((p[0] - gx) * (p[1] - gy) for p in pts) / m)
+            wvar_x += share * (sum((p[0] - gx) ** 2 for p in pts) / m)
+            wvar_y += share * (sum((p[1] - gy) ** 2 for p in pts) / m)
+    except OverflowError:
+        raise overflow from None
+    moments = (
+        total_cov, var_x, var_y, between_cov, bvar_x, bvar_y, within_cov, wvar_x, wvar_y
+    )
+    if not all(map(math.isfinite, moments)):
+        raise overflow
 
     return EcologicalDecomposition(
         total_cov=total_cov,

@@ -84,6 +84,12 @@ class InsufficientData(AnalysisError):
     code = "insufficient-data"
 
 
+class NumericOverflow(AnalysisError):
+    """A float statistic left the float range: the values are too large."""
+
+    code = "numeric-overflow"
+
+
 class UndefinedCorrelation(AnalysisError):
     """A correlation with zero variance was used where its sign is needed."""
 

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from confound.detector import Column, RecordTable
+from confound.records import Column, RecordTable
 from confound.tables import Counts, Rate, StratifiedComparison, Stratum
 
 HOSPITAL = StratifiedComparison.from_pairs(

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from confound.cli import (
+    CHUNK_ROWS,
     build_analyze_report,
     parse_records_csv,
     parse_table_csv,
@@ -216,9 +217,9 @@ class TestParseRecordsCsv:
     @pytest.mark.parametrize("blank_lines", [0, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_error_near_a_chunk_boundary(self, blank_lines, offset):
-        # the bad row is data row CHUNK_ROWS + offset (0-based)
-        chunk = 1024
-        good = ["a,1"] * (chunk + offset)
+        # the bad row is reader row CHUNK_ROWS + offset (0-based, header
+        # excluded), so offset 0 is the first row of the second chunk
+        good = ["a,1"] * (CHUNK_ROWS + offset - blank_lines)
         lines = ["g,x", *[""] * blank_lines, *good, "b,zz", "c,1"]
         with pytest.raises(NonNumeric) as err:
             parse_records_csv("\n".join(lines) + "\n", numeric_columns=("x",))
@@ -226,7 +227,7 @@ class TestParseRecordsCsv:
         assert str(err.value) == f"line {line}: column 'x': 'zz' is not a number"
 
     def test_rows_across_chunks_keep_order(self):
-        n = 2 * 1024 + 7
+        n = 2 * CHUNK_ROWS + 7
         text = "g,x\n" + "".join(f"g{i % 3},{i}\n" for i in range(n))
         records = parse_records_csv(text, numeric_columns=("x",))
         assert records.values("x") == [float(i) for i in range(n)]
@@ -269,6 +270,62 @@ class TestReports:
         assert _color_enabled()
         monkeypatch.setenv("NO_COLOR", "1")
         assert not _color_enabled()
+
+
+RED = "\x1b[31m"
+
+
+class TestTextSafety:
+    """Labels reach text reports with control characters escaped; JSON keeps
+    them as they are."""
+
+    def _run(self, capsys, argv):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "\x1b" not in out
+        return out
+
+    def test_analyze_and_standardize_labels(self, tmp_path, capsys):
+        p = tmp_path / "table.csv"
+        p.write_text(
+            HEADER
+            + f"{RED}sick,A{RED},60,36\n{RED}sick,B,20,14\n"
+            + f"well\t1,A{RED},20,4\nwell\t1,B,60,18\n"
+        )
+        out = self._run(capsys, ["analyze", str(p), "--standardize", "combined"])
+        assert "\\x1b[31msick" in out
+        assert "well\\x091" in out
+        assert "first=A\\x1b[31m" in out
+        assert "A\\x1b[31m higher" in out
+        out = self._run(capsys, ["standardize", str(p)])
+        assert "\\x1b[31msick=" in out
+        assert run(["analyze", str(p), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["groups"]["first"] == f"A{RED}"
+        assert doc["rates"]["strata"][0]["stratum"] == f"{RED}sick"
+
+    def test_scan_labels(self, tmp_path, capsys):
+        p = tmp_path / "records.csv"
+        p.write_text(
+            f"g,out,{RED}cov,one\n"
+            + "a,1,u,x\na,0,v,x\nb,0,u,y\nb,1,v,y\n"
+        )
+        out = self._run(
+            capsys,
+            ["scan", str(p), "--group-col", "g", "--outcome-col", "out",
+             "--candidates", f"{RED}cov,one,{RED}gone"],
+        )
+        assert "\\x1b[31mcov" in out
+        assert "skipped: \\x1b[31mgone (unknown-column)" in out
+        assert "skipped: one (empty-stratum-side)" in out
+
+    def test_decompose_labels(self, tmp_path, capsys):
+        p = tmp_path / "records.csv"
+        p.write_text(f"r,x,y\n{RED}r1,1,2\n{RED}r1,2,1\nr2,3,5\nr2,5,3\n")
+        out = self._run(
+            capsys, ["decompose", str(p), "--group-col", "r", "--x", "x", "--y", "y"]
+        )
+        assert "\\x1b[31mr1" in out
 
 
 @pytest.fixture

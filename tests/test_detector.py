@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from confound.detector import (
     Classification,
-    Column,
     Finding,
-    RecordTable,
     ScanConfig,
     SkippedCandidate,
     bin_numeric,
@@ -29,6 +27,7 @@ from confound.errors import (
     ValidationError,
     ZeroTotal,
 )
+from confound.records import Column, RecordTable
 from confound.tables import Counts, Direction, StratifiedComparison, Stratum
 from support import (
     BERKELEY,

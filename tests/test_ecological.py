@@ -17,7 +17,12 @@ from confound.ecological import (
     group_means,
     sign_divergence_report,
 )
-from confound.errors import InsufficientData, NonNumeric, UndefinedCorrelation
+from confound.errors import (
+    InsufficientData,
+    NonNumeric,
+    NumericOverflow,
+    UndefinedCorrelation,
+)
 from support import records_from_columns
 
 
@@ -59,6 +64,18 @@ class TestDecompose:
     def test_single_row_rejected(self):
         r = _records("a", [1.0], [1.0])
         with pytest.raises(InsufficientData):
+            decompose(r, "g", "x", "y")
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1e200, -1e200, 3.0],  # a square overflows
+            [1.7e308, 1.7e308, 0.0],  # the sum overflows
+        ],
+    )
+    def test_float_overflow_rejected(self, xs):
+        r = _records("aab", xs, [1.0, 2.0, 3.0])
+        with pytest.raises(NumericOverflow, match="too large"):
             decompose(r, "g", "x", "y")
 
     def test_robinson_fixture(self, robinson_csv):
