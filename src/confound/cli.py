@@ -32,6 +32,7 @@ from .errors import (
     BadHeader,
     BadOutcomeValue,
     ConfoundError,
+    CsvError,
     DuplicateCell,
     EmptyData,
     InputError,
@@ -444,7 +445,7 @@ _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))
 
 
 def _safe(label: str) -> str:
-    return label.translate(_CONTROL_ESCAPES)
+    return label if label.isprintable() else label.translate(_CONTROL_ESCAPES)
 
 
 def _color_enabled() -> bool:
@@ -609,7 +610,12 @@ def render_decompose_text(doc: dict, color: bool = False) -> str:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CsvError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _emit(ns: argparse.Namespace, doc: dict, text_renderer) -> int:

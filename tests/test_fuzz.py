@@ -1,8 +1,8 @@
 """Fuzzing the record subcommands through ``run()``.
 
-Whatever the CSV text, ``scan`` and ``decompose`` end in a report (exit 0)
-or in exactly one ``error:<code>:`` line on stderr (exit 2 or 3), never in
-a traceback.
+Whatever the file holds, ``scan`` and ``decompose`` end in a report (exit
+0) or in exactly one ``error:<code>:`` line on stderr (exit 2 or 3), never
+in a traceback.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ _fitting_row = st.tuples(
     st.one_of(st.integers(-3, 3).map(str), st.floats(allow_nan=False).map(repr)),
     st.sampled_from(["u", "v"]),
 ).map(",".join)
-_records_csv = st.one_of(
+_record_files = st.one_of(
+    st.binary(max_size=60),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=60),
     st.builds(
         lambda header, rows, end: "\n".join([header, *rows]) + end,
@@ -63,8 +64,8 @@ _fuzz = settings(
 )
 
 
-def _check(path, text: str, argv: list[str]) -> tuple[int, list[str]]:
-    path.write_bytes(text.encode("utf-8"))
+def _check(path, data: str | bytes, argv: list[str]) -> tuple[int, list[str]]:
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run([argv[0], str(path), *argv[1:]])
@@ -79,27 +80,27 @@ def _check(path, text: str, argv: list[str]) -> tuple[int, list[str]]:
 
 @_fuzz
 @given(
-    text=_records_csv,
+    data=_record_files,
     extra=st.sampled_from(
         [[], ["--groups", "a,b"], ["--binning", "equal_width"],
          ["--min-stratum-size", "2", "--format", "json"]]
     ),
 )
-def test_scan_never_crashes(tmp_path, text, extra):
+def test_scan_never_crashes(tmp_path, data, extra):
     _check(
         tmp_path / "records.csv",
-        text,
+        data,
         ["scan", "--group-col", "g", "--outcome-col", "out",
          "--candidates", "x,c,y", "--numeric", "x,y", "--bins", "2", *extra],
     )
 
 
 @_fuzz
-@given(text=_records_csv, fmt=st.sampled_from(["text", "json"]))
-def test_decompose_never_crashes(tmp_path, text, fmt):
+@given(data=_record_files, fmt=st.sampled_from(["text", "json"]))
+def test_decompose_never_crashes(tmp_path, data, fmt):
     _check(
         tmp_path / "records.csv",
-        text,
+        data,
         ["decompose", "--group-col", "g", "--x", "x", "--y", "y", "--format", fmt],
     )
 
@@ -112,4 +113,14 @@ def test_oversized_field_is_an_input_error(tmp_path):
         ["decompose", "--group-col", "g", "--x", "x", "--y", "y"],
     )
     assert code == 2 and lines[0].startswith("error:csv: ")
+
+
+def test_undecodable_bytes_are_an_input_error(tmp_path):
+    code, lines = _check(
+        tmp_path / "records.csv",
+        b"g,x,y\na,\xff1,2\n",
+        ["decompose", "--group-col", "g", "--x", "x", "--y", "y"],
+    )
+    assert code == 2 and lines[0].startswith("error:csv: ")
+    assert "not UTF-8 text" in lines[0]
 
