@@ -215,7 +215,9 @@ def parse_records_csv(
     return RecordTable._of_columns(columns, data, n_rows)
 
 
-def _typed_column(kind: str, cells: Sequence[str], lexicon: dict, memo: dict):
+def _typed_column(
+    kind: str, cells: Sequence[str], lexicon: dict, memo: dict
+) -> list | None:
     """One chunk of one column's cells as typed values; ``None`` if a cell
     is bad. Repeated categorical labels share one string through ``memo``."""
     if kind == "numeric":
@@ -230,7 +232,9 @@ def _typed_column(kind: str, cells: Sequence[str], lexicon: dict, memo: dict):
     return list(map(memo.setdefault, cells, cells))
 
 
-def _raise_first_error(text: str, start: int, columns, lexicon: dict) -> None:
+def _raise_first_error(
+    text: str, start: int, columns: Sequence[Column], lexicon: dict
+) -> None:
     """Re-read ``text`` row by row from reader row ``start`` and raise the
     first bad row's error, with its physical line number."""
     reader = csv.reader(io.StringIO(text))
