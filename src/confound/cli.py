@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -219,7 +219,8 @@ def _typed_column(
     kind: str, cells: Sequence[str], lexicon: dict, memo: dict
 ) -> list | None:
     """One chunk of one column's cells as typed values; ``None`` if a cell
-    is bad. Repeated categorical labels share one string through ``memo``."""
+    is bad. Repeated categorical labels share one string through ``memo``,
+    which holds one entry per distinct label until parsing ends."""
     if kind == "numeric":
         try:
             values = list(map(float, cells))
@@ -449,7 +450,7 @@ _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))
 
 
 def _safe(label: str) -> str:
-    return label if label.isprintable() else label.translate(_CONTROL_ESCAPES)
+    return label.translate(_CONTROL_ESCAPES)
 
 
 def _color_enabled() -> bool:
@@ -663,12 +664,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         pair = _split_list(ns.groups)
         if len(pair) != 2:
             raise NotTwoGroups(f"--groups needs exactly two labels, got {pair}")
-        keep = list(map(set(pair).__contains__, records._column(ns.group_col)))
-        records = RecordTable._of_columns(
-            records.columns,
-            [compress(records._column(c.name), keep) for c in records.columns],
-            sum(keep),
-        )
+        records = records.where(ns.group_col, pair)
     config = ScanConfig(
         binning=ns.binning,
         bins=ns.bins,

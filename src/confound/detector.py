@@ -177,12 +177,12 @@ def _sides(
     if groups is None:
         groups = _two_groups(records, group_col)
     side = {groups[0]: 0, groups[1]: 2}.__getitem__
-    group, outcome = records._column(group_col), records._column(outcome_col)
+    group, outcome = records.values(group_col), records.values(outcome_col)
     return groups, list(map(add, map(side, group), outcome))
 
 
 def _two_groups(records: RecordTable, group_col: str) -> list:
-    groups = sorted(set(records._column(group_col)))
+    groups = sorted(set(records.values(group_col)))
     if len(groups) != 2:
         raise NotTwoGroups(
             f"group column {group_col!r} must take exactly two values, "
@@ -209,7 +209,7 @@ def _stratified(
     kind = records.kind(covariate)
     if binning is None:
         binning = "categorical" if kind == "categorical" else "quantile"
-    column = records._column(covariate)
+    column = records.values(covariate)
     if binning == "categorical":
         if kind != "categorical":
             raise ValidationError(

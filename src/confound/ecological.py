@@ -66,7 +66,7 @@ class DivergenceReport:
 def _numeric_values(records: RecordTable, col: str) -> list[float]:
     if records.kind(col) != "numeric":
         raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
-    return list(map(float, records._column(col)))
+    return list(map(float, records.values(col)))
 
 
 def _grouped(
@@ -77,7 +77,7 @@ def _grouped(
     xs = _numeric_values(records, x_col)
     ys = _numeric_values(records, y_col)
     buckets: dict[str, list[tuple[float, float]]] = {}
-    for group, x, y in zip(records._column(group_col), xs, ys):
+    for group, x, y in zip(records.values(group_col), xs, ys):
         buckets.setdefault(str(group), []).append((x, y))
     groups = []
     for label, pts in sorted(buckets.items()):

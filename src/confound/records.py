@@ -1,16 +1,18 @@
 """Row-level records, stored column by column.
 
 A :class:`RecordTable` holds one tuple of cells per declared column.
-``RecordTable(columns, rows)`` checks each column once; the CSV parser,
+``RecordTable(columns, rows)`` checks every cell once; the CSV parser,
 which has typed every cell already, builds its tables through the internal
-:meth:`RecordTable._of_columns`, which checks nothing again.
+:meth:`RecordTable._of_columns`, which checks nothing again, and
+:meth:`RecordTable.where` keeps rows without checking them again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from itertools import compress
+from typing import Collection, Literal, Sequence
 
 from .errors import UnknownColumn, ValidationError
 
@@ -29,9 +31,9 @@ class RecordTable:
     """Row-level data with a declared column schema, stored column by column.
 
     Categorical cells are text, numeric cells are finite reals, boolean
-    cells are bools (outcome columns). ``RecordTable(columns, rows)`` checks
-    each column once and raises the error of the first bad cell in row
-    order; ``rows`` is derived from the columns.
+    cells are bools (outcome columns). ``RecordTable(columns, rows)`` raises
+    the error of the first bad cell in row order; ``rows`` is derived from
+    the columns.
     """
 
     columns: tuple[Column, ...]
@@ -47,12 +49,9 @@ class RecordTable:
         for c in columns:
             if c.kind not in ("categorical", "numeric", "boolean"):
                 raise ValidationError(f"unknown column kind {c.kind!r}")
-        width = len(columns)
-        data = list(zip(*rows)) if set(map(len, rows)) <= {width} else None
-        if data is None or not all(map(_cells_ok, [c.kind for c in columns], data)):
-            for i, row in enumerate(rows):
-                _check_row(columns, i, row)
-        self._fill(columns, data or [()] * width, len(rows))
+        for i, row in enumerate(rows):
+            _check_row(columns, i, row)
+        self._fill(columns, list(zip(*rows)) or [()] * len(columns), len(rows))
 
     @classmethod
     def _of_columns(cls, columns, data, n_rows: int) -> RecordTable:
@@ -80,10 +79,14 @@ class RecordTable:
         return self.columns[self.column_index(name)].kind
 
     def values(self, name: str) -> list:
-        return list(self._column(name))
+        return list(self._data[self.column_index(name)])
 
-    def _column(self, name: str) -> tuple:
-        return self._data[self.column_index(name)]
+    def where(self, name: str, labels: Collection[str]) -> RecordTable:
+        """The rows whose value in column ``name`` is one of ``labels``."""
+        keep = list(map(set(labels).__contains__, self.values(name)))
+        return self._of_columns(
+            self.columns, [compress(cells, keep) for cells in self._data], sum(keep)
+        )
 
 
 def _check_row(columns: tuple[Column, ...], i: int, row: tuple) -> None:
@@ -102,18 +105,3 @@ def _check_row(columns: tuple[Column, ...], i: int, row: tuple) -> None:
             if not math.isfinite(v):
                 raise ValidationError(f"{cell}: non-finite value")
 
-
-def _cells_ok(kind: ColumnKind, cells: Sequence) -> bool:
-    """Whether every cell of one column has the column's type, numbers also
-    finite. A column that fails is re-checked row by row for the error."""
-    types = set(map(type, cells))
-    if kind == "categorical":
-        return all(issubclass(t, str) for t in types)
-    if kind == "boolean":
-        return types <= {bool}
-    if not all(issubclass(t, (int, float)) and t is not bool for t in types):
-        return False
-    try:
-        return all(map(math.isfinite, cells))
-    except OverflowError:  # an int too large for a float
-        return False

@@ -228,10 +228,13 @@ class TestParseRecordsCsv:
 
     def test_rows_across_chunks_keep_order(self):
         n = 2 * CHUNK_ROWS + 7
-        text = "g,x\n" + "".join(f"g{i % 3},{i}\n" for i in range(n))
+        text = "g,id,x\n" + "".join(f"g{i % 3},r{i},{i}\n" for i in range(n))
         records = parse_records_csv(text, numeric_columns=("x",))
         assert records.values("x") == [float(i) for i in range(n)]
         assert records.values("g") == [f"g{i % 3}" for i in range(n)]
+        assert records.values("id") == [f"r{i}" for i in range(n)]
+        # a repeated label is held once, across chunks too
+        assert len(set(map(id, records.values("g")))) == 3
 
     def test_expanded_hospital_round_trip(self):
         records = hospital_records()
