@@ -94,14 +94,18 @@ def _check_row(columns: tuple[Column, ...], i: int, row: tuple) -> None:
     if len(row) != len(columns):
         raise ValidationError(f"row {i} has {len(row)} cells, expected {len(columns)}")
     for c, v in zip(columns, row):
-        cell = f"row {i}, column {c.name!r}"
         if c.kind == "categorical" and not isinstance(v, str):
-            raise ValidationError(f"{cell}: expected text, got {v!r}")
+            raise ValidationError(
+                f"row {i}, column {c.name!r}: expected text, got {v!r}"
+            )
         if c.kind == "boolean" and not isinstance(v, bool):
-            raise ValidationError(f"{cell}: expected bool, got {v!r}")
+            raise ValidationError(
+                f"row {i}, column {c.name!r}: expected bool, got {v!r}"
+            )
         if c.kind == "numeric":
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError(f"{cell}: expected a number, got {v!r}")
+                raise ValidationError(
+                    f"row {i}, column {c.name!r}: expected a number, got {v!r}"
+                )
             if not math.isfinite(v):
-                raise ValidationError(f"{cell}: non-finite value")
-
+                raise ValidationError(f"row {i}, column {c.name!r}: non-finite value")
