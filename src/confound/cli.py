@@ -21,7 +21,8 @@ import json
 import math
 import os
 import sys
-from itertools import islice, repeat
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -37,10 +38,10 @@ from .errors import (
     EmptyData,
     InputError,
     MissingCell,
-    MissingColumn,
     NonNumeric,
     NotTwoGroups,
     RaggedRow,
+    UnknownColumn,
     ValidationError,
 )
 from .geometry import RenderOptions, render_svg, to_vectors
@@ -51,8 +52,13 @@ from .tables import Counts, StratifiedComparison, Stratum, aggregate, rate
 
 TABLE_HEADER = ("stratum", "group", "total", "positive")
 FORMAT_VERSION = "1"
-DEFAULT_TRUE_VALUES = ("1", "true", "yes")
-DEFAULT_FALSE_VALUES = ("0", "false", "no")
+# boolean cells, matched case-insensitively
+LEXICON = {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
+}
+# the interpreter converts ints of at most 4,300 digits to text by default;
+# 300 digits of headroom keep every sum of a file's counts printable
+MAX_COUNT_DIGITS = 4000
 # record CSVs are read and typed this many reader rows at a time, so peak
 # memory holds one chunk of raw cells rather than the whole file's
 CHUNK_ROWS = 1024
@@ -67,7 +73,21 @@ def _parse_count(field: str, name: str, line: int) -> int:
     # which serialize back differently
     if not (field.isascii() and field.isdigit()):
         raise BadCount(f"{name} {field!r} is not a non-negative integer", line)
+    if len(field) > MAX_COUNT_DIGITS:
+        raise BadCount(
+            f"{name} has {len(field)} digits, more than {MAX_COUNT_DIGITS}", line
+        )
     return int(field)
+
+
+@contextmanager
+def _csv_errors(reader):
+    """The csv module's own errors (a bare carriage return inside a line, a
+    field over its size limit) as :class:`CsvError` at the reader's line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise CsvError(str(exc), reader.line_num) from None
 
 
 def parse_table_csv(text: str) -> StratifiedComparison:
@@ -78,7 +98,8 @@ def parse_table_csv(text: str) -> StratifiedComparison:
     exactly two group values.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    with _csv_errors(reader):
+        header = next(reader, None)
     if header is None:
         raise EmptyData("file is empty")
     if tuple(header) != TABLE_HEADER:
@@ -88,23 +109,24 @@ def parse_table_csv(text: str) -> StratifiedComparison:
         )
 
     cells: dict[tuple[str, str], Counts] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 4:
-            raise RaggedRow(f"expected 4 fields, got {len(row)}", line)
-        stratum, group, total_s, positive_s = row
-        total = _parse_count(total_s, "total", line)
-        positive = _parse_count(positive_s, "positive", line)
-        if positive > total:
-            raise BadCount(f"positive {positive} exceeds total {total}", line)
-        key = (stratum, group)
-        if key in cells:
-            raise DuplicateCell(
-                f"duplicate cell for stratum {stratum!r}, group {group!r}", line
-            )
-        cells[key] = Counts(total, positive)
+    with _csv_errors(reader):
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != 4:
+                raise RaggedRow(f"expected 4 fields, got {len(row)}", line)
+            stratum, group, total_s, positive_s = row
+            total = _parse_count(total_s, "total", line)
+            positive = _parse_count(positive_s, "positive", line)
+            if positive > total:
+                raise BadCount(f"positive {positive} exceeds total {total}", line)
+            key = (stratum, group)
+            if key in cells:
+                raise DuplicateCell(
+                    f"duplicate cell for stratum {stratum!r}, group {group!r}", line
+                )
+            cells[key] = Counts(total, positive)
 
     if not cells:
         raise EmptyData("no data rows after the header")
@@ -151,73 +173,59 @@ def parse_records_csv(
     *,
     numeric_columns: Sequence[str] = (),
     boolean_columns: Sequence[str] = (),
-    true_values: Sequence[str] = DEFAULT_TRUE_VALUES,
-    false_values: Sequence[str] = DEFAULT_FALSE_VALUES,
 ) -> RecordTable:
     """Parse row-level records; undeclared columns are categorical text.
 
-    Boolean cells are matched case-insensitively against the true/false
-    lexicons (default 1/0, true/false, yes/no).
+    Boolean cells are matched case-insensitively against :data:`LEXICON`
+    (1/0, true/false, yes/no).
     """
-    truthy = {v.lower() for v in true_values}
-    falsy = {v.lower() for v in false_values}
-    if truthy & falsy:
-        raise ValidationError(
-            f"true/false lexicons overlap: {sorted(truthy & falsy)}"
-        )
-
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    with _csv_errors(reader):
+        header = next(reader, None)
     if header is None:
         raise EmptyData("file is empty")
     if len(set(header)) != len(header) or any(not h for h in header):
         raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
     for name in (*numeric_columns, *boolean_columns):
         if name not in header:
-            raise MissingColumn(f"declared column {name!r} is not in the header")
+            raise UnknownColumn(f"declared column {name!r} is not in the header")
     if set(numeric_columns) & set(boolean_columns):
         raise ValidationError(
             f"columns declared both numeric and boolean: "
             f"{sorted(set(numeric_columns) & set(boolean_columns))}"
         )
 
-    columns = tuple(
-        Column(
-            name,
-            "numeric"
-            if name in numeric_columns
-            else "boolean"
-            if name in boolean_columns
-            else "categorical",
-        )
-        for name in header
-    )
-
-    lexicon = {**dict.fromkeys(truthy, True), **dict.fromkeys(falsy, False)}
-    kinds = [c.kind for c in columns]
+    declared = {
+        **dict.fromkeys(numeric_columns, "numeric"),
+        **dict.fromkeys(boolean_columns, "boolean"),
+    }
+    kinds = [declared.get(name, "categorical") for name in header]
+    columns = tuple(map(Column, header, kinds))
     memos: list[dict] = [{} for _ in columns]
     data: list[list] = [[] for _ in columns]
     read = 1  # rows the reader has yielded, header and blank lines included
     n_rows = 0
-    while chunk := list(islice(reader, CHUNK_ROWS)):
-        rows = [row for row in chunk if row]
-        typed = None
-        if set(map(len, rows)) <= {len(header)}:
-            typed = list(map(_typed_column, kinds, zip(*rows), repeat(lexicon), memos))
-        if typed is None or None in typed:
-            _raise_first_error(text, read, columns, lexicon)
-        for cells, column in zip(data, typed):
-            cells.extend(column)
-        read += len(chunk)
-        n_rows += len(rows)
+    try:
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            rows = [row for row in chunk if row]
+            typed = None
+            if set(map(len, rows)) <= {len(header)}:
+                typed = list(map(_typed_column, kinds, zip(*rows), memos))
+            if typed is None or None in typed:
+                _raise_first_error(text, read, columns)
+            for cells, column in zip(data, typed):
+                cells.extend(column)
+            read += len(chunk)
+            n_rows += len(rows)
+    except csv.Error:  # a row of this chunk before the csv module's fault may be bad
+        _raise_first_error(text, read, columns)
+        raise
     if not n_rows:
         raise EmptyData("no data rows after the header")
     return RecordTable._of_columns(columns, data, n_rows)
 
 
-def _typed_column(
-    kind: str, cells: Sequence[str], lexicon: dict, memo: dict
-) -> list | None:
+def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | None:
     """One chunk of one column's cells as typed values; ``None`` if a cell
     is bad. Repeated categorical labels share one string through ``memo``,
     which holds one entry per distinct label until parsing ends."""
@@ -228,40 +236,39 @@ def _typed_column(
             return None
         return values if all(map(math.isfinite, values)) else None
     if kind == "boolean":
-        values = list(map(lexicon.get, map(str.lower, cells)))
+        values = list(map(LEXICON.get, map(str.lower, cells)))
         return None if None in values else values
     return list(map(memo.setdefault, cells, cells))
 
 
-def _raise_first_error(
-    text: str, start: int, columns: Sequence[Column], lexicon: dict
-) -> None:
+def _raise_first_error(text: str, start: int, columns: Sequence[Column]) -> None:
     """Re-read ``text`` row by row from reader row ``start`` and raise the
     first bad row's error, with its physical line number."""
     reader = csv.reader(io.StringIO(text))
-    for row in islice(reader, start, None):
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != len(columns):
-            raise RaggedRow(f"expected {len(columns)} fields, got {len(row)}", line)
-        for col, cell in zip(columns, row):
-            if col.kind == "numeric":
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise NonNumeric(
-                        f"column {col.name!r}: {cell!r} is not a number", line
-                    ) from None
-                if not math.isfinite(v):
-                    raise NonNumeric(
-                        f"column {col.name!r}: {cell!r} is not finite", line
+    with _csv_errors(reader):
+        for row in islice(reader, start, None):
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(columns):
+                raise RaggedRow(f"expected {len(columns)} fields, got {len(row)}", line)
+            for col, cell in zip(columns, row):
+                if col.kind == "numeric":
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise NonNumeric(
+                            f"column {col.name!r}: {cell!r} is not a number", line
+                        ) from None
+                    if not math.isfinite(v):
+                        raise NonNumeric(
+                            f"column {col.name!r}: {cell!r} is not finite", line
+                        )
+                elif col.kind == "boolean" and LEXICON.get(cell.lower()) is None:
+                    raise BadOutcomeValue(
+                        f"column {col.name!r}: {cell!r} is not in the "
+                        f"true/false lexicon", line
                     )
-            elif col.kind == "boolean" and lexicon.get(cell.lower()) is None:
-                raise BadOutcomeValue(
-                    f"column {col.name!r}: {cell!r} is not in the "
-                    f"true/false lexicon", line
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +280,7 @@ def _cell_json(c: Counts) -> dict:
     return {
         "total": c.total,
         "positive": c.positive,
-        "percent": rate(c).percent() if c.total > 0 else None,
+        "percent": rate(c).percent(),
     }
 
 
@@ -309,7 +316,7 @@ def build_analyze_report(
     report = detect_reversal(sc, allow_tied_strata=allow_tied_strata)
     agg_first = aggregate(sc.counts("first"))
     agg_second = aggregate(sc.counts("second"))
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "command": "analyze",
         "input": {
@@ -342,10 +349,11 @@ def build_analyze_report(
             _standardized_json(sc, standardize_ref) if standardize_ref else None
         ),
     }
-    return doc
 
 
 def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
+    # first, so that an empty stratum side is reported before the pooled rates
+    standardized = _standardized_json(sc, reference)
     return {
         "format_version": FORMAT_VERSION,
         "command": "standardize",
@@ -357,7 +365,7 @@ def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
             "first": _cell_json(aggregate(sc.counts("first"))),
             "second": _cell_json(aggregate(sc.counts("second"))),
         },
-        "standardized": _standardized_json(sc, reference),
+        "standardized": standardized,
     }
 
 
@@ -468,8 +476,6 @@ def _dir_text(direction: str, first: str, second: str) -> str:
 
 
 def _cell_text(cell: dict) -> str:
-    if cell["percent"] is None:
-        return f"{cell['positive']}/{cell['total']} (-)"
     return f"{cell['positive']}/{cell['total']} ({cell['percent']})"
 
 
@@ -810,9 +816,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2 if isinstance(exc, InputError) else 3
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
-        return 2
-    except csv.Error as exc:  # the csv module's own limits, such as field size
-        print(f"error:csv: {exc}", file=sys.stderr)
         return 2
 
 

@@ -30,11 +30,9 @@ from .errors import (
     AllStrataFiltered,
     ConfoundError,
     EmptyCandidates,
-    EmptyStratumSide,
     NotTwoGroups,
     TooFewDistinctValues,
     ValidationError,
-    ZeroTotal,
 )
 from .records import RecordTable
 from .tables import (
@@ -103,14 +101,11 @@ def detect_reversal(
     """Classify a stratified comparison.
 
     Every stratum must have subjects on both sides; an empty side is
-    rejected with :class:`ZeroTotal`, never silently dropped.
+    rejected with :class:`~confound.errors.EmptyStratumSide`, never
+    silently dropped.
     """
-    directions: list[tuple[str, Direction]] = []
-    for s in sc.strata:
-        if s.first.total == 0 or s.second.total == 0:
-            side = sc.group_first_label if s.first.total == 0 else sc.group_second_label
-            raise ZeroTotal(f"stratum {s.label!r} has no {side!r} subjects")
-        directions.append((s.label, compare(rate(s.first), rate(s.second))))
+    sc.require_subjects("first", "second")
+    directions = [(s.label, compare(rate(s.first), rate(s.second))) for s in sc.strata]
     aggregate_dir = compare(pooled_rate(sc, "first"), pooled_rate(sc, "second"))
     dirs = [d for _, d in directions]
     return ReversalReport(
@@ -203,7 +198,8 @@ def _stratified(
 
     ``sides`` is what :func:`_sides` returns. Strata with no rows at all
     are never formed (numeric bins can be empty); strata smaller than
-    ``min_stratum_size`` are dropped before the empty-side check.
+    ``min_stratum_size`` are dropped. A stratum may still be empty on one
+    side; callers check that with ``require_subjects``.
     """
     groups, code = sides
     kind = records.kind(covariate)
@@ -246,12 +242,6 @@ def _stratified(
         raise AllStrataFiltered(
             f"every stratum of {covariate!r} is smaller than {min_stratum_size}"
         )
-    for s in kept:
-        if s.first.total == 0 or s.second.total == 0:
-            empty = groups[0] if s.first.total == 0 else groups[1]
-            raise EmptyStratumSide(
-                f"stratum {s.label!r} has no rows for group {empty!r}"
-            )
     return StratifiedComparison(groups[0], groups[1], tuple(kept)), description
 
 
@@ -276,7 +266,9 @@ def stratify(
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
     sides = _sides(records, group_col, outcome_col, None)
-    return _stratified(records, covariate, sides, binning, bins)[0]
+    sc = _stratified(records, covariate, sides, binning, bins)[0]
+    sc.require_subjects("first", "second")
+    return sc
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,13 @@ class ValidationError(InputError):
     code = "invalid-value"
 
 
-class ZeroTotal(AnalysisError):
-    """A rate was requested over zero subjects."""
-
-    code = "zero-total"
-
-
 class EmptyInput(AnalysisError):
     code = "empty-input"
 
 
 class UnknownColumn(InputError):
+    """A named column is not in the header."""
+
     code = "unknown-column"
 
 
@@ -55,7 +51,7 @@ class NotTwoGroups(InputError):
 
 
 class EmptyStratumSide(AnalysisError):
-    """A stratum has no subjects on one side, so its comparison is undefined."""
+    """A stratum or a rate's cell has no subjects, so its rate is undefined."""
 
     code = "empty-stratum-side"
 
@@ -150,10 +146,6 @@ class RaggedRow(CsvError):
 
 class BadOutcomeValue(CsvError):
     code = "bad-outcome-value"
-
-
-class MissingColumn(CsvError):
-    code = "missing-column"
 
 
 class NonNumeric(CsvError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass
 
-from .errors import DegenerateRange, ValidationError, ZeroTotal
+from .errors import DegenerateRange, ValidationError
 from .tables import Counts, Direction, Rate, StratifiedComparison, aggregate, compare, rate
 
 
@@ -92,29 +92,20 @@ class VectorDiagram:
 
 def to_vectors(sc: StratifiedComparison) -> VectorDiagram:
     """Cumulative vector paths for both groups, in stratum order."""
-    groups = []
-    for side in ("first", "second"):
+    sc.require_subjects("first", "second")
+
+    def path(side: str) -> GroupPath:
+        cells = sc.counts(side)
         points = [(0, 0)]
-        slopes = []
-        for s, c in zip(sc.strata, sc.counts(side)):
-            if c.total == 0:
-                raise ZeroTotal(
-                    f"stratum {s.label!r} has no subjects for group "
-                    f"{sc.group_label(side)!r}"
-                )
+        for c in cells:
             x, y = points[-1]
             points.append((x + c.total, y + c.positive))
-            slopes.append(rate(c))
         tx, ty = points[-1]
-        groups.append(
-            GroupPath(
-                label=sc.group_label(side),
-                points=tuple(points),
-                segment_slopes=tuple(slopes),
-                terminal_slope=Rate(ty, tx),
-            )
+        return GroupPath(
+            sc.group_label(side), tuple(points), tuple(map(rate, cells)), Rate(ty, tx)
         )
-    return VectorDiagram(sc.stratum_labels(), tuple(groups))
+
+    return VectorDiagram(sc.stratum_labels(), (path("first"), path("second")))
 
 
 def slope_bounds(cells: list[Counts]) -> tuple[Rate, Rate, Rate]:
@@ -162,11 +153,11 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
     ox, oy = float(options.margin), float(options.height - options.margin)
     plot_w = options.width - 2 * options.margin
     plot_h = options.height - 2 * options.margin
-    sx = plot_w / max(span_x, 1)
-    sy = plot_h / max(span_y, 1)
+    span_x, span_y = max(span_x, 1), max(span_y, 1)
 
     def px(p: tuple[int, int]) -> tuple[float, float]:
-        return ox + p[0] * sx, oy - p[1] * sy
+        # exact integer products divided once: no float overflow on huge counts
+        return ox + p[0] * plot_w / span_x, oy - p[1] * plot_h / span_y
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

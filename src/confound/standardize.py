@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from .errors import ValidationError, WeightMismatch, ZeroTotal
+from .errors import ValidationError, WeightMismatch
 from .tables import Direction, Side, StratifiedComparison
 
 Reference = Literal["combined", "first", "second", "equal"]
@@ -63,25 +63,14 @@ def reference_weights(
     if reference == "equal":
         return WeightVector(tuple((s.label, 1.0 / k) for s in sc.strata))
     if reference == "combined":
-        grand = sum(s.first.total + s.second.total for s in sc.strata)
-        return WeightVector(
-            tuple(
-                (s.label, (s.first.total + s.second.total) / grand)
-                for s in sc.strata
-            )
-        )
-    if reference in ("first", "second"):
-        cells = sc.counts(reference)
-        for s, c in zip(sc.strata, cells):
-            if c.total == 0:
-                raise ZeroTotal(
-                    f"stratum {s.label!r} has no subjects on the {reference} side"
-                )
-        grand = sum(c.total for c in cells)
-        return WeightVector(
-            tuple((s.label, c.total / grand) for s, c in zip(sc.strata, cells))
-        )
-    raise ValidationError(f"unknown reference {reference!r}")
+        sizes = [s.first.total + s.second.total for s in sc.strata]
+    elif reference in ("first", "second"):
+        sc.require_subjects(reference)
+        sizes = [c.total for c in sc.counts(reference)]
+    else:
+        raise ValidationError(f"unknown reference {reference!r}")
+    grand = sum(sizes)
+    return WeightVector(tuple((s.label, n / grand) for s, n in zip(sc.strata, sizes)))
 
 
 def standardized_rate(
@@ -93,12 +82,9 @@ def standardized_rate(
             f"weight labels {list(w.labels())} do not match strata "
             f"{list(sc.stratum_labels())}"
         )
+    sc.require_subjects(side)
     total = 0.0
-    for s, (_, weight), c in zip(sc.strata, w.weights, sc.counts(side)):
-        if c.total == 0:
-            raise ZeroTotal(
-                f"stratum {s.label!r} has no subjects on the {side} side"
-            )
+    for (_, weight), c in zip(w.weights, sc.counts(side)):
         total += weight * (c.positive / c.total)
     return total
 

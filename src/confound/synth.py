@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 
 from .detector import Classification, ReversalReport, detect_reversal
-from .errors import GenerationFailed, NotFound, ValidationError, ZeroTotal
+from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
 from .tables import Counts, Direction, StratifiedComparison, Stratum
 
 GENERATION_BUDGET = 100_000
@@ -94,7 +94,7 @@ def brute_force_classify(sc: StratifiedComparison) -> ReversalReport:
             side = (
                 sc.group_first_label if s.first.total == 0 else sc.group_second_label
             )
-            raise ZeroTotal(f"stratum {s.label!r} has no {side!r} subjects")
+            raise EmptyStratumSide(f"stratum {s.label!r} has no {side!r} subjects")
         f = Fraction(s.first.positive, s.first.total)
         g = Fraction(s.second.positive, s.second.total)
         if f > g:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, Sequence
 
-from .errors import EmptyInput, ValidationError, ZeroTotal
+from .errors import EmptyInput, EmptyStratumSide, ValidationError
 
 Side = Literal["first", "second"]
 
@@ -123,7 +123,7 @@ class StratifiedComparison:
     Invariants enforced here: at least one stratum, unique stratum labels,
     distinct group labels, and no stratum that is empty on both sides.
     A stratum empty on a *single* side is representable; operations that
-    need subjects on that side reject it with :class:`ZeroTotal`.
+    need subjects on that side reject it through :meth:`require_subjects`.
     """
 
     group_first_label: str
@@ -176,11 +176,24 @@ class StratifiedComparison:
             return tuple(s.first for s in self.strata)
         return tuple(s.second for s in self.strata)
 
+    def require_subjects(self, *sides: Side) -> None:
+        """Raise :class:`EmptyStratumSide` for the first stratum with no
+        subjects on one of ``sides``: strata in order, then sides in order."""
+        for side in sides:
+            _require_side(side)
+        for s in self.strata:
+            for side in sides:
+                if getattr(s, side).total == 0:
+                    raise EmptyStratumSide(
+                        f"stratum {s.label!r} has no rows for group "
+                        f"{self.group_label(side)!r}"
+                    )
+
 
 def rate(c: Counts) -> Rate:
     """The event rate of one cell as an unreduced Rate."""
     if c.total == 0:
-        raise ZeroTotal("cannot take a rate over zero subjects")
+        raise EmptyStratumSide("cannot take a rate over zero subjects")
     return Rate(c.positive, c.total)
 
 
@@ -218,13 +231,6 @@ def unweighted_mean_rate(sc: StratifiedComparison, side: Side) -> float:
     This is the naive "average of the ratios" that ignores stratum sizes;
     it generally differs from :func:`pooled_rate`.
     """
-    _require_side(side)
-    rates = []
-    for s in sc.strata:
-        c = s.first if side == "first" else s.second
-        if c.total == 0:
-            raise ZeroTotal(
-                f"stratum {s.label!r} has no subjects on the {side} side"
-            )
-        rates.append(c.positive / c.total)
+    sc.require_subjects(side)
+    rates = [c.positive / c.total for c in sc.counts(side)]
     return sum(rates) / len(rates)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from confound.cli import (
     CHUNK_ROWS,
+    MAX_COUNT_DIGITS,
     build_analyze_report,
     parse_records_csv,
     parse_table_csv,
@@ -21,13 +22,14 @@ from confound.errors import (
     BadCount,
     BadHeader,
     BadOutcomeValue,
+    CsvError,
     DuplicateCell,
     EmptyData,
     MissingCell,
-    MissingColumn,
     NonNumeric,
     NotTwoGroups,
     RaggedRow,
+    UnknownColumn,
 )
 from confound.tables import StratifiedComparison, Stratum
 from support import BERKELEY, HOSPITAL, counts, hospital_records
@@ -101,6 +103,31 @@ class TestParseTableCsv:
             assert run(["analyze", str(p)]) == 2
             assert capsys.readouterr().err.startswith("error:bad-count:")
 
+    def test_count_digit_limit(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        # counts at the limit sum past it, and every report still prints the sum
+        big = "9" * MAX_COUNT_DIGITS
+        p.write_text(HEADER + f"s,g1,{big},1\ns,g2,5,1\nt,g1,{big},1\nt,g2,5,1\n")
+        assert run(["analyze", str(p), "--format", "json"]) == 0
+        assert str(2 * int(big)) in capsys.readouterr().out
+        # past the limit, and past the interpreter's own int-string limit
+        for field in (big + "9", "1" + "0" * 4400):
+            with pytest.raises(BadCount, match=f"^line 3: total has {len(field)} digits"):
+                parse_table_csv(HEADER + f"s,g1,5,1\ns,g2,{field},1\n")
+            p.write_text(HEADER + f"s,g1,{field},1\ns,g2,5,1\n")
+            for command in ("analyze", "standardize"):
+                assert run([command, str(p)]) == 2
+                assert capsys.readouterr().err.startswith("error:bad-count: line 2:")
+
+    def test_csv_module_fault_names_line(self):
+        # a carriage return inside an unquoted line; the CLI reads files with
+        # newline translation, but library callers may pass such text
+        for text, line in [(HEADER + "s,g1,5,1\ns,g2,5,1\rt,g1\n", 3),
+                           ("stratum,group\rtotal,positive\n", 1)]:
+            with pytest.raises(CsvError) as err:
+                parse_table_csv(text)
+            assert (err.value.code, err.value.line) == ("csv", line)
+
     def test_ragged_row(self):
         with pytest.raises(RaggedRow, match="line 2"):
             parse_table_csv(HEADER + "s,g1,5\n")
@@ -149,16 +176,6 @@ class TestParseRecordsCsv:
         records = parse_records_csv(text, boolean_columns=("out",))
         assert records.values("out") == [True, False]
 
-    def test_custom_lexicon(self):
-        text = "g,out\na,dead\nb,alive\n"
-        records = parse_records_csv(
-            text,
-            boolean_columns=("out",),
-            true_values=("dead",),
-            false_values=("alive",),
-        )
-        assert records.values("out") == [True, False]
-
     def test_bad_outcome_value_names_line(self):
         text = "g,out\na,1\nb,maybe\n"
         with pytest.raises(BadOutcomeValue, match="line 3"):
@@ -171,7 +188,7 @@ class TestParseRecordsCsv:
         assert "age" in str(err.value)
 
     def test_missing_declared_column(self):
-        with pytest.raises(MissingColumn):
+        with pytest.raises(UnknownColumn):
             parse_records_csv("g,out\na,1\n", boolean_columns=("death",))
 
     def test_ragged_row(self):
@@ -202,6 +219,9 @@ class TestParseRecordsCsv:
              "line 4: column 'x': 'zz' is not a number"),
             ('g,x\n"a\n\nb",1\n\nc\n', RaggedRow,
              "line 6: expected 2 fields, got 1"),
+            # a bad number before the csv module's own fault on line 4
+            ("g,x\na,1\nb,zz\nc,1\rd,2\n", NonNumeric,
+             "line 3: column 'x': 'zz' is not a number"),
         ],
     )
     def test_first_error_and_its_line(self, text, error, message):
@@ -213,6 +233,21 @@ class TestParseRecordsCsv:
                 boolean_columns=[c for c in ("out",) if c in header],
             )
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("g,x\ra,1\n", 1),
+            ("g,x\na,1\nb,1\rc,2\n", 3),
+            ("g,x\n" + "a,1\n" * (CHUNK_ROWS + 5) + "b,1\rc,2\n", CHUNK_ROWS + 7),
+        ],
+    )
+    def test_csv_module_fault_names_line(self, text, line):
+        # a carriage return inside an unquoted line, in the header, the first
+        # chunk and a later one
+        with pytest.raises(CsvError) as err:
+            parse_records_csv(text, numeric_columns=("x",))
+        assert (err.value.code, err.value.line) == ("csv", line)
 
     @pytest.mark.parametrize("blank_lines", [0, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -396,7 +431,7 @@ class TestRun:
         p = tmp_path / "zero.csv"
         p.write_text(HEADER + "s,g1,0,0\ns,g2,5,1\n")
         assert run(["analyze", str(p)]) == 3
-        assert capsys.readouterr().err.startswith("error:zero-total:")
+        assert capsys.readouterr().err.startswith("error:empty-stratum-side:")
 
     def test_usage_error_exit_2(self, capsys):
         assert run(["analyze"]) == 2
@@ -469,6 +504,17 @@ class TestRun:
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 3
         assert parse_table_csv(doc["table_csv"]) is not None
+
+    def test_huge_counts_render(self, tmp_path, capsys):
+        # 400-digit counts are far past the float range; plot maps them exactly
+        big = "9" * 400
+        p = tmp_path / "big.csv"
+        p.write_text(HEADER + f"s,g1,{big},1\ns,g2,{big},{big}\nt,g1,5,2\nt,g2,7,3\n")
+        out = tmp_path / "big.svg"
+        for argv in (["analyze", str(p)], ["standardize", str(p)],
+                     ["plot", str(p), "--out", str(out)]):
+            assert run(argv) == 0
+        assert 'x2="592.00" y2="48.00"' in out.read_text()  # g2's aggregate chord
 
     def test_plot_writes_deterministic_svg(self, hospital_path, tmp_path, capsys):
         out1 = tmp_path / "a.svg"

@@ -25,7 +25,6 @@ from confound.errors import (
     TooFewDistinctValues,
     UnknownColumn,
     ValidationError,
-    ZeroTotal,
 )
 from confound.records import Column, RecordTable
 from confound.tables import Counts, Direction, StratifiedComparison, Stratum
@@ -94,7 +93,7 @@ class TestDetectReversal:
         sc = StratifiedComparison.from_pairs(
             "g1", "g2", [("ok", (5, 1), (5, 2)), ("gap", (0, 0), (5, 1))]
         )
-        with pytest.raises(ZeroTotal, match="gap"):
+        with pytest.raises(EmptyStratumSide, match="gap"):
             detect_reversal(sc)
 
     def test_tied_stratum_blocks_full_reversal_by_default(self):

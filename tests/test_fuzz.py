@@ -1,8 +1,8 @@
-"""Fuzzing the record subcommands through ``run()``.
+"""Fuzzing the subcommands that read files, through ``run()``.
 
-Whatever the file holds, ``scan`` and ``decompose`` end in a report (exit
-0) or in exactly one ``error:<code>:`` line on stderr (exit 2 or 3), never
-in a traceback.
+Whatever the file holds, ``scan``, ``decompose``, ``analyze``,
+``standardize`` and ``plot`` end in a report (exit 0) or in exactly one
+``error:<code>:`` line on stderr (exit 2 or 3), never in a traceback.
 """
 
 from __future__ import annotations
@@ -55,6 +55,41 @@ _record_files = st.one_of(
         st.lists(_row, max_size=1),
     ),
 )
+# counts of every size, 300- to 420-digit ones far past the float range
+_count = st.one_of(
+    st.integers(0, 9),
+    st.builds(lambda n, k: 10**n + k, st.integers(300, 420), st.integers(0, 9)),
+)
+# a cell that parses: positive <= total
+_cell_counts = st.builds(
+    lambda total, d: f"{total},{total // d}", _count, st.integers(1, 4)
+)
+_table_files = st.one_of(
+    st.binary(max_size=60),
+    st.builds(
+        lambda rows, end: "\n".join(["stratum,group,total,positive", *rows]) + end,
+        st.lists(
+            st.one_of(
+                st.builds(
+                    "{},{},{}".format,
+                    st.sampled_from(["s", "t", '"u,v"']),
+                    st.sampled_from(["g1", "g2", "g3"]),
+                    st.one_of(_cell_counts, _row),
+                ),
+                _row,
+            ),
+            max_size=8,
+        ),
+        st.sampled_from(["", "\n", "\r\n", "\r"]),
+    ),
+    # every stratum has both cells, so inputs also get past parsing
+    st.lists(st.tuples(_cell_counts, _cell_counts), min_size=1, max_size=4).map(
+        lambda strata: "stratum,group,total,positive\n" + "".join(
+            f"s{i},g1,{first}\ns{i},g2,{second}\n"
+            for i, (first, second) in enumerate(strata)
+        )
+    ),
+)
 _ERROR_LINE = re.compile(r"error:[a-z-]+: ")
 
 _fuzz = settings(
@@ -64,7 +99,10 @@ _fuzz = settings(
 )
 
 
-def _check(path, data: str | bytes, argv: list[str]) -> tuple[int, list[str]]:
+def _check(
+    path, data: str | bytes, argv: list[str], done: tuple[str, ...] = ()
+) -> tuple[int, list[str]]:
+    """Run one command on ``data``; ``done`` is its stderr on success."""
     path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -72,7 +110,7 @@ def _check(path, data: str | bytes, argv: list[str]) -> tuple[int, list[str]]:
     assert code in (0, 2, 3)
     lines = err.getvalue().splitlines()
     if code == 0:
-        assert lines == []
+        assert lines == list(done)
     else:
         assert len(lines) == 1 and _ERROR_LINE.match(lines[0]), lines
     return code, lines
@@ -103,6 +141,21 @@ def test_decompose_never_crashes(tmp_path, data, fmt):
         data,
         ["decompose", "--group-col", "g", "--x", "x", "--y", "y", "--format", fmt],
     )
+
+
+@_fuzz
+@given(
+    data=_table_files,
+    fmt=st.sampled_from(["text", "json"]),
+    reference=st.sampled_from(["combined", "first", "second", "equal"]),
+    fan_only=st.booleans(),
+)
+def test_table_commands_never_crash(tmp_path, data, fmt, reference, fan_only):
+    table, out = tmp_path / "table.csv", tmp_path / "out.svg"
+    _check(table, data, ["analyze", "--format", fmt, "--standardize", reference])
+    _check(table, data, ["standardize", "--format", fmt, "--reference", reference])
+    plot = ["plot", "--out", str(out), *(["--fan-only"] if fan_only else [])]
+    _check(table, data, plot, done=(f"wrote {out}",))
 
 
 def test_oversized_field_is_an_input_error(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from confound.detector import detect_reversal
-from confound.errors import DegenerateRange, ValidationError, ZeroTotal
+from confound.errors import DegenerateRange, EmptyStratumSide, ValidationError
 from confound.geometry import (
     GroupPath,
     RenderOptions,
@@ -56,7 +56,7 @@ class TestToVectors:
         sc = StratifiedComparison.from_pairs(
             "g1", "g2", [("s", (5, 1), (5, 1)), ("t", (0, 0), (5, 1))]
         )
-        with pytest.raises(ZeroTotal):
+        with pytest.raises(EmptyStratumSide):
             to_vectors(sc)
 
     def test_path_validation(self):

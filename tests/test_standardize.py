@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confound.errors import ValidationError, WeightMismatch, ZeroTotal
+from confound.errors import EmptyStratumSide, ValidationError, WeightMismatch
 from confound.standardize import (
     WeightVector,
     reference_weights,
@@ -60,7 +60,7 @@ class TestReferenceWeights:
         sc = StratifiedComparison.from_pairs(
             "g1", "g2", [("a", (5, 1), (5, 1)), ("b", (0, 0), (5, 1))]
         )
-        with pytest.raises(ZeroTotal):
+        with pytest.raises(EmptyStratumSide):
             reference_weights(sc, "first")
         reference_weights(sc, "second")  # fine: that side is populated
 
@@ -89,7 +89,7 @@ class TestStandardizedRate:
             "g1", "g2", [("a", (5, 1), (5, 1)), ("b", (0, 0), (5, 1))]
         )
         w = reference_weights(sc, "combined")
-        with pytest.raises(ZeroTotal):
+        with pytest.raises(EmptyStratumSide):
             standardized_rate(sc, "first", w)
 
 

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confound.errors import EmptyInput, ValidationError, ZeroTotal
+from confound import (
+    brute_force_classify,
+    detect_reversal,
+    reference_weights,
+    standardized_comparison,
+    standardized_rate,
+    stratify,
+    to_vectors,
+)
+from confound.errors import EmptyInput, EmptyStratumSide, ValidationError
 from confound.tables import (
     Counts,
     Direction,
@@ -20,7 +29,14 @@ from confound.tables import (
     rate,
     unweighted_mean_rate,
 )
-from support import BERKELEY, HOSPITAL, comparisons, counts, rates
+from support import (
+    BERKELEY,
+    HOSPITAL,
+    comparisons,
+    counts,
+    rates,
+    records_from_columns,
+)
 
 
 class TestCounts:
@@ -55,7 +71,7 @@ class TestRate:
         assert rate(Counts(825, 512)).percent() == "62.1%"
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ZeroTotal):
+        with pytest.raises(EmptyStratumSide):
             rate(Counts(0, 0))
 
     @pytest.mark.parametrize(
@@ -164,7 +180,7 @@ class TestPooledRate:
 
     def test_zero_side_rejected(self):
         sc = StratifiedComparison.from_pairs("g1", "g2", [("s", (0, 0), (5, 2))])
-        with pytest.raises(ZeroTotal):
+        with pytest.raises(EmptyStratumSide):
             pooled_rate(sc, "first")
 
 
@@ -183,8 +199,64 @@ class TestUnweightedMeanRate:
         sc = StratifiedComparison.from_pairs(
             "g1", "g2", [("ok", (5, 1), (5, 1)), ("bad", (0, 0), (5, 1))]
         )
-        with pytest.raises(ZeroTotal, match="bad"):
+        with pytest.raises(EmptyStratumSide, match="bad"):
             unweighted_mean_rate(sc, "first")
+
+
+# one table whose stratum 'gap' has no subjects in group 'g1' (the first side)
+_GAP = StratifiedComparison.from_pairs(
+    "g1", "g2", [("ok", (5, 1), (5, 2)), ("gap", (0, 0), (5, 1))]
+)
+_GAP_MESSAGE = "stratum 'gap' has no rows for group 'g1'"
+
+
+def _gap_records():
+    # stratifies by 'cov' into the strata of _GAP
+    return records_from_columns(
+        g=["g1", "g2", "g2"], out=[True, False, True], cov=["ok", "ok", "gap"]
+    )
+
+
+class TestEmptyStratumSide:
+    @pytest.mark.parametrize(
+        "call, same_message",
+        [
+            (lambda: _GAP.require_subjects("first"), True),
+            (lambda: detect_reversal(_GAP), True),
+            (lambda: stratify(_gap_records(), "g", "out", "cov"), True),
+            (lambda: reference_weights(_GAP, "first"), True),
+            (lambda: standardized_rate(
+                _GAP, "first", reference_weights(_GAP, "equal")), True),
+            (lambda: standardized_comparison(_GAP, "combined"), True),
+            (lambda: to_vectors(_GAP), True),
+            (lambda: unweighted_mean_rate(_GAP, "first"), True),
+            (lambda: rate(_GAP.strata[1].first), False),
+            (lambda: brute_force_classify(_GAP), False),
+        ],
+        ids=[
+            "require_subjects", "detect_reversal", "stratify", "reference_weights",
+            "standardized_rate", "standardized_comparison", "to_vectors",
+            "unweighted_mean_rate", "rate", "brute_force_classify",
+        ],
+    )
+    def test_one_class_and_one_message(self, call, same_message):
+        with pytest.raises(EmptyStratumSide) as err:
+            call()
+        assert err.value.code == "empty-stratum-side"
+        if same_message:  # rate() sees one cell; the oracle is held to its class
+            assert str(err.value) == _GAP_MESSAGE
+
+    def test_strata_in_order_then_sides_in_order(self):
+        sc = StratifiedComparison.from_pairs(
+            "g1", "g2", [("a", (5, 1), (0, 0)), ("b", (0, 0), (5, 1))]
+        )
+        with pytest.raises(EmptyStratumSide, match="^stratum 'a' .* 'g2'$"):
+            sc.require_subjects("first", "second")
+        with pytest.raises(EmptyStratumSide, match="^stratum 'b' .* 'g1'$"):
+            sc.require_subjects("first")
+        sc.require_subjects()
+        with pytest.raises(ValidationError):
+            sc.require_subjects("third")
 
 
 class TestComparisonInvariants:
