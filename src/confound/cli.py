@@ -68,15 +68,13 @@ CHUNK_ROWS = 1024
 # CSV ingestion
 
 
-def _parse_count(field: str, name: str, line: int) -> int:
+def _parse_count(field: str, name: str, line: int, max_digits: int) -> int:
     # ASCII digits only: int() would also take "1_000", " 5", "+5" and "٣",
     # which serialize back differently
     if not (field.isascii() and field.isdigit()):
         raise BadCount(f"{name} {field!r} is not a non-negative integer", line)
-    if len(field) > MAX_COUNT_DIGITS:
-        raise BadCount(
-            f"{name} has {len(field)} digits, more than {MAX_COUNT_DIGITS}", line
-        )
+    if len(field) > max_digits:
+        raise BadCount(f"{name} has {len(field)} digits, more than {max_digits}", line)
     return int(field)
 
 
@@ -109,6 +107,9 @@ def parse_table_csv(text: str) -> StratifiedComparison:
         )
 
     cells: dict[tuple[str, str], Counts] = {}
+    # the same headroom under a lowered int-to-text limit (0 means none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    max_digits = min(MAX_COUNT_DIGITS, limit - 300) if limit else MAX_COUNT_DIGITS
     with _csv_errors(reader):
         for row in reader:
             line = reader.line_num
@@ -117,8 +118,8 @@ def parse_table_csv(text: str) -> StratifiedComparison:
             if len(row) != 4:
                 raise RaggedRow(f"expected 4 fields, got {len(row)}", line)
             stratum, group, total_s, positive_s = row
-            total = _parse_count(total_s, "total", line)
-            positive = _parse_count(positive_s, "positive", line)
+            total = _parse_count(total_s, "total", line, max_digits)
+            positive = _parse_count(positive_s, "positive", line, max_digits)
             if positive > total:
                 raise BadCount(f"positive {positive} exceeds total {total}", line)
             key = (stratum, group)

@@ -15,15 +15,18 @@ correlations are ``None`` when the matching variance vanishes.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
+from math import fsum
+from operator import mul, sub
 
 from .errors import (
-    InsufficientData,
-    NonNumeric,
-    NumericOverflow,
-    UndefinedCorrelation,
+    InsufficientData, NonNumeric, NumericOverflow, UndefinedCorrelation
 )
 from .records import RecordTable
+
+_TOO_LARGE = "columns {!r} and {!r} are too large for float moments"
 
 
 @dataclass(frozen=True)
@@ -63,35 +66,51 @@ class DivergenceReport:
         return "DIVERGENT" if self.divergent else "NOT_DIVERGENT"
 
 
-def _numeric_values(records: RecordTable, col: str) -> list[float]:
-    if records.kind(col) != "numeric":
-        raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
-    return list(map(float, records.values(col)))
-
-
 def _grouped(
     records: RecordTable, group_col: str, x_col: str, y_col: str
-) -> tuple[list[float], list[float], list[tuple[GroupSummary, list]]]:
-    """The x and y columns, and each group's summary with its (x, y)
-    points, ordered by group label."""
-    xs = _numeric_values(records, x_col)
-    ys = _numeric_values(records, y_col)
-    buckets: dict[str, list[tuple[float, float]]] = {}
-    for group, x, y in zip(records.values(group_col), xs, ys):
-        buckets.setdefault(str(group), []).append((x, y))
-    groups = []
-    for label, pts in sorted(buckets.items()):
-        m = len(pts)
-        gx, gy = sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m
-        groups.append((GroupSummary(label, m, gx, gy), pts))
-    return xs, ys, groups
+) -> list[tuple[GroupSummary, list[float], list[float]]]:
+    """Each group's summary with its x and y values, ordered by group label."""
+    for col in (x_col, y_col):
+        if records.kind(col) != "numeric":
+            raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
+    xs, ys = (map(float, records.values(col)) for col in (x_col, y_col))
+    buckets: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for group, x, y in zip(map(str, records.values(group_col)), xs, ys):
+        gx, gy = buckets[group]
+        gx.append(x)
+        gy.append(y)
+    try:
+        return [
+            (GroupSummary(label, len(gx), fsum(gx) / len(gx), fsum(gy) / len(gy)), gx, gy)
+            for label, (gx, gy) in sorted(buckets.items())
+        ]
+    except OverflowError:
+        raise NumericOverflow(_TOO_LARGE.format(x_col, y_col)) from None
 
 
 def group_means(
     records: RecordTable, group_col: str, x_col: str, y_col: str
 ) -> list[GroupSummary]:
-    """Per-group sizes and (x, y) means, ordered by group label."""
-    return [g for g, _ in _grouped(records, group_col, x_col, y_col)[2]]
+    """Per-group sizes and (x, y) means, ordered by group label; a sum past
+    the float range raises :class:`NumericOverflow`."""
+    return [g for g, _, _ in _grouped(records, group_col, x_col, y_col)]
+
+
+def _centered(groups: list[list[float]], n: int):
+    """One variable's values, group by group, centered on their mean, and
+    its between column: each row's group mean of the centered values."""
+    mean = fsum(chain.from_iterable(groups)) / n
+    centered = [list(map(sub, g, repeat(mean))) for g in groups]
+    return centered, [[fsum(c) / len(c)] * len(c) for c in centered]
+
+
+def _moments(us, vs, n: int) -> tuple[float, float, float]:
+    """Population covariance and variances ``(cov, var_u, var_v)`` of two
+    centered columns of ``n`` rows, each a list of its groups' values. Every
+    sum is exactly rounded, so neither row order nor Python version changes it."""
+    pairs = ((us, vs), (us, us), (vs, vs))
+    rows = chain.from_iterable
+    return tuple(fsum(map(mul, rows(a), rows(b))) / n for a, b in pairs)
 
 
 def _corr(cov: float, var_x: float, var_y: float) -> float | None:
@@ -111,52 +130,29 @@ def decompose(
 ) -> EcologicalDecomposition:
     """Split the total x-y covariance into between- and within-group parts.
 
-    Values whose sums or squares leave the float range raise
+    Values whose sums or products leave the float range raise
     :class:`NumericOverflow` rather than yield infinite or NaN moments.
     """
-    if records.n_rows < 2:
-        raise InsufficientData(
-            f"need at least 2 rows to decompose, got {records.n_rows}"
-        )
-    xs, ys, groups = _grouped(records, group_col, x_col, y_col)
     n = records.n_rows
-    overflow = NumericOverflow(
-        f"columns {x_col!r} and {y_col!r} are too large for float moments"
-    )
+    if n < 2:
+        raise InsufficientData(f"need at least 2 rows to decompose, got {n}")
+    groups = _grouped(records, group_col, x_col, y_col)
     try:
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        total_cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / n
-        var_x = sum((x - mean_x) ** 2 for x in xs) / n
-        var_y = sum((y - mean_y) ** 2 for y in ys) / n
-
-        between_cov = within_cov = 0.0
-        bvar_x = bvar_y = wvar_x = wvar_y = 0.0
-        for g, pts in groups:
-            m, gx, gy = g.n, g.mean_x, g.mean_y
-            share = m / n
-            between_cov += share * (gx - mean_x) * (gy - mean_y)
-            bvar_x += share * (gx - mean_x) ** 2
-            bvar_y += share * (gy - mean_y) ** 2
-            within_cov += share * (sum((p[0] - gx) * (p[1] - gy) for p in pts) / m)
-            wvar_x += share * (sum((p[0] - gx) ** 2 for p in pts) / m)
-            wvar_y += share * (sum((p[1] - gy) ** 2 for p in pts) / m)
-    except OverflowError:
-        raise overflow from None
-    moments = (
-        total_cov, var_x, var_y, between_cov, bvar_x, bvar_y, within_cov, wvar_x, wvar_y
-    )
-    if not all(map(math.isfinite, moments)):
-        raise overflow
-
+        cx, bx = _centered([gx for _, gx, _ in groups], n)
+        cy, by = _centered([gy for _, _, gy in groups], n)
+        total, between = _moments(cx, cy, n), _moments(bx, by, n)
+        # within = centered - between, in place: no second column is held
+        for c, b in zip(cx + cy, bx + by):
+            c[:] = map(sub, c, b)
+        within = _moments(cx, cy, n)
+    except (OverflowError, ValueError):  # fsum past the float range, or inf - inf
+        raise NumericOverflow(_TOO_LARGE.format(x_col, y_col)) from None
+    if not all(map(math.isfinite, total + between + within)):
+        raise NumericOverflow(_TOO_LARGE.format(x_col, y_col))
     return EcologicalDecomposition(
-        total_cov=total_cov,
-        between_cov=between_cov,
-        within_cov=within_cov,
-        total_corr=_corr(total_cov, var_x, var_y),
-        between_corr=_corr(between_cov, bvar_x, bvar_y),
-        within_corr=_corr(within_cov, wvar_x, wvar_y),
-        group_summaries=tuple(g for g, _ in groups),
+        total[0], between[0], within[0],
+        _corr(*total), _corr(*between), _corr(*within),
+        tuple(g for g, _, _ in groups),
     )
 
 

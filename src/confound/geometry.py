@@ -128,15 +128,17 @@ def slope_bounds(cells: list[Counts]) -> tuple[Rate, Rate, Rate]:
 # SVG rendering
 
 
+MARGIN = 48
+COLORS = ("#b22222", "#27408b")  # first group, second group
+DASH = "6,4"
+FONT_SIZE = 12
+
+
 @dataclass(frozen=True)
 class RenderOptions:
     width: int = 640
     height: int = 480
-    margin: int = 48
-    colors: tuple[str, ...] = ("#b22222", "#27408b")
-    dash: str = "6,4"
     parallelogram: bool = True
-    font_size: int = 12
 
 
 def _fmt(v: float) -> str:
@@ -150,9 +152,9 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
     if span_x == 0 and span_y == 0:
         raise DegenerateRange("all points coincide at the origin")
 
-    ox, oy = float(options.margin), float(options.height - options.margin)
-    plot_w = options.width - 2 * options.margin
-    plot_h = options.height - 2 * options.margin
+    ox, oy = float(MARGIN), float(options.height - MARGIN)
+    plot_w = options.width - 2 * MARGIN
+    plot_h = options.height - 2 * MARGIN
     span_x, span_y = max(span_x, 1), max(span_y, 1)
 
     def px(p: tuple[int, int]) -> tuple[float, float]:
@@ -164,7 +166,7 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{options.width}" height="{options.height}" '
         f'viewBox="0 0 {options.width} {options.height}" '
-        f'font-family="sans-serif" font-size="{options.font_size}">',
+        f'font-family="sans-serif" font-size="{FONT_SIZE}">',
         f'<path class="axes" d="M {_fmt(ox)} {_fmt(oy)} L {_fmt(ox + plot_w)} '
         f'{_fmt(oy)} M {_fmt(ox)} {_fmt(oy)} L {_fmt(ox)} {_fmt(oy - plot_h)}" '
         f'stroke="#444444" stroke-width="1" fill="none"/>',
@@ -175,7 +177,7 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
     ]
 
     for gi, g in enumerate(d.groups):
-        color = options.colors[gi % len(options.colors)]
+        color = COLORS[gi % len(COLORS)]
         tx, ty = px(g.terminal)
         for v in g.vectors:
             if v == g.terminal:  # single stratum: chord and aggregate coincide
@@ -187,7 +189,7 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
                 seg += f" M {_fmt(ax)} {_fmt(ay)} L {_fmt(tx)} {_fmt(ty)}"
             parts.append(
                 f'<path class="stratum-chord" d="{seg}" stroke="{color}" '
-                f'stroke-width="1.5" stroke-dasharray="{options.dash}" fill="none"/>'
+                f'stroke-width="1.5" stroke-dasharray="{DASH}" fill="none"/>'
             )
         parts.append(
             f'<line class="aggregate-chord" x1="{_fmt(ox)}" y1="{_fmt(oy)}" '

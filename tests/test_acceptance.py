@@ -200,22 +200,24 @@ def test_criterion_08_minimal_witness():
 
 
 def test_criterion_09_covariance_identity_and_divergence():
-    with criterion(9, "covariance identity to 1e-9 on 1000 datasets; fixture diverges"):
-        rng = random.Random(1909)
-        for _ in range(1000):
-            n = rng.randint(2, 120)
-            labels = "abcdefgh"[: rng.randint(1, 8)]
-            rows = tuple(
-                (rng.choice(labels), rng.uniform(-5, 5), rng.uniform(-5, 5))
-                for _ in range(n)
-            )
-            records = records_from_columns(
-                g=[r[0] for r in rows],
-                x=[r[1] for r in rows],
-                y=[r[2] for r in rows],
-            )
-            d = decompose(records, "g", "x", "y")
-            assert abs(d.total_cov - (d.between_cov + d.within_cov)) <= 1e-9
+    with criterion(9, "covariance identity to 1e-9 on 1000 datasets, also shifted "
+                      "by 1e6 and 1e9; fixture diverges"):
+        for offset in (0.0, 1e6, 1e9):
+            rng = random.Random(1909)
+            for _ in range(1000):
+                n = rng.randint(2, 120)
+                labels = "abcdefgh"[: rng.randint(1, 8)]
+                rows = tuple(
+                    (rng.choice(labels), rng.uniform(-5, 5), rng.uniform(-5, 5))
+                    for _ in range(n)
+                )
+                records = records_from_columns(
+                    g=[r[0] for r in rows],
+                    x=[r[1] + offset for r in rows],
+                    y=[r[2] + offset for r in rows],
+                )
+                d = decompose(records, "g", "x", "y")
+                assert abs(d.total_cov - (d.between_cov + d.within_cov)) <= 1e-9
         records = parse_records_csv(
             fixture_text("robinson_synthetic.csv"),
             numeric_columns=("foreign_born", "literate"),

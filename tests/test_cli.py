@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -118,6 +121,27 @@ class TestParseTableCsv:
             for command in ("analyze", "standardize"):
                 assert run([command, str(p)]) == 2
                 assert capsys.readouterr().err.startswith("error:bad-count: line 2:")
+
+    def test_count_digit_limit_follows_the_interpreter(self, tmp_path):
+        # a lowered int-to-text limit (here 640 digits) lowers the cap to
+        # 300 digits under it, so no count reaches int() past the limit
+        p = tmp_path / "t.csv"
+
+        def analyze(digits):
+            p.write_text(HEADER + f"s,g1,{'9' * digits},1\ns,g2,5,1\n")
+            return subprocess.run(
+                [sys.executable, "-m", "confound", "analyze", str(p)],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640"),
+            )
+
+        proc = analyze(700)
+        assert proc.returncode == 2
+        assert proc.stderr == "error:bad-count: line 2: total has 700 digits, more than 340\n"
+        proc = analyze(340)
+        assert proc.returncode == 0, proc.stderr
+        assert f"1/{'9' * 340}" in proc.stdout
 
     def test_csv_module_fault_names_line(self):
         # a carriage return inside an unquoted line; the CLI reads files with

@@ -67,16 +67,22 @@ class TestDecompose:
             decompose(r, "g", "x", "y")
 
     @pytest.mark.parametrize(
-        "xs",
+        "entry, xs, ys",
         [
-            [1e200, -1e200, 3.0],  # a square overflows
-            [1.7e308, 1.7e308, 0.0],  # the sum overflows
+            (decompose, [1e200, -1e200, 3.0], [1.0, 2.0, 3.0]),
+            # products overflow to both infinities, whose sum is undefined
+            (decompose, [1e200, -1e200, 0.0], [1e200, 1e200, 0.0]),
+            (decompose, [1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]),
+            (group_means, [1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]),
         ],
+        ids=["decompose-square", "decompose-infinities", "decompose-sum", "group_means-sum"],
     )
-    def test_float_overflow_rejected(self, xs):
-        r = _records("aab", xs, [1.0, 2.0, 3.0])
-        with pytest.raises(NumericOverflow, match="too large"):
-            decompose(r, "g", "x", "y")
+    def test_float_overflow_rejected(self, entry, xs, ys):
+        r = _records("aab", xs, ys)
+        with pytest.raises(
+            NumericOverflow, match="^columns 'x' and 'y' are too large for float moments$"
+        ):
+            entry(r, "g", "x", "y")
 
     def test_robinson_fixture(self, robinson_csv):
         records = parse_records_csv(
@@ -174,9 +180,8 @@ def test_invariances(data):
         "x",
         "y",
     )
-    assert permuted.total_cov == pytest.approx(base.total_cov, abs=1e-12)
-    assert permuted.between_cov == pytest.approx(base.between_cov, abs=1e-12)
-    assert permuted.within_cov == pytest.approx(base.within_cov, abs=1e-12)
+    # every sum is exactly rounded, so row order changes no bit
+    assert permuted == base
 
     # group relabeling changes labels, not covariances
     relabeled = decompose(
