@@ -40,9 +40,7 @@ from .tables import (
     Direction,
     StratifiedComparison,
     Stratum,
-    compare,
-    pooled_rate,
-    rate,
+    cross_direction,
 )
 
 
@@ -105,11 +103,26 @@ def detect_reversal(
     silently dropped.
     """
     sc.require_subjects("first", "second")
-    directions = [(s.label, compare(rate(s.first), rate(s.second))) for s in sc.strata]
-    aggregate_dir = compare(pooled_rate(sc, "first"), pooled_rate(sc, "second"))
-    dirs = [d for _, d in directions]
+    cells = [
+        (s.first.total, s.first.positive, s.second.total, s.second.positive)
+        for s in sc.strata
+    ]
+    return _report(sc.stratum_labels(), cells, allow_tied_strata)
+
+
+def _report(
+    labels: Sequence[str],
+    cells: Sequence[tuple[int, int, int, int]],
+    allow_tied_strata: bool,
+) -> ReversalReport:
+    """The report over each stratum's ``(total, positive)`` for the first
+    group then the second, every total positive: a stratum's direction and
+    the aggregate's come from integer cross-products, with no ``Rate`` built."""
+    dirs = [cross_direction(p1 * t2, p2 * t1) for t1, p1, t2, p2 in cells]
+    t1, p1, t2, p2 = map(sum, zip(*cells))
+    aggregate_dir = cross_direction(p1 * t2, p2 * t1)
     return ReversalReport(
-        stratum_directions=tuple(directions),
+        stratum_directions=tuple(zip(labels, dirs)),
         aggregate_direction=aggregate_dir,
         classification=_classify(dirs, aggregate_dir, allow_tied_strata),
         majority_direction=_majority(dirs),

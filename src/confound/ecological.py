@@ -98,9 +98,13 @@ def group_means(
 
 def _centered(groups: list[list[float]], n: int):
     """One variable's values, group by group, centered on their mean, and
-    its between column: each row's group mean of the centered values."""
+    its between column: each row's group mean of the centered values. A
+    single group has no between-group spread, so its column is zero rather
+    than the rounding residue of the mean."""
     mean = fsum(chain.from_iterable(groups)) / n
     centered = [list(map(sub, g, repeat(mean))) for g in groups]
+    if len(groups) == 1:
+        return centered, [[0.0] * n]
     return centered, [[fsum(c) / len(c)] * len(c) for c in centered]
 
 
@@ -116,12 +120,9 @@ def _moments(us, vs, n: int) -> tuple[float, float, float]:
 def _corr(cov: float, var_x: float, var_y: float) -> float | None:
     if var_x <= 0.0 or var_y <= 0.0:
         return None
-    # sqrt each factor first: var_x * var_y can underflow to 0 even when
-    # both variances are positive
-    denom = math.sqrt(var_x) * math.sqrt(var_y)
-    if denom == 0.0:
-        return None
-    r = cov / denom
+    # a root apiece: var_x * var_y can underflow to 0, a product of the
+    # roots of two positive floats cannot
+    r = cov / (math.sqrt(var_x) * math.sqrt(var_y))
     return max(-1.0, min(1.0, r))
 
 

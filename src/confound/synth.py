@@ -3,8 +3,10 @@
 ``generate_reversal`` builds tables that are guaranteed full reversals by a
 constructive recipe (one group's exposure skewed toward the high-rate
 strata, the other's toward the low-rate strata, with every stratum strictly
-favoring the second group), retrying with fresh jitter until the detector
-confirms.
+favoring the second group). Each attempt is a list of plain integer rows
+that the detector's own classification judges; a rejected attempt is
+dropped before any ``Counts`` or ``Stratum`` exists, and the next one draws
+fresh jitter from the same generator.
 
 ``brute_force_classify`` re-derives the detector's whole report from
 first principles with ``fractions.Fraction`` and longhand case analysis,
@@ -22,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .detector import Classification, ReversalReport, detect_reversal
+from .detector import Classification, ReversalReport, _report
 from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
 from .tables import Counts, Direction, StratifiedComparison, Stratum
 
@@ -33,16 +35,19 @@ def _clamp(v: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, v))
 
 
-def _candidate(rng: random.Random, k: int, scale: int) -> StratifiedComparison:
-    """One attempt: stratum rates fall from front to back, the first group's
-    exposure is front-loaded and the second group's back-loaded, and the
-    second group strictly leads inside every stratum."""
+def _candidate(
+    rng: random.Random, k: int, scale: int
+) -> list[tuple[int, int, int, int]]:
+    """One attempt as ``(t1, p1, t2, p2)`` rows, one per stratum: stratum
+    rates fall from front to back, the first group's exposure is
+    front-loaded and the second group's back-loaded, and the second group
+    strictly leads inside every stratum."""
     low_exposure = max(1, scale // 5)
     top = rng.uniform(0.55, 0.85)
     bottom = rng.uniform(0.05, 0.35)
     gap = rng.uniform(0.06, 0.2)
 
-    strata = []
+    rows = []
     for i in range(k):
         frac = i / (k - 1)
         heavy = scale * (1 - frac) + low_exposure * frac
@@ -60,12 +65,15 @@ def _candidate(rng: random.Random, k: int, scale: int) -> StratifiedComparison:
                 p2 += 1
             else:
                 p1 -= 1
-        strata.append(Stratum(f"s{i + 1}", Counts(t1, p1), Counts(t2, p2)))
-    return StratifiedComparison("g1", "g2", tuple(strata))
+        rows.append((t1, p1, t2, p2))
+    return rows
 
 
 def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
-    """A k-stratum table whose verdict is FULL_REVERSAL, deterministic per seed."""
+    """A k-stratum table whose verdict is FULL_REVERSAL, deterministic per seed.
+
+    The detector judges each attempt on its integer rows; only the first it
+    accepts is built into a validated table."""
     if k < 2:
         raise ValidationError(
             f"reversal needs at least 2 strata, got {k} (a single stratum's "
@@ -74,11 +82,12 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
     if scale < 10:
         raise ValidationError(f"scale must be >= 10, got {scale}")
     rng = random.Random(seed)
+    labels = [f"s{i}" for i in range(1, k + 1)]
     for _ in range(GENERATION_BUDGET):
-        sc = _candidate(rng, k, scale)
-        report = detect_reversal(sc)
-        if report.classification is Classification.FULL_REVERSAL:
-            return sc
+        rows = _candidate(rng, k, scale)
+        if _report(labels, rows, False).classification is Classification.FULL_REVERSAL:
+            pairs = [(s, (t1, p1), (t2, p2)) for s, (t1, p1, t2, p2) in zip(labels, rows)]
+            return StratifiedComparison.from_pairs("g1", "g2", pairs)
     raise GenerationFailed(
         f"no full reversal found in {GENERATION_BUDGET} attempts "
         f"(k={k}, scale={scale}, seed={seed})"

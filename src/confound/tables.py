@@ -209,15 +209,19 @@ def aggregate(cells: Iterable[Counts]) -> Counts:
     return Counts(sum(c.total for c in cells), sum(c.positive for c in cells))
 
 
-def compare(r1: Rate, r2: Rate) -> Direction:
-    """Order two rates exactly by integer cross-multiplication."""
-    lhs = r1.numerator * r2.denominator
-    rhs = r2.numerator * r1.denominator
+def cross_direction(lhs: int, rhs: int) -> Direction:
+    """Order two rates from their cross-products: ``lhs`` is the first
+    rate's numerator times the second's denominator, ``rhs`` the reverse."""
     if lhs > rhs:
         return Direction.FIRST_HIGHER
     if lhs < rhs:
         return Direction.SECOND_HIGHER
     return Direction.TIE
+
+
+def compare(r1: Rate, r2: Rate) -> Direction:
+    """Order two rates exactly by integer cross-multiplication."""
+    return cross_direction(r1.numerator * r2.denominator, r2.numerator * r1.denominator)
 
 
 def pooled_rate(sc: StratifiedComparison, side: Side) -> Rate:

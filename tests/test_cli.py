@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -522,6 +523,20 @@ class TestRun:
         assert first == second
         sc = parse_table_csv(first)
         assert len(sc.strata) == 2
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "e250d37aba8d93c8af420e3aab41ca5901c8f6fa87be8c0cdcdb6e9b807c31e0"),
+            # the ninth attempt is the first full reversal
+            (7, "77d8537c3e384ddf4c1b65f20698a85d46592c7895e9c457027dc795a59fafd3"),
+        ],
+        ids=["seed0", "seed7"],
+    )
+    def test_generate_wide_table_bytes(self, capsys, seed, digest):
+        argv = ["generate", "--strata", "4000", "--scale", "5000", "--seed", str(seed)]
+        assert run(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_generate_json(self, capsys):
         assert run(["generate", "--seed", "3", "--format", "json"]) == 0

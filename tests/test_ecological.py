@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confound.cli import parse_records_csv
+from confound.cli import parse_records_csv, run
 from confound.ecological import (
     DivergenceReport,
     EcologicalDecomposition,
     GroupSummary,
+    _corr,
     decompose,
     group_means,
     sign_divergence_report,
@@ -24,6 +26,11 @@ from confound.errors import (
     UndefinedCorrelation,
 )
 from support import records_from_columns
+
+
+# one group whose x mean is inexact, and the same rows with x scaled by 2.5
+ONE_GROUP_XS = ([2.0, 0.00029261938329580936], [5.0, 0.0007315484582395234])
+ONE_GROUP_Y = [1.0, 0.00029261938329580936]
 
 
 def _records(groups, xs, ys):
@@ -60,6 +67,24 @@ class TestDecompose:
         d = decompose(r, "g", "x", "y")
         assert d.within_cov == pytest.approx(0.0, abs=1e-15)
         assert d.between_cov == pytest.approx(d.total_cov, abs=1e-15)
+
+    @pytest.mark.parametrize("xs", ONE_GROUP_XS, ids=["x", "x-scaled"])
+    def test_single_group_has_no_between_spread(self, xs):
+        # the mean of these x values is rounded: the between column must be
+        # zero, not that rounding residue with a correlation of +-1
+        d = decompose(_records("aa", xs, ONE_GROUP_Y), "g", "x", "y")
+        assert d.between_cov == 0.0
+        assert d.between_corr is None
+        assert d.within_cov == d.total_cov
+        with pytest.raises(UndefinedCorrelation):
+            sign_divergence_report(d)
+
+    def test_constant_groups_have_no_within_spread(self):
+        # centering the between column again on its own mean would leave
+        # residue here, and a within correlation of +-1
+        d = decompose(_records("aab", [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]), "g", "x", "y")
+        assert d.within_cov == 0.0
+        assert d.within_corr is None
 
     def test_single_row_rejected(self):
         r = _records("a", [1.0], [1.0])
@@ -101,6 +126,42 @@ class TestDecompose:
         # cross-group trend is positive: larger immigrant share, higher literacy
         ordered = sorted(means, key=lambda g: g.mean_x)
         assert [g.mean_y for g in ordered] == sorted(g.mean_y for g in ordered)
+
+    @pytest.mark.parametrize(
+        "xs, covariance",
+        [
+            (ONE_GROUP_XS[0], "total +0.499781 = between +0.000000 + within +0.499781"),
+            (ONE_GROUP_XS[1], "total +1.249451 = between +0.000000 + within +1.249451"),
+        ],
+        ids=["x", "x-scaled"],
+    )
+    def test_single_group_reports(self, tmp_path, capsys, xs, covariance):
+        p = tmp_path / "one.csv"
+        rows = "".join(f"a,{x!r},{y!r}\n" for x, y in zip(xs, ONE_GROUP_Y))
+        p.write_text("region,x,y\n" + rows)
+        argv = ["decompose", str(p), "--group-col", "region", "--x", "x", "--y", "y"]
+        assert run(argv) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert text[-3:] == [
+            f"covariance: {covariance}",
+            "correlation: total +1.0000  between undefined  within +1.0000",
+            "divergence: undefined (a correlation has zero variance)",
+        ]
+        assert run([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["covariance"]["between"] == 0.0
+        assert doc["covariance"]["within"] == doc["covariance"]["total"]
+        assert doc["correlation"]["between"] is None
+        assert doc["divergence"] is None
+
+    def test_subnormal_variances_give_a_correlation(self):
+        # var_x * var_y underflows to 0 here; the correlation is still defined
+        assert 5e-324 * 5e-324 == 0.0
+        assert _corr(5e-324, 5e-324, 5e-324) == 1.0
+        assert _corr(-5e-324, 5e-324, 1e-320) < 0.0
+        d = decompose(_records("aa", [0.0, 1e-161], [0.0, 1e-161]), "g", "x", "y")
+        assert 0.0 < d.total_cov < 1e-300
+        assert d.total_corr is not None and d.total_corr > 0.0
 
     def test_undefined_correlations_are_flagged(self):
         r = _records("aabb", [1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0])

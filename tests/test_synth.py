@@ -9,7 +9,13 @@ from hypothesis import given
 
 from confound.detector import Classification, detect_reversal
 from confound.errors import NotFound, ValidationError
-from confound.synth import brute_force_classify, generate_reversal, minimal_reversal
+from confound.synth import (
+    _candidate,
+    brute_force_classify,
+    generate_reversal,
+    minimal_reversal,
+)
+from confound.tables import StratifiedComparison
 from support import BERKELEY, HOSPITAL, comparisons, random_comparison
 
 # canonical witness of minimal_reversal, frozen from the exhaustive search:
@@ -47,6 +53,30 @@ class TestGenerateReversal:
     def test_tiny_scale_rejected(self):
         with pytest.raises(ValidationError):
             generate_reversal(2, 9, seed=0)
+
+    @pytest.mark.parametrize(
+        "k, scale", [(2, 10), (2, 80), (3, 12), (5, 40), (10, 100), (50, 500)]
+    )
+    def test_accepts_the_attempt_the_oracle_accepts(self, k, scale):
+        # replay the generator's draws, wrap every attempt as a table and
+        # let the Fraction oracle pick: generate must return that attempt
+        for seed in range(300):
+            rng = random.Random(seed)
+            while True:
+                sc = StratifiedComparison.from_pairs(
+                    "g1",
+                    "g2",
+                    [
+                        (f"s{i}", (t1, p1), (t2, p2))
+                        for i, (t1, p1, t2, p2) in enumerate(
+                            _candidate(rng, k, scale), 1
+                        )
+                    ],
+                )
+                verdict = brute_force_classify(sc).classification
+                if verdict is Classification.FULL_REVERSAL:
+                    break
+            assert generate_reversal(k, scale, seed) == sc
 
 
 class TestBruteForceClassify:
