@@ -5,103 +5,77 @@ arithmetic, scans row-level data for covariates that induce them, dissolves
 them by standardizing both groups against a common stratum weighting,
 decomposes group-level vs individual-level associations, and renders the
 vector-diagram picture of a comparison as deterministic SVG.
+
+Each public name loads its module on first use (PEP 562), so a process
+imports only the modules it touches.
 """
 
-from .detector import (
-    Classification,
-    Finding,
-    ReversalReport,
-    ScanConfig,
-    SkippedCandidate,
-    bin_numeric,
-    detect_reversal,
-    scan,
-    stratify,
-)
-from .ecological import (
-    DivergenceReport,
-    EcologicalDecomposition,
-    GroupSummary,
-    decompose,
-    group_means,
-    sign_divergence_report,
-)
-from .errors import AnalysisError, ConfoundError, InputError
-from .geometry import (
-    GroupPath,
-    RenderOptions,
-    VectorDiagram,
-    render_svg,
-    slope_bounds,
-    to_vectors,
-)
-from .records import Column, RecordTable
-from .standardize import (
-    StandardizedComparison,
-    WeightVector,
-    reference_weights,
-    standardized_comparison,
-    standardized_rate,
-)
-from .synth import brute_force_classify, generate_reversal, minimal_reversal
-from .tables import (
-    Counts,
-    Direction,
-    Rate,
-    StratifiedComparison,
-    Stratum,
-    aggregate,
-    compare,
-    pooled_rate,
-    rate,
-    unweighted_mean_rate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "Classification",
-    "Column",
-    "ConfoundError",
-    "Counts",
-    "Direction",
-    "DivergenceReport",
-    "EcologicalDecomposition",
-    "Finding",
-    "GroupPath",
-    "GroupSummary",
-    "InputError",
-    "Rate",
-    "RecordTable",
-    "RenderOptions",
-    "ReversalReport",
-    "ScanConfig",
-    "SkippedCandidate",
-    "StandardizedComparison",
-    "StratifiedComparison",
-    "Stratum",
-    "VectorDiagram",
-    "WeightVector",
-    "aggregate",
-    "bin_numeric",
-    "brute_force_classify",
-    "compare",
-    "decompose",
-    "detect_reversal",
-    "generate_reversal",
-    "group_means",
-    "minimal_reversal",
-    "pooled_rate",
-    "rate",
-    "reference_weights",
-    "render_svg",
-    "scan",
-    "sign_divergence_report",
-    "slope_bounds",
-    "standardized_comparison",
-    "standardized_rate",
-    "stratify",
-    "to_vectors",
-    "unweighted_mean_rate",
-]
+# each public name and the submodule that defines it
+_EXPORTS = {
+    "AnalysisError": "errors",
+    "Classification": "detector",
+    "Column": "records",
+    "ConfoundError": "errors",
+    "Counts": "tables",
+    "Direction": "tables",
+    "DivergenceReport": "ecological",
+    "EcologicalDecomposition": "ecological",
+    "Finding": "detector",
+    "GroupPath": "geometry",
+    "GroupSummary": "ecological",
+    "InputError": "errors",
+    "Rate": "tables",
+    "RecordTable": "records",
+    "RenderOptions": "geometry",
+    "ReversalReport": "detector",
+    "ScanConfig": "detector",
+    "SkippedCandidate": "detector",
+    "StandardizedComparison": "standardize",
+    "StratifiedComparison": "tables",
+    "Stratum": "tables",
+    "VectorDiagram": "geometry",
+    "WeightVector": "standardize",
+    "aggregate": "tables",
+    "bin_numeric": "detector",
+    "brute_force_classify": "synth",
+    "compare": "tables",
+    "decompose": "ecological",
+    "detect_reversal": "detector",
+    "generate_reversal": "synth",
+    "group_means": "ecological",
+    "minimal_reversal": "synth",
+    "pooled_rate": "tables",
+    "rate": "tables",
+    "reference_weights": "standardize",
+    "render_svg": "geometry",
+    "scan": "detector",
+    "sign_divergence_report": "ecological",
+    "slope_bounds": "geometry",
+    "standardized_comparison": "standardize",
+    "standardized_rate": "standardize",
+    "stratify": "detector",
+    "to_vectors": "geometry",
+    "unweighted_mean_rate": "tables",
+}
+_SUBMODULES = {*_EXPORTS.values(), "cli"}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

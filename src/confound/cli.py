@@ -24,10 +24,8 @@ import sys
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .detector import Finding, ScanConfig, detect_reversal, scan
-from .ecological import decompose, sign_divergence_report
 from .errors import (
     BadCount,
     BadHeader,
@@ -44,11 +42,12 @@ from .errors import (
     UnknownColumn,
     ValidationError,
 )
-from .geometry import RenderOptions, render_svg, to_vectors
-from .records import Column, RecordTable
-from .standardize import reference_weights, standardized_comparison
-from .synth import generate_reversal
 from .tables import Counts, StratifiedComparison, Stratum, aggregate, rate
+
+# the analysis modules are imported where a subcommand first needs them, so a
+# process loads only what its subcommand runs
+if TYPE_CHECKING:
+    from .records import Column, RecordTable
 
 TABLE_HEADER = ("stratum", "group", "total", "positive")
 FORMAT_VERSION = "1"
@@ -180,6 +179,8 @@ def parse_records_csv(
     Boolean cells are matched case-insensitively against :data:`LEXICON`
     (1/0, true/false, yes/no).
     """
+    from .records import Column, RecordTable
+
     reader = csv.reader(io.StringIO(text))
     with _csv_errors(reader):
         header = next(reader, None)
@@ -297,6 +298,8 @@ def _reversal_json(report) -> dict:
 
 
 def _standardized_json(sc: StratifiedComparison, reference: str) -> dict:
+    from .standardize import reference_weights, standardized_comparison
+
     weights = reference_weights(sc, reference)
     comp = standardized_comparison(sc, reference)
     return {
@@ -314,6 +317,8 @@ def build_analyze_report(
     standardize_ref: str | None = None,
     allow_tied_strata: bool = False,
 ) -> dict:
+    from .detector import detect_reversal
+
     report = detect_reversal(sc, allow_tied_strata=allow_tied_strata)
     agg_first = aggregate(sc.counts("first"))
     agg_second = aggregate(sc.counts("second"))
@@ -371,6 +376,8 @@ def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
 
 
 def build_scan_report(records: RecordTable, candidates: Sequence[str], results) -> dict:
+    from .detector import Finding
+
     return {
         "format_version": FORMAT_VERSION,
         "command": "scan",
@@ -394,6 +401,8 @@ def build_scan_report(records: RecordTable, candidates: Sequence[str], results) 
 
 
 def build_decompose_report(records: RecordTable, group_col, x_col, y_col) -> dict:
+    from .ecological import decompose, sign_divergence_report
+
     d = decompose(records, group_col, x_col, y_col)
     divergence = None
     if d.between_corr is not None and d.within_corr is not None:
@@ -661,6 +670,8 @@ def _cmd_standardize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
+    from .detector import ScanConfig, scan
+
     candidates = _split_list(ns.candidates)
     records = parse_records_csv(
         _read_text(ns.records),
@@ -691,6 +702,8 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
+    from .synth import generate_reversal
+
     sc = generate_reversal(ns.strata, ns.scale, ns.seed)
     if ns.format == "json":
         doc = build_generate_report(sc, ns.strata, ns.scale, ns.seed)
@@ -701,6 +714,8 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_plot(ns: argparse.Namespace) -> int:
+    from .geometry import RenderOptions, render_svg, to_vectors
+
     sc = parse_table_csv(_read_text(ns.table))
     options = RenderOptions(
         width=ns.width,

@@ -17,14 +17,13 @@ regardless of evaluation order.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from itertools import accumulate
 from operator import add
-from typing import Literal, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence, Union
 
 from .errors import (
     AllStrataFiltered,
@@ -34,7 +33,6 @@ from .errors import (
     TooFewDistinctValues,
     ValidationError,
 )
-from .records import RecordTable
 from .tables import (
     Counts,
     Direction,
@@ -42,6 +40,9 @@ from .tables import (
     Stratum,
     cross_direction,
 )
+
+if TYPE_CHECKING:
+    from .records import RecordTable
 
 
 class Classification(Enum):
@@ -146,30 +147,86 @@ def bin_numeric(
     at least k distinct values; equal-width edges require a non-degenerate
     range.
     """
-    if k < 2:
-        raise ValidationError(f"bin count must be >= 2, got {k}")
+    _check_bins(k)
     vals = list(map(float, values))
     if not all(map(math.isfinite, vals)):
         raise ValidationError("values must be finite")
+    return _edges(Counter(vals), strategy, k, vals)
+
+
+def _check_bins(k: int) -> None:
+    if k < 2:
+        raise ValidationError(f"bin count must be >= 2, got {k}")
+
+
+def _edges(
+    counts: dict[float, int], strategy: str, k: int, values: Iterable[float]
+) -> list[float]:
+    """:func:`bin_numeric`'s edges from each distinct value's row count.
+    ``values`` (the rows, in order) is read only when zeros are among them."""
     if strategy == "quantile":
-        distinct = len(set(vals))
+        distinct = len(set(map(float, counts)))
         if distinct < k:
             raise TooFewDistinctValues(
                 f"quantile binning into {k} bins needs at least {k} distinct "
                 f"values, got {distinct}"
             )
-        return statistics.quantiles(vals, n=k, method="inclusive")
+        return _quantiles(counts, k, values)
     if strategy == "equal_width":
-        lo, hi = min(vals), max(vals)
+        lo, hi = float(min(counts)), float(max(counts))
         if lo == hi:
             raise TooFewDistinctValues("all values are identical")
         return [lo + (hi - lo) * j / k for j in range(1, k)]
     raise ValidationError(f"unknown binning strategy {strategy!r}")
 
 
+def _quantiles(counts: dict[float, int], k: int, values: Iterable[float]) -> list[float]:
+    """``statistics.quantiles(values, n=k, method="inclusive")`` by its own
+    formula, reading each order statistic off the distinct values' counts
+    rather than a sorted copy of the rows."""
+    distinct = sorted(counts)
+    ends = list(accumulate(map(counts.__getitem__, distinct)))  # rows up to each value
+    # sorted() keeps equal values in row order, and -0.0 == 0.0, so the
+    # zeros' signs in the sorted rows are those of the zero rows in order
+    zeros = [float(v) for v in values if v == 0] if 0 in counts else []
+
+    def nth(j: int) -> float:  # sorted(values)[j], as a float
+        i = bisect_right(ends, j)
+        if distinct[i] == 0:
+            return zeros[j - (ends[i - 1] if i else 0)]
+        return float(distinct[i])
+
+    m = ends[-1] - 1
+    edges = []
+    for i in range(1, k):
+        j, delta = divmod(i * m, k)
+        edges.append((nth(j) * (k - delta) + nth(j + 1) * delta) / k)
+    return edges
+
+
 def _bin_label(i: int, lo: float, hi: float, last: bool) -> str:
     close = "]" if last else ")"
     return f"bin{i:02d} [{lo:.6g}, {hi:.6g}{close}"
+
+
+def _binned(
+    tally: Counter, column: Sequence[float], strategy: str, k: int
+) -> tuple[Counter, list[str], str]:
+    """A ``(value, side)`` tally of ``column`` re-keyed by bin, with the bin
+    labels and the binning's description. Each distinct value is binned
+    once; its key is its first row's value (-0.0 or 0.0), which is what
+    ``min`` and ``max`` over the rows return."""
+    rows = Counter()
+    for (value, _), n in tally.items():
+        rows[value] += n
+    edges = _edges(rows, strategy, k, column)
+    bounds = [min(rows), *edges, max(rows)]
+    labels = [_bin_label(i, *bounds[i : i + 2], i == k - 1) for i in range(k)]
+    bin_of = {value: bisect_right(edges, value) for value in rows}
+    binned = Counter()
+    for (value, side), n in tally.items():
+        binned[bin_of[value], side] += n
+    return binned, labels, f"{strategy} k={k} edges={[round(e, 6) for e in edges]}"
 
 
 def _sides(
@@ -218,29 +275,25 @@ def _stratified(
     kind = records.kind(covariate)
     if binning is None:
         binning = "categorical" if kind == "categorical" else "quantile"
-    column = records.values(covariate)
     if binning == "categorical":
         if kind != "categorical":
             raise ValidationError(
                 f"covariate {covariate!r} is {kind}; pick a numeric binning"
             )
-        keys, labels = column, None
-        description = "categorical"
     elif binning in ("quantile", "equal_width"):
         if kind != "numeric":
             raise ValidationError(
                 f"covariate {covariate!r} is {kind}; numeric binning needs a "
                 "numeric column"
             )
-        edges = bin_numeric(column, binning, bins)
-        bounds = [min(column), *edges, max(column)]
-        labels = [_bin_label(i, *bounds[i : i + 2], i == bins - 1) for i in range(bins)]
-        keys = list(map(partial(bisect_right, edges), column))
-        description = f"{binning} k={bins} edges={[round(e, 6) for e in edges]}"
+        _check_bins(bins)
     else:
         raise ValidationError(f"unknown binning {binning!r}")
-
-    tally = Counter(zip(keys, code))
+    column = records.values(covariate)
+    tally = Counter(zip(column, code))
+    labels, description = None, "categorical"
+    if binning != "categorical":
+        tally, labels, description = _binned(tally, column, binning, bins)
 
     def counts(key, side: int) -> Counts:
         positive = tally[key, side + 1]

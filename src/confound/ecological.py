@@ -20,11 +20,14 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import fsum
 from operator import mul, sub
+from typing import TYPE_CHECKING
 
 from .errors import (
     InsufficientData, NonNumeric, NumericOverflow, UndefinedCorrelation
 )
-from .records import RecordTable
+
+if TYPE_CHECKING:
+    from .records import RecordTable
 
 _TOO_LARGE = "columns {!r} and {!r} are too large for float moments"
 
@@ -79,20 +82,28 @@ def _grouped(
         gx, gy = buckets[group]
         gx.append(x)
         gy.append(y)
+    return [
+        (GroupSummary(label, len(gx), _mean(gx), _mean(gy)), gx, gy)
+        for label, (gx, gy) in sorted(buckets.items())
+    ]
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of finite floats, which is always finite: ``math.fsum``
+    raises when a partial sum leaves the float range, and then the mean is
+    taken exactly instead."""
     try:
-        return [
-            (GroupSummary(label, len(gx), fsum(gx) / len(gx), fsum(gy) / len(gy)), gx, gy)
-            for label, (gx, gy) in sorted(buckets.items())
-        ]
+        return fsum(values) / len(values)
     except OverflowError:
-        raise NumericOverflow(_TOO_LARGE.format(x_col, y_col)) from None
+        from fractions import Fraction
+
+        return float(sum(map(Fraction, values)) / len(values))
 
 
 def group_means(
     records: RecordTable, group_col: str, x_col: str, y_col: str
 ) -> list[GroupSummary]:
-    """Per-group sizes and (x, y) means, ordered by group label; a sum past
-    the float range raises :class:`NumericOverflow`."""
+    """Per-group sizes and (x, y) means, ordered by group label."""
     return [g for g, _, _ in _grouped(records, group_col, x_col, y_col)]
 
 

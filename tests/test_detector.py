@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import statistics
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from confound.detector import (
     Finding,
     ScanConfig,
     SkippedCandidate,
+    _sides,
+    _stratified,
     bin_numeric,
     detect_reversal,
     scan,
@@ -396,6 +401,68 @@ class TestBinNumeric:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValidationError):
             bin_numeric([1.0, 2.0], "quantile", 1)
+
+
+def _sort_based_binning(column, code, strategy, k):
+    """Numeric binning the way it was done on the sorted rows: edges from
+    ``statistics.quantiles``, bounds from ``min``/``max`` of the rows, one
+    bisection per row. ``None`` where there are too few distinct values."""
+    vals = list(map(float, column))
+    if strategy == "quantile":
+        if len(set(vals)) < k:
+            return None
+        edges = statistics.quantiles(vals, n=k, method="inclusive")
+    else:
+        lo, hi = min(vals), max(vals)
+        if lo == hi:
+            return None
+        edges = [lo + (hi - lo) * j / k for j in range(1, k)]
+    bounds = [min(column), *edges, max(column)]
+    labels = [
+        f"bin{i:02d} [{lo:.6g}, {hi:.6g}{']' if i == k - 1 else ')'}"
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    tally = Counter(zip((bisect_right(edges, v) for v in column), code))
+    strata = [
+        (labels[b], tally[b, 0] + tally[b, 1], tally[b, 1], tally[b, 2] + tally[b, 3], tally[b, 3])
+        for b in sorted({b for b, _ in tally})
+    ]
+    return edges, f"{strategy} k={k} edges={[round(e, 6) for e in edges]}", strata
+
+
+def test_binning_matches_the_sort_based_binning():
+    # ties, signed zeros (equal, but printed as -0 and 0), an int zero,
+    # subnormals and large values; edges are compared bit for bit
+    pool = [-0.0, 0.0, 0, -1.5, 2.0, 3.25, 5e-324, -7, 0.1, 1e300]
+    rng = random.Random(11)
+    signed_zero_edges = 0
+    for case in range(300):
+        n = rng.randrange(2, 40)
+        column = [
+            rng.choice(pool) if rng.random() < 0.7 else round(rng.uniform(-2, 2), 1)
+            for _ in range(n)
+        ]
+        rows = [("ab"[i % 2], rng.random() < 0.5, v) for i, v in enumerate(column)]
+        records = RecordTable(_cols("g:categorical", "out:boolean", "x:numeric"), rows)
+        sides = _sides(records, "g", "out", None)
+        strategy, k = rng.choice(["quantile", "equal_width"]), rng.randrange(2, 7)
+        expected = _sort_based_binning(column, sides[1], strategy, k)
+        if expected is None:
+            with pytest.raises(TooFewDistinctValues):
+                bin_numeric(column, strategy, k)
+            with pytest.raises(TooFewDistinctValues):
+                _stratified(records, "x", sides, strategy, k)
+            continue
+        edges, description, strata = expected
+        assert list(map(repr, bin_numeric(column, strategy, k))) == list(map(repr, edges)), case
+        sc, got_description = _stratified(records, "x", sides, strategy, k)
+        assert got_description == description, case
+        assert [
+            (s.label, s.first.total, s.first.positive, s.second.total, s.second.positive)
+            for s in sc.strata
+        ] == strata, case
+        signed_zero_edges += "-0.0" in description
+    assert signed_zero_edges >= 5  # the inputs reach the signed-zero trap
 
 
 class TestScan:

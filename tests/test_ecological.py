@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,20 @@ class TestGroupMeans:
         with pytest.raises(NonNumeric):
             group_means(r, "g", "x", "y")
 
+    @pytest.mark.parametrize(
+        "groups, xs, mean_x",
+        [
+            ("aab", [1.7e308, 1.7e308, 0.0], 1.7e308),
+            ("aaa", [1e308, 1e308, -1e308], 3.333333333333333e307),
+        ],
+        ids=["sum", "partial-sum"],
+    )
+    def test_mean_past_the_fsum_range(self, groups, xs, mean_x):
+        # math.fsum raises on these sums; the mean of finite floats is finite
+        first = group_means(_records(groups, xs, [1.0, 2.0, 3.0]), "g", "x", "y")[0]
+        assert (first.label, first.mean_x) == ("a", mean_x)
+        assert mean_x == float(Fraction(sum(map(Fraction, xs[: first.n])), first.n))
+
 
 class TestDecompose:
     def test_single_group_is_all_within(self):
@@ -98,9 +113,10 @@ class TestDecompose:
             # products overflow to both infinities, whose sum is undefined
             (decompose, [1e200, -1e200, 0.0], [1e200, 1e200, 0.0]),
             (decompose, [1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]),
-            (group_means, [1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]),
+            # the mean is finite, but fsum's partial sum and the squares are not
+            (decompose, [1e308, 1e308, -1e308], [1.0, 2.0, 3.0]),
         ],
-        ids=["decompose-square", "decompose-infinities", "decompose-sum", "group_means-sum"],
+        ids=["decompose-square", "decompose-infinities", "decompose-sum", "decompose-partial-sum"],
     )
     def test_float_overflow_rejected(self, entry, xs, ys):
         r = _records("aab", xs, ys)
