@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -51,6 +52,8 @@ if TYPE_CHECKING:
 
 TABLE_HEADER = ("stratum", "group", "total", "positive")
 FORMAT_VERSION = "1"
+# the reference populations of ``standardize`` and ``analyze --standardize``
+REFERENCES = ("combined", "first", "second", "equal")
 # boolean cells, matched case-insensitively
 LEXICON = {
     "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
@@ -87,6 +90,15 @@ def _csv_errors(reader):
         raise CsvError(str(exc), reader.line_num) from None
 
 
+def _header(reader) -> list[str]:
+    """The header row; :class:`EmptyData` for a file without one."""
+    with _csv_errors(reader):
+        header = next(reader, None)
+    if header is None:
+        raise EmptyData("file is empty")
+    return header
+
+
 def parse_table_csv(text: str) -> StratifiedComparison:
     """Parse an aggregated table CSV into a StratifiedComparison.
 
@@ -95,10 +107,7 @@ def parse_table_csv(text: str) -> StratifiedComparison:
     exactly two group values.
     """
     reader = csv.reader(io.StringIO(text))
-    with _csv_errors(reader):
-        header = next(reader, None)
-    if header is None:
-        raise EmptyData("file is empty")
+    header = _header(reader)
     if tuple(header) != TABLE_HEADER:
         raise BadHeader(
             f"expected header {','.join(TABLE_HEADER)!r}, got {','.join(header)!r}",
@@ -182,10 +191,7 @@ def parse_records_csv(
     from .records import Column, RecordTable
 
     reader = csv.reader(io.StringIO(text))
-    with _csv_errors(reader):
-        header = next(reader, None)
-    if header is None:
-        raise EmptyData("file is empty")
+    header = _header(reader)
     if len(set(header)) != len(header) or any(not h for h in header):
         raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
     for name in (*numeric_columns, *boolean_columns):
@@ -286,6 +292,17 @@ def _cell_json(c: Counts) -> dict:
     }
 
 
+def _groups_json(sc: StratifiedComparison) -> dict:
+    return {"first": sc.group_first_label, "second": sc.group_second_label}
+
+
+def _pooled_json(sc: StratifiedComparison) -> dict:
+    return {
+        "first": _cell_json(aggregate(sc.counts("first"))),
+        "second": _cell_json(aggregate(sc.counts("second"))),
+    }
+
+
 def _reversal_json(report) -> dict:
     return {
         "classification": report.classification.value,
@@ -298,10 +315,10 @@ def _reversal_json(report) -> dict:
 
 
 def _standardized_json(sc: StratifiedComparison, reference: str) -> dict:
-    from .standardize import reference_weights, standardized_comparison
+    from .standardize import _comparison, reference_weights
 
     weights = reference_weights(sc, reference)
-    comp = standardized_comparison(sc, reference)
+    comp = _comparison(sc, weights)
     return {
         "reference": reference,
         "weights": [[label, w] for label, w in weights.weights],
@@ -320,20 +337,16 @@ def build_analyze_report(
     from .detector import detect_reversal
 
     report = detect_reversal(sc, allow_tied_strata=allow_tied_strata)
-    agg_first = aggregate(sc.counts("first"))
-    agg_second = aggregate(sc.counts("second"))
+    pooled = _pooled_json(sc)
     return {
         "format_version": FORMAT_VERSION,
         "command": "analyze",
         "input": {
             "strata": len(sc.strata),
             "cells": 2 * len(sc.strata),
-            "subjects": agg_first.total + agg_second.total,
+            "subjects": pooled["first"]["total"] + pooled["second"]["total"],
         },
-        "groups": {
-            "first": sc.group_first_label,
-            "second": sc.group_second_label,
-        },
+        "groups": _groups_json(sc),
         "rates": {
             "strata": [
                 {
@@ -344,11 +357,7 @@ def build_analyze_report(
                 }
                 for s, (_, d) in zip(sc.strata, report.stratum_directions)
             ],
-            "aggregate": {
-                "first": _cell_json(agg_first),
-                "second": _cell_json(agg_second),
-                "direction": report.aggregate_direction.value,
-            },
+            "aggregate": {**pooled, "direction": report.aggregate_direction.value},
         },
         "reversal": _reversal_json(report),
         "standardized": (
@@ -363,14 +372,8 @@ def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "command": "standardize",
-        "groups": {
-            "first": sc.group_first_label,
-            "second": sc.group_second_label,
-        },
-        "pooled": {
-            "first": _cell_json(aggregate(sc.counts("first"))),
-            "second": _cell_json(aggregate(sc.counts("second"))),
-        },
+        "groups": _groups_json(sc),
+        "pooled": _pooled_json(sc),
         "standardized": standardized,
     }
 
@@ -445,14 +448,7 @@ def build_generate_report(sc: StratifiedComparison, k: int, scale: int, seed: in
         "table": {
             "group_first": sc.group_first_label,
             "group_second": sc.group_second_label,
-            "strata": [
-                {
-                    "label": s.label,
-                    "first": {"total": s.first.total, "positive": s.first.positive},
-                    "second": {"total": s.second.total, "positive": s.second.positive},
-                }
-                for s in sc.strata
-            ],
+            "strata": [asdict(s) for s in sc.strata],
         },
         "table_csv": serialize_table_csv(sc),
     }
@@ -501,17 +497,23 @@ def _pct(v: float) -> str:
     return f"{100.0 * v:.3f}%"
 
 
+def _groups_text(doc: dict) -> tuple[str, str, str]:
+    """The two group labels as printed, and the "groups:" line naming them."""
+    g1, g2 = _safe(doc["groups"]["first"]), _safe(doc["groups"]["second"])
+    return g1, g2, f"groups: first={g1}  second={g2}"
+
+
 def render_analyze_text(doc: dict, color: bool = False) -> str:
-    g1 = _safe(doc["groups"]["first"])
-    g2 = _safe(doc["groups"]["second"])
+    g1, g2, groups = _groups_text(doc)
     lines = [
         f"table: {doc['input']['strata']} strata x 2 groups, "
         f"{doc['input']['subjects']} subjects",
-        f"groups: first={g1}  second={g2}",
+        groups,
         "",
     ]
+    rates = doc["rates"]
     rows = [("stratum", g1, g2, "direction")]
-    for r in doc["rates"]["strata"]:
+    for r in [*rates["strata"], {"stratum": "aggregate", **rates["aggregate"]}]:
         rows.append(
             (
                 _safe(r["stratum"]),
@@ -520,15 +522,6 @@ def render_analyze_text(doc: dict, color: bool = False) -> str:
                 _dir_text(r["direction"], g1, g2),
             )
         )
-    agg = doc["rates"]["aggregate"]
-    rows.append(
-        (
-            "aggregate",
-            _cell_text(agg["first"]),
-            _cell_text(agg["second"]),
-            _dir_text(agg["direction"], g1, g2),
-        )
-    )
     lines.extend(_columns(rows))
     lines.append("")
     lines.append(
@@ -553,12 +546,11 @@ def _standardized_text(s: dict, g1: str, g2: str) -> str:
 
 
 def render_standardize_text(doc: dict, color: bool = False) -> str:
-    g1 = _safe(doc["groups"]["first"])
-    g2 = _safe(doc["groups"]["second"])
+    g1, g2, groups = _groups_text(doc)
     pooled = doc["pooled"]
     s = doc["standardized"]
     lines = [
-        f"groups: first={g1}  second={g2}",
+        groups,
         f"pooled: {g1} {_cell_text(pooled['first'])}  "
         f"{g2} {_cell_text(pooled['second'])}",
         _standardized_text(s, g1, g2),
@@ -739,33 +731,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text",
-            help="report format (default: text)",
-        )
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="classify a table CSV for reversal")
+    p = command("analyze", _cmd_analyze, "classify a table CSV for reversal")
     p.add_argument("table", help="table CSV (stratum,group,total,positive)")
     p.add_argument(
-        "--standardize", choices=("combined", "first", "second", "equal"),
-        default=None, metavar="REF",
+        "--standardize", choices=REFERENCES, default=None, metavar="REF",
         help="also report the standardized comparison under this reference",
     )
     p.add_argument("--allow-tied-strata", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("standardize", help="reference-weighted comparison of a table CSV")
-    p.add_argument("table")
-    p.add_argument(
-        "--reference", choices=("combined", "first", "second", "equal"),
-        default="combined",
+    p = command(
+        "standardize", _cmd_standardize, "reference-weighted comparison of a table CSV"
     )
-    add_format(p)
-    p.set_defaults(func=_cmd_standardize)
+    p.add_argument("table")
+    p.add_argument("--reference", choices=REFERENCES, default="combined")
 
-    p = sub.add_parser("scan", help="scan record-level data for reversal-inducing covariates")
+    p = command(
+        "scan", _cmd_scan, "scan record-level data for reversal-inducing covariates"
+    )
     p.add_argument("records", help="records CSV with a header row")
     p.add_argument("--group-col", required=True)
     p.add_argument("--outcome-col", required=True)
@@ -785,25 +772,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to these two group values when the column has more",
     )
     p.add_argument("--allow-tied-strata", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("decompose", help="between/within association decomposition")
+    p = command("decompose", _cmd_decompose, "between/within association decomposition")
     p.add_argument("records")
     p.add_argument("--group-col", required=True)
     p.add_argument("--x", required=True, help="numeric x column")
     p.add_argument("--y", required=True, help="numeric y column")
-    add_format(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("generate", help="emit a synthetic full-reversal table")
+    p = command("generate", _cmd_generate, "emit a synthetic full-reversal table")
     p.add_argument("--strata", type=int, default=2)
     p.add_argument("--scale", type=int, default=80)
     p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("plot", help="render the vector diagram of a table CSV to SVG")
+    p = command("plot", _cmd_plot, "render the vector diagram of a table CSV to SVG")
     p.add_argument("table")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--width", type=int, default=640)
@@ -813,8 +794,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="draw stratum chords from the origin only, without the "
         "terminal-anchored copies",
     )
-    p.set_defaults(func=_cmd_plot)
 
+    # every subcommand but plot prints a report; --format is its last option
+    for name, p in sub.choices.items():
+        if name != "plot":
+            p.add_argument(
+                "--format", choices=("text", "json"), default="text",
+                help="report format (default: text)",
+            )
     return parser
 
 

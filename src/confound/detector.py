@@ -83,17 +83,6 @@ def _classify(
     return Classification.MIXED
 
 
-def _majority(stratum_dirs: Sequence[Direction]) -> Direction:
-    counts = Counter(d for d in stratum_dirs if d is not Direction.TIE)
-    first = counts[Direction.FIRST_HIGHER]
-    second = counts[Direction.SECOND_HIGHER]
-    if first > second:
-        return Direction.FIRST_HIGHER
-    if second > first:
-        return Direction.SECOND_HIGHER
-    return Direction.TIE
-
-
 def detect_reversal(
     sc: StratifiedComparison, *, allow_tied_strata: bool = False
 ) -> ReversalReport:
@@ -126,7 +115,9 @@ def _report(
         stratum_directions=tuple(zip(labels, dirs)),
         aggregate_direction=aggregate_dir,
         classification=_classify(dirs, aggregate_dir, allow_tied_strata),
-        majority_direction=_majority(dirs),
+        majority_direction=cross_direction(
+            dirs.count(Direction.FIRST_HIGHER), dirs.count(Direction.SECOND_HIGHER)
+        ),
     )
 
 

@@ -28,38 +28,32 @@ from .tables import Counts, Direction, Rate, StratifiedComparison, aggregate, co
 class GroupPath:
     """One group's cumulative vector path.
 
-    ``points`` starts at the origin and accumulates stratum counts, with x
-    strictly increasing; ``segment_slopes[i]`` is the (unreduced) rate of
-    the i-th stratum and equals the slope of the i-th chord.
+    ``points`` starts at the origin and accumulates stratum counts: each
+    step runs ``dx > 0`` and rises ``0 <= dy <= dx``, so its slope is the
+    (unreduced) rate of its stratum.
     """
 
     label: str
     points: tuple[tuple[int, int], ...]
-    segment_slopes: tuple[Rate, ...]
-    terminal_slope: Rate
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        object.__setattr__(self, "segment_slopes", tuple(self.segment_slopes))
         if len(self.points) < 2 or self.points[0] != (0, 0):
             raise ValidationError("a path starts at (0, 0) and has >= 1 segment")
-        if len(self.segment_slopes) != len(self.points) - 1:
-            raise ValidationError("one slope per segment required")
-        for (x0, y0), (x1, y1), slope in zip(
-            self.points, self.points[1:], self.segment_slopes
-        ):
-            if x1 <= x0:
-                raise ValidationError("x must increase strictly along the path")
-            if y1 < y0:
-                raise ValidationError("y must not decrease along the path")
-            if (slope.numerator, slope.denominator) != (y1 - y0, x1 - x0):
-                raise ValidationError(
-                    f"segment slope {slope} does not match step "
-                    f"({x1 - x0}, {y1 - y0})"
-                )
-        tx, ty = self.points[-1]
-        if (self.terminal_slope.numerator, self.terminal_slope.denominator) != (ty, tx):
-            raise ValidationError("terminal slope must match the terminal point")
+        for dx, dy in self.vectors:
+            if not (dx > 0 and 0 <= dy <= dx):
+                raise ValidationError(f"step ({dx}, {dy}) needs dx > 0 and 0 <= dy <= dx")
+
+    @property
+    def segment_slopes(self) -> tuple[Rate, ...]:
+        """Each stratum's rate: the slope of its step."""
+        return tuple(Rate(dy, dx) for dx, dy in self.vectors)
+
+    @property
+    def terminal_slope(self) -> Rate:
+        """The pooled rate: the slope of the origin-to-terminal chord."""
+        tx, ty = self.terminal
+        return Rate(ty, tx)
 
     @property
     def terminal(self) -> tuple[int, int]:
@@ -83,9 +77,9 @@ class VectorDiagram:
         object.__setattr__(self, "stratum_labels", tuple(self.stratum_labels))
         object.__setattr__(self, "groups", tuple(self.groups))
         for g in self.groups:
-            if len(g.segment_slopes) != len(self.stratum_labels):
+            if len(g.points) - 1 != len(self.stratum_labels):
                 raise ValidationError(
-                    f"group {g.label!r} has {len(g.segment_slopes)} segments "
+                    f"group {g.label!r} has {len(g.points) - 1} segments "
                     f"for {len(self.stratum_labels)} strata"
                 )
 
@@ -95,15 +89,11 @@ def to_vectors(sc: StratifiedComparison) -> VectorDiagram:
     sc.require_subjects("first", "second")
 
     def path(side: str) -> GroupPath:
-        cells = sc.counts(side)
         points = [(0, 0)]
-        for c in cells:
+        for c in sc.counts(side):
             x, y = points[-1]
             points.append((x + c.total, y + c.positive))
-        tx, ty = points[-1]
-        return GroupPath(
-            sc.group_label(side), tuple(points), tuple(map(rate, cells)), Rate(ty, tx)
-        )
+        return GroupPath(sc.group_label(side), tuple(points))
 
     return VectorDiagram(sc.stratum_labels(), (path("first"), path("second")))
 
@@ -136,9 +126,20 @@ FONT_SIZE = 12
 
 @dataclass(frozen=True)
 class RenderOptions:
+    """Canvas size in pixels, each above ``2 * MARGIN`` so the plot area is
+    not empty, and whether stratum chords complete their parallelograms."""
+
     width: int = 640
     height: int = 480
     parallelogram: bool = True
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 2 * MARGIN:
+                raise ValidationError(
+                    f"{name} must be an integer above {2 * MARGIN}, got {v!r}"
+                )
 
 
 def _fmt(v: float) -> str:

@@ -13,6 +13,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -40,7 +41,8 @@ class WeightVector:
         for label, w in self.weights:
             if not w >= 0.0:  # also rejects NaN
                 raise ValidationError(f"weight for {label!r} must be >= 0, got {w}")
-        total = sum(w for _, w in self.weights)
+        # exactly rounded: a plain sum's error grows with the stratum count
+        total = math.fsum(w for _, w in self.weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
 
@@ -59,10 +61,9 @@ def reference_weights(
     stratum shares, requiring subjects in every stratum on that side.
     ``equal`` — 1/K per stratum.
     """
-    k = len(sc.strata)
     if reference == "equal":
-        return WeightVector(tuple((s.label, 1.0 / k) for s in sc.strata))
-    if reference == "combined":
+        sizes = [1] * len(sc.strata)
+    elif reference == "combined":
         sizes = [s.first.total + s.second.total for s in sc.strata]
     elif reference in ("first", "second"):
         sc.require_subjects(reference)
@@ -103,7 +104,11 @@ def standardized_comparison(
     Ties are declared within ``TIE_TOLERANCE`` (1e-12); everything else is
     a strict real comparison.
     """
-    w = reference_weights(sc, reference)
+    return _comparison(sc, reference_weights(sc, reference))
+
+
+def _comparison(sc: StratifiedComparison, w: WeightVector) -> StandardizedComparison:
+    """:func:`standardized_comparison` under the weights ``w`` of a reference."""
     first = standardized_rate(sc, "first", w)
     second = standardized_rate(sc, "second", w)
     if abs(first - second) <= TIE_TOLERANCE:

@@ -555,6 +555,18 @@ class TestRun:
             assert run(argv) == 0
         assert 'x2="592.00" y2="48.00"' in out.read_text()  # g2's aggregate chord
 
+    @pytest.mark.parametrize(
+        "size", [["--width", "-640"], ["--width", "0"], ["--width", "96"],
+                 ["--height", "50"]]
+    )
+    def test_plot_rejects_sizes_without_a_plot_area(
+        self, hospital_path, tmp_path, capsys, size
+    ):
+        out = tmp_path / "p.svg"
+        assert run(["plot", hospital_path, "--out", str(out), *size]) == 2
+        assert capsys.readouterr().err.startswith("error:invalid-value:")
+        assert not out.exists()
+
     def test_plot_writes_deterministic_svg(self, hospital_path, tmp_path, capsys):
         out1 = tmp_path / "a.svg"
         out2 = tmp_path / "b.svg"

@@ -22,7 +22,9 @@ from confound.tables import (
     Direction,
     Rate,
     StratifiedComparison,
+    aggregate,
     compare,
+    rate,
 )
 from support import BERKELEY, HOSPITAL, comparisons
 
@@ -60,10 +62,29 @@ class TestToVectors:
             to_vectors(sc)
 
     def test_path_validation(self):
+        for points in (
+            ((0, 0),),  # no segment
+            ((1, 0), (3, 1)),  # does not start at the origin
+            ((0, 0), (0, 1)),  # a step with dx = 0
+            ((0, 0), (3, 1), (2, 1)),  # a step with dx < 0
+            ((0, 0), (2, 1), (4, 0)),  # a step that falls
+            ((0, 0), (2, 3)),  # a step that rises more than it runs
+        ):
+            with pytest.raises(ValidationError):
+                GroupPath("g", points)
+
+    @given(comparisons(min_total=1))
+    def test_derived_slopes_are_the_step_rates(self, sc):
+        for side, path in zip(("first", "second"), to_vectors(sc).groups):
+            cells = sc.counts(side)
+            assert path.segment_slopes == tuple(map(rate, cells))
+            assert path.terminal_slope == rate(aggregate(cells))
+
+    def test_diagram_needs_one_segment_per_stratum(self):
+        path = GroupPath("g", ((0, 0), (10, 4)))
+        VectorDiagram(("s",), (path,))
         with pytest.raises(ValidationError):
-            GroupPath("g", ((0, 0), (0, 1)), (Rate(1, 1),), Rate(1, 1))
-        with pytest.raises(ValidationError):
-            GroupPath("g", ((0, 0), (2, 1)), (Rate(1, 1),), Rate(1, 2))
+            VectorDiagram(("s", "t"), (path,))
 
 
 class TestSlopeBounds:
@@ -115,7 +136,7 @@ class TestRenderSvg:
         assert root.get("version") == "1.1"
 
     def test_single_stratum_single_group(self):
-        path = GroupPath("only", ((0, 0), (10, 4)), (Rate(4, 10),), Rate(4, 10))
+        path = GroupPath("only", ((0, 0), (10, 4)))
         d = VectorDiagram(("s",), (path,))
         svg = render_svg(d)
         assert svg.count("<line ") == 1
@@ -137,6 +158,13 @@ class TestRenderSvg:
     def test_degenerate_range(self):
         with pytest.raises(DegenerateRange):
             render_svg(VectorDiagram((), ()))
+
+    def test_options_need_a_plot_area(self):
+        for bad in ({"width": 96}, {"height": 50}, {"width": 0}, {"width": -640},
+                    {"width": True}, {"height": 480.0}):
+            with pytest.raises(ValidationError):
+                RenderOptions(**bad)
+        render_svg(to_vectors(HOSPITAL), RenderOptions(width=97, height=97))
 
     def test_options_change_bytes(self):
         a = render_svg(to_vectors(HOSPITAL))

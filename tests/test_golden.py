@@ -161,6 +161,8 @@ def _cases() -> dict[str, tuple[list[str], str]]:
         "analyze.missing-file": ["analyze", "{d}/absent.csv"],
         "standardize.zero-total": ["standardize", "{d}/zero_total.csv"],
         "plot.zero-total": ["plot", "{d}/zero_total.csv", "--out", "{d}/zero.svg"],
+        "plot.narrow": ["plot", "{d}/hospital.csv", "--out", "{d}/narrow.svg",
+                        "--width", "96"],
         "scan.hospital": ["scan", "{d}/hospital.csv", "--group-col", "group",
                           "--outcome-col", "positive", "--candidates", "stratum"],
         "scan.records3.no-groups": scan3,

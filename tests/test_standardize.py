@@ -37,6 +37,11 @@ class TestWeightVector:
         thirds = 1.0 / 3.0
         WeightVector((("a", thirds), ("b", thirds), ("c", thirds)))
 
+    def test_many_strata_sum_to_one(self):
+        # a plain float sum of these 40,000 weights is off by 1e-12
+        k = 40_000
+        WeightVector(tuple((f"s{i}", 1 / k) for i in range(k)))
+
 
 class TestReferenceWeights:
     def test_hospital_equal(self):
@@ -63,6 +68,15 @@ class TestReferenceWeights:
         with pytest.raises(EmptyStratumSide):
             reference_weights(sc, "first")
         reference_weights(sc, "second")  # fine: that side is populated
+
+    @pytest.mark.parametrize("reference", ["combined", "first", "second", "equal"])
+    def test_many_strata(self, reference):
+        k = 40_000
+        sc = StratifiedComparison.from_pairs(
+            "g1", "g2", [(f"s{i}", (5, 2), (5, 3)) for i in range(k)]
+        )
+        w = reference_weights(sc, reference)
+        assert set(w.weights) == {(f"s{i}", 1 / k) for i in range(k)}
 
     def test_unknown_reference(self):
         with pytest.raises(ValidationError):
