@@ -43,7 +43,7 @@ from .errors import (
     UnknownColumn,
     ValidationError,
 )
-from .tables import Counts, StratifiedComparison, Stratum, aggregate, rate
+from .tables import Counts, StratifiedComparison, Stratum, aggregate, percent
 
 # the analysis modules are imported where a subcommand first needs them, so a
 # process loads only what its subcommand runs
@@ -128,14 +128,16 @@ def parse_table_csv(text: str) -> StratifiedComparison:
             stratum, group, total_s, positive_s = row
             total = _parse_count(total_s, "total", line, max_digits)
             positive = _parse_count(positive_s, "positive", line, max_digits)
-            if positive > total:
-                raise BadCount(f"positive {positive} exceeds total {total}", line)
+            try:
+                counts = Counts(total, positive)
+            except ValidationError as exc:  # positive above total
+                raise BadCount(str(exc), line) from None
             key = (stratum, group)
             if key in cells:
                 raise DuplicateCell(
                     f"duplicate cell for stratum {stratum!r}, group {group!r}", line
                 )
-            cells[key] = Counts(total, positive)
+            cells[key] = counts
 
     if not cells:
         raise EmptyData("no data rows after the header")
@@ -185,8 +187,8 @@ def parse_records_csv(
 ) -> RecordTable:
     """Parse row-level records; undeclared columns are categorical text.
 
-    Boolean cells are matched case-insensitively against :data:`LEXICON`
-    (1/0, true/false, yes/no).
+    Boolean cells are matched case-insensitively against the true/false
+    lexicon (1/0, true/false, yes/no).
     """
     from .records import Column, RecordTable
 
@@ -219,7 +221,7 @@ def parse_records_csv(
             typed = None
             if set(map(len, rows)) <= {len(header)}:
                 typed = list(map(_typed_column, kinds, zip(*rows), memos))
-            if typed is None or None in typed:
+            if typed is None or str in map(type, typed):
                 _raise_first_error(text, read, columns)
             for cells, column in zip(data, typed):
                 cells.extend(column)
@@ -233,25 +235,26 @@ def parse_records_csv(
     return RecordTable._of_columns(columns, data, n_rows)
 
 
-def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | None:
-    """One chunk of one column's cells as typed values; ``None`` if a cell
-    is bad. Repeated categorical labels share one string through ``memo``,
+def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
+    """One chunk of one column's cells as typed values, or the fault of a
+    bad cell. Repeated categorical labels share one string through ``memo``,
     which holds one entry per distinct label until parsing ends."""
     if kind == "numeric":
         try:
             values = list(map(float, cells))
         except ValueError:
-            return None
-        return values if all(map(math.isfinite, values)) else None
+            return "is not a number"
+        return values if all(map(math.isfinite, values)) else "is not finite"
     if kind == "boolean":
         values = list(map(LEXICON.get, map(str.lower, cells)))
-        return None if None in values else values
+        return "is not in the true/false lexicon" if None in values else values
     return list(map(memo.setdefault, cells, cells))
 
 
 def _raise_first_error(text: str, start: int, columns: Sequence[Column]) -> None:
     """Re-read ``text`` row by row from reader row ``start`` and raise the
-    first bad row's error, with its physical line number."""
+    first bad row's error, with its physical line number: each cell is
+    typed alone by :func:`_typed_column`."""
     reader = csv.reader(io.StringIO(text))
     with _csv_errors(reader):
         for row in islice(reader, start, None):
@@ -261,22 +264,10 @@ def _raise_first_error(text: str, start: int, columns: Sequence[Column]) -> None
             if len(row) != len(columns):
                 raise RaggedRow(f"expected {len(columns)} fields, got {len(row)}", line)
             for col, cell in zip(columns, row):
-                if col.kind == "numeric":
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise NonNumeric(
-                            f"column {col.name!r}: {cell!r} is not a number", line
-                        ) from None
-                    if not math.isfinite(v):
-                        raise NonNumeric(
-                            f"column {col.name!r}: {cell!r} is not finite", line
-                        )
-                elif col.kind == "boolean" and LEXICON.get(cell.lower()) is None:
-                    raise BadOutcomeValue(
-                        f"column {col.name!r}: {cell!r} is not in the "
-                        f"true/false lexicon", line
-                    )
+                fault = _typed_column(col.kind, (cell,), {})
+                if isinstance(fault, str):
+                    error = NonNumeric if col.kind == "numeric" else BadOutcomeValue
+                    raise error(f"column {col.name!r}: {cell!r} {fault}", line)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,7 @@ def _cell_json(c: Counts) -> dict:
     return {
         "total": c.total,
         "positive": c.positive,
-        "percent": rate(c).percent(),
+        "percent": percent(c.positive, c.total),
     }
 
 

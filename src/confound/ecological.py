@@ -108,15 +108,16 @@ def group_means(
 
 
 def _centered(groups: list[list[float]], n: int):
-    """One variable's values, group by group, centered on their mean, and
-    its between column: each row's group mean of the centered values. A
-    single group has no between-group spread, so its column is zero rather
-    than the rounding residue of the mean."""
+    """One variable's values, group by group, centered on their mean; each
+    group's mean of the centered values; and the between column, those
+    means row by row, centered again on its own mean, which the rounded
+    overall mean leaves off zero. A single group has no between-group
+    spread, so its mean is zero rather than that rounding residue."""
     mean = fsum(chain.from_iterable(groups)) / n
     centered = [list(map(sub, g, repeat(mean))) for g in groups]
-    if len(groups) == 1:
-        return centered, [[0.0] * n]
-    return centered, [[fsum(c) / len(c)] * len(c) for c in centered]
+    means = [fsum(c) / len(c) for c in centered] if len(groups) > 1 else [0.0]
+    offset = fsum(chain.from_iterable(map(repeat, means, map(len, centered)))) / n
+    return centered, means, [[m - offset] * len(c) for m, c in zip(means, centered)]
 
 
 def _moments(us, vs, n: int) -> tuple[float, float, float]:
@@ -150,12 +151,12 @@ def decompose(
         raise InsufficientData(f"need at least 2 rows to decompose, got {n}")
     groups = _grouped(records, group_col, x_col, y_col)
     try:
-        cx, bx = _centered([gx for _, gx, _ in groups], n)
-        cy, by = _centered([gy for _, _, gy in groups], n)
+        cx, mx, bx = _centered([gx for _, gx, _ in groups], n)
+        cy, my, by = _centered([gy for _, _, gy in groups], n)
         total, between = _moments(cx, cy, n), _moments(bx, by, n)
-        # within = centered - between, in place: no second column is held
-        for c, b in zip(cx + cy, bx + by):
-            c[:] = map(sub, c, b)
+        # within = centered - group mean, in place: no second column is held
+        for c, m in zip(cx + cy, mx + my):
+            c[:] = map(sub, c, repeat(m))
         within = _moments(cx, cy, n)
     except (OverflowError, ValueError):  # fsum past the float range, or inf - inf
         raise NumericOverflow(_TOO_LARGE.format(x_col, y_col)) from None

@@ -21,7 +21,9 @@ import html
 from dataclasses import dataclass
 
 from .errors import DegenerateRange, ValidationError
-from .tables import Counts, Direction, Rate, StratifiedComparison, aggregate, compare, rate
+from .tables import (
+    Counts, Direction, Rate, StratifiedComparison, aggregate, compare, percent, rate
+)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,8 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
     for gi, g in enumerate(d.groups):
         color = COLORS[gi % len(COLORS)]
         tx, ty = px(g.terminal)
-        for v in g.vectors:
+        vectors = g.vectors
+        for v in vectors:
             if v == g.terminal:  # single stratum: chord and aggregate coincide
                 continue
             vx, vy = px(v)
@@ -197,9 +200,11 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
             f'x2="{_fmt(tx)}" y2="{_fmt(ty)}" stroke="{color}" stroke-width="2"/>'
         )
 
-        marked = {g.terminal: f"{g.label} {g.terminal} {g.terminal_slope.percent()}"}
-        for v, slope in zip(g.vectors, g.segment_slopes):
-            marked.setdefault(v, f"{v} {slope.percent()}")
+        # a path's steps and terminal are (total, positive) pairs it has checked
+        total, positive = g.terminal
+        marked = {g.terminal: f"{g.label} {g.terminal} {percent(positive, total)}"}
+        for v in vectors:
+            marked.setdefault(v, f"{v} {percent(v[1], v[0])}")
         for p, label in marked.items():
             cx, cy = px(p)
             parts.append(

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .detector import Classification, ReversalReport, _report
 from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
-from .tables import Counts, Direction, StratifiedComparison, Stratum
+from .tables import Direction, StratifiedComparison
 
 GENERATION_BUDGET = 100_000
 
@@ -163,35 +163,25 @@ def _reverses(a, b, c, d, A, B, C, D) -> bool:
 def minimal_reversal(max_total: int) -> StratifiedComparison:
     """Canonical smallest two-stratum full reversal within a subject bound.
 
-    Enumerates exhaustively by ascending total subject count, then takes
-    the lexicographically smallest (a, b, c, d, A, B, C, D); pure integer
-    arithmetic, so the witness is stable across runs and platforms. Raises
-    :class:`NotFound` when nothing reverses within the bound.
+    Enumerates exhaustively by ascending total subject count, and within
+    one count in lexicographic order of (a, b, c, d, A, B, C, D), so the
+    first reversal found is the witness; pure integer arithmetic, so it is
+    stable across runs and platforms. Raises :class:`NotFound` when
+    nothing reverses within the bound.
     """
     if max_total < 2:
         raise ValidationError(f"max_total must be >= 2, got {max_total}")
     for n in range(4, max_total + 1):
-        best = None
-        for a in range(1, n - 2):
-            for c in range(1, n - a - 1):
-                for A in range(1, n - a - c):
-                    C = n - a - c - A
-                    for b in range(a + 1):
-                        for d in range(c + 1):
-                            for B in range(A + 1):
-                                for D in range(C + 1):
-                                    if _reverses(a, b, c, d, A, B, C, D):
-                                        tup = (a, b, c, d, A, B, C, D)
-                                        if best is None or tup < best:
-                                            best = tup
-        if best is not None:
-            a, b, c, d, A, B, C, D = best
-            return StratifiedComparison(
-                "g1",
-                "g2",
-                (
-                    Stratum("s1", Counts(a, b), Counts(A, B)),
-                    Stratum("s2", Counts(c, d), Counts(C, D)),
-                ),
-            )
+        tables = (
+            (a, b, c, d, A, B, n - a - c - A, D)
+            for a in range(1, n - 2) for b in range(a + 1)
+            for c in range(1, n - a - 1) for d in range(c + 1)
+            for A in range(1, n - a - c) for B in range(A + 1)
+            for D in range(n - a - c - A + 1)
+        )
+        for a, b, c, d, A, B, C, D in tables:
+            if _reverses(a, b, c, d, A, B, C, D):
+                return StratifiedComparison.from_pairs(
+                    "g1", "g2", [("s1", (a, b), (A, B)), ("s2", (c, d), (C, D))]
+                )
     raise NotFound(f"no full reversal exists with at most {max_total} subjects")

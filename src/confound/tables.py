@@ -99,9 +99,7 @@ class Rate:
 
     def percent(self) -> str:
         """Percent display rounded half-up to one decimal, e.g. ``'62.1%'``."""
-        # integer half-up: floor((1000 * num / den) + 1/2) in tenths of a percent
-        tenths = (2000 * self.numerator + self.denominator) // (2 * self.denominator)
-        return f"{tenths // 10}.{tenths % 10}%"
+        return percent(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -188,6 +186,14 @@ class StratifiedComparison:
                         f"stratum {s.label!r} has no rows for group "
                         f"{self.group_label(side)!r}"
                     )
+
+
+def percent(positive: int, total: int) -> str:
+    """``positive / total`` as a percent rounded half-up to one decimal, for
+    a valid pair with ``total > 0``."""
+    # integer half-up: floor((1000 * positive / total) + 1/2) in tenths of a percent
+    tenths = (2000 * positive + total) // (2 * total)
+    return f"{tenths // 10}.{tenths % 10}%"
 
 
 def rate(c: Counts) -> Rate:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -26,6 +30,7 @@ from confound.errors import (
     BadCount,
     BadHeader,
     BadOutcomeValue,
+    ConfoundError,
     CsvError,
     DuplicateCell,
     EmptyData,
@@ -106,6 +111,17 @@ class TestParseTableCsv:
             p.write_text(text, encoding="utf-8")
             assert run(["analyze", str(p)]) == 2
             assert capsys.readouterr().err.startswith("error:bad-count:")
+
+    def test_count_pair_checked_before_duplicates(self, tmp_path, capsys):
+        # positive above total is a bad count at its row, even on a row that
+        # also repeats a cell
+        p = tmp_path / "t.csv"
+        for rows, line in [("s,g1,5,6\n", 2), ("s,g1,5,1\ns,g2,5,1\ns,g1,5,6\n", 4)]:
+            p.write_text(HEADER + rows)
+            assert run(["analyze", str(p)]) == 2
+            assert capsys.readouterr().err == (
+                f"error:bad-count: line {line}: positive (6) exceeds total (5)\n"
+            )
 
     def test_count_digit_limit(self, tmp_path, capsys):
         p = tmp_path / "t.csv"
@@ -286,6 +302,40 @@ class TestParseRecordsCsv:
         line = 1 + blank_lines + len(good) + 1
         assert str(err.value) == f"line {line}: column 'x': 'zz' is not a number"
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_chunk_and_row_paths_agree(self, seed):
+        # one bad cell or ragged row at a random row and column of a file
+        # that crosses a chunk boundary: the chunked parser must raise what
+        # a row-major check of every cell raises, and nothing else
+        rng = random.Random(seed)
+        header = ["g", "x", "out", "y"]
+        rows = [
+            [rng.choice(["a", "b", '"c\nd"', '"e,\n\nf"']), str(rng.random()),
+             rng.choice(["1", "no", "TRUE"]), str(rng.randint(-9, 9))]
+            for _ in range(rng.randint(CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 50))
+        ]
+        bad, col = rng.randrange(len(rows)), rng.choice([1, 2, 3, None])
+        if col is None:  # a ragged row, short or long
+            rows[bad] = (rows[bad] + ["z"])[: rng.choice([1, 2, 3, 5])]
+        elif col == 2:
+            rows[bad][col] = rng.choice(["maybe", "", "2"])
+        else:
+            rows[bad][col] = rng.choice(["zz", "", "1e", "inf", "-nan", "1e999"])
+        lines = [",".join(header)]
+        for row in rows:
+            lines += [""] * (rng.random() < 0.05)
+            lines.append(",".join(row))
+        text = "\n".join(lines) + "\n"
+
+        with pytest.raises(ConfoundError) as err:
+            parse_records_csv(
+                text, numeric_columns=("x", "y"), boolean_columns=("out",)
+            )
+        error, message, line = _first_record_error(text, header)
+        assert (type(err.value), str(err.value), err.value.line) == (
+            error, f"line {line}: {message}", line
+        )
+
     def test_rows_across_chunks_keep_order(self):
         n = 2 * CHUNK_ROWS + 7
         text = "g,id,x\n" + "".join(f"g{i % 3},r{i},{i}\n" for i in range(n))
@@ -305,6 +355,33 @@ class TestParseRecordsCsv:
             "\n".join(lines) + "\n", boolean_columns=("death",)
         )
         assert parsed == records
+
+
+def _first_record_error(text, header):
+    """The first fault of a records CSV with columns g (text), x and y
+    (numbers) and out (booleans), found row by row and cell by cell."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            return RaggedRow, f"expected 4 fields, got {len(row)}", reader.line_num
+        for name, cell in zip(header, row):
+            fault = None
+            if name in ("x", "y"):
+                try:
+                    fault = None if math.isfinite(float(cell)) else "is not finite"
+                except ValueError:
+                    fault = "is not a number"
+                error = NonNumeric
+            elif name == "out":
+                if cell.lower() not in ("1", "0", "true", "false", "yes", "no"):
+                    fault = "is not in the true/false lexicon"
+                error = BadOutcomeValue
+            if fault:
+                return error, f"column {name!r}: {cell!r} {fault}", reader.line_num
+    raise AssertionError("the file has no fault")
 
 
 class TestReports:

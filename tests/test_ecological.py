@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import fsum
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,27 @@ class TestDecompose:
         d = decompose(_records("aab", [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]), "g", "x", "y")
         assert d.within_cov == 0.0
         assert d.within_corr is None
+
+    def test_two_groups_have_a_unit_between_correlation(self):
+        # the rounded overall mean leaves these group means off center; the
+        # between column is centered again, so its correlation is not 0.577
+        ys = [0.8474337369372327, 0.763774618976614, 0.2550690257394217]
+        d = decompose(_records("aab", [0.2, 1.1, 0.65], ys), "g", "x", "y")
+        assert abs(abs(d.between_corr) - 1.0) <= 1e-12
+
+    def test_two_groups_seeded(self):
+        # group b's x values sit at group a's mean, so the two x means differ
+        # by rounding alone; two means per variable lie on one line, so the
+        # between correlation is +-1 whenever it is defined
+        rng = random.Random(9)
+        for _ in range(300):
+            a = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 6))]
+            xs = a + [fsum(a) / len(a)] * rng.randint(1, 6)
+            ys = [rng.uniform(-1.0, 1.0) for _ in xs]
+            groups = ["a"] * len(a) + ["b"] * (len(xs) - len(a))
+            d = decompose(_records(groups, xs, ys), "g", "x", "y")
+            if d.between_corr is not None:
+                assert abs(abs(d.between_corr) - 1.0) <= 1e-12, (xs, ys)
 
     def test_single_row_rejected(self):
         r = _records("a", [1.0], [1.0])

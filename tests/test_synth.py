@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -126,6 +128,29 @@ class TestMinimalReversal:
         )
         assert hospital_total == 160
         assert total == 9 < hospital_total
+
+    def test_first_found_is_the_smallest_reversal(self):
+        # every two-stratum table with positive totals and at most 12
+        # subjects, judged by Fraction; the witness is the min over
+        # (subjects, a, b, c, d, A, B, C, D)
+        reversing = []
+        for a, c, A, C in product(range(1, 10), repeat=4):
+            if a + c + A + C > 12:
+                continue
+            positives = (range(a + 1), range(c + 1), range(A + 1), range(C + 1))
+            for b, d, B, D in product(*positives):
+                s1 = Fraction(b, a) - Fraction(B, A)
+                s2 = Fraction(d, c) - Fraction(D, C)
+                pooled = Fraction(b + d, a + c) - Fraction(B + D, A + C)
+                if s1 * s2 > 0 and s1 * pooled < 0:
+                    reversing.append((a + c + A + C, a, b, c, d, A, B, C, D))
+        for bound in range(2, 13):
+            smallest = min((t for t in reversing if t[0] <= bound), default=None)
+            if smallest is None:
+                with pytest.raises(NotFound):
+                    minimal_reversal(bound)
+            else:
+                assert witness_tuple(minimal_reversal(bound)) == smallest[1:]
 
     def test_invalid_bound(self):
         with pytest.raises(ValidationError):
