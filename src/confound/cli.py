@@ -358,14 +358,12 @@ def build_analyze_report(
 
 
 def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
-    # first, so that an empty stratum side is reported before the pooled rates
-    standardized = _standardized_json(sc, reference)
     return {
         "format_version": FORMAT_VERSION,
         "command": "standardize",
         "groups": _groups_json(sc),
         "pooled": _pooled_json(sc),
-        "standardized": standardized,
+        "standardized": _standardized_json(sc, reference),
     }
 
 
@@ -699,12 +697,13 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 def _cmd_plot(ns: argparse.Namespace) -> int:
     from .geometry import RenderOptions, render_svg, to_vectors
 
-    sc = parse_table_csv(_read_text(ns.table))
+    # the sizes are checked before the table is read
     options = RenderOptions(
         width=ns.width,
         height=ns.height,
         parallelogram=not ns.fan_only,
     )
+    sc = parse_table_csv(_read_text(ns.table))
     svg = render_svg(to_vectors(sc), options)
     Path(ns.out).write_text(svg, encoding="utf-8")
     print(f"wrote {ns.out}", file=sys.stderr)

@@ -30,16 +30,11 @@ from .errors import (
     ConfoundError,
     EmptyCandidates,
     NotTwoGroups,
+    NumericOverflow,
     TooFewDistinctValues,
     ValidationError,
 )
-from .tables import (
-    Counts,
-    Direction,
-    StratifiedComparison,
-    Stratum,
-    cross_direction,
-)
+from .tables import Direction, StratifiedComparison, cross_direction
 
 if TYPE_CHECKING:
     from .records import RecordTable
@@ -86,13 +81,8 @@ def _classify(
 def detect_reversal(
     sc: StratifiedComparison, *, allow_tied_strata: bool = False
 ) -> ReversalReport:
-    """Classify a stratified comparison.
-
-    Every stratum must have subjects on both sides; an empty side is
-    rejected with :class:`~confound.errors.EmptyStratumSide`, never
-    silently dropped.
-    """
-    sc.require_subjects("first", "second")
+    """Classify a stratified comparison; every stratum has subjects on both
+    sides, which the comparison's constructor ensures."""
     cells = [
         (s.first.total, s.first.positive, s.second.total, s.second.positive)
         for s in sc.strata
@@ -154,7 +144,8 @@ def _edges(
     counts: dict[float, int], strategy: str, k: int, values: Iterable[float]
 ) -> list[float]:
     """:func:`bin_numeric`'s edges from each distinct value's row count.
-    ``values`` (the rows, in order) is read only when zeros are among them."""
+    ``values`` (the rows, in order) is read only when zeros are among them.
+    An edge past the float range is a :class:`NumericOverflow`."""
     if strategy == "quantile":
         distinct = len(set(map(float, counts)))
         if distinct < k:
@@ -162,13 +153,17 @@ def _edges(
                 f"quantile binning into {k} bins needs at least {k} distinct "
                 f"values, got {distinct}"
             )
-        return _quantiles(counts, k, values)
-    if strategy == "equal_width":
+        edges = _quantiles(counts, k, values)
+    elif strategy == "equal_width":
         lo, hi = float(min(counts)), float(max(counts))
         if lo == hi:
             raise TooFewDistinctValues("all values are identical")
-        return [lo + (hi - lo) * j / k for j in range(1, k)]
-    raise ValidationError(f"unknown binning strategy {strategy!r}")
+        edges = [lo + (hi - lo) * j / k for j in range(1, k)]
+    else:
+        raise ValidationError(f"unknown binning strategy {strategy!r}")
+    if not all(map(math.isfinite, edges)):
+        raise NumericOverflow(f"{strategy} bin edges overflow the float range: {edges}")
+    return edges
 
 
 def _quantiles(counts: dict[float, int], k: int, values: Iterable[float]) -> list[float]:
@@ -250,19 +245,20 @@ def _two_groups(records: RecordTable, group_col: str) -> list:
 def _stratified(
     records: RecordTable,
     covariate: str,
-    sides: tuple[list, list[int]],
+    code: list[int],
     binning: str | None,
     bins: int,
     min_stratum_size: int = 1,
-) -> tuple[StratifiedComparison, str]:
-    """Stratify records by one covariate, plus a binning description.
+) -> tuple[list[tuple[str, tuple[int, int], tuple[int, int]]], str]:
+    """Stratify records by one covariate into ``(label, (total, positive),
+    (total, positive))`` rows for :meth:`StratifiedComparison.from_pairs`,
+    plus a binning description.
 
-    ``sides`` is what :func:`_sides` returns. Strata with no rows at all
-    are never formed (numeric bins can be empty); strata smaller than
-    ``min_stratum_size`` are dropped. A stratum may still be empty on one
-    side; callers check that with ``require_subjects``.
+    ``code`` is each row's side code from :func:`_sides`. Strata with no
+    rows at all are never formed (numeric bins can be empty); strata smaller
+    than ``min_stratum_size`` are dropped. A stratum may still be empty on
+    one side, which building the comparison rejects.
     """
-    groups, code = sides
     kind = records.kind(covariate)
     if binning is None:
         binning = "categorical" if kind == "categorical" else "quantile"
@@ -286,20 +282,20 @@ def _stratified(
     if binning != "categorical":
         tally, labels, description = _binned(tally, column, binning, bins)
 
-    def counts(key, side: int) -> Counts:
+    def counts(key, side: int) -> tuple[int, int]:
         positive = tally[key, side + 1]
-        return Counts(positive + tally[key, side], positive)
+        return positive + tally[key, side], positive
 
-    strata = [
-        Stratum(key if labels is None else labels[key], counts(key, 0), counts(key, 2))
+    rows = [
+        (key if labels is None else labels[key], counts(key, 0), counts(key, 2))
         for key in sorted({key for key, _ in tally})
     ]
-    kept = [s for s in strata if s.first.total + s.second.total >= min_stratum_size]
+    kept = [(label, a, b) for label, a, b in rows if a[0] + b[0] >= min_stratum_size]
     if not kept:
         raise AllStrataFiltered(
             f"every stratum of {covariate!r} is smaller than {min_stratum_size}"
         )
-    return StratifiedComparison(groups[0], groups[1], tuple(kept)), description
+    return kept, description
 
 
 def stratify(
@@ -322,10 +318,9 @@ def stratify(
     """
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
-    sides = _sides(records, group_col, outcome_col, None)
-    sc = _stratified(records, covariate, sides, binning, bins)[0]
-    sc.require_subjects("first", "second")
-    return sc
+    groups, code = _sides(records, group_col, outcome_col, None)
+    rows = _stratified(records, covariate, code, binning, bins)[0]
+    return StratifiedComparison.from_pairs(*groups, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +390,16 @@ def scan(
     groups = _two_groups(records, group_col)
 
     results: list[ScanResult] = []
-    sides = None  # found with the first known candidate
+    code = None  # found with the first known candidate
     for cand in candidates:
         try:
             kind = records.kind(cand)
-            sides = sides or _sides(records, group_col, outcome_col, groups)
+            code = code or _sides(records, group_col, outcome_col, groups)[1]
             binning = "categorical" if kind == "categorical" else config.binning
-            sc, description = _stratified(
-                records, cand, sides, binning, config.bins, config.min_stratum_size
+            rows, description = _stratified(
+                records, cand, code, binning, config.bins, config.min_stratum_size
             )
+            sc = StratifiedComparison.from_pairs(*groups, rows)
             report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:
             results.append(SkippedCandidate(cand, exc.code, str(exc)))

@@ -88,7 +88,6 @@ class VectorDiagram:
 
 def to_vectors(sc: StratifiedComparison) -> VectorDiagram:
     """Cumulative vector paths for both groups, in stratum order."""
-    sc.require_subjects("first", "second")
 
     def path(side: str) -> GroupPath:
         points = [(0, 0)]

@@ -58,7 +58,7 @@ def reference_weights(
     ``combined`` — each stratum's share of subjects over both groups
     (the default: symmetric between the groups and the usual direct-
     standardization convention). ``first``/``second`` — that group's own
-    stratum shares, requiring subjects in every stratum on that side.
+    stratum shares.
     ``equal`` — 1/K per stratum.
     """
     if reference == "equal":
@@ -66,7 +66,6 @@ def reference_weights(
     elif reference == "combined":
         sizes = [s.first.total + s.second.total for s in sc.strata]
     elif reference in ("first", "second"):
-        sc.require_subjects(reference)
         sizes = [c.total for c in sc.counts(reference)]
     else:
         raise ValidationError(f"unknown reference {reference!r}")
@@ -83,7 +82,6 @@ def standardized_rate(
             f"weight labels {list(w.labels())} do not match strata "
             f"{list(sc.stratum_labels())}"
         )
-    sc.require_subjects(side)
     total = 0.0
     for (_, weight), c in zip(w.weights, sc.counts(side)):
         total += weight * (c.positive / c.total)

@@ -22,6 +22,7 @@ broken lexicographically on (a, b, c, d, A, B, C, D) — group one's
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from .detector import Classification, ReversalReport, _report
@@ -29,6 +30,8 @@ from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationErro
 from .tables import Direction, StratifiedComparison
 
 GENERATION_BUDGET = 100_000
+# the jitter draws totals of up to 1.2 x scale, which must be finite floats
+_MAX_SCALE = int(sys.float_info.max / 1.2)
 
 
 def _clamp(v: int, lo: int, hi: int) -> int:
@@ -81,6 +84,8 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
         )
     if scale < 10:
         raise ValidationError(f"scale must be >= 10, got {scale}")
+    if scale > _MAX_SCALE:
+        raise ValidationError(f"scale must be <= {_MAX_SCALE}, got {scale}")
     rng = random.Random(seed)
     labels = [f"s{i}" for i in range(1, k + 1)]
     for _ in range(GENERATION_BUDGET):

@@ -119,9 +119,9 @@ class StratifiedComparison:
     """Two named groups observed across one or more named strata.
 
     Invariants enforced here: at least one stratum, unique stratum labels,
-    distinct group labels, and no stratum that is empty on both sides.
-    A stratum empty on a *single* side is representable; operations that
-    need subjects on that side reject it through :meth:`require_subjects`.
+    distinct group labels, and subjects on both sides of every stratum: a
+    stratum empty on both sides is a :class:`ValidationError`, and then the
+    first stratum empty on one side is an :class:`EmptyStratumSide`.
     """
 
     group_first_label: str
@@ -140,11 +140,16 @@ class StratifiedComparison:
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise ValidationError(f"duplicate stratum labels: {dupes}")
-        for s in self.strata:
-            if s.first.total == 0 and s.second.total == 0:
+        empty = [s for s in self.strata if not (s.first.total and s.second.total)]
+        for s in empty:
+            if not (s.first.total or s.second.total):
                 raise ValidationError(
                     f"stratum {s.label!r} has no subjects on either side"
                 )
+        if empty:
+            s = empty[0]
+            group = self.group_second_label if s.first.total else self.group_first_label
+            raise EmptyStratumSide(f"stratum {s.label!r} has no rows for group {group!r}")
 
     @classmethod
     def from_pairs(
@@ -173,19 +178,6 @@ class StratifiedComparison:
         if side == "first":
             return tuple(s.first for s in self.strata)
         return tuple(s.second for s in self.strata)
-
-    def require_subjects(self, *sides: Side) -> None:
-        """Raise :class:`EmptyStratumSide` for the first stratum with no
-        subjects on one of ``sides``: strata in order, then sides in order."""
-        for side in sides:
-            _require_side(side)
-        for s in self.strata:
-            for side in sides:
-                if getattr(s, side).total == 0:
-                    raise EmptyStratumSide(
-                        f"stratum {s.label!r} has no rows for group "
-                        f"{self.group_label(side)!r}"
-                    )
 
 
 def percent(positive: int, total: int) -> str:
@@ -241,6 +233,5 @@ def unweighted_mean_rate(sc: StratifiedComparison, side: Side) -> float:
     This is the naive "average of the ratios" that ignores stratum sizes;
     it generally differs from :func:`pooled_rate`.
     """
-    sc.require_subjects(side)
     rates = [c.positive / c.total for c in sc.counts(side)]
     return sum(rates) / len(rates)

@@ -66,6 +66,14 @@ def comparisons(
     return StratifiedComparison("g1", "g2", strata)
 
 
+def swap_groups(sc: StratifiedComparison) -> StratifiedComparison:
+    return StratifiedComparison(
+        sc.group_second_label,
+        sc.group_first_label,
+        tuple(Stratum(s.label, s.second, s.first) for s in sc.strata),
+    )
+
+
 def dominating_comparison(rng: random.Random) -> StratifiedComparison:
     """Random table where the second group strictly leads in every stratum."""
     k = rng.randint(2, 5)

@@ -33,6 +33,7 @@ from support import (
     dominating_comparison,
     random_comparison,
     records_from_columns,
+    swap_groups,
 )
 
 F = Direction.FIRST_HIGHER
@@ -160,16 +161,24 @@ def test_criterion_05_mediant_property():
 def test_criterion_06_differential_oracle():
     with criterion(6, "detector == brute force on 10000 generated + fixtures, < 30 s"):
         started = perf_counter()
-        disagreements = 0
+        disagreements = first_wins_everywhere = 0
         for seed in range(10_000):
             sc = generate_reversal(2 + seed % 4, 10 + (seed * 7) % 191, seed)
-            if brute_force_classify(sc) != detect_reversal(sc):
-                disagreements += 1
+            # the second group leads every generated stratum, the first every
+            # swapped one: the oracle's two full-reversal branches
+            for table in (sc, swap_groups(sc)):
+                report = brute_force_classify(table)
+                if report != detect_reversal(table):
+                    disagreements += 1
+            first_wins_everywhere += report.aggregate_direction is S and all(
+                d is F for _, d in report.stratum_directions
+            )
         for fixture in (HOSPITAL, BERKELEY):
             if brute_force_classify(fixture) != detect_reversal(fixture):
                 disagreements += 1
         elapsed = perf_counter() - started
         assert disagreements == 0
+        assert first_wins_everywhere == 10_000
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from confound.cli import (
     CHUNK_ROWS,
     MAX_COUNT_DIGITS,
+    REFERENCES,
     build_analyze_report,
     parse_records_csv,
     parse_table_csv,
@@ -263,6 +264,11 @@ class TestParseRecordsCsv:
             # a bad number before the csv module's own fault on line 4
             ("g,x\na,1\nb,zz\nc,1\rd,2\n", NonNumeric,
              "line 3: column 'x': 'zz' is not a number"),
+            # the header before any row
+            ("g,x,g\na,zz\n", BadHeader,
+             "line 1: column names must be unique and non-empty: ['g', 'x', 'g']"),
+            ("g,,x\na,zz\n", BadHeader,
+             "line 1: column names must be unique and non-empty: ['g', '', 'x']"),
         ],
     )
     def test_first_error_and_its_line(self, text, error, message):
@@ -534,6 +540,55 @@ class TestRun:
         p.write_text(HEADER + "s,g1,0,0\ns,g2,5,1\n")
         assert run(["analyze", str(p)]) == 3
         assert capsys.readouterr().err.startswith("error:empty-stratum-side:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["analyze", "--standardize", "first"], ["plot", "--out", "p.svg"],
+         *(["standardize", "--reference", ref] for ref in REFERENCES)],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv),
+    )
+    def test_first_empty_side_from_every_subcommand(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # stratum a has no g2 rows and stratum b no g1 rows: a is named first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two.csv").write_text(
+            HEADER + "a,g1,5,1\na,g2,0,0\nb,g1,0,0\nb,g2,5,1\n"
+        )
+        assert run([argv[0], "two.csv", *argv[1:]]) == 3
+        assert capsys.readouterr().err == (
+            "error:empty-stratum-side: stratum 'a' has no rows for group 'g2'\n"
+        )
+
+    @pytest.mark.parametrize("table", ["zero", "missing"])
+    def test_plot_checks_sizes_before_the_table(self, tmp_path, capsys, table):
+        p = tmp_path / f"{table}.csv"
+        if table == "zero":  # an empty side, exit 3 with a valid size
+            p.write_text(HEADER + "s,g1,0,0\ns,g2,5,1\n")
+        argv = ["plot", str(p), "--out", str(tmp_path / "p.svg"), "--width", "50"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:invalid-value:")
+
+    def test_scan_outcome_declared_numeric(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text("g,died\na,1\nb,0\n")
+        argv = ["scan", str(p), "--group-col", "g", "--outcome-col", "died",
+                "--candidates", "g", "--numeric", "died"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error:invalid-value: columns declared both numeric and boolean: ['died']\n"
+        )
+
+    @pytest.mark.parametrize("scale", [int(sys.float_info.max), 10**400])
+    def test_generate_rejects_a_scale_past_the_float_range(self, capsys, scale):
+        for seed in range(6):
+            assert run(["generate", "--scale", str(scale), "--seed", str(seed)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:invalid-value: scale must be <= "), err
+
+    def test_generate_at_a_float_range_scale(self, capsys):
+        assert run(["generate", "--scale", str(2**1023)]) == 0
+        assert parse_table_csv(capsys.readouterr().out).stratum_labels() == ("s1", "s2")
 
     def test_usage_error_exit_2(self, capsys):
         assert run(["analyze"]) == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from bisect import bisect_right
@@ -27,6 +28,7 @@ from confound.errors import (
     EmptyCandidates,
     EmptyStratumSide,
     NotTwoGroups,
+    NumericOverflow,
     TooFewDistinctValues,
     UnknownColumn,
     ValidationError,
@@ -39,19 +41,12 @@ from support import (
     comparisons,
     hospital_records,
     records_from_columns,
+    swap_groups,
 )
 
 F = Direction.FIRST_HIGHER
 S = Direction.SECOND_HIGHER
 T = Direction.TIE
-
-
-def swap_groups(sc: StratifiedComparison) -> StratifiedComparison:
-    return StratifiedComparison(
-        sc.group_second_label,
-        sc.group_first_label,
-        tuple(Stratum(s.label, s.second, s.first) for s in sc.strata),
-    )
 
 
 def scale_counts(sc: StratifiedComparison, m: int) -> StratifiedComparison:
@@ -95,11 +90,11 @@ class TestDetectReversal:
         assert report.majority_direction is T
 
     def test_empty_side_rejected_not_dropped(self):
-        sc = StratifiedComparison.from_pairs(
-            "g1", "g2", [("ok", (5, 1), (5, 2)), ("gap", (0, 0), (5, 1))]
-        )
+        # the table is rejected when built, so no stratum is dropped unseen
         with pytest.raises(EmptyStratumSide, match="gap"):
-            detect_reversal(sc)
+            StratifiedComparison.from_pairs(
+                "g1", "g2", [("ok", (5, 1), (5, 2)), ("gap", (0, 0), (5, 1))]
+            )
 
     def test_tied_stratum_blocks_full_reversal_by_default(self):
         # strata: one tie (low rate, g2-heavy), one strict S (high rate,
@@ -363,6 +358,21 @@ class TestStratify:
         with pytest.raises(ValidationError, match="outcome column 'out' must be boolean"):
             stratify(text_outcome_records(), "g", "out", "cov")
 
+    @pytest.mark.parametrize(
+        "binning, message",
+        [
+            ("categorical", "covariate 'x' is numeric; pick a numeric binning"),
+            ("kmeans", "unknown binning 'kmeans'"),
+        ],
+    )
+    def test_binning_must_fit_the_covariate(self, binning, message):
+        records = records_from_columns(
+            g=["a", "b"], out=[True, False], x=[1.0, 2.0]
+        )
+        with pytest.raises(ValidationError) as err:
+            stratify(records, "g", "out", "x", binning=binning)
+        assert str(err.value) == message
+
     def test_unknown_covariate_wins_over_group_kind(self):
         with pytest.raises(UnknownColumn, match="ghost"):
             stratify(numeric_group_records(), "g", "out", "ghost")
@@ -402,6 +412,36 @@ class TestBinNumeric:
         with pytest.raises(ValidationError):
             bin_numeric([1.0, 2.0], "quantile", 1)
 
+    @pytest.mark.parametrize(
+        "values, strategy, error, message",
+        [
+            ([1.0, math.nan, 2.0], "quantile", ValidationError, "values must be finite"),
+            ([1.0, -math.inf], "equal_width", ValidationError, "values must be finite"),
+            ([1.0, 2.0], "median", ValidationError,
+             "unknown binning strategy 'median'"),
+            # every value is finite, but an edge is not
+            ([-1.7e308, 1.7e308], "equal_width", NumericOverflow,
+             "equal_width bin edges overflow the float range: [inf]"),
+            ([-1.7e308, 1.6e308, 1.7e308], "quantile", NumericOverflow,
+             "quantile bin edges overflow the float range: [inf]"),
+        ],
+    )
+    def test_rejected_inputs(self, values, strategy, error, message):
+        with pytest.raises(error) as err:
+            bin_numeric(values, strategy, 2)
+        assert str(err.value) == message
+
+    def test_scan_skips_an_overflowing_binning(self):
+        records = records_from_columns(
+            g=["a", "b", "a", "b"], out=[True, False, False, True],
+            x=[-1.7e308, 1.7e308, 1.6e308, -1.6e308],
+        )
+        config = ScanConfig(binning="equal_width", bins=2)
+        [skip] = scan(records, "g", "out", ["x"], config)
+        assert (skip.reason, skip.detail) == (
+            "numeric-overflow", "equal_width bin edges overflow the float range: [inf]"
+        )
+
 
 def _sort_based_binning(column, code, strategy, k):
     """Numeric binning the way it was done on the sorted rows: edges from
@@ -424,7 +464,7 @@ def _sort_based_binning(column, code, strategy, k):
     ]
     tally = Counter(zip((bisect_right(edges, v) for v in column), code))
     strata = [
-        (labels[b], tally[b, 0] + tally[b, 1], tally[b, 1], tally[b, 2] + tally[b, 3], tally[b, 3])
+        (labels[b], (tally[b, 0] + tally[b, 1], tally[b, 1]), (tally[b, 2] + tally[b, 3], tally[b, 3]))
         for b in sorted({b for b, _ in tally})
     ]
     return edges, f"{strategy} k={k} edges={[round(e, 6) for e in edges]}", strata
@@ -435,7 +475,7 @@ def test_binning_matches_the_sort_based_binning():
     # subnormals and large values; edges are compared bit for bit
     pool = [-0.0, 0.0, 0, -1.5, 2.0, 3.25, 5e-324, -7, 0.1, 1e300]
     rng = random.Random(11)
-    signed_zero_edges = 0
+    signed_zero_edges = one_sided = 0
     for case in range(300):
         n = rng.randrange(2, 40)
         column = [
@@ -451,18 +491,19 @@ def test_binning_matches_the_sort_based_binning():
             with pytest.raises(TooFewDistinctValues):
                 bin_numeric(column, strategy, k)
             with pytest.raises(TooFewDistinctValues):
-                _stratified(records, "x", sides, strategy, k)
+                _stratified(records, "x", sides[1], strategy, k)
             continue
         edges, description, strata = expected
         assert list(map(repr, bin_numeric(column, strategy, k))) == list(map(repr, edges)), case
-        sc, got_description = _stratified(records, "x", sides, strategy, k)
+        # the rows, not the comparison built from them: a stratum may be
+        # empty on one side, which building the comparison rejects
+        got_strata, got_description = _stratified(records, "x", sides[1], strategy, k)
         assert got_description == description, case
-        assert [
-            (s.label, s.first.total, s.first.positive, s.second.total, s.second.positive)
-            for s in sc.strata
-        ] == strata, case
+        assert got_strata == strata, case
         signed_zero_edges += "-0.0" in description
+        one_sided += any(0 in (t1, t2) for _, (t1, _), (t2, _) in strata)
     assert signed_zero_edges >= 5  # the inputs reach the signed-zero trap
+    assert one_sided >= 100  # and tables empty on one side
 
 
 class TestScan:

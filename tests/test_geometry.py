@@ -55,11 +55,11 @@ class TestToVectors:
         assert d.groups[0].terminal_slope == Rate(12, 30)
 
     def test_zero_total_rejected(self):
-        sc = StratifiedComparison.from_pairs(
-            "g1", "g2", [("s", (5, 1), (5, 1)), ("t", (0, 0), (5, 1))]
-        )
+        # the table is rejected when built, so no path has a zero-width step
         with pytest.raises(EmptyStratumSide):
-            to_vectors(sc)
+            StratifiedComparison.from_pairs(
+                "g1", "g2", [("s", (5, 1), (5, 1)), ("t", (0, 0), (5, 1))]
+            )
 
     def test_path_validation(self):
         for points in (

@@ -3,26 +3,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confound import (
-    brute_force_classify,
-    detect_reversal,
-    reference_weights,
-    standardized_comparison,
-    standardized_rate,
-    stratify,
-    to_vectors,
-)
+from confound import brute_force_classify, scan, stratify
+from confound.cli import parse_table_csv
 from confound.errors import EmptyInput, EmptyStratumSide, ValidationError
 from confound.tables import (
     Counts,
     Direction,
     Rate,
     StratifiedComparison,
+    Stratum,
     aggregate,
     compare,
     pooled_rate,
@@ -93,6 +88,8 @@ class TestRate:
             Rate(1, 0)
         with pytest.raises(ValidationError):
             Rate(5, 4)
+        with pytest.raises(ValidationError, match="numerator must be an integer"):
+            Rate(1.0, 2)
 
 
 class TestAggregate:
@@ -179,9 +176,9 @@ class TestPooledRate:
         assert pooled_rate(sc, "first") == Rate(12, 30)
 
     def test_zero_side_rejected(self):
-        sc = StratifiedComparison.from_pairs("g1", "g2", [("s", (0, 0), (5, 2))])
+        # a side with no subjects cannot be built, so is never pooled
         with pytest.raises(EmptyStratumSide):
-            pooled_rate(sc, "first")
+            StratifiedComparison.from_pairs("g1", "g2", [("s", (0, 0), (5, 2))])
 
 
 class TestUnweightedMeanRate:
@@ -196,47 +193,52 @@ class TestUnweightedMeanRate:
         assert unweighted_mean_rate(sc, "first") == pytest.approx(0.3)
 
     def test_names_the_offending_stratum(self):
-        sc = StratifiedComparison.from_pairs(
-            "g1", "g2", [("ok", (5, 1), (5, 1)), ("bad", (0, 0), (5, 1))]
-        )
+        # the table is rejected when built, before any rate is averaged
         with pytest.raises(EmptyStratumSide, match="bad"):
-            unweighted_mean_rate(sc, "first")
+            StratifiedComparison.from_pairs(
+                "g1", "g2", [("ok", (5, 1), (5, 1)), ("bad", (0, 0), (5, 1))]
+            )
 
 
 # one table whose stratum 'gap' has no subjects in group 'g1' (the first side)
-_GAP = StratifiedComparison.from_pairs(
-    "g1", "g2", [("ok", (5, 1), (5, 2)), ("gap", (0, 0), (5, 1))]
-)
+_GAP_ROWS = [("ok", (5, 1), (5, 2)), ("gap", (0, 0), (5, 1))]
+_GAP_STRATA = tuple(Stratum(l, Counts(*a), Counts(*b)) for l, a, b in _GAP_ROWS)
+_GAP_CSV = "stratum,group,total,positive\nok,g1,5,1\nok,g2,5,2\ngap,g1,0,0\ngap,g2,5,1\n"
 _GAP_MESSAGE = "stratum 'gap' has no rows for group 'g1'"
 
 
 def _gap_records():
-    # stratifies by 'cov' into the strata of _GAP
+    # stratifies by 'cov' into the strata of _GAP_ROWS
     return records_from_columns(
         g=["g1", "g2", "g2"], out=[True, False, True], cov=["ok", "ok", "gap"]
     )
+
+
+def _scan_gap():
+    # a scan reports the fault as a skip; raise it again to compare it
+    [skip] = scan(_gap_records(), "g", "out", ["cov"])
+    assert skip.reason == EmptyStratumSide.code
+    raise EmptyStratumSide(skip.detail)
 
 
 class TestEmptyStratumSide:
     @pytest.mark.parametrize(
         "call, same_message",
         [
-            (lambda: _GAP.require_subjects("first"), True),
-            (lambda: detect_reversal(_GAP), True),
+            (lambda: StratifiedComparison("g1", "g2", _GAP_STRATA), True),
+            (lambda: StratifiedComparison.from_pairs("g1", "g2", _GAP_ROWS), True),
+            (lambda: parse_table_csv(_GAP_CSV), True),
             (lambda: stratify(_gap_records(), "g", "out", "cov"), True),
-            (lambda: reference_weights(_GAP, "first"), True),
-            (lambda: standardized_rate(
-                _GAP, "first", reference_weights(_GAP, "equal")), True),
-            (lambda: standardized_comparison(_GAP, "combined"), True),
-            (lambda: to_vectors(_GAP), True),
-            (lambda: unweighted_mean_rate(_GAP, "first"), True),
-            (lambda: rate(_GAP.strata[1].first), False),
-            (lambda: brute_force_classify(_GAP), False),
+            (_scan_gap, True),
+            (lambda: rate(_GAP_STRATA[1].first), False),
+            # the oracle checks its own input: a stand-in the constructor rejects
+            (lambda: brute_force_classify(SimpleNamespace(
+                group_first_label="g1", group_second_label="g2", strata=_GAP_STRATA
+            )), False),
         ],
         ids=[
-            "require_subjects", "detect_reversal", "stratify", "reference_weights",
-            "standardized_rate", "standardized_comparison", "to_vectors",
-            "unweighted_mean_rate", "rate", "brute_force_classify",
+            "StratifiedComparison", "from_pairs", "parse_table_csv", "stratify",
+            "scan", "rate", "brute_force_classify",
         ],
     )
     def test_one_class_and_one_message(self, call, same_message):
@@ -247,16 +249,13 @@ class TestEmptyStratumSide:
             assert str(err.value) == _GAP_MESSAGE
 
     def test_strata_in_order_then_sides_in_order(self):
-        sc = StratifiedComparison.from_pairs(
-            "g1", "g2", [("a", (5, 1), (0, 0)), ("b", (0, 0), (5, 1))]
-        )
+        # stratum a has no g2 rows and stratum b no g1 rows
+        rows = [("a", (5, 1), (0, 0)), ("b", (0, 0), (5, 1))]
         with pytest.raises(EmptyStratumSide, match="^stratum 'a' .* 'g2'$"):
-            sc.require_subjects("first", "second")
-        with pytest.raises(EmptyStratumSide, match="^stratum 'b' .* 'g1'$"):
-            sc.require_subjects("first")
-        sc.require_subjects()
-        with pytest.raises(ValidationError):
-            sc.require_subjects("third")
+            StratifiedComparison.from_pairs("g1", "g2", rows)
+        # after every other check: a later stratum empty on both sides wins
+        with pytest.raises(ValidationError, match="^stratum 'c' has no subjects"):
+            StratifiedComparison.from_pairs("g1", "g2", [*rows, ("c", (0, 0), (0, 0))])
 
 
 class TestComparisonInvariants:
@@ -277,6 +276,11 @@ class TestComparisonInvariants:
     def test_rejects_stratum_empty_on_both_sides(self):
         with pytest.raises(ValidationError):
             StratifiedComparison.from_pairs("a", "b", [("s", (0, 0), (0, 0))])
+
+    def test_sides_are_first_and_second(self):
+        for call in (HOSPITAL.counts, HOSPITAL.group_label):
+            with pytest.raises(ValidationError, match="got 'third'"):
+                call("third")
 
 
 @given(comparisons(min_total=1))
