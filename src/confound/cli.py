@@ -306,10 +306,9 @@ def _reversal_json(report) -> dict:
 
 
 def _standardized_json(sc: StratifiedComparison, reference: str) -> dict:
-    from .standardize import _comparison, reference_weights
+    from .standardize import _weights_and_comparison
 
-    weights = reference_weights(sc, reference)
-    comp = _comparison(sc, weights)
+    weights, comp = _weights_and_comparison(sc, reference)
     return {
         "reference": reference,
         "weights": [[label, w] for label, w in weights.weights],
@@ -653,6 +652,13 @@ def _cmd_standardize(ns: argparse.Namespace) -> int:
 def _cmd_scan(ns: argparse.Namespace) -> int:
     from .detector import ScanConfig, scan
 
+    # the options are checked before the records are read
+    config = ScanConfig(
+        binning=ns.binning,
+        bins=ns.bins,
+        min_stratum_size=ns.min_stratum_size,
+        allow_tied_strata=ns.allow_tied_strata,
+    )
     candidates = _split_list(ns.candidates)
     records = parse_records_csv(
         _read_text(ns.records),
@@ -664,12 +670,6 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         if len(pair) != 2:
             raise NotTwoGroups(f"--groups needs exactly two labels, got {pair}")
         records = records.where(ns.group_col, pair)
-    config = ScanConfig(
-        binning=ns.binning,
-        bins=ns.bins,
-        min_stratum_size=ns.min_stratum_size,
-        allow_tied_strata=ns.allow_tied_strata,
-    )
     results = scan(records, ns.group_col, ns.outcome_col, candidates, config)
     return _emit(ns, build_scan_report(records, candidates, results), render_scan_text)
 

@@ -273,7 +273,6 @@ def _stratified(
                 f"covariate {covariate!r} is {kind}; numeric binning needs a "
                 "numeric column"
             )
-        _check_bins(bins)
     else:
         raise ValidationError(f"unknown binning {binning!r}")
     column = records.values(covariate)
@@ -316,6 +315,7 @@ def stratify(
     with rows on only one side is an error here (scans downgrade it to a
     per-candidate skip).
     """
+    _check_bins(bins)
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
     groups, code = _sides(records, group_col, outcome_col, None)
@@ -333,6 +333,11 @@ class ScanConfig:
     bins: int = 4
     min_stratum_size: int = 1
     allow_tied_strata: bool = False
+
+    def __post_init__(self):
+        if self.binning not in ("quantile", "equal_width"):
+            raise ValidationError(f"unknown binning {self.binning!r}")
+        _check_bins(self.bins)
 
 
 @dataclass(frozen=True)

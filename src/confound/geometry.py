@@ -18,6 +18,7 @@ always come from data coordinates, never canvas ones.
 from __future__ import annotations
 
 import html
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRange, ValidationError
@@ -128,7 +129,8 @@ FONT_SIZE = 12
 @dataclass(frozen=True)
 class RenderOptions:
     """Canvas size in pixels, each above ``2 * MARGIN`` so the plot area is
-    not empty, and whether stratum chords complete their parallelograms."""
+    not empty and at most the largest float so that it can be scaled, and
+    whether stratum chords complete their parallelograms."""
 
     width: int = 640
     height: int = 480
@@ -140,6 +142,11 @@ class RenderOptions:
             if not isinstance(v, int) or isinstance(v, bool) or v <= 2 * MARGIN:
                 raise ValidationError(
                     f"{name} must be an integer above {2 * MARGIN}, got {v!r}"
+                )
+            if v > sys.float_info.max:  # repr(v) may pass the int-string limit
+                raise ValidationError(
+                    f"{name} must be at most the largest float, got a "
+                    f"{v.bit_length()}-bit integer"
                 )
 
 

@@ -6,9 +6,10 @@ every stratum. Pooling both groups against one common weight vector removes
 the artifact: if every stratum strictly favors the same group, any strictly
 positive common weighting preserves that direction.
 
-Standardized rates are real-valued (weights are reals), so the direction of
-a standardized comparison uses a fixed tie tolerance instead of exact
-arithmetic.
+Standardized rates are reported as floats, but the direction of a
+standardized comparison is exact: the float rates decide it only where
+their proven error bound cannot change the order, and exact integer
+arithmetic decides the rest.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import ValidationError, WeightMismatch
-from .tables import Direction, Side, StratifiedComparison
+from .tables import Direction, Side, StratifiedComparison, cross_direction
 
 Reference = Literal["combined", "first", "second", "equal"]
 
-TIE_TOLERANCE = 1e-12
 _WEIGHT_SUM_TOLERANCE = 1e-12
 
 
@@ -61,16 +61,20 @@ def reference_weights(
     stratum shares.
     ``equal`` — 1/K per stratum.
     """
-    if reference == "equal":
-        sizes = [1] * len(sc.strata)
-    elif reference == "combined":
-        sizes = [s.first.total + s.second.total for s in sc.strata]
-    elif reference in ("first", "second"):
-        sizes = [c.total for c in sc.counts(reference)]
-    else:
-        raise ValidationError(f"unknown reference {reference!r}")
+    sizes = _sizes(sc, reference)
     grand = sum(sizes)
     return WeightVector(tuple((s.label, n / grand) for s, n in zip(sc.strata, sizes)))
+
+
+def _sizes(sc: StratifiedComparison, reference: Reference) -> list[int]:
+    """Each stratum's integer size under a reference; its weight is its share."""
+    if reference == "equal":
+        return [1] * len(sc.strata)
+    if reference == "combined":
+        return [s.first.total + s.second.total for s in sc.strata]
+    if reference in ("first", "second"):
+        return [c.total for c in sc.counts(reference)]
+    raise ValidationError(f"unknown reference {reference!r}")
 
 
 def standardized_rate(
@@ -97,22 +101,42 @@ class StandardizedComparison(NamedTuple):
 def standardized_comparison(
     sc: StratifiedComparison, reference: Reference = "combined"
 ) -> StandardizedComparison:
-    """Both groups' standardized rates under one reference, plus direction.
-
-    Ties are declared within ``TIE_TOLERANCE`` (1e-12); everything else is
-    a strict real comparison.
-    """
-    return _comparison(sc, reference_weights(sc, reference))
+    """Both groups' standardized rates under one reference, plus the exact
+    direction of their difference."""
+    return _weights_and_comparison(sc, reference)[1]
 
 
-def _comparison(sc: StratifiedComparison, w: WeightVector) -> StandardizedComparison:
-    """:func:`standardized_comparison` under the weights ``w`` of a reference."""
+def _weights_and_comparison(
+    sc: StratifiedComparison, reference: Reference
+) -> tuple[WeightVector, StandardizedComparison]:
+    """A reference's weights and the comparison under them, weighed once."""
+    w = reference_weights(sc, reference)
     first = standardized_rate(sc, "first", w)
     second = standardized_rate(sc, "second", w)
-    if abs(first - second) <= TIE_TOLERANCE:
-        direction = Direction.TIE
-    elif first > second:
-        direction = Direction.FIRST_HIGHER
+    # Each rate sums fl(fl(k_i/K) * fl(p_i/t_i)) left to right over n strata
+    # (int / int rounds correctly): n + 2 roundings of relative size u =
+    # 2**-53 reach each term, and a quotient or product that goes subnormal
+    # adds at most 2**-1075, so under 2**-1072 per term. Hence, as (n + 2) u
+    # < 1/4, a rate is off its exact value by at most 2 (n + 2) u rate +
+    # 1.5 n 2**-1072. The bound doubles the first part and rounds the second
+    # up to 2 n 2**-1072 per rate, which covers the rounding of its own
+    # arithmetic and of the gap: past it, the float order is the exact order.
+    n = len(w.weights)
+    if abs(first - second) > (n + 2) * 2.0**-51 * (first + second) + n * 2.0**-1070:
+        direction = cross_direction(first, second)
     else:
-        direction = Direction.SECOND_HIGHER
-    return StandardizedComparison(first, second, direction)
+        direction = cross_direction(_exact_gap(sc, _sizes(sc, reference)), 0)
+    return w, StandardizedComparison(first, second, direction)
+
+
+def _exact_gap(sc: StratifiedComparison, sizes: list[int]) -> int:
+    """The sign of sum(k_i * (p1_i/t1_i - p2_i/t2_i)) as an integer: the
+    sum's numerator over positive denominators, added pairwise."""
+    terms = [
+        (k * (a.positive * b.total - b.positive * a.total), a.total * b.total)
+        for k, a, b in zip(sizes, sc.counts("first"), sc.counts("second"))
+    ]
+    while len(terms) > 1:  # a (0, 1) pads an odd count
+        pairs = zip(terms[::2], [*terms[1::2], (0, 1)])
+        terms = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in pairs]
+    return terms[0][0]

@@ -207,9 +207,10 @@ def aggregate(cells: Iterable[Counts]) -> Counts:
     return Counts(sum(c.total for c in cells), sum(c.positive for c in cells))
 
 
-def cross_direction(lhs: int, rhs: int) -> Direction:
-    """Order two rates from their cross-products: ``lhs`` is the first
-    rate's numerator times the second's denominator, ``rhs`` the reverse."""
+def cross_direction(lhs: float, rhs: float) -> Direction:
+    """Order two exact quantities, such as two rates' cross-products: ``lhs``
+    the first rate's numerator times the second's denominator, ``rhs`` the
+    reverse."""
     if lhs > rhs:
         return Direction.FIRST_HIGHER
     if lhs < rhs:

@@ -19,7 +19,6 @@ from confound.detector import Classification, detect_reversal
 from confound.ecological import decompose, sign_divergence_report
 from confound.geometry import to_vectors
 from confound.standardize import (
-    TIE_TOLERANCE,
     WeightVector,
     standardized_comparison,
     standardized_rate,
@@ -125,10 +124,11 @@ def test_criterion_04_common_weight_dominance():
             )
             first = standardized_rate(sc, "first", w)
             second = standardized_rate(sc, "second", w)
-            if not second - first > TIE_TOLERANCE:
+            if not second - first > 1e-12:
                 violations += 1
-            if standardized_comparison(sc, "combined").direction is not S:
-                violations += 1
+            for reference in ("combined", "first", "second", "equal"):
+                if standardized_comparison(sc, reference).direction is not S:
+                    violations += 1
         assert violations == 0
 
 

@@ -579,6 +579,43 @@ class TestRun:
             "error:invalid-value: columns declared both numeric and boolean: ['died']\n"
         )
 
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    @pytest.mark.parametrize("records", ["r.csv", "missing.csv"])
+    def test_scan_checks_the_bin_count_once(self, tmp_path, capsys, records, bins):
+        # one error before the records are read, not one skip per candidate
+        (tmp_path / "r.csv").write_text("g,out,x,y,c\na,1,1,2,u\nb,0,2,1,u\n")
+        argv = ["scan", str(tmp_path / records), "--group-col", "g",
+                "--outcome-col", "out", "--candidates", "x,y,c", "--numeric", "x,y",
+                "--bins", bins]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error:invalid-value: bin count must be >= 2, got {bins}\n"
+        )
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    @pytest.mark.parametrize("command", ["analyze", "standardize"])
+    def test_near_tie_has_a_direction(self, tmp_path, capsys, command, reference):
+        # B leads by one count in 1e13 in every stratum; the float rates
+        # differ by 1e-13
+        p = tmp_path / "near.csv"
+        p.write_text(
+            HEADER + "s1,A,10000000000000,5000000000000\n"
+            "s1,B,10000000000000,5000000000001\n"
+            "s2,A,10000000000000,2000000000000\n"
+            "s2,B,10000000000000,2000000000001\n"
+        )
+        option = "--standardize" if command == "analyze" else "--reference"
+        argv = [command, str(p), option, reference]
+        assert run(argv) == 0
+        assert (
+            f"standardized (reference={reference}): A 35.000%  B 35.000%  -> B higher\n"
+            in capsys.readouterr().out
+        )
+        assert run([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)["standardized"]
+        assert doc["direction"] == "SECOND_HIGHER"
+        assert (doc["rate_first"], doc["rate_second"]) == (0.35, 0.3500000000001)
+
     @pytest.mark.parametrize("scale", [int(sys.float_info.max), 10**400])
     def test_generate_rejects_a_scale_past_the_float_range(self, capsys, scale):
         for seed in range(6):
@@ -689,7 +726,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "size", [["--width", "-640"], ["--width", "0"], ["--width", "96"],
-                 ["--height", "50"]]
+                 ["--height", "50"], ["--width", "1" + "0" * 400]]
     )
     def test_plot_rejects_sizes_without_a_plot_area(
         self, hospital_path, tmp_path, capsys, size
@@ -698,6 +735,12 @@ class TestRun:
         assert run(["plot", hospital_path, "--out", str(out), *size]) == 2
         assert capsys.readouterr().err.startswith("error:invalid-value:")
         assert not out.exists()
+
+    def test_plot_at_the_largest_float_size(self, hospital_path, tmp_path, capsys):
+        out = tmp_path / "p.svg"
+        width = str(int(sys.float_info.max))
+        assert run(["plot", hospital_path, "--out", str(out), "--width", width]) == 0
+        assert f'width="{width}"' in out.read_text()
 
     def test_plot_writes_deterministic_svg(self, hospital_path, tmp_path, capsys):
         out1 = tmp_path / "a.svg"

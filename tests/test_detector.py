@@ -373,6 +373,14 @@ class TestStratify:
             stratify(records, "g", "out", "x", binning=binning)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("covariate", ["x", "cov"])
+    def test_bin_count_below_two(self, covariate):
+        records = records_from_columns(
+            g=["a", "b"], out=[True, False], x=[1.0, 2.0], cov=["u", "u"]
+        )
+        with pytest.raises(ValidationError, match=r"^bin count must be >= 2, got 1$"):
+            stratify(records, "g", "out", covariate, bins=1)
+
     def test_unknown_covariate_wins_over_group_kind(self):
         with pytest.raises(UnknownColumn, match="ghost"):
             stratify(numeric_group_records(), "g", "out", "ghost")
@@ -429,6 +437,19 @@ class TestBinNumeric:
     def test_rejected_inputs(self, values, strategy, error, message):
         with pytest.raises(error) as err:
             bin_numeric(values, strategy, 2)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"bins": 1}, "bin count must be >= 2, got 1"),
+            ({"bins": -3}, "bin count must be >= 2, got -3"),
+            ({"binning": "kmeans"}, "unknown binning 'kmeans'"),
+        ],
+    )
+    def test_scan_config_checks_its_binning_once(self, options, message):
+        with pytest.raises(ValidationError) as err:
+            ScanConfig(**options)
         assert str(err.value) == message
 
     def test_scan_skips_an_overflowing_binning(self):

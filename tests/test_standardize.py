@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from confound import standardize
 from confound.errors import EmptyStratumSide, ValidationError, WeightMismatch
 from confound.standardize import (
     WeightVector,
@@ -22,6 +27,8 @@ from support import BERKELEY, HOSPITAL, comparisons, dominating_comparison
 # under combined weights (933, 585, 918, 792, 584, 714 over 4526)
 BERKELEY_STD_FIRST = 0.387318582689422
 BERKELEY_STD_SECOND = 0.429955380460725
+
+REFERENCES = ("combined", "first", "second", "equal")
 
 
 class TestWeightVector:
@@ -177,3 +184,172 @@ class TestProperties:
             sc = dominating_comparison(rng)
             comp = standardized_comparison(sc, "combined")
             assert comp.direction is Direction.SECOND_HIGHER
+
+
+def _table(cells) -> StratifiedComparison:
+    """A table from ``(t1, p1, t2, p2)`` rows."""
+    return StratifiedComparison.from_pairs(
+        "g1", "g2",
+        [(f"s{i}", (t1, p1), (t2, p2)) for i, (t1, p1, t2, p2) in enumerate(cells)],
+    )
+
+
+def fraction_gap(sc: StratifiedComparison, reference: str) -> Fraction:
+    """The exact first-minus-second standardized rate, from Fractions alone."""
+    pairs = list(zip(sc.counts("first"), sc.counts("second")))
+    sizes = [
+        {"combined": a.total + b.total, "first": a.total, "second": b.total,
+         "equal": 1}[reference]
+        for a, b in pairs
+    ]
+    grand = sum(sizes)
+    return sum(
+        Fraction(k, grand)
+        * (Fraction(a.positive, a.total) - Fraction(b.positive, b.total))
+        for k, (a, b) in zip(sizes, pairs)
+    )
+
+
+def direction_of(gap: Fraction) -> Direction:
+    if gap > 0:
+        return Direction.FIRST_HIGHER
+    return Direction.SECOND_HIGHER if gap < 0 else Direction.TIE
+
+
+def _cell(rng: random.Random, digits: int) -> tuple[int, int, int, int]:
+    t1, t2 = rng.randrange(1, 10**digits), rng.randrange(1, 10**digits)
+    return t1, rng.randint(0, t1), t2, rng.randint(0, t2)
+
+
+def _nudged(rng: random.Random, t: int, p: int) -> int:
+    return min(t, max(0, p + rng.choice((-1, 0, 1))))
+
+
+def mirrored_table(rng: random.Random) -> list:
+    """Each stratum and its mirror: an exact tie under ``combined`` and
+    ``equal``, and under every reference when the two totals are equal."""
+    digits = rng.choice((1, 3, 17, 40))
+    cells = [_cell(rng, digits) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        cells = [(t1, p1, t1, min(p2, t1)) for t1, p1, _, p2 in cells]
+    return cells + [(t2, p2, t1, p1) for t1, p1, t2, p2 in cells]
+
+
+def near_tie_table(rng: random.Random) -> list:
+    """Stratum rates at most one count apart over totals of 1e12 or more,
+    so that 0 < |D| < 1e-12 or D == 0."""
+    cells = []
+    for _ in range(rng.randint(1, 5)):
+        t = rng.randrange(10**12, 10**16)
+        p = rng.randint(0, t)
+        scale = rng.choice((1, 1, 2, 3))
+        cells.append((t, p, scale * t, _nudged(rng, scale * t, scale * p)))
+    return cells
+
+
+def huge_table(rng: random.Random) -> list:
+    """4,000-digit counts, near ties among them, and sometimes a small
+    stratum whose weight underflows to zero, or to a subnormal."""
+    cells = []
+    for _ in range(rng.randint(1, 3)):
+        t = rng.randrange(10**3999, 10**4000)
+        p = rng.randint(0, t)
+        cells.append((t, p, t, _nudged(rng, t, p)) if rng.random() < 0.7
+                     else (t, p, t, rng.randint(0, t)))
+    if rng.random() < 0.5:
+        t = rng.choice((rng.randint(1, 9), 10**3690 + rng.randrange(10**3689)))
+        cells.append((t, rng.randint(0, t), t, rng.randint(0, t)))
+    rng.shuffle(cells)
+    return cells
+
+
+class TestExactDirection:
+    """The standardized direction agrees with Fraction arithmetic, decided
+    from the floats past their error bound and exactly inside it."""
+
+    def test_agrees_with_fractions(self):
+        rng = random.Random(2024)
+        mismatches, ties, near, huge = [], 0, 0, 0
+        families = ((mirrored_table, 250), (near_tie_table, 250), (huge_table, 100))
+        for family, count in families:
+            for _ in range(count):
+                cells = family(rng)
+                sc = _table(cells)
+                huge += max(t1 for t1, *_ in cells) >= 10**3999
+                for reference in REFERENCES:
+                    gap = fraction_gap(sc, reference)
+                    ties += gap == 0
+                    near += 0 < abs(gap) < Fraction(1, 10**12)
+                    got = standardized_comparison(sc, reference).direction
+                    if got is not direction_of(gap):
+                        mismatches.append((cells, reference))
+        assert mismatches == []
+        assert ties >= 500 and near >= 500 and huge == 100
+
+    def test_float_gap_on_both_sides_of_the_bound(self, monkeypatch):
+        # one stratum's second rate climbs by 2e-17 per step, so the float
+        # gap passes through the bound in steps much finer than the bound
+        calls = []
+        exact_gap = standardize._exact_gap
+        monkeypatch.setattr(
+            standardize, "_exact_gap",
+            lambda sc, sizes: calls.append(sc) or exact_gap(sc, sizes),
+        )
+        t, p = 10**17, 3 * 10**16
+        inside, past = [], []
+        for d in range(0, 400, 2):
+            sc = _table([(t, p, t, p + d), (t, 2 * p, t, 2 * p)])
+            calls.clear()
+            comp = standardized_comparison(sc, "combined")
+            assert comp.direction is direction_of(fraction_gap(sc, "combined"))
+            (inside if calls else past).append(abs(comp.rate_first - comp.rate_second))
+        assert inside and past
+        assert max(inside) < min(past) <= 1.1 * max(inside)
+
+    def test_sizes_not_rounded_weights(self):
+        # an exact tie that the rounded weights fl(0.4) and fl(0.6) turn into
+        # the float rates 0.19999999999999998 and 0.2
+        sc = _table([(2, 0, 2, 1), (3, 1, 3, 0)])
+        comp = standardized_comparison(sc, "combined")
+        assert fraction_gap(sc, "combined") == 0
+        assert comp.rate_first < comp.rate_second
+        assert comp.direction is Direction.TIE
+
+
+@pytest.fixture(scope="module")
+def wide_cells():
+    """The benchmark's 4,000-stratum ``wide_table`` table for seed 1."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import reversal_cells
+    finally:
+        sys.path.remove(bench)
+    return reversal_cells(1)
+
+
+class TestExactSumOnlyInsideTheBound:
+    def test_wide_table_decides_from_the_floats(self, wide_cells, monkeypatch):
+        def refuse(sc, sizes):
+            raise AssertionError("exact sum outside the bound")
+
+        monkeypatch.setattr(standardize, "_exact_gap", refuse)
+        sc = _table(wide_cells)
+        for reference in REFERENCES:
+            direction = standardized_comparison(sc, reference).direction
+            assert direction is direction_of(fraction_gap(sc, reference)), reference
+
+    def test_mirrored_wide_table_ties_exactly(self, wide_cells, monkeypatch):
+        calls = []
+        exact_gap = standardize._exact_gap
+        monkeypatch.setattr(
+            standardize, "_exact_gap",
+            lambda sc, sizes: calls.append(sc) or exact_gap(sc, sizes),
+        )
+        sc = _table(wide_cells + [(t2, p2, t1, p1) for t1, p1, t2, p2 in wide_cells])
+        assert len(sc.strata) == 8_000
+        for reference in ("combined", "equal"):
+            start = perf_counter()
+            assert standardized_comparison(sc, reference).direction is Direction.TIE
+            assert perf_counter() - start < 1.0
+        assert len(calls) == 2
