@@ -43,7 +43,7 @@ from .errors import (
     UnknownColumn,
     ValidationError,
 )
-from .tables import Counts, StratifiedComparison, Stratum, aggregate, percent
+from .tables import Counts, StratifiedComparison, Stratum, aggregate, escaped, percent
 
 # the analysis modules are imported where a subcommand first needs them, so a
 # process loads only what its subcommand runs
@@ -446,15 +446,6 @@ def build_generate_report(sc: StratifiedComparison, k: int, scale: int, seed: in
 # Text rendering
 
 
-# C0 and C1 control characters and DEL, written as \xNN in text reports so a
-# label cannot move the cursor or set colours on a terminal
-_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
-
-
-def _safe(label: str) -> str:
-    return label.translate(_CONTROL_ESCAPES)
-
-
 def _color_enabled() -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
@@ -487,7 +478,7 @@ def _pct(v: float) -> str:
 
 def _groups_text(doc: dict) -> tuple[str, str, str]:
     """The two group labels as printed, and the "groups:" line naming them."""
-    g1, g2 = _safe(doc["groups"]["first"]), _safe(doc["groups"]["second"])
+    g1, g2 = escaped(doc["groups"]["first"]), escaped(doc["groups"]["second"])
     return g1, g2, f"groups: first={g1}  second={g2}"
 
 
@@ -504,7 +495,7 @@ def render_analyze_text(doc: dict, color: bool = False) -> str:
     for r in [*rates["strata"], {"stratum": "aggregate", **rates["aggregate"]}]:
         rows.append(
             (
-                _safe(r["stratum"]),
+                escaped(r["stratum"]),
                 _cell_text(r["first"]),
                 _cell_text(r["second"]),
                 _dir_text(r["direction"], g1, g2),
@@ -542,7 +533,7 @@ def render_standardize_text(doc: dict, color: bool = False) -> str:
         f"pooled: {g1} {_cell_text(pooled['first'])}  "
         f"{g2} {_cell_text(pooled['second'])}",
         _standardized_text(s, g1, g2),
-        "weights: " + "  ".join(f"{_safe(label)}={w:.6f}" for label, w in s["weights"]),
+        "weights: " + "  ".join(f"{escaped(label)}={w:.6f}" for label, w in s["weights"]),
     ]
     return "\n".join(lines) + "\n"
 
@@ -557,7 +548,7 @@ def render_scan_text(doc: dict, color: bool = False) -> str:
         for f in doc["findings"]:
             rows.append(
                 (
-                    _safe(f["covariate"]),
+                    escaped(f["covariate"]),
                     f["report"]["classification"],
                     str(len(f["stratum_sizes"])),
                     ",".join(str(n) for n in f["stratum_sizes"]),
@@ -568,7 +559,7 @@ def render_scan_text(doc: dict, color: bool = False) -> str:
         lines.extend(_columns(rows))
     for s in doc["skipped"]:
         lines.append(
-            f"skipped: {_safe(s['covariate'])} ({s['reason']}): {_safe(s['detail'])}"
+            f"skipped: {escaped(s['covariate'])} ({s['reason']}): {escaped(s['detail'])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -587,7 +578,7 @@ def render_decompose_text(doc: dict, color: bool = False) -> str:
     rows = [("group", "n", "mean_x", "mean_y")]
     for g in doc["groups"]:
         rows.append(
-            (_safe(g["label"]), str(g["n"]), f"{g['mean_x']:.6f}", f"{g['mean_y']:.6f}")
+            (escaped(g["label"]), str(g["n"]), f"{g['mean_x']:.6f}", f"{g['mean_y']:.6f}")
         )
     lines.extend(_columns(rows))
     lines.append("")

@@ -9,9 +9,10 @@ other. Classification therefore runs on exact comparisons from
 
 The scan half of the module takes row-level records, stratifies them by
 each candidate covariate (categorical passthrough or numeric binning), and
-reports which candidates induce a reversal. Candidate failures become skip
-records instead of aborting the scan, and the result order is deterministic
-regardless of evaluation order.
+reports which candidates induce a reversal. Scan-wide faults (options,
+group and outcome columns) raise; candidate faults become skip records, and
+:func:`stratify` is one candidate that raises instead. The result order is
+deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -128,16 +129,11 @@ def bin_numeric(
     at least k distinct values; equal-width edges require a non-degenerate
     range.
     """
-    _check_bins(k)
+    ScanConfig(strategy, k)
     vals = list(map(float, values))
     if not all(map(math.isfinite, vals)):
         raise ValidationError("values must be finite")
     return _edges(Counter(vals), strategy, k, vals)
-
-
-def _check_bins(k: int) -> None:
-    if k < 2:
-        raise ValidationError(f"bin count must be >= 2, got {k}")
 
 
 def _edges(
@@ -154,13 +150,11 @@ def _edges(
                 f"values, got {distinct}"
             )
         edges = _quantiles(counts, k, values)
-    elif strategy == "equal_width":
+    else:
         lo, hi = float(min(counts)), float(max(counts))
         if lo == hi:
             raise TooFewDistinctValues("all values are identical")
         edges = [lo + (hi - lo) * j / k for j in range(1, k)]
-    else:
-        raise ValidationError(f"unknown binning strategy {strategy!r}")
     if not all(map(math.isfinite, edges)):
         raise NumericOverflow(f"{strategy} bin edges overflow the float range: {edges}")
     return edges
@@ -216,70 +210,48 @@ def _binned(
 
 
 def _sides(
-    records: RecordTable, group_col: str, outcome_col: str, groups: list | None
+    records: RecordTable, group_col: str, outcome_col: str
 ) -> tuple[list, list[int]]:
-    """The two sorted group labels, and each row's side code
-    ``2 * group index + outcome``. ``groups=None`` finds the labels here,
-    after the column checks."""
+    """The two sorted group labels, and each row's side code ``2 * group
+    index + outcome``: the one check of the group and outcome columns."""
     if records.kind(group_col) != "categorical":
         raise ValidationError(f"group column {group_col!r} must be categorical")
     if records.kind(outcome_col) != "boolean":
         raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
-    if groups is None:
-        groups = _two_groups(records, group_col)
-    side = {groups[0]: 0, groups[1]: 2}.__getitem__
-    group, outcome = records.values(group_col), records.values(outcome_col)
-    return groups, list(map(add, map(side, group), outcome))
-
-
-def _two_groups(records: RecordTable, group_col: str) -> list:
     groups = sorted(set(records.values(group_col)))
     if len(groups) != 2:
         raise NotTwoGroups(
             f"group column {group_col!r} must take exactly two values, "
             f"found {len(groups)}: {groups}"
         )
-    return groups
+    side = {groups[0]: 0, groups[1]: 2}.__getitem__
+    group, outcome = records.values(group_col), records.values(outcome_col)
+    return groups, list(map(add, map(side, group), outcome))
 
 
 def _stratified(
-    records: RecordTable,
-    covariate: str,
-    code: list[int],
-    binning: str | None,
-    bins: int,
-    min_stratum_size: int = 1,
+    records: RecordTable, covariate: str, code: list[int], config: ScanConfig
 ) -> tuple[list[tuple[str, tuple[int, int], tuple[int, int]]], str]:
     """Stratify records by one covariate into ``(label, (total, positive),
     (total, positive))`` rows for :meth:`StratifiedComparison.from_pairs`,
-    plus a binning description.
+    plus a binning description. The covariate's kind alone picks the strata:
+    categorical labels pass through, numeric values are binned by ``config``.
 
     ``code`` is each row's side code from :func:`_sides`. Strata with no
     rows at all are never formed (numeric bins can be empty); strata smaller
-    than ``min_stratum_size`` are dropped. A stratum may still be empty on
-    one side, which building the comparison rejects.
+    than ``config.min_stratum_size`` are dropped. A stratum may still be
+    empty on one side, which building the comparison rejects.
     """
     kind = records.kind(covariate)
-    if binning is None:
-        binning = "categorical" if kind == "categorical" else "quantile"
-    if binning == "categorical":
-        if kind != "categorical":
-            raise ValidationError(
-                f"covariate {covariate!r} is {kind}; pick a numeric binning"
-            )
-    elif binning in ("quantile", "equal_width"):
-        if kind != "numeric":
-            raise ValidationError(
-                f"covariate {covariate!r} is {kind}; numeric binning needs a "
-                "numeric column"
-            )
-    else:
-        raise ValidationError(f"unknown binning {binning!r}")
+    if kind == "boolean":
+        raise ValidationError(
+            f"covariate {covariate!r} is boolean; numeric binning needs a numeric column"
+        )
     column = records.values(covariate)
     tally = Counter(zip(column, code))
     labels, description = None, "categorical"
-    if binning != "categorical":
-        tally, labels, description = _binned(tally, column, binning, bins)
+    if kind == "numeric":
+        tally, labels, description = _binned(tally, column, config.binning, config.bins)
 
     def counts(key, side: int) -> tuple[int, int]:
         positive = tally[key, side + 1]
@@ -289,11 +261,10 @@ def _stratified(
         (key if labels is None else labels[key], counts(key, 0), counts(key, 2))
         for key in sorted({key for key, _ in tally})
     ]
-    kept = [(label, a, b) for label, a, b in rows if a[0] + b[0] >= min_stratum_size]
+    size = config.min_stratum_size
+    kept = [(label, a, b) for label, a, b in rows if a[0] + b[0] >= size]
     if not kept:
-        raise AllStrataFiltered(
-            f"every stratum of {covariate!r} is smaller than {min_stratum_size}"
-        )
+        raise AllStrataFiltered(f"every stratum of {covariate!r} is smaller than {size}")
     return kept, description
 
 
@@ -303,23 +274,18 @@ def stratify(
     outcome_col: str,
     covariate: str,
     *,
-    binning: str | None = None,
+    binning: BinStrategy = "quantile",
     bins: int = 4,
 ) -> StratifiedComparison:
-    """Build a StratifiedComparison from records, stratified by a covariate.
-
-    ``binning=None`` picks categorical passthrough for categorical
-    covariates and quantile binning (default k=4) for numeric ones.
-    Categorical strata are ordered lexicographically, numeric strata in bin
-    order; the two group labels are ordered lexicographically. A stratum
-    with rows on only one side is an error here (scans downgrade it to a
-    per-candidate skip).
-    """
-    _check_bins(bins)
+    """Build a StratifiedComparison from records, stratified by a covariate:
+    one candidate of :func:`scan` under ``ScanConfig(binning, bins)``, raising
+    where the scan would skip. Categorical strata are ordered lexicographically,
+    numeric strata in bin order, and the two group labels lexicographically."""
+    config = ScanConfig(binning, bins)
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
-    groups, code = _sides(records, group_col, outcome_col, None)
-    rows = _stratified(records, covariate, code, binning, bins)[0]
+    groups, code = _sides(records, group_col, outcome_col)
+    rows = _stratified(records, covariate, code, config)[0]
     return StratifiedComparison.from_pairs(*groups, rows)
 
 
@@ -337,7 +303,12 @@ class ScanConfig:
     def __post_init__(self):
         if self.binning not in ("quantile", "equal_width"):
             raise ValidationError(f"unknown binning {self.binning!r}")
-        _check_bins(self.bins)
+        for name in ("bins", "min_stratum_size"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
+        if self.bins < 2:
+            raise ValidationError(f"bin count must be >= 2, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -378,8 +349,9 @@ def scan(
     """Try every candidate covariate and rank what it does to the verdict.
 
     Strata smaller than ``config.min_stratum_size`` (row count over both
-    groups) are dropped before detection. Per-candidate failures become
-    :class:`SkippedCandidate` records; the scan itself never aborts on one.
+    groups) are dropped before detection. The candidates and the group and
+    outcome columns are checked once, before any candidate, and raise; a
+    candidate's own failure becomes a :class:`SkippedCandidate` record.
     Findings come first — FULL_REVERSAL, then MIXED, then CONSISTENT, ties
     broken by covariate name — followed by skips sorted by name, so any
     evaluation schedule yields the same list.
@@ -388,22 +360,14 @@ def scan(
         raise EmptyCandidates("no candidate covariates given")
     if len(set(candidates)) != len(candidates):
         raise ValidationError(f"duplicate candidates in {list(candidates)}")
-    # group/outcome problems are global: validate once, outside the loop; a
-    # group or outcome column of the wrong kind skips every known candidate
-    records.column_index(group_col)
-    records.column_index(outcome_col)
-    groups = _two_groups(records, group_col)
+    for name in (group_col, outcome_col):
+        records.column_index(name)
+    groups, code = _sides(records, group_col, outcome_col)
 
     results: list[ScanResult] = []
-    code = None  # found with the first known candidate
     for cand in candidates:
         try:
-            kind = records.kind(cand)
-            code = code or _sides(records, group_col, outcome_col, groups)[1]
-            binning = "categorical" if kind == "categorical" else config.binning
-            rows, description = _stratified(
-                records, cand, code, binning, config.bins, config.min_stratum_size
-            )
+            rows, description = _stratified(records, cand, code, config)
             sc = StratifiedComparison.from_pairs(*groups, rows)
             report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:

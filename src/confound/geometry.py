@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DegenerateRange, ValidationError
 from .tables import (
-    Counts, Direction, Rate, StratifiedComparison, aggregate, compare, percent, rate
+    Counts, Direction, Rate, StratifiedComparison, aggregate, compare, escaped,
+    percent, rate,
 )
 
 
@@ -219,7 +220,7 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
             )
             parts.append(
                 f'<text class="marker-label" x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
-                f'fill="{color}">{html.escape(label, quote=False)}</text>'
+                f'fill="{color}">{html.escape(escaped(label), quote=False)}</text>'
             )
 
     parts.append(

@@ -188,6 +188,18 @@ def percent(positive: int, total: int) -> str:
     return f"{tenths // 10}.{tenths % 10}%"
 
 
+# C0 and C1 control characters and DEL, written as \xNN, so a label cannot
+# move the cursor or set colours on a terminal; and U+FFFE and U+FFFF, which
+# XML 1.0 cannot carry, written as \ufffe and \uffff
+_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_ESCAPES.update({0xFFFE: "\\ufffe", 0xFFFF: "\\uffff"})
+
+
+def escaped(label: str) -> str:
+    """``label`` as text reports and SVG labels display it."""
+    return label.translate(_ESCAPES)
+
+
 def rate(c: Counts) -> Rate:
     """The event rate of one cell as an unreduced Rate."""
     if c.total == 0:

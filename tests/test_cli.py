@@ -467,11 +467,12 @@ class TestTextSafety:
 
     def test_decompose_labels(self, tmp_path, capsys):
         p = tmp_path / "records.csv"
-        p.write_text(f"r,x,y\n{RED}r1,1,2\n{RED}r1,2,1\nr2,3,5\nr2,5,3\n")
+        p.write_text(f"r,x,y\n{RED}r1,1,2\n{RED}r1,2,1\nr2\uffff,3,5\nr2\uffff,5,3\n", "utf-8")
         out = self._run(
             capsys, ["decompose", str(p), "--group-col", "r", "--x", "x", "--y", "y"]
         )
         assert "\\x1b[31mr1" in out
+        assert "r2\\uffff" in out and "\uffff" not in out
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from confound.detector import (
     stratify,
 )
 from confound.errors import (
+    ConfoundError,
     EmptyCandidates,
     EmptyStratumSide,
     NotTwoGroups,
@@ -361,7 +362,7 @@ class TestStratify:
     @pytest.mark.parametrize(
         "binning, message",
         [
-            ("categorical", "covariate 'x' is numeric; pick a numeric binning"),
+            ("categorical", "unknown binning 'categorical'"),
             ("kmeans", "unknown binning 'kmeans'"),
         ],
     )
@@ -425,8 +426,7 @@ class TestBinNumeric:
         [
             ([1.0, math.nan, 2.0], "quantile", ValidationError, "values must be finite"),
             ([1.0, -math.inf], "equal_width", ValidationError, "values must be finite"),
-            ([1.0, 2.0], "median", ValidationError,
-             "unknown binning strategy 'median'"),
+            ([1.0, 2.0], "median", ValidationError, "unknown binning 'median'"),
             # every value is finite, but an edge is not
             ([-1.7e308, 1.7e308], "equal_width", NumericOverflow,
              "equal_width bin edges overflow the float range: [inf]"),
@@ -445,6 +445,11 @@ class TestBinNumeric:
             ({"bins": 1}, "bin count must be >= 2, got 1"),
             ({"bins": -3}, "bin count must be >= 2, got -3"),
             ({"binning": "kmeans"}, "unknown binning 'kmeans'"),
+            ({"bins": 2.5}, "bins must be an integer, got 2.5"),
+            ({"bins": "3"}, "bins must be an integer, got '3'"),
+            ({"bins": True}, "bins must be an integer, got True"),
+            ({"min_stratum_size": 1.5}, "min_stratum_size must be an integer, got 1.5"),
+            ({"min_stratum_size": False}, "min_stratum_size must be an integer, got False"),
         ],
     )
     def test_scan_config_checks_its_binning_once(self, options, message):
@@ -505,20 +510,21 @@ def test_binning_matches_the_sort_based_binning():
         ]
         rows = [("ab"[i % 2], rng.random() < 0.5, v) for i, v in enumerate(column)]
         records = RecordTable(_cols("g:categorical", "out:boolean", "x:numeric"), rows)
-        sides = _sides(records, "g", "out", None)
+        sides = _sides(records, "g", "out")
         strategy, k = rng.choice(["quantile", "equal_width"]), rng.randrange(2, 7)
+        config = ScanConfig(strategy, k)
         expected = _sort_based_binning(column, sides[1], strategy, k)
         if expected is None:
             with pytest.raises(TooFewDistinctValues):
                 bin_numeric(column, strategy, k)
             with pytest.raises(TooFewDistinctValues):
-                _stratified(records, "x", sides[1], strategy, k)
+                _stratified(records, "x", sides[1], config)
             continue
         edges, description, strata = expected
         assert list(map(repr, bin_numeric(column, strategy, k))) == list(map(repr, edges)), case
         # the rows, not the comparison built from them: a stratum may be
         # empty on one side, which building the comparison rejects
-        got_strata, got_description = _stratified(records, "x", sides[1], strategy, k)
+        got_strata, got_description = _stratified(records, "x", sides[1], config)
         assert got_description == description, case
         assert got_strata == strata, case
         signed_zero_edges += "-0.0" in description
@@ -570,19 +576,18 @@ class TestScan:
         skip = [r for r in results if isinstance(r, SkippedCandidate)][0]
         assert skip.reason == "unknown-column"
 
-    def test_group_and_outcome_kinds_skip_every_candidate(self):
-        """A numeric group column or a non-boolean outcome column is not a
-        scan-level error: each candidate becomes an invalid-value skip, and
-        an unknown candidate still reports unknown-column."""
-        for records, detail in (
+    @pytest.mark.parametrize("candidates", [["cov", "ghost"], ["ghost"]])
+    def test_group_and_outcome_kinds_fail_the_scan(self, candidates):
+        """A numeric group column or a non-boolean outcome column fails the
+        scan before any candidate is tried, as a three-valued group column
+        does, even when every candidate is unknown."""
+        for records, message in (
             (numeric_group_records(), "group column 'g' must be categorical"),
             (text_outcome_records(), "outcome column 'out' must be boolean"),
         ):
-            results = scan(records, "g", "out", ["cov", "ghost"])
-            assert results == [
-                SkippedCandidate("cov", "invalid-value", detail),
-                SkippedCandidate("ghost", "unknown-column", "no column named 'ghost'"),
-            ]
+            with pytest.raises(ValidationError) as err:
+                scan(records, "g", "out", candidates)
+            assert str(err.value) == message
 
     def test_filtering_can_restore_detectability(self):
         # one tiny stratum with an empty side; min size 2 drops it
@@ -599,6 +604,45 @@ class TestScan:
         )
         assert isinstance(filtered[0], Finding)
         assert filtered[0].stratum_sizes == (4,)
+
+
+def test_stratify_is_one_scan_candidate():
+    """``stratify`` under ``ScanConfig(binning, bins)`` is that scan's
+    candidate: the same report and stratum sizes where the scan finds, and
+    an error with the skip's code and message where the scan skips."""
+    rng = random.Random(12)
+    candidates = ["site", "age", "died", "flat", "level", "ghost"]
+    seen = Counter()
+    for case in range(30):
+        n = rng.randrange(6, 50)
+        records = records_from_columns(
+            g=["a", "b", *(rng.choice("ab") for _ in range(n - 2))],
+            out=[rng.random() < 0.4 for _ in range(n)],
+            site=[rng.choice(["s1", "s2", "s3"]) for _ in range(n)],
+            age=[round(rng.uniform(0, 9), rng.choice([0, 1])) for _ in range(n)],
+            died=[rng.random() < 0.5 for _ in range(n)],
+            flat=[1.5] * n,
+            level=["only"] * n,
+        )
+        for binning in ("quantile", "equal_width"):
+            for bins in range(2, 7):
+                config = ScanConfig(binning, bins)
+                for result in scan(records, "g", "out", candidates, config):
+                    try:
+                        sc = stratify(
+                            records, "g", "out", result.covariate, binning=binning, bins=bins
+                        )
+                    except ConfoundError as exc:
+                        got = SkippedCandidate(result.covariate, exc.code, str(exc))
+                    else:
+                        sizes = tuple(s.first.total + s.second.total for s in sc.strata)
+                        got = Finding(result.covariate, result.binning, detect_reversal(sc), sizes)
+                    assert got == result, (case, binning, bins)
+                    seen[getattr(result, "reason", "finding")] += 1
+    assert seen.keys() == {
+        "finding", "unknown-column", "invalid-value", "too-few-distinct-values",
+        "empty-stratum-side",
+    }
 
 
 @settings(max_examples=30)

@@ -135,6 +135,15 @@ class TestRenderSvg:
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
         assert root.get("version") == "1.1"
 
+    @pytest.mark.parametrize(
+        "label, shown", [("A\x01x", "A\\x01x"), ("A\uffffx", "A\\uffffx")]
+    )
+    def test_labels_xml_cannot_carry_are_escaped(self, label, shown):
+        sc = StratifiedComparison.from_pairs(label, "B", [("s", (80, 40), (60, 20))])
+        root = ET.fromstring(render_svg(to_vectors(sc)))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert f"{shown} (80, 40) 50.0%" in texts
+
     def test_single_stratum_single_group(self):
         path = GroupPath("only", ((0, 0), (10, 4)))
         d = VectorDiagram(("s",), (path,))

@@ -144,10 +144,6 @@ def _cases() -> dict[str, tuple[list[str], str]]:
              "--numeric", "age", "--candidates", "severity,age,noise"]
     add_both("scan.records3.groups-ab", [*scan3, "--groups", "A,B"])
     add_both("scan.records3.groups-cb", [*scan3, "--groups", "C,B"])
-    # a numeric group column skips every candidate; the scan itself succeeds
-    add_both("scan.records.numeric-group",
-             ["scan", "{d}/records.csv", "--group-col", "shift", "--outcome-col", "died",
-              "--numeric", "shift", "--candidates", "severity,ghost"])
 
     errors = {
         "analyze.robinson": ["analyze", robinson],
@@ -171,6 +167,10 @@ def _cases() -> dict[str, tuple[list[str], str]]:
         "scan.records.duplicate-candidates": [*scan[:-1], "severity,severity"],
         "scan.records.unknown-group": [*scan[:3], "ward", *scan[4:]],
         "scan.records.text-outcome": [*scan[:5], "noise", *scan[6:]],
+        # a numeric group column fails the scan before any candidate is tried
+        "scan.records.numeric-group":
+            ["scan", "{d}/records.csv", "--group-col", "shift", "--outcome-col", "died",
+             "--numeric", "shift", "--candidates", "severity,ghost"],
         "decompose.robinson.categorical-x":
             ["decompose", robinson, "--group-col", "region", "--x", "region",
              "--y", "literate"],
