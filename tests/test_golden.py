@@ -167,10 +167,6 @@ def _cases() -> dict[str, tuple[list[str], str]]:
         "scan.records.duplicate-candidates": [*scan[:-1], "severity,severity"],
         "scan.records.unknown-group": [*scan[:3], "ward", *scan[4:]],
         "scan.records.text-outcome": [*scan[:5], "noise", *scan[6:]],
-        # a numeric group column fails the scan before any candidate is tried
-        "scan.records.numeric-group":
-            ["scan", "{d}/records.csv", "--group-col", "shift", "--outcome-col", "died",
-             "--numeric", "shift", "--candidates", "severity,ghost"],
         "decompose.robinson.categorical-x":
             ["decompose", robinson, "--group-col", "region", "--x", "region",
              "--y", "literate"],
@@ -178,6 +174,12 @@ def _cases() -> dict[str, tuple[list[str], str]]:
             ["decompose", "{d}/one_row.csv", "--group-col", "region", "--x", "x", "--y", "y"],
         "usage.no-subcommand": [],
     }
+    # a numeric group column fails the scan before any candidate is tried,
+    # in either output format
+    numeric_group = ["scan", "{d}/records.csv", "--group-col", "shift", "--outcome-col",
+                     "died", "--numeric", "shift", "--candidates", "severity,ghost"]
+    errors["scan.records.numeric-group.text"] = numeric_group
+    errors["scan.records.numeric-group.json"] = [*numeric_group, "--format", "json"]
     for name, argv in errors.items():
         add(name, argv, "err")
     return cases
