@@ -99,6 +99,17 @@ def _header(reader) -> list[str]:
     return header
 
 
+def _rows(reader, width: int, start: int = 0):
+    """``(physical line, row)`` for each non-blank row from reader row ``start``
+    on; a row not ``width`` fields wide is a RaggedRow, a csv fault a CsvError."""
+    with _csv_errors(reader):
+        for row in filter(None, islice(reader, start, None)):
+            line = reader.line_num
+            if len(row) != width:
+                raise RaggedRow(f"expected {width} fields, got {len(row)}", line)
+            yield line, row
+
+
 def parse_table_csv(text: str) -> StratifiedComparison:
     """Parse an aggregated table CSV into a StratifiedComparison.
 
@@ -118,26 +129,18 @@ def parse_table_csv(text: str) -> StratifiedComparison:
     # the same headroom under a lowered int-to-text limit (0 means none)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     max_digits = min(MAX_COUNT_DIGITS, limit - 300) if limit else MAX_COUNT_DIGITS
-    with _csv_errors(reader):
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 4:
-                raise RaggedRow(f"expected 4 fields, got {len(row)}", line)
-            stratum, group, total_s, positive_s = row
-            total = _parse_count(total_s, "total", line, max_digits)
-            positive = _parse_count(positive_s, "positive", line, max_digits)
-            try:
-                counts = Counts(total, positive)
-            except ValidationError as exc:  # positive above total
-                raise BadCount(str(exc), line) from None
-            key = (stratum, group)
-            if key in cells:
-                raise DuplicateCell(
-                    f"duplicate cell for stratum {stratum!r}, group {group!r}", line
-                )
-            cells[key] = counts
+    for line, (stratum, group, total_s, positive_s) in _rows(reader, 4):
+        total = _parse_count(total_s, "total", line, max_digits)
+        positive = _parse_count(positive_s, "positive", line, max_digits)
+        try:
+            counts = Counts(total, positive)
+        except ValidationError as exc:  # positive above total
+            raise BadCount(str(exc), line) from None
+        if (stratum, group) in cells:
+            raise DuplicateCell(
+                f"duplicate cell for stratum {stratum!r}, group {group!r}", line
+            )
+        cells[stratum, group] = counts
 
     if not cells:
         raise EmptyData("no data rows after the header")
@@ -252,22 +255,14 @@ def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
 
 
 def _raise_first_error(text: str, start: int, columns: Sequence[Column]) -> None:
-    """Re-read ``text`` row by row from reader row ``start`` and raise the
-    first bad row's error, with its physical line number: each cell is
-    typed alone by :func:`_typed_column`."""
-    reader = csv.reader(io.StringIO(text))
-    with _csv_errors(reader):
-        for row in islice(reader, start, None):
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(columns):
-                raise RaggedRow(f"expected {len(columns)} fields, got {len(row)}", line)
-            for col, cell in zip(columns, row):
-                fault = _typed_column(col.kind, (cell,), {})
-                if isinstance(fault, str):
-                    error = NonNumeric if col.kind == "numeric" else BadOutcomeValue
-                    raise error(f"column {col.name!r}: {cell!r} {fault}", line)
+    """Re-read ``text`` from reader row ``start``, typing each cell alone by
+    :func:`_typed_column`, and raise the first bad row's error."""
+    for line, row in _rows(csv.reader(io.StringIO(text)), len(columns), start):
+        for col, cell in zip(columns, row):
+            fault = _typed_column(col.kind, (cell,), {})
+            if isinstance(fault, str):
+                error = NonNumeric if col.kind == "numeric" else BadOutcomeValue
+                raise error(f"column {col.name!r}: {cell!r} {fault}", line)
 
 
 # ---------------------------------------------------------------------------

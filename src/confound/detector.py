@@ -130,7 +130,10 @@ def bin_numeric(
     range.
     """
     ScanConfig(strategy, k)
-    vals = list(map(float, values))
+    try:
+        vals = list(map(float, values))
+    except OverflowError:  # an int past the float range
+        vals = [math.inf]
     if not all(map(math.isfinite, vals)):
         raise ValidationError("values must be finite")
     return _edges(Counter(vals), strategy, k, vals)
@@ -143,17 +146,16 @@ def _edges(
     ``values`` (the rows, in order) is read only when zeros are among them.
     An edge past the float range is a :class:`NumericOverflow`."""
     if strategy == "quantile":
-        distinct = len(set(map(float, counts)))
-        if distinct < k:
+        if len(counts) < k:
             raise TooFewDistinctValues(
                 f"quantile binning into {k} bins needs at least {k} distinct "
-                f"values, got {distinct}"
+                f"values, got {len(counts)}"
             )
         edges = _quantiles(counts, k, values)
     else:
-        lo, hi = float(min(counts)), float(max(counts))
-        if lo == hi:
+        if len(counts) < 2:
             raise TooFewDistinctValues("all values are identical")
+        lo, hi = min(counts), max(counts)
         edges = [lo + (hi - lo) * j / k for j in range(1, k)]
     if not all(map(math.isfinite, edges)):
         raise NumericOverflow(f"{strategy} bin edges overflow the float range: {edges}")
@@ -168,13 +170,13 @@ def _quantiles(counts: dict[float, int], k: int, values: Iterable[float]) -> lis
     ends = list(accumulate(map(counts.__getitem__, distinct)))  # rows up to each value
     # sorted() keeps equal values in row order, and -0.0 == 0.0, so the
     # zeros' signs in the sorted rows are those of the zero rows in order
-    zeros = [float(v) for v in values if v == 0] if 0 in counts else []
+    zeros = [v for v in values if v == 0] if 0 in counts else []
 
-    def nth(j: int) -> float:  # sorted(values)[j], as a float
+    def nth(j: int) -> float:  # sorted(values)[j]
         i = bisect_right(ends, j)
         if distinct[i] == 0:
             return zeros[j - (ends[i - 1] if i else 0)]
-        return float(distinct[i])
+        return distinct[i]
 
     m = ends[-1] - 1
     edges = []

@@ -23,7 +23,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import (
-    InsufficientData, NonNumeric, NumericOverflow, UndefinedCorrelation
+    InsufficientData, NonNumeric, NumericOverflow, UndefinedCorrelation, ValidationError
 )
 
 if TYPE_CHECKING:
@@ -76,9 +76,10 @@ def _grouped(
     for col in (x_col, y_col):
         if records.kind(col) != "numeric":
             raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
-    xs, ys = (map(float, records.values(col)) for col in (x_col, y_col))
+    if records.kind(group_col) != "categorical":
+        raise ValidationError(f"group column {group_col!r} must be categorical")
     buckets: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for group, x, y in zip(map(str, records.values(group_col)), xs, ys):
+    for group, x, y in zip(*map(records.values, (group_col, x_col, y_col))):
         gx, gy = buckets[group]
         gx.append(x)
         gy.append(y)

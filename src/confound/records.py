@@ -30,10 +30,10 @@ class Column:
 class RecordTable:
     """Row-level data with a declared column schema, stored column by column.
 
-    Categorical cells are text, numeric cells are finite reals, boolean
-    cells are bools (outcome columns). ``RecordTable(columns, rows)`` raises
-    the error of the first bad cell in row order; ``rows`` is derived from
-    the columns.
+    Categorical cells are text, numeric cells are finite floats (an int
+    cell is stored as its float), boolean cells are bools (outcome
+    columns). ``RecordTable(columns, rows)`` raises the error of the first
+    bad cell in row order; ``rows`` is derived from the columns.
     """
 
     columns: tuple[Column, ...]
@@ -51,7 +51,9 @@ class RecordTable:
                 raise ValidationError(f"unknown column kind {c.kind!r}")
         for i, row in enumerate(rows):
             _check_row(columns, i, row)
-        self._fill(columns, list(zip(*rows)) or [()] * len(columns), len(rows))
+        data = list(zip(*rows)) or [()] * len(columns)
+        data = [map(float, d) if c.kind == "numeric" else d for c, d in zip(columns, data)]
+        self._fill(columns, data, len(rows))
 
     @classmethod
     def _of_columns(cls, columns, data, n_rows: int) -> RecordTable:
@@ -107,5 +109,9 @@ def _check_row(columns: tuple[Column, ...], i: int, row: tuple) -> None:
                 raise ValidationError(
                     f"row {i}, column {c.name!r}: expected a number, got {v!r}"
                 )
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
                 raise ValidationError(f"row {i}, column {c.name!r}: non-finite value")

@@ -158,21 +158,15 @@ def brute_force_classify(sc: StratifiedComparison) -> ReversalReport:
     return ReversalReport(tuple(directions), agg, verdict, majority)
 
 
-def _reverses(a, b, c, d, A, B, C, D) -> bool:
-    s1 = b * A - B * a
-    s2 = d * C - D * c
-    ag = (b + d) * (A + C) - (B + D) * (a + c)
-    return (s1 > 0 and s2 > 0 and ag < 0) or (s1 < 0 and s2 < 0 and ag > 0)
-
-
 def minimal_reversal(max_total: int) -> StratifiedComparison:
     """Canonical smallest two-stratum full reversal within a subject bound.
 
     Enumerates exhaustively by ascending total subject count, and within
     one count in lexicographic order of (a, b, c, d, A, B, C, D), so the
-    first reversal found is the witness; pure integer arithmetic, so it is
-    stable across runs and platforms. Raises :class:`NotFound` when
-    nothing reverses within the bound.
+    first reversal found is the witness. The detector's integer
+    cross-products judge each table, so the result is stable across runs
+    and platforms. Raises :class:`NotFound` when nothing reverses within
+    the bound.
     """
     if max_total < 2:
         raise ValidationError(f"max_total must be >= 2, got {max_total}")
@@ -185,7 +179,8 @@ def minimal_reversal(max_total: int) -> StratifiedComparison:
             for D in range(n - a - c - A + 1)
         )
         for a, b, c, d, A, B, C, D in tables:
-            if _reverses(a, b, c, d, A, B, C, D):
+            report = _report(("s1", "s2"), [(a, b, A, B), (c, d, C, D)], False)
+            if report.classification is Classification.FULL_REVERSAL:
                 return StratifiedComparison.from_pairs(
                     "g1", "g2", [("s1", (a, b), (A, B)), ("s2", (c, d), (C, D))]
                 )

@@ -24,6 +24,7 @@ from confound.detector import (
     scan,
     stratify,
 )
+from confound.ecological import decompose
 from confound.errors import (
     ConfoundError,
     EmptyCandidates,
@@ -245,6 +246,9 @@ class TestRecordTableValidation:
              "row 1, column 'x': non-finite value"),
             (_cols("x:numeric"), [(float("nan"),)],
              "row 0, column 'x': non-finite value"),
+            # an int float() cannot convert, named without its digits
+            (_cols("x:numeric"), [(10**400,)],
+             "row 0, column 'x': non-finite value"),
         ],
     )
     def test_message(self, columns, rows, message):
@@ -284,6 +288,7 @@ class TestRecordTableValidation:
         assert records.n_rows == 2
         assert records.rows == (("a", True, 1), ("b", False, 2.5))
         assert records.values("x") == [1, 2.5]
+        assert list(map(type, records.values("x"))) == [float, float]
         assert records.values("out") == [True, False]
         assert records == RecordTable(columns, records.rows)
 
@@ -426,6 +431,8 @@ class TestBinNumeric:
         [
             ([1.0, math.nan, 2.0], "quantile", ValidationError, "values must be finite"),
             ([1.0, -math.inf], "equal_width", ValidationError, "values must be finite"),
+            ([10**400, 1], "equal_width", ValidationError, "values must be finite"),
+            ([], "equal_width", TooFewDistinctValues, "all values are identical"),
             ([1.0, 2.0], "median", ValidationError, "unknown binning 'median'"),
             # every value is finite, but an edge is not
             ([-1.7e308, 1.7e308], "equal_width", NumericOverflow,
@@ -643,6 +650,49 @@ def test_stratify_is_one_scan_candidate():
         "finding", "unknown-column", "invalid-value", "too-few-distinct-values",
         "empty-stratum-side",
     }
+
+
+def _outcome(analysis, *args, **kwargs):
+    """An analysis's result, or the code and message of its error."""
+    try:
+        return analysis(*args, **kwargs)
+    except ConfoundError as exc:
+        return exc.code, str(exc)
+
+
+def test_int_cells_analyse_as_their_floats():
+    """A table of int cells and the table of their floats are one table:
+    every stratification, scan and decomposition of the two agrees, also
+    where an int above 2**53 rounds (2**53 + 3 is the float 2**53 + 4)."""
+    pool = [0, 3, -7, 2**53 + 1, 2**53 + 3, 2**53 + 4, 2**53 + 5, 2**54 + 8,
+            2**54 + 9, -(2**53) - 3, 10**17 + 1]
+    # the first column bins 4 and 4 as ints but 2 and 6 as floats under
+    # equal-width binning into 2 when ints are compared unconverted
+    columns = [[0, 0, 2**53 + 3, 2**53 + 3, 2**53 + 4, 2**53 + 4, 2**54 + 8, 2**54 + 8]]
+    rng = random.Random(13)
+    columns += [[rng.choice(pool) for _ in range(rng.randrange(4, 30))] for _ in range(40)]
+    kinds = _cols("g:categorical", "out:boolean", "x:numeric", "y:numeric", "r:categorical")
+    for case, xs in enumerate(columns):
+        rows = [
+            ("ab"[i % 2], rng.random() < 0.5, x, rng.choice(pool), rng.choice("pqr"))
+            for i, x in enumerate(xs)
+        ]
+        as_int = RecordTable(kinds, rows)
+        as_float = RecordTable(kinds, [(g, o, float(x), float(y), r) for g, o, x, y, r in rows])
+        for binning in ("equal_width", "quantile"):
+            for bins in range(2, 7):
+                config = ScanConfig(binning, bins)
+                assert scan(as_int, "g", "out", ["x", "r"], config) == scan(
+                    as_float, "g", "out", ["x", "r"], config
+                ), (case, binning, bins)
+                assert _outcome(
+                    stratify, as_int, "g", "out", "x", binning=binning, bins=bins
+                ) == _outcome(
+                    stratify, as_float, "g", "out", "x", binning=binning, bins=bins
+                ), (case, binning, bins)
+        assert _outcome(decompose, as_int, "r", "x", "y") == _outcome(
+            decompose, as_float, "r", "x", "y"
+        ), case
 
 
 @settings(max_examples=30)

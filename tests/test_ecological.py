@@ -26,6 +26,7 @@ from confound.errors import (
     NonNumeric,
     NumericOverflow,
     UndefinedCorrelation,
+    ValidationError,
 )
 from support import records_from_columns
 
@@ -55,6 +56,22 @@ class TestGroupMeans:
         r = records_from_columns(g=["a", "a"], x=[1.0, 2.0], y=["u", "v"])
         with pytest.raises(NonNumeric):
             group_means(r, "g", "x", "y")
+
+    @pytest.mark.parametrize(
+        "groups", [[-0.0, 0.0, 1.0], [True, False, True]], ids=["numeric", "boolean"]
+    )
+    def test_group_column_must_be_categorical(self, groups):
+        # as in a scan: -0.0 and 0.0 are one value, never two groups
+        r = records_from_columns(
+            g=groups, x=[1.0, 2.0, 3.0], y=[1.0, 3.0, 2.0], t=["u", "v", "w"]
+        )
+        for analysis in (group_means, decompose):
+            with pytest.raises(ValidationError) as err:
+                analysis(r, "g", "x", "y")
+            assert str(err.value) == "group column 'g' must be categorical"
+        # the x and y kinds are checked first
+        with pytest.raises(NonNumeric):
+            group_means(r, "g", "x", "t")
 
     @pytest.mark.parametrize(
         "groups, xs, mean_x",

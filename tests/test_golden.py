@@ -170,6 +170,10 @@ def _cases() -> dict[str, tuple[list[str], str]]:
         "decompose.robinson.categorical-x":
             ["decompose", robinson, "--group-col", "region", "--x", "region",
              "--y", "literate"],
+        # the group column is categorical, as in a scan, even when it is also x
+        "decompose.robinson.numeric-group":
+            ["decompose", robinson, "--group-col", "foreign_born", "--x", "foreign_born",
+             "--y", "literate"],
         "decompose.one-row":
             ["decompose", "{d}/one_row.csv", "--group-col", "region", "--x", "x", "--y", "y"],
         "usage.no-subcommand": [],
