@@ -431,14 +431,15 @@ class TestBinNumeric:
         [
             ([1.0, math.nan, 2.0], "quantile", ValidationError, "values must be finite"),
             ([1.0, -math.inf], "equal_width", ValidationError, "values must be finite"),
-            ([10**400, 1], "equal_width", ValidationError, "values must be finite"),
-            ([], "equal_width", TooFewDistinctValues, "all values are identical"),
             ([1.0, 2.0], "median", ValidationError, "unknown binning 'median'"),
             # every value is finite, but an edge is not
             ([-1.7e308, 1.7e308], "equal_width", NumericOverflow,
              "equal_width bin edges overflow the float range: [inf]"),
             ([-1.7e308, 1.6e308, 1.7e308], "quantile", NumericOverflow,
              "quantile bin edges overflow the float range: [inf]"),
+            # an int float() cannot convert, and an empty list
+            ([10**400, 1], "equal_width", ValidationError, "values must be finite"),
+            ([], "equal_width", TooFewDistinctValues, "all values are identical"),
         ],
     )
     def test_rejected_inputs(self, values, strategy, error, message):
