@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -605,9 +604,46 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _json_dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for what reports hold:
+    dicts with str keys, lists, tuples, str, int, float, bool and None. Any
+    other type is a TypeError. One recursive walk that dispatches on the exact
+    type writes it, instead of the pure-Python encoder that ``indent`` selects."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    specials = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+    def write(o, indent: str) -> str:
+        t = type(o)
+        if t is str:
+            return quote(o)
+        if t is int:
+            return int.__repr__(o)
+        if t is float:
+            if o != o:
+                return "NaN"
+            return specials.get(o) or float.__repr__(o)
+        if t is dict or t is list or t is tuple:
+            if not o:
+                return "{}" if t is dict else "[]"
+            inner = indent + "  "
+            if t is dict:
+                items = [quote(k) + ": " + write(v, inner) for k, v in o.items()]
+                return "{" + inner + ("," + inner).join(items) + indent + "}"
+            items = [write(v, inner) for v in o]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if o is None:
+            return "null"
+        if t is bool:
+            return "true" if o else "false"
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    return write(doc, "\n")
+
+
 def _emit(ns: argparse.Namespace, doc: dict, text_renderer) -> int:
     if ns.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_dumps(doc) + "\n")
     else:
         sys.stdout.write(text_renderer(doc, color=_color_enabled()))
     return 0
@@ -674,7 +710,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
     sc = generate_reversal(ns.strata, ns.scale, ns.seed)
     if ns.format == "json":
         doc = build_generate_report(sc, ns.strata, ns.scale, ns.seed)
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_dumps(doc) + "\n")
     else:
         sys.stdout.write(serialize_table_csv(sc))
     return 0

@@ -127,9 +127,15 @@ def bin_numeric(
     Bins are left-closed and right-open except the last, which is closed.
     Quantile edges use linear interpolation on the sorted data and require
     at least k distinct values; equal-width edges require a non-degenerate
-    range.
+    range. Each value is an int or a float, not a bool, as in a numeric
+    :class:`RecordTable` column.
     """
     ScanConfig(strategy, k)
+    values = list(values)
+    if not set(map(type, values)) <= {float, int}:
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"expected a number, got {v!r}")
     try:
         vals = list(map(float, values))
     except OverflowError:  # an int past the float range

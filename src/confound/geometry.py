@@ -17,14 +17,13 @@ always come from data coordinates, never canvas ones.
 
 from __future__ import annotations
 
-import html
 import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRange, ValidationError
 from .tables import (
-    Counts, Direction, Rate, StratifiedComparison, aggregate, compare, escaped,
-    percent, rate,
+    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, aggregate,
+    compare, percent, rate,
 )
 
 
@@ -186,42 +185,43 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
         f'text-anchor="start" fill="#444444">positive</text>',
     ]
 
+    # each element is one %-template per group, its constant parts filled in
+    origin = f"M {_fmt(ox)} {_fmt(oy)} L %.2f %.2f"
     for gi, g in enumerate(d.groups):
         color = COLORS[gi % len(COLORS)]
         tx, ty = px(g.terminal)
+        chord = (
+            f'<path class="stratum-chord" d="{origin}'
+            + (f' M %.2f %.2f L {_fmt(tx)} {_fmt(ty)}' if options.parallelogram else "")
+            + f'" stroke="{color}" stroke-width="1.5" stroke-dasharray="{DASH}" '
+            'fill="none"/>'
+        )
         vectors = g.vectors
+        total, positive = g.terminal
         for v in vectors:
             if v == g.terminal:  # single stratum: chord and aggregate coincide
                 continue
-            vx, vy = px(v)
-            seg = f"M {_fmt(ox)} {_fmt(oy)} L {_fmt(vx)} {_fmt(vy)}"
+            coords = px(v)
             if options.parallelogram:
-                ax, ay = px((g.terminal[0] - v[0], g.terminal[1] - v[1]))
-                seg += f" M {_fmt(ax)} {_fmt(ay)} L {_fmt(tx)} {_fmt(ty)}"
-            parts.append(
-                f'<path class="stratum-chord" d="{seg}" stroke="{color}" '
-                f'stroke-width="1.5" stroke-dasharray="{DASH}" fill="none"/>'
-            )
+                coords += px((total - v[0], positive - v[1]))
+            parts.append(chord % coords)
         parts.append(
             f'<line class="aggregate-chord" x1="{_fmt(ox)}" y1="{_fmt(oy)}" '
             f'x2="{_fmt(tx)}" y2="{_fmt(ty)}" stroke="{color}" stroke-width="2"/>'
         )
 
         # a path's steps and terminal are (total, positive) pairs it has checked
-        total, positive = g.terminal
         marked = {g.terminal: f"{g.label} {g.terminal} {percent(positive, total)}"}
         for v in vectors:
             marked.setdefault(v, f"{v} {percent(v[1], v[0])}")
+        marker = (
+            f'<circle class="marker" cx="%.2f" cy="%.2f" r="3" fill="{color}"/>\n'
+            f'<text class="marker-label" x="%.2f" y="%.2f" fill="{color}">%s</text>'
+        )
         for p, label in marked.items():
             cx, cy = px(p)
-            parts.append(
-                f'<circle class="marker" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" '
-                f'fill="{color}"/>'
-            )
-            parts.append(
-                f'<text class="marker-label" x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
-                f'fill="{color}">{html.escape(escaped(label), quote=False)}</text>'
-            )
+            text = label.translate(_MARKUP_ESCAPES)
+            parts.append(marker % (cx, cy, cx + 6, cy - 6, text))
 
     parts.append(
         f'<circle class="marker" cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="3" fill="#000000"/>'

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 
 from .detector import Classification, ReversalReport, _report
 from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
@@ -32,10 +31,6 @@ from .tables import Direction, StratifiedComparison
 GENERATION_BUDGET = 100_000
 # the jitter draws totals of up to 1.2 x scale, which must be finite floats
 _MAX_SCALE = int(sys.float_info.max / 1.2)
-
-
-def _clamp(v: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, v))
 
 
 def _candidate(
@@ -50,18 +45,25 @@ def _candidate(
     bottom = rng.uniform(0.05, 0.35)
     gap = rng.uniform(0.06, 0.2)
 
+    # rng.uniform(0.8, 1.2) by its documented formula, with the draw bound once
+    random_ = rng.random
+    spread = 1.2 - 0.8
+    half_gap = gap / 2
+    last = k - 1
     rows = []
     for i in range(k):
-        frac = i / (k - 1)
+        frac = i / last
         heavy = scale * (1 - frac) + low_exposure * frac
         light = scale * frac + low_exposure * (1 - frac)
-        t1 = max(1, round(heavy * rng.uniform(0.8, 1.2)))
-        t2 = max(1, round(light * rng.uniform(0.8, 1.2)))
+        t1 = max(1, round(heavy * (0.8 + spread * random_())))
+        t2 = max(1, round(light * (0.8 + spread * random_())))
         level = top * (1 - frac) + bottom * frac
-        r1 = max(0.0, min(1.0, level - gap / 2))
-        r2 = max(0.0, min(1.0, level + gap / 2))
-        p1 = _clamp(round(r1 * t1), 0, t1)
-        p2 = _clamp(round(r2 * t2), 0, t2)
+        # level <= 0.85 and half_gap <= 0.1, so 0 <= r1 < r2 <= 0.95 and
+        # 0 <= round(r * t) <= t: neither count needs clamping to [0, t]
+        r1 = max(0.0, level - half_gap)
+        r2 = level + half_gap
+        p1 = round(r1 * t1)
+        p2 = round(r2 * t2)
         # integer rounding can break strictness; nudge until p1/t1 < p2/t2
         while p1 * t2 >= p2 * t1:
             if p2 < t2:
@@ -101,6 +103,8 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
 
 def brute_force_classify(sc: StratifiedComparison) -> ReversalReport:
     """Same contract as the detector, independently derived with Fractions."""
+    from fractions import Fraction  # only the oracle needs it, not generate
+
     directions = []
     t1 = p1 = t2 = p2 = 0
     for s in sc.strata:

@@ -55,6 +55,11 @@ class Counts:
     positive: int
 
     def __post_init__(self):
+        # the valid case in one test; any other input meets the checks below,
+        # which name its first fault
+        t, p = self.total, self.positive
+        if type(t) is int and type(p) is int and 0 <= p <= t:
+            return
         for name in ("total", "positive"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
@@ -193,6 +198,9 @@ def percent(positive: int, total: int) -> str:
 # XML 1.0 cannot carry, written as \ufffe and \uffff
 _ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 _ESCAPES.update({0xFFFE: "\\ufffe", 0xFFFF: "\\uffff"})
+# the same, plus the three characters XML text cannot carry as themselves:
+# SVG labels are text escaped once, then markup-escaped, in one pass
+_MARKUP_ESCAPES = {**_ESCAPES, ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
 
 
 def escaped(label: str) -> str:

@@ -20,6 +20,7 @@ from confound.cli import (
     CHUNK_ROWS,
     MAX_COUNT_DIGITS,
     REFERENCES,
+    _json_dumps,
     build_analyze_report,
     parse_records_csv,
     parse_table_csv,
@@ -43,6 +44,7 @@ from confound.errors import (
 )
 from confound.tables import StratifiedComparison, Stratum
 from support import BERKELEY, HOSPITAL, counts, hospital_records
+from test_golden import GOLDEN
 
 HEADER = "stratum,group,total,positive\n"
 
@@ -416,6 +418,57 @@ class TestReports:
         assert _color_enabled()
         monkeypatch.setenv("NO_COLOR", "1")
         assert not _color_enabled()
+
+
+# every kind of value a report can hold, and the edge cases of each: text with
+# non-ASCII, control, line-separator and lone-surrogate characters; ints past
+# 64 bits; floats that print in exponent form, subnormals, -0.0, NaN and the
+# infinities; and containers that are empty
+_json_text = st.one_of(
+    st.text(st.characters(blacklist_categories=()), max_size=8),
+    st.sampled_from(["", "\u2028", "\u2029", "\x00\x1f\x7f", "\ud800", "\udfff",
+                     'q"\\/', "\u00e9\u65e5\U0001f600"]),
+)
+_json_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**300, -(10**300)]),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                     1e16, 1e-7, 1.7976931348623157e308]),
+    _json_text,
+)
+_json_doc = st.recursive(
+    _json_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """The report writer against ``json.dumps(doc, indent=2)``."""
+
+    @given(_json_doc)
+    def test_matches_json_dumps(self, doc):
+        assert _json_dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_matches_json_dumps_on_each_golden(self, path):
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert _json_dumps(doc) == json.dumps(doc, indent=2) == text.removesuffix("\n")
+
+    @pytest.mark.parametrize(
+        "doc", [{1, 2}, {"a": [object()]}, b"x", {"k": 1j}, {1: "int key"}]
+    )
+    def test_other_types_are_type_errors(self, doc):
+        with pytest.raises(TypeError):
+            _json_dumps(doc)
 
 
 RED = "\x1b[31m"

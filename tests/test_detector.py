@@ -440,6 +440,14 @@ class TestBinNumeric:
             # an int float() cannot convert, and an empty list
             ([10**400, 1], "equal_width", ValidationError, "values must be finite"),
             ([], "equal_width", TooFewDistinctValues, "all values are identical"),
+            # numbers only, as in a numeric RecordTable column: no text, no
+            # bool, no None, even where float() would take it
+            (["1", "2", "3"], "equal_width", ValidationError,
+             "expected a number, got '1'"),
+            ([1.0, "x"], "quantile", ValidationError, "expected a number, got 'x'"),
+            ([None, 1], "equal_width", ValidationError, "expected a number, got None"),
+            ([2.0, True, 3.0], "equal_width", ValidationError,
+             "expected a number, got True"),
         ],
     )
     def test_rejected_inputs(self, values, strategy, error, message):

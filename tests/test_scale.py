@@ -1,0 +1,71 @@
+"""Output bytes at the benchmark's table size, pinned by SHA-256.
+
+The goldens cover small tables only. The per-stratum loops of the generator,
+the JSON writer and the SVG renderer are pinned here on 4,000-stratum tables
+as well, by digests of what the same commands wrote before those loops were
+last optimised.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from confound.cli import run
+
+SIZE = ["--strata", "4000", "--scale", "5000"]
+GENERATED = {
+    0: "e250d37aba8d93c8af420e3aab41ca5901c8f6fa87be8c0cdcdb6e9b807c31e0",
+    1: "c0d1aeb967c929b90a40d23146e2ba2473962581559eee0bf98f0fbf646e90f2",
+    2: "e6d5ee006227e8695e4b4d33c9dbcee7530df4e1e81655ac0969295bcf6631af",
+    3: "ca99e31a907b81475674c2032abfc0e36e916fcc06ae180a6ef48296e7c4097f",
+}
+# seed 0's table, as each command writes it
+SEED0 = {
+    "generate --format json":
+        "0183d11cfd20796e3fd3458d3fb76112eee61025bf4970fdab1f6f8f75489d52",
+    "analyze --standardize combined --format json":
+        "b2bbaeec0ba85d1d8d86c285c8dcd6b0da13a2673e7b562c550d92216ee707e9",
+    "plot": "a81fecde23b5877f80e0e1d4742b20d950c683165379954896308ba767aabdb1",
+    "plot --fan-only": "74449c64ca9381fa89ce07fdfcda7ba07687d04ca91f6b7de2def4e283902ffd",
+}
+
+
+def stdout_of(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == 0
+    return out.getvalue().encode("utf-8")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scale") / "table.csv"
+    path.write_bytes(stdout_of(["generate", *SIZE, "--seed", "0"]))
+    return path
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED))
+def test_generated_table(seed):
+    assert digest(stdout_of(["generate", *SIZE, "--seed", str(seed)])) == GENERATED[seed]
+
+
+@pytest.mark.parametrize("command", sorted(SEED0))
+def test_seed0_outputs(command, table):
+    name, *options = command.split()
+    if name == "generate":
+        data = stdout_of(["generate", *SIZE, "--seed", "0", *options])
+    elif name == "analyze":
+        data = stdout_of(["analyze", str(table), *options])
+    else:
+        svg = table.with_suffix(".svg")
+        stdout_of(["plot", str(table), "--out", str(svg), *options])
+        data = svg.read_bytes()
+    assert digest(data) == SEED0[command]

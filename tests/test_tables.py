@@ -51,6 +51,36 @@ class TestCounts:
         with pytest.raises(ValidationError):
             Counts(True, True)
 
+    @pytest.mark.parametrize(
+        "total, positive, message",
+        [
+            (True, 1, "total must be an integer, got True"),
+            (5, False, "positive must be an integer, got False"),
+            (3.0, 1, "total must be an integer, got 3.0"),
+            (3, 1.0, "positive must be an integer, got 1.0"),
+            (-1, 0, "total must be >= 0, got -1"),
+            (5, -1, "positive must be >= 0, got -1"),
+            (3, 4, "positive (4) exceeds total (3)"),
+            # total is checked whole before positive, and both before the pair
+            (-1, "x", "total must be >= 0, got -1"),
+            (2.5, -1, "total must be an integer, got 2.5"),
+            (-2, -3, "total must be >= 0, got -2"),
+            (0, None, "positive must be an integer, got None"),
+        ],
+    )
+    def test_first_fault_and_its_message(self, total, positive, message):
+        with pytest.raises(ValidationError) as err:
+            Counts(total, positive)
+        assert str(err.value) == message
+
+    def test_int_subclasses_are_integers(self):
+        class Count(int):
+            pass
+
+        assert Counts(Count(5), Count(2)) == Counts(5, 2)
+        with pytest.raises(ValidationError, match=r"positive \(5\) exceeds total \(2\)"):
+            Counts(Count(2), Count(5))
+
 
 class TestRate:
     def test_hospital_cell(self):
