@@ -35,7 +35,7 @@ from .errors import (
     TooFewDistinctValues,
     ValidationError,
 )
-from .tables import Direction, StratifiedComparison, cross_direction
+from .tables import Direction, StratifiedComparison, _integer, cross_direction
 
 if TYPE_CHECKING:
     from .records import RecordTable
@@ -312,9 +312,7 @@ class ScanConfig:
         if self.binning not in ("quantile", "equal_width"):
             raise ValidationError(f"unknown binning {self.binning!r}")
         for name in ("bins", "min_stratum_size"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
+            _integer(name, getattr(self, name))
         if self.bins < 2:
             raise ValidationError(f"bin count must be >= 2, got {self.bins}")
 

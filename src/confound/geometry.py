@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DegenerateRange, ValidationError
 from .tables import (
-    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, aggregate,
-    compare, percent, rate,
+    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, _integer, _pair,
+    aggregate, compare, percent, rate,
 )
 
 
@@ -32,8 +32,8 @@ class GroupPath:
     """One group's cumulative vector path.
 
     ``points`` starts at the origin and accumulates stratum counts: each
-    step runs ``dx > 0`` and rises ``0 <= dy <= dx``, so its slope is the
-    (unreduced) rate of its stratum.
+    point and step is a count pair ``0 <= y <= x`` and each step runs
+    ``dx > 0``, so its slope is the (unreduced) rate of its stratum.
     """
 
     label: str
@@ -43,9 +43,12 @@ class GroupPath:
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) < 2 or self.points[0] != (0, 0):
             raise ValidationError("a path starts at (0, 0) and has >= 1 segment")
+        for x, y in self.points:
+            _pair(x, y, ("x", "y"))
         for dx, dy in self.vectors:
-            if not (dx > 0 and 0 <= dy <= dx):
-                raise ValidationError(f"step ({dx}, {dy}) needs dx > 0 and 0 <= dy <= dx")
+            _pair(dx, dy, ("dx", "dy"))
+            if dx == 0:
+                raise ValidationError("step (0, 0) needs dx > 0")
 
     @property
     def segment_slopes(self) -> tuple[Rate, ...]:
@@ -139,7 +142,8 @@ class RenderOptions:
     def __post_init__(self):
         for name in ("width", "height"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 2 * MARGIN:
+            _integer(name, v)
+            if v <= 2 * MARGIN:
                 raise ValidationError(
                     f"{name} must be an integer above {2 * MARGIN}, got {v!r}"
                 )

@@ -26,7 +26,7 @@ import sys
 
 from .detector import Classification, ReversalReport, _report
 from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
-from .tables import Direction, StratifiedComparison
+from .tables import Direction, StratifiedComparison, _integer
 
 GENERATION_BUDGET = 100_000
 # the jitter draws totals of up to 1.2 x scale, which must be finite floats
@@ -79,6 +79,8 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
 
     The detector judges each attempt on its integer rows; only the first it
     accepts is built into a validated table."""
+    _integer("k", k)
+    _integer("scale", scale)
     if k < 2:
         raise ValidationError(
             f"reversal needs at least 2 strata, got {k} (a single stratum's "
@@ -172,6 +174,7 @@ def minimal_reversal(max_total: int) -> StratifiedComparison:
     and platforms. Raises :class:`NotFound` when nothing reverses within
     the bound.
     """
+    _integer("max_total", max_total)
     if max_total < 2:
         raise ValidationError(f"max_total must be >= 2, got {max_total}")
     for n in range(4, max_total + 1):

@@ -37,6 +37,26 @@ class Direction(Enum):
         return Direction.TIE
 
 
+def _integer(name: str, v) -> None:
+    """Require an ``int`` that is not a ``bool``."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValidationError(f"{name} must be an integer, got {v!r}")
+
+
+def _pair(total, positive, names=("total", "positive")) -> None:
+    """Require two integers >= 0 with ``positive <= total``."""
+    # the valid case in one test; any other input meets the checks below,
+    # which name its first fault: the total whole, then the positive, then the pair
+    if type(total) is int and type(positive) is int and 0 <= positive <= total:
+        return
+    for name, v in zip(names, (total, positive)):
+        _integer(name, v)
+        if v < 0:
+            raise ValidationError(f"{name} must be >= 0, got {v}")
+    if positive > total:
+        raise ValidationError(f"{names[1]} ({positive}) exceeds {names[0]} ({total})")
+
+
 def _require_side(side: str) -> None:
     if side not in ("first", "second"):
         raise ValidationError(f"side must be 'first' or 'second', got {side!r}")
@@ -55,21 +75,7 @@ class Counts:
     positive: int
 
     def __post_init__(self):
-        # the valid case in one test; any other input meets the checks below,
-        # which name its first fault
-        t, p = self.total, self.positive
-        if type(t) is int and type(p) is int and 0 <= p <= t:
-            return
-        for name in ("total", "positive"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
-            if v < 0:
-                raise ValidationError(f"{name} must be >= 0, got {v}")
-        if self.positive > self.total:
-            raise ValidationError(
-                f"positive ({self.positive}) exceeds total ({self.total})"
-            )
+        _pair(self.total, self.positive)
 
 
 @dataclass(frozen=True)
@@ -86,17 +92,9 @@ class Rate:
     denominator: int
 
     def __post_init__(self):
-        for name in ("numerator", "denominator"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
-        if self.denominator <= 0:
-            raise ValidationError(f"denominator must be > 0, got {self.denominator}")
-        if not 0 <= self.numerator <= self.denominator:
-            raise ValidationError(
-                f"numerator must lie in [0, denominator], got "
-                f"{self.numerator}/{self.denominator}"
-            )
+        _pair(self.denominator, self.numerator, ("denominator", "numerator"))
+        if self.denominator == 0:
+            raise ValidationError("denominator must be > 0, got 0")
 
     @property
     def value(self) -> float:
@@ -123,10 +121,10 @@ class Stratum:
 class StratifiedComparison:
     """Two named groups observed across one or more named strata.
 
-    Invariants enforced here: at least one stratum, unique stratum labels,
-    distinct group labels, and subjects on both sides of every stratum: a
-    stratum empty on both sides is a :class:`ValidationError`, and then the
-    first stratum empty on one side is an :class:`EmptyStratumSide`.
+    Invariants enforced here: at least one stratum, text labels, unique
+    stratum labels, distinct group labels, and subjects on both sides of
+    every stratum: a stratum empty on both sides is a :class:`ValidationError`,
+    and then the first stratum empty on one side is an :class:`EmptyStratumSide`.
     """
 
     group_first_label: str
@@ -137,11 +135,14 @@ class StratifiedComparison:
         object.__setattr__(self, "strata", tuple(self.strata))
         if not self.strata:
             raise ValidationError("a comparison needs at least one stratum")
+        labels = [s.label for s in self.strata]
+        for label in (self.group_first_label, self.group_second_label, *labels):
+            if not isinstance(label, str):
+                raise ValidationError(f"labels must be text, got {label!r}")
         if self.group_first_label == self.group_second_label:
             raise ValidationError(
                 f"group labels must differ, both are {self.group_first_label!r}"
             )
-        labels = [s.label for s in self.strata]
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise ValidationError(f"duplicate stratum labels: {dupes}")

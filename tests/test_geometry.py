@@ -73,6 +73,34 @@ class TestToVectors:
             with pytest.raises(ValidationError):
                 GroupPath("g", points)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (((0, 0),), "a path starts at (0, 0) and has >= 1 segment"),
+            (((1, 0), (3, 1)), "a path starts at (0, 0) and has >= 1 segment"),
+            # coordinates are count pairs: a float or a bool is no count, even
+            # where every step it makes would be
+            (((0, 0), (10.5, 4)), "x must be an integer, got 10.5"),
+            (((0, 0), (True, True)), "x must be an integer, got True"),
+            (((0.0, 0), (2, 1)), "x must be an integer, got 0.0"),
+            (((0, 0), (2, 1), (4, 1.0)), "y must be an integer, got 1.0"),
+            (((0, 0), (2, -1)), "y must be >= 0, got -1"),
+            (((0, 0), (2, 3)), "y (3) exceeds x (2)"),
+            # every point is checked before any step
+            (((0, 0), (3, 1), (2, 1), (1, 2)), "y (2) exceeds x (1)"),
+            # and so is every step, then it must run forward
+            (((0, 0), (3, 1), (2, 1)), "dx must be >= 0, got -1"),
+            (((0, 0), (2, 1), (4, 0)), "dy must be >= 0, got -1"),
+            (((0, 0), (2, 0), (3, 2)), "dy (2) exceeds dx (1)"),
+            (((0, 0), (0, 0)), "step (0, 0) needs dx > 0"),
+        ],
+    )
+    def test_first_fault_and_its_message(self, points, message):
+        with pytest.raises(ValidationError) as err:
+            GroupPath("g", points)
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == message
+
     @given(comparisons(min_total=1))
     def test_derived_slopes_are_the_step_rates(self, sc):
         for side, path in zip(("first", "second"), to_vectors(sc).groups):

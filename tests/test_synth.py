@@ -9,8 +9,10 @@ from itertools import product
 import pytest
 from hypothesis import given
 
+from confound import synth
+from confound.cli import run
 from confound.detector import Classification, detect_reversal
-from confound.errors import NotFound, ValidationError
+from confound.errors import GenerationFailed, NotFound, ValidationError
 from confound.synth import (
     _candidate,
     brute_force_classify,
@@ -55,6 +57,32 @@ class TestGenerateReversal:
     def test_tiny_scale_rejected(self):
         with pytest.raises(ValidationError):
             generate_reversal(2, 9, seed=0)
+
+    @pytest.mark.parametrize(
+        "k, scale, message",
+        [
+            (4, 80.5, "scale must be an integer, got 80.5"),
+            (2.5, 80, "k must be an integer, got 2.5"),
+            (True, 80, "k must be an integer, got True"),
+            (2, "80", "scale must be an integer, got '80'"),
+            # before either range check
+            (1.0, 9, "k must be an integer, got 1.0"),
+        ],
+    )
+    def test_arguments_are_integers(self, k, scale, message):
+        with pytest.raises(ValidationError) as err:
+            generate_reversal(k, scale, 0)
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == message
+
+    def test_spent_budget_fails_generation(self, monkeypatch, capsys):
+        monkeypatch.setattr(synth, "GENERATION_BUDGET", 0)
+        with pytest.raises(GenerationFailed, match="no full reversal found in 0 "):
+            generate_reversal(2, 80, 0)
+        assert run(["generate"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:generation-failed: ")
 
     @pytest.mark.parametrize(
         "k, scale", [(2, 10), (2, 80), (3, 12), (5, 40), (10, 100), (50, 500)]
@@ -155,3 +183,16 @@ class TestMinimalReversal:
     def test_invalid_bound(self):
         with pytest.raises(ValidationError):
             minimal_reversal(1)
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            (5.5, "max_total must be an integer, got 5.5"),
+            (True, "max_total must be an integer, got True"),
+            (None, "max_total must be an integer, got None"),
+        ],
+    )
+    def test_bound_is_an_integer(self, bound, message):
+        with pytest.raises(ValidationError) as err:
+            minimal_reversal(bound)
+        assert str(err.value) == message

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from confound import brute_force_classify, scan, stratify
 from confound.cli import parse_table_csv
 from confound.errors import EmptyInput, EmptyStratumSide, ValidationError
+from confound.geometry import GroupPath
 from confound.tables import (
     Counts,
     Direction,
@@ -120,6 +121,65 @@ class TestRate:
             Rate(5, 4)
         with pytest.raises(ValidationError, match="numerator must be an integer"):
             Rate(1.0, 2)
+
+    @pytest.mark.parametrize(
+        "numerator, denominator, message",
+        [
+            (5, 4, "numerator (5) exceeds denominator (4)"),
+            (1, 0, "numerator (1) exceeds denominator (0)"),
+            (0, 0, "denominator must be > 0, got 0"),
+            (1, -1, "denominator must be >= 0, got -1"),
+            (-1, 5, "numerator must be >= 0, got -1"),
+            (1.0, 2, "numerator must be an integer, got 1.0"),
+            (True, 2, "numerator must be an integer, got True"),
+            # the denominator is checked whole before the numerator, as a
+            # cell's total is before its positive count
+            (-1, 2.0, "denominator must be an integer, got 2.0"),
+            ("x", -3, "denominator must be >= 0, got -3"),
+            (None, 0, "numerator must be an integer, got None"),
+        ],
+    )
+    def test_first_fault_and_its_message(self, numerator, denominator, message):
+        with pytest.raises(ValidationError) as err:
+            Rate(numerator, denominator)
+        assert str(err.value) == message
+
+
+def _path(total, positive):
+    return GroupPath("g", ((0, 0), (total, positive)))
+
+
+class TestOneCountPairRule:
+    """Cells, rates and path points share one count-pair rule, so a bad pair
+    meets the same first fault in each, under each one's own names."""
+
+    BUILDS = [
+        (Counts, ("total", "positive")),
+        (lambda t, p: Rate(p, t), ("denominator", "numerator")),
+        (_path, ("x", "y")),
+    ]
+
+    @pytest.mark.parametrize("build, names", BUILDS)
+    @pytest.mark.parametrize(
+        "total, positive, fault",
+        [
+            (True, 1, "{t} must be an integer, got True"),
+            (5, False, "{p} must be an integer, got False"),
+            (2.5, 1, "{t} must be an integer, got 2.5"),
+            (3, "1", "{p} must be an integer, got '1'"),
+            (None, None, "{t} must be an integer, got None"),
+            (-1, 0, "{t} must be >= 0, got -1"),
+            (5, -1, "{p} must be >= 0, got -1"),
+            (-2, -3, "{t} must be >= 0, got -2"),
+            (3, 4, "{p} (4) exceeds {t} (3)"),
+        ],
+    )
+    def test_same_first_fault(self, build, names, total, positive, fault):
+        with pytest.raises(ValidationError) as err:
+            build(total, positive)
+        assert err.value.code == "invalid-value"
+        t, p = names
+        assert str(err.value) == fault.format(t=t, p=p)
 
 
 class TestAggregate:
@@ -306,6 +366,17 @@ class TestComparisonInvariants:
     def test_rejects_stratum_empty_on_both_sides(self):
         with pytest.raises(ValidationError):
             StratifiedComparison.from_pairs("a", "b", [("s", (0, 0), (0, 0))])
+
+    @pytest.mark.parametrize(
+        "first, second, stratum, bad",
+        [(1, 2, 3, 1), ("a", 2, "s", 2), ("a", "b", 3, 3), ("a", "b", None, None),
+         (b"a", "b", "s", b"a")],
+    )
+    def test_labels_are_text(self, first, second, stratum, bad):
+        with pytest.raises(ValidationError) as err:
+            StratifiedComparison.from_pairs(first, second, [(stratum, (60, 36), (20, 14))])
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == f"labels must be text, got {bad!r}"
 
     def test_sides_are_first_and_second(self):
         for call in (HOSPITAL.counts, HOSPITAL.group_label):
