@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import os
@@ -60,9 +61,12 @@ LEXICON = {
 # the interpreter converts ints of at most 4,300 digits to text by default;
 # 300 digits of headroom keep every sum of a file's counts printable
 MAX_COUNT_DIGITS = 4000
-# record CSVs are read and typed this many reader rows at a time, so peak
-# memory holds one chunk of raw cells rather than the whole file's
+# record CSVs are read and typed one block at a time, so peak memory holds
+# one block's raw cells rather than the whole file's: CHUNK_ROWS rows where
+# the csv module reads the file, and the lines up to the first line end past
+# BLOCK_CHARS characters where the text is split directly
 CHUNK_ROWS = 1024
+BLOCK_CHARS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +194,16 @@ def parse_records_csv(
     """Parse row-level records; undeclared columns are categorical text.
 
     Boolean cells are matched case-insensitively against the true/false
-    lexicon (1/0, true/false, yes/no).
+    lexicon (1/0, true/false, yes/no). Text with no double quote, carriage
+    return or NUL is split on line ends and commas directly; any other text
+    is read by the ``csv`` module. Both read one grammar and raise the same
+    errors.
     """
     from .records import Column, RecordTable
 
-    reader = csv.reader(io.StringIO(text))
-    header = _header(reader)
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    blocks = _plain_blocks(text) if plain else _csv_blocks(text)
+    header = next(blocks)
     if len(set(header)) != len(header) or any(not h for h in header):
         raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
     for name in (*numeric_columns, *boolean_columns):
@@ -215,21 +223,20 @@ def parse_records_csv(
     columns = tuple(map(Column, header, kinds))
     memos: list[dict] = [{} for _ in columns]
     data: list[list] = [[] for _ in columns]
-    read = 1  # rows the reader has yielded, header and blank lines included
+    read = 1  # rows read, header and blank lines included
     n_rows = 0
     try:
-        while chunk := list(islice(reader, CHUNK_ROWS)):
-            rows = [row for row in chunk if row]
+        for lines, rows, cells in blocks:
             typed = None
-            if set(map(len, rows)) <= {len(header)}:
-                typed = list(map(_typed_column, kinds, zip(*rows), memos))
+            if cells is not None:
+                typed = list(map(_typed_column, kinds, cells, memos))
             if typed is None or str in map(type, typed):
                 _raise_first_error(text, read, columns)
-            for cells, column in zip(data, typed):
-                cells.extend(column)
-            read += len(chunk)
-            n_rows += len(rows)
-    except csv.Error:  # a row of this chunk before the csv module's fault may be bad
+            for values, column in zip(data, typed):
+                values.extend(column)
+            read += lines
+            n_rows += rows
+    except csv.Error:  # a row of this block before the csv module's fault may be bad
         _raise_first_error(text, read, columns)
         raise
     if not n_rows:
@@ -237,8 +244,63 @@ def parse_records_csv(
     return RecordTable._of_columns(columns, data, n_rows)
 
 
+def _csv_blocks(text: str):
+    """The header row, then each block of up to ``CHUNK_ROWS`` rows as
+    ``(rows read, non-blank rows, cells column by column)``, with ``None``
+    for the cells when a non-blank row is not as wide as the header."""
+    reader = csv.reader(io.StringIO(text))
+    header = _header(reader)
+    yield header
+    while chunk := list(islice(reader, CHUNK_ROWS)):
+        rows = [row for row in chunk if row]
+        aligned = set(map(len, rows)) <= {len(header)}
+        yield len(chunk), len(rows), list(zip(*rows)) if aligned else None
+
+
+def _plain_blocks(text: str):
+    """:func:`_csv_blocks` for text with no double quote, carriage return or
+    NUL, where each line is one row. The lines up to the first line end past
+    each ``BLOCK_CHARS`` characters are one block, split once into cells with
+    a NUL cell between rows; the rows are all as wide as the header exactly
+    when every row's last cell is followed by a NUL cell. A block with a
+    field over the csv module's field size limit has ``None`` for its cells,
+    so the csv module re-reads it and raises its error for that field."""
+    if not text:
+        raise EmptyData("file is empty")
+    limit = csv.field_size_limit()
+    end = text.find("\n")
+    first = text[:end] if end >= 0 else text
+    if len(first) > limit:
+        yield from _csv_blocks(text)
+        return
+    header = first.split(",") if first else []
+    yield header
+    width = len(header)
+    stride = width + 1
+    pos = len(first) + 1
+    while pos < len(text):
+        end = text.find("\n", pos + BLOCK_CHARS)
+        if end < 0:  # the last block; a final line end ends no further line
+            end = len(text) - text.endswith("\n")
+        block = text[pos:end]
+        pos = end + 1
+        lines = block.count("\n") + 1
+        if "\n\n" in block or block[:1] == "\n" or block[-1:] == "\n":
+            block = "\n".join(filter(None, block.split("\n")))  # blank lines
+        rows = block.count("\n") + 1 if block else 0
+        cells = block.replace("\n", ",\0,").split(",") if block else []
+        if len(block) > limit and max(map(len, cells)) > limit:
+            yield lines, rows, None
+            continue
+        aligned = not rows or (
+            len(cells) == rows * stride - 1
+            and cells[width::stride].count("\0") == rows - 1
+        )
+        yield lines, rows, [cells[j::stride] for j in range(width)] if aligned else None
+
+
 def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
-    """One chunk of one column's cells as typed values, or the fault of a
+    """One block of one column's cells as typed values, or the fault of a
     bad cell. Repeated categorical labels share one string through ``memo``,
     which holds one entry per distinct label until parsing ends."""
     if kind == "numeric":
@@ -835,4 +897,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # a run leaves only a few hundred objects in cycles (the argument
+    # parser's), and the cyclic collector would otherwise walk the containers
+    # a records file fills, time and again, while they are built; run()
+    # itself leaves the collector as it finds it
+    gc.disable()
     sys.exit(run(sys.argv[1:]))

@@ -22,8 +22,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, compress
+from operator import not_
 from typing import TYPE_CHECKING, Iterable, Literal, Sequence, Union
 
 from .errors import (
@@ -117,6 +117,9 @@ def _report(
 
 
 BinStrategy = Literal["quantile", "equal_width"]
+# a binning builds bins - 1 edges and bins labels whatever the row count, and
+# a scan prints every edge, so the bin count is bounded
+MAX_BINS = 10_000
 
 
 def bin_numeric(
@@ -198,57 +201,66 @@ def _bin_label(i: int, lo: float, hi: float, last: bool) -> str:
 
 
 def _binned(
-    tally: Counter, column: Sequence[float], strategy: str, k: int
-) -> tuple[Counter, list[str], str]:
-    """A ``(value, side)`` tally of ``column`` re-keyed by bin, with the bin
-    labels and the binning's description. Each distinct value is binned
-    once; its key is its first row's value (-0.0 or 0.0), which is what
-    ``min`` and ``max`` over the rows return."""
+    tallies: list[tuple[Counter, Counter]], column: Sequence[float], strategy: str, k: int
+) -> tuple[list[tuple[Counter, Counter]], list[str], str]:
+    """Each group's ``(totals, positives)`` tally of ``column`` re-keyed by
+    bin, with the bin labels and the binning's description. Each distinct
+    value is binned once; its key in the row counts is its first row's value
+    (-0.0 or 0.0), which is what ``min`` and ``max`` over the rows return."""
     rows = Counter()
-    for (value, _), n in tally.items():
-        rows[value] += n
+    for totals, _ in tallies:
+        rows.update(totals)
+    if 0 in rows:
+        rows[column[column.index(0)]] = rows.pop(0)
     edges = _edges(rows, strategy, k, column)
     bounds = [min(rows), *edges, max(rows)]
     labels = [_bin_label(i, *bounds[i : i + 2], i == k - 1) for i in range(k)]
     bin_of = {value: bisect_right(edges, value) for value in rows}
-    binned = Counter()
-    for (value, side), n in tally.items():
-        binned[bin_of[value], side] += n
+
+    def by_bin(tally: Counter) -> Counter:
+        binned = Counter()
+        for value, n in tally.items():
+            binned[bin_of[value]] += n
+        return binned
+
+    binned = [(by_bin(totals), by_bin(positives)) for totals, positives in tallies]
     return binned, labels, f"{strategy} k={k} edges={[round(e, 6) for e in edges]}"
 
 
 def _sides(
     records: RecordTable, group_col: str, outcome_col: str
-) -> tuple[list, list[int]]:
-    """The two sorted group labels, and each row's side code ``2 * group
-    index + outcome``: the one check of the group and outcome columns."""
+) -> tuple[list, list[tuple[list[bool], list[bool]]]]:
+    """The two sorted group labels, and for each group its row selector and
+    its rows' outcomes: the one check of the group and outcome columns."""
     if records.kind(group_col) != "categorical":
         raise ValidationError(f"group column {group_col!r} must be categorical")
     if records.kind(outcome_col) != "boolean":
         raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
-    groups = sorted(set(records.values(group_col)))
+    group = records.values(group_col)
+    groups = sorted(set(group))
     if len(groups) != 2:
         raise NotTwoGroups(
             f"group column {group_col!r} must take exactly two values, "
             f"found {len(groups)}: {groups}"
         )
-    side = {groups[0]: 0, groups[1]: 2}.__getitem__
-    group, outcome = records.values(group_col), records.values(outcome_col)
-    return groups, list(map(add, map(side, group), outcome))
+    first = list(map({groups[0]: True, groups[1]: False}.__getitem__, group))
+    outcome = records.values(outcome_col)
+    selectors = (first, list(map(not_, first)))
+    return groups, [(select, list(compress(outcome, select))) for select in selectors]
 
 
 def _stratified(
-    records: RecordTable, covariate: str, code: list[int], config: ScanConfig
+    records: RecordTable, covariate: str, sides: list, config: ScanConfig
 ) -> tuple[list[tuple[str, tuple[int, int], tuple[int, int]]], str]:
     """Stratify records by one covariate into ``(label, (total, positive),
     (total, positive))`` rows for :meth:`StratifiedComparison.from_pairs`,
     plus a binning description. The covariate's kind alone picks the strata:
     categorical labels pass through, numeric values are binned by ``config``.
 
-    ``code`` is each row's side code from :func:`_sides`. Strata with no
-    rows at all are never formed (numeric bins can be empty); strata smaller
-    than ``config.min_stratum_size`` are dropped. A stratum may still be
-    empty on one side, which building the comparison rejects.
+    ``sides`` is each group's row selector and outcomes from :func:`_sides`.
+    Strata with no rows at all are never formed (numeric bins can be empty);
+    strata smaller than ``config.min_stratum_size`` are dropped. A stratum
+    may still be empty on one side, which building the comparison rejects.
     """
     kind = records.kind(covariate)
     if kind == "boolean":
@@ -256,18 +268,21 @@ def _stratified(
             f"covariate {covariate!r} is boolean; numeric binning needs a numeric column"
         )
     column = records.values(covariate)
-    tally = Counter(zip(column, code))
+    tallies = []
+    for select, outcome in sides:
+        part = list(compress(column, select))
+        tallies.append((Counter(part), Counter(compress(part, outcome))))
     labels, description = None, "categorical"
     if kind == "numeric":
-        tally, labels, description = _binned(tally, column, config.binning, config.bins)
-
-    def counts(key, side: int) -> tuple[int, int]:
-        positive = tally[key, side + 1]
-        return positive + tally[key, side], positive
-
+        tallies, labels, description = _binned(tallies, column, config.binning, config.bins)
+    (total1, positive1), (total2, positive2) = tallies
     rows = [
-        (key if labels is None else labels[key], counts(key, 0), counts(key, 2))
-        for key in sorted({key for key, _ in tally})
+        (
+            key if labels is None else labels[key],
+            (total1[key], positive1[key]),
+            (total2[key], positive2[key]),
+        )
+        for key in sorted(total1.keys() | total2.keys())
     ]
     size = config.min_stratum_size
     kept = [(label, a, b) for label, a, b in rows if a[0] + b[0] >= size]
@@ -292,8 +307,8 @@ def stratify(
     config = ScanConfig(binning, bins)
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
-    groups, code = _sides(records, group_col, outcome_col)
-    rows = _stratified(records, covariate, code, config)[0]
+    groups, sides = _sides(records, group_col, outcome_col)
+    rows = _stratified(records, covariate, sides, config)[0]
     return StratifiedComparison.from_pairs(*groups, rows)
 
 
@@ -315,6 +330,8 @@ class ScanConfig:
             _integer(name, getattr(self, name))
         if self.bins < 2:
             raise ValidationError(f"bin count must be >= 2, got {self.bins}")
+        if self.bins > MAX_BINS:
+            raise ValidationError(f"bin count must be <= {MAX_BINS}, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -368,12 +385,12 @@ def scan(
         raise ValidationError(f"duplicate candidates in {list(candidates)}")
     for name in (group_col, outcome_col):
         records.column_index(name)
-    groups, code = _sides(records, group_col, outcome_col)
+    groups, sides = _sides(records, group_col, outcome_col)
 
     results: list[ScanResult] = []
     for cand in candidates:
         try:
-            rows, description = _stratified(records, cand, code, config)
+            rows, description = _stratified(records, cand, sides, config)
             sc = StratifiedComparison.from_pairs(*groups, rows)
             report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:

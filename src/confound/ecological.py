@@ -108,17 +108,50 @@ def group_means(
     return [g for g, _, _ in _grouped(records, group_col, x_col, y_col)]
 
 
-def _centered(groups: list[list[float]], n: int):
+# Veltkamp's split multiplies a value by 2**27 + 1, which leaves the float
+# range from about 2**996 on. A sum is taken per group only while every
+# |value| times the row count stays within this cutoff, so neither the split
+# nor a product nor a partial sum can overflow, here or in the row-level
+# fsum it stands for; past it the rows are summed one by one. There is no
+# lower cutoff: near zero the split and the products stay exact, subnormal
+# values included
+_SPLIT_LIMIT = 2.0**996
+# the halves have 26 significant bits each, so a size below 2**27 times a
+# half is an exact product
+_SPLIT_ROWS = 2**27
+
+
+def _repeated_fsum(values: list[float], sizes: list[int]) -> float:
+    """``fsum`` of each value repeated its size times, bit for bit, summed
+    per value: each value splits exactly into two halves of 26 bits (T. J.
+    Dekker, "A floating-point technique for extending the available
+    precision", Numer. Math. 18 (1971)), so ``size * half`` is exact and
+    ``fsum`` rounds the same exact total once. Values too large for the
+    split and non-finite values are summed row by row."""
+    n = sum(sizes)
+    bound = _SPLIT_LIMIT / max(n, 1)
+    if n >= _SPLIT_ROWS or not all(map(bound.__ge__, map(abs, values))):
+        return fsum(chain.from_iterable(map(repeat, values, sizes)))
+    terms = []
+    for v, k in zip(values, sizes):
+        t = v * 134217729.0  # 2**27 + 1
+        hi = t - (t - v)
+        terms += (k * hi, k * (v - hi))
+    return fsum(terms)
+
+
+def _centered(groups: list[list[float]], sizes: list[int], n: int):
     """One variable's values, group by group, centered on their mean; each
-    group's mean of the centered values; and the between column, those
-    means row by row, centered again on its own mean, which the rounded
-    overall mean leaves off zero. A single group has no between-group
-    spread, so its mean is zero rather than that rounding residue."""
+    group's mean of the centered values; and each group's between value,
+    its mean centered again on the rows' mean of those means, which the
+    rounded overall mean leaves off zero. A single group has no
+    between-group spread, so its mean is zero rather than that rounding
+    residue."""
     mean = fsum(chain.from_iterable(groups)) / n
     centered = [list(map(sub, g, repeat(mean))) for g in groups]
     means = [fsum(c) / len(c) for c in centered] if len(groups) > 1 else [0.0]
-    offset = fsum(chain.from_iterable(map(repeat, means, map(len, centered)))) / n
-    return centered, means, [[m - offset] * len(c) for m, c in zip(means, centered)]
+    offset = _repeated_fsum(means, sizes) / n
+    return centered, means, [m - offset for m in means]
 
 
 def _moments(us, vs, n: int) -> tuple[float, float, float]:
@@ -128,6 +161,13 @@ def _moments(us, vs, n: int) -> tuple[float, float, float]:
     pairs = ((us, vs), (us, us), (vs, vs))
     rows = chain.from_iterable
     return tuple(fsum(map(mul, rows(a), rows(b))) / n for a, b in pairs)
+
+
+def _between_moments(us, vs, sizes: list[int], n: int) -> tuple[float, float, float]:
+    """:func:`_moments` of two between columns, each a list of one value per
+    group that stands for the group's rows, summed per group."""
+    pairs = ((us, vs), (us, us), (vs, vs))
+    return tuple(_repeated_fsum(list(map(mul, a, b)), sizes) / n for a, b in pairs)
 
 
 def _corr(cov: float, var_x: float, var_y: float) -> float | None:
@@ -151,10 +191,11 @@ def decompose(
     if n < 2:
         raise InsufficientData(f"need at least 2 rows to decompose, got {n}")
     groups = _grouped(records, group_col, x_col, y_col)
+    sizes = [g.n for g, _, _ in groups]
     try:
-        cx, mx, bx = _centered([gx for _, gx, _ in groups], n)
-        cy, my, by = _centered([gy for _, _, gy in groups], n)
-        total, between = _moments(cx, cy, n), _moments(bx, by, n)
+        cx, mx, bx = _centered([gx for _, gx, _ in groups], sizes, n)
+        cy, my, by = _centered([gy for _, _, gy in groups], sizes, n)
+        total, between = _moments(cx, cy, n), _between_moments(bx, by, sizes, n)
         # within = centered - group mean, in place: no second column is held
         for c, m in zip(cx + cy, mx + my):
             c[:] = map(sub, c, repeat(m))

@@ -40,7 +40,11 @@ class GroupPath:
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        points = tuple(self.points)
+        for p in points:
+            if not isinstance(p, (tuple, list)) or len(p) != 2:
+                raise ValidationError(f"a path point is an (x, y) pair, got {p!r}")
+        object.__setattr__(self, "points", tuple(map(tuple, points)))
         if len(self.points) < 2 or self.points[0] != (0, 0):
             raise ValidationError("a path starts at (0, 0) and has >= 1 segment")
         for x, y in self.points:

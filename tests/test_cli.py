@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -11,12 +12,15 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confound import cli
 from confound.cli import (
+    BLOCK_CHARS,
     CHUNK_ROWS,
     MAX_COUNT_DIGITS,
     REFERENCES,
@@ -365,6 +369,122 @@ class TestParseRecordsCsv:
         assert parsed == records
 
 
+# cells of text that needs no quoting: no double quote, comma, carriage
+# return, line feed or NUL, but other line-breaking characters the csv module
+# keeps inside a field
+_plain_cell = st.one_of(
+    st.sampled_from(
+        ["", "a", "b", "0", "1", "yes", "NO", "2.5", "-0", "inf", "zz", " 1", "x y",
+         "\x0b", "\u2028"]
+    ),
+    st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters='",\r\n\0'),
+        max_size=5,
+    ),
+)
+
+
+@st.composite
+def plain_records_texts(draw):
+    """A record CSV with no double quote, carriage return or NUL, its header,
+    the csv field size limit to read it under (``None``: the default) and the
+    plain reader's block size. Good rows may push the drawn ones to and past
+    ``CHUNK_ROWS``; the drawn rows may be ragged or blank, and the last line
+    may lack its line end."""
+    names = draw(st.permutations(["g", "x", "y", "out", "c"]))
+    header = names[: draw(st.integers(0, 5))]
+    if draw(st.integers(0, 4)) == 0 and header:
+        header = [*header, draw(st.sampled_from([*header, ""]))]  # a bad header
+    pad = draw(st.sampled_from([0, 0, CHUNK_ROWS - 2, CHUNK_ROWS - 1, CHUNK_ROWS]))
+    # mostly rows as wide as the header, of cells every column kind takes
+    fitting = st.lists(
+        st.sampled_from(["0", "1", "1", "0", "2.5", "yes", "", "a", "123456789012"]),
+        min_size=len(header), max_size=len(header),
+    )
+    row = st.one_of(fitting, fitting, fitting, st.lists(_plain_cell, max_size=6))
+    rows = draw(st.lists(row.map(",".join), max_size=8))
+    lines = [",".join(header), *[",".join(["1"] * len(header))] * pad, *rows]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    limit = draw(st.sampled_from([None, None, 1, 3, 8]))
+    block = draw(st.sampled_from([1, 7, 64, BLOCK_CHARS]))
+    return text, header, limit, block
+
+
+def _quoted(text):
+    """``text`` with every field of every non-blank line in double quotes."""
+    return "\n".join(
+        ",".join(f'"{f}"' for f in line.split(",")) if line else ""
+        for line in text.split("\n")
+    )
+
+
+def _parsed(text, header):
+    """The table ``parse_records_csv`` reads, or its error, line and message."""
+    try:
+        table = parse_records_csv(
+            text,
+            numeric_columns=[c for c in ("x", "y") if c in header],
+            boolean_columns=[c for c in ("out",) if c in header],
+        )
+    except ConfoundError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return table, repr(table)
+
+
+class TestIngestPaths:
+    """Text without a double quote, carriage return or NUL is split directly;
+    the same text with every field quoted is read by the csv module. Both
+    read one grammar, so they must give equal tables or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_records_texts())
+    def test_plain_and_quoted_text_agree(self, case):
+        text, header, limit, block = case
+        quoted = _quoted(text)
+        assert not any(c in text for c in '"\r\0')
+        assert '"' in quoted or not text.strip("\n")
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            with mock.patch.object(cli, "BLOCK_CHARS", block):
+                assert _parsed(text, header) == _parsed(quoted, header)
+        finally:
+            csv.field_size_limit(default)
+
+    def test_a_long_line_hands_the_rest_to_the_csv_module(self):
+        # the long line's block is re-read by the csv module, which sees its
+        # oversized field; the rows before it were read directly
+        default = csv.field_size_limit()
+        text = "g,x\n" + "a,1\n" * 50 + "b," + "9" * 40 + "\n" + "c,2\n"
+        try:
+            csv.field_size_limit(30)
+            with mock.patch.object(cli, "BLOCK_CHARS", 16):
+                with pytest.raises(CsvError) as err:
+                    parse_records_csv(text, numeric_columns=("x",))
+        finally:
+            csv.field_size_limit(default)
+        assert (err.value.line, str(err.value)) == (
+            52, "line 52: field larger than field limit (30)"
+        )
+
+    @pytest.mark.parametrize("block", [1, BLOCK_CHARS])
+    def test_a_short_row_and_a_long_one_are_ragged(self, block):
+        # together they hold as many cells as two good rows, and every cell
+        # is good text wherever it lands
+        text = "g,c\na,1\nb\nc,2,3\nd,4\n"
+        with mock.patch.object(cli, "BLOCK_CHARS", block):
+            with pytest.raises(RaggedRow) as err:
+                parse_records_csv(text)
+        assert str(err.value) == "line 3: expected 2 fields, got 1"
+
+    @pytest.mark.parametrize("text", ["g,x\na,1\n", "g,x\na,1", "g,x\n\na,1\n\n"])
+    def test_line_ends_and_blank_lines(self, text):
+        records = parse_records_csv(text, numeric_columns=("x",))
+        assert records.rows == (("a", 1.0),)
+        assert records == parse_records_csv(_quoted(text), numeric_columns=("x",))
+
+
 def _first_record_error(text, header):
     """The first fault of a records CSV with columns g (text), x and y
     (numbers) and out (booleans), found row by row and cell by cell."""
@@ -645,6 +765,52 @@ class TestRun:
         assert capsys.readouterr() == (
             "", f"error:invalid-value: bin count must be >= 2, got {bins}\n"
         )
+
+    @pytest.mark.parametrize("bins", ["10001", "1" + "0" * 30])
+    @pytest.mark.parametrize("records", ["r.csv", "missing.csv"])
+    def test_scan_bounds_the_bin_count(self, tmp_path, capsys, records, bins):
+        # above MAX_BINS, one error before the records are read
+        (tmp_path / "r.csv").write_text("g,out,x,y,c\na,1,1,2,u\nb,0,2,1,u\n")
+        argv = ["scan", str(tmp_path / records), "--group-col", "g",
+                "--outcome-col", "out", "--candidates", "x,y,c", "--numeric", "x,y",
+                "--bins", bins]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error:invalid-value: bin count must be <= 10000, got {bins}\n"
+        )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, robinson_path, capsys, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            argv = ["decompose", robinson_path, "--group-col", "region",
+                    "--x", "foreign_born", "--y", "literate"]
+            assert run(argv) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_main_turns_the_collector_off(self, robinson_path, monkeypatch, capsys):
+        was = gc.isenabled()
+        monkeypatch.setattr(sys, "argv", ["confound", "decompose", robinson_path,
+                                          "--group-col", "region", "--x", "foreign_born",
+                                          "--y", "literate"])
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main()
+            assert (exit_.value.code, gc.isenabled()) == (0, False)
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_scan_takes_the_largest_bin_count(self, tmp_path, capsys):
+        (tmp_path / "r.csv").write_text("g,out,x\na,1,1\nb,0,2\n")
+        argv = ["scan", str(tmp_path / "r.csv"), "--group-col", "g",
+                "--outcome-col", "out", "--candidates", "x", "--numeric", "x",
+                "--bins", "10000", "--format", "json"]
+        assert run(argv) == 0
+        (skip,) = json.loads(capsys.readouterr().out)["skipped"]
+        assert skip["reason"] == "too-few-distinct-values"
 
     @pytest.mark.parametrize("reference", REFERENCES)
     @pytest.mark.parametrize("command", ["analyze", "standardize"])

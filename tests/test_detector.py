@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from confound.detector import (
     Classification,
     Finding,
+    MAX_BINS,
     ScanConfig,
     SkippedCandidate,
     _sides,
@@ -466,12 +467,28 @@ class TestBinNumeric:
             ({"bins": True}, "bins must be an integer, got True"),
             ({"min_stratum_size": 1.5}, "min_stratum_size must be an integer, got 1.5"),
             ({"min_stratum_size": False}, "min_stratum_size must be an integer, got False"),
+            ({"bins": MAX_BINS + 1}, "bin count must be <= 10000, got 10001"),
+            ({"bins": 10**30}, f"bin count must be <= 10000, got {10**30}"),
         ],
     )
     def test_scan_config_checks_its_binning_once(self, options, message):
         with pytest.raises(ValidationError) as err:
             ScanConfig(**options)
         assert str(err.value) == message
+
+    def test_bin_count_bound(self):
+        assert MAX_BINS == 10_000
+        assert ScanConfig(bins=MAX_BINS).bins == MAX_BINS
+        values = [float(i) for i in range(MAX_BINS + 1)]
+        assert len(bin_numeric(values, "equal_width", MAX_BINS)) == MAX_BINS - 1
+        with pytest.raises(ValidationError, match=r"^bin count must be <= 10000, got 10001$"):
+            bin_numeric(values, "equal_width", MAX_BINS + 1)
+        records = records_from_columns(
+            g=["a", "b"], out=[True, False], x=[1.0, 2.0], cov=["u", "u"]
+        )
+        for covariate in ("x", "cov"):
+            with pytest.raises(ValidationError, match=r"^bin count must be <= 10000"):
+                stratify(records, "g", "out", covariate, bins=MAX_BINS + 1)
 
     def test_scan_skips_an_overflowing_binning(self):
         records = records_from_columns(
@@ -526,21 +543,23 @@ def test_binning_matches_the_sort_based_binning():
         ]
         rows = [("ab"[i % 2], rng.random() < 0.5, v) for i, v in enumerate(column)]
         records = RecordTable(_cols("g:categorical", "out:boolean", "x:numeric"), rows)
-        sides = _sides(records, "g", "out")
+        # each row's side code, 2 * group index + outcome, derived here
+        code = [2 * "ab".index(g) + out for g, out, _ in rows]
+        sides = _sides(records, "g", "out")[1]
         strategy, k = rng.choice(["quantile", "equal_width"]), rng.randrange(2, 7)
         config = ScanConfig(strategy, k)
-        expected = _sort_based_binning(column, sides[1], strategy, k)
+        expected = _sort_based_binning(column, code, strategy, k)
         if expected is None:
             with pytest.raises(TooFewDistinctValues):
                 bin_numeric(column, strategy, k)
             with pytest.raises(TooFewDistinctValues):
-                _stratified(records, "x", sides[1], config)
+                _stratified(records, "x", sides, config)
             continue
         edges, description, strata = expected
         assert list(map(repr, bin_numeric(column, strategy, k))) == list(map(repr, edges)), case
         # the rows, not the comparison built from them: a stratum may be
         # empty on one side, which building the comparison rejects
-        got_strata, got_description = _stratified(records, "x", sides[1], config)
+        got_strata, got_description = _stratified(records, "x", sides, config)
         assert got_description == description, case
         assert got_strata == strata, case
         signed_zero_edges += "-0.0" in description

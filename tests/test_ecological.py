@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import chain, repeat
 from math import fsum
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from confound.ecological import (
     DivergenceReport,
     EcologicalDecomposition,
     GroupSummary,
+    _SPLIT_LIMIT,
+    _SPLIT_ROWS,
+    _between_moments,
+    _centered,
     _corr,
+    _grouped,
+    _repeated_fsum,
     decompose,
     group_means,
     sign_divergence_report,
@@ -330,3 +338,98 @@ def test_invariances(data):
     ):
         if a is not None and b is not None and abs(b) > 1e-7:
             assert a * b > 0  # sign preserved under positive scaling
+
+
+def _row_fsum(values, sizes):
+    """The row-level sum the group-level one stands for: each value once per row."""
+    return fsum(chain.from_iterable(map(repeat, values, sizes)))
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (OverflowError, ValueError) as exc:  # fsum past the float range, inf - inf
+        return type(exc).__name__
+
+
+class TestGroupLevelSums:
+    """The between moments and the mean offset are summed per group, from a
+    Veltkamp split of each value; they must give the row-level fsum's bits."""
+
+    @staticmethod
+    def _values(rng, kind, n):
+        if kind == "huge":  # on both sides of the split's cutoff
+            edge = _SPLIT_LIMIT / n
+            return lambda: rng.choice([-1, 1]) * edge * rng.choice(
+                [rng.uniform(0.5, 1.0), 1.0, rng.uniform(1.0, 2.0), 2.0**20, 2.0**27]
+            )
+        if kind == "tiny":  # subnormal and near the normal range
+            return lambda: rng.choice([-1, 1]) * rng.choice(
+                [5e-324 * rng.randrange(1, 2**20), 2.2250738585072014e-308 * rng.random(),
+                 rng.uniform(0, 1) * 2.0 ** rng.randint(-1074, -900)]
+            )
+        if kind == "mixed":  # magnitudes far apart, so terms cancel
+            return lambda: rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60)
+        return lambda: rng.uniform(-1e3, 1e3)
+
+    @pytest.mark.parametrize("kind", ["huge", "tiny", "mixed", "plain"])
+    def test_repeated_sum_is_the_row_sum(self, kind):
+        rng = random.Random(f"group-level sums:{kind}")
+        for case in range(400):
+            k = rng.choice([1, 1, 2, 3, 7, 20])  # a single group, and more
+            sizes = [rng.choice([1, 1, 2, rng.randrange(1, 300)]) for _ in range(k)]
+            draw = self._values(rng, kind, sum(sizes))
+            values = [draw() for _ in range(k)]
+            assert _outcome(_repeated_fsum, values, sizes) == _outcome(
+                _row_fsum, values, sizes
+            ), (values, sizes)
+
+    def test_repeated_sum_of_large_groups_is_exact(self):
+        # groups too large to sum row by row here: the exactly rounded
+        # total, up to the largest size the split takes
+        rng = random.Random("group-level sums: large groups")
+        for case in range(300):
+            k = rng.randrange(1, 5)
+            sizes = [rng.randrange(1, (_SPLIT_ROWS - 1) // k) for _ in range(k)]
+            values = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 900) for _ in range(k)]
+            exact = sum(Fraction(v) * n for v, n in zip(values, sizes))
+            assert _repeated_fsum(values, sizes) == float(exact), (values, sizes)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 5e-324, 1e150, 1e300, 2.0**990])
+    def test_between_values_and_moments_are_the_row_level_ones(self, scale):
+        # against the row-level formulas they replaced: each row's between
+        # value (its group's mean less the offset, the rows' mean of the
+        # group means), then fsum over the rows of their products
+        rng = random.Random(f"between moments:{scale}")
+        for case in range(60):
+            n = rng.randrange(2, 40)
+            labels = [f"g{rng.randrange(rng.choice([1, 3, 12]))}" for _ in range(n)]
+            xs = [rng.uniform(-1, 1) * scale for _ in range(n)]
+            ys = [rng.uniform(-2, 1) * rng.choice([1.0, scale]) for _ in range(n)]
+            groups = _grouped(_records(labels, xs, ys), "g", "x", "y")
+            sizes = [g.n for g, _, _ in groups]
+
+            def reference(cols):
+                mean = fsum(chain.from_iterable(cols)) / n
+                means = [fsum(v - mean for v in c) / len(c) for c in cols]
+                means = means if len(cols) > 1 else [0.0]
+                rows = [[m] * len(c) for m, c in zip(means, cols)]
+                offset = fsum(chain.from_iterable(rows)) / n
+                return list(chain.from_iterable([m - offset for m in r] for r in rows))
+
+            def new(cols):
+                between = _centered(cols, sizes, n)[2]
+                return list(chain.from_iterable(map(repeat, between, sizes)))
+
+            for pick in (1, 2):
+                cols = [g[pick] for g in groups]
+                assert _outcome(new, cols) == _outcome(reference, cols), case
+            try:
+                bx, by = (_centered([g[i] for g in groups], sizes, n)[2] for i in (1, 2))
+            except (OverflowError, ValueError):
+                continue
+            rx, ry = (list(chain.from_iterable(map(repeat, b, sizes))) for b in (bx, by))
+            pairs = ((rx, ry), (rx, rx), (ry, ry))
+            assert _outcome(_between_moments, bx, by, sizes, n) == _outcome(
+                lambda: tuple(fsum(map(mul, a, b)) / n for a, b in pairs)
+            ), case

@@ -93,6 +93,11 @@ class TestToVectors:
             (((0, 0), (2, 1), (4, 0)), "dy must be >= 0, got -1"),
             (((0, 0), (2, 0), (3, 2)), "dy (2) exceeds dx (1)"),
             (((0, 0), (0, 0)), "step (0, 0) needs dx > 0"),
+            # a point that is not a pair, before any other check
+            (((0, 0), (1, 0, 3)), "a path point is an (x, y) pair, got (1, 0, 3)"),
+            (((0, 0), (1,)), "a path point is an (x, y) pair, got (1,)"),
+            (((0, 0), 5), "a path point is an (x, y) pair, got 5"),
+            (((1, 1), (2, 3), 5), "a path point is an (x, y) pair, got 5"),
         ],
     )
     def test_first_fault_and_its_message(self, points, message):
@@ -100,6 +105,10 @@ class TestToVectors:
             GroupPath("g", points)
         assert err.value.code == "invalid-value"
         assert str(err.value) == message
+
+    def test_points_may_be_any_iterable_of_pairs(self):
+        path = GroupPath("g", (p for p in ([0, 0], [2, 1])))
+        assert path.points == ((0, 0), (2, 1))
 
     @given(comparisons(min_total=1))
     def test_derived_slopes_are_the_step_rates(self, sc):
