@@ -204,7 +204,7 @@ def parse_records_csv(
     plain = not ('"' in text or "\r" in text or "\0" in text)
     blocks = _plain_blocks(text) if plain else _csv_blocks(text)
     header = next(blocks)
-    if len(set(header)) != len(header) or any(not h for h in header):
+    if not header or len(set(header)) != len(header) or any(not h for h in header):
         raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
     for name in (*numeric_columns, *boolean_columns):
         if name not in header:

@@ -332,6 +332,10 @@ class ScanConfig:
             raise ValidationError(f"bin count must be >= 2, got {self.bins}")
         if self.bins > MAX_BINS:
             raise ValidationError(f"bin count must be <= {MAX_BINS}, got {self.bins}")
+        if self.min_stratum_size < 0:
+            raise ValidationError(
+                f"minimum stratum size must be >= 0, got {self.min_stratum_size}"
+            )
 
 
 @dataclass(frozen=True)

@@ -91,14 +91,12 @@ def _grouped(
 
 def _mean(values: list[float]) -> float:
     """The mean of finite floats, which is always finite: ``math.fsum``
-    raises when a partial sum leaves the float range, and then the mean is
-    taken exactly instead."""
+    raises when a partial sum leaves the float range, and then the exact
+    sum is divided by the count, rounding once."""
     try:
         return fsum(values) / len(values)
     except OverflowError:
-        from fractions import Fraction
-
-        return float(sum(map(Fraction, values)) / len(values))
+        return _exact_sum(values, repeat(1), len(values))
 
 
 def group_means(
@@ -108,36 +106,23 @@ def group_means(
     return [g for g, _, _ in _grouped(records, group_col, x_col, y_col)]
 
 
-# Veltkamp's split multiplies a value by 2**27 + 1, which leaves the float
-# range from about 2**996 on. A sum is taken per group only while every
-# |value| times the row count stays within this cutoff, so neither the split
-# nor a product nor a partial sum can overflow, here or in the row-level
-# fsum it stands for; past it the rows are summed one by one. There is no
-# lower cutoff: near zero the split and the products stay exact, subnormal
-# values included
-_SPLIT_LIMIT = 2.0**996
-# the halves have 26 significant bits each, so a size below 2**27 times a
-# half is an exact product
-_SPLIT_ROWS = 2**27
+def _exact_sum(values: list[float], sizes, divisor: int = 1) -> float:
+    """Σ size·value / divisor of finite floats, rounded once and correctly,
+    as ``math.fsum`` rounds: a float is an integer over a power of two, so
+    the sum is an integer over the largest; :class:`OverflowError` only
+    when the result is past the float range."""
+    ratios = list(map(float.as_integer_ratio, values))
+    den = max(q for _, q in ratios)
+    return sum(k * p * (den // q) for (p, q), k in zip(ratios, sizes)) / (den * divisor)
 
 
 def _repeated_fsum(values: list[float], sizes: list[int]) -> float:
-    """``fsum`` of each value repeated its size times, bit for bit, summed
-    per value: each value splits exactly into two halves of 26 bits (T. J.
-    Dekker, "A floating-point technique for extending the available
-    precision", Numer. Math. 18 (1971)), so ``size * half`` is exact and
-    ``fsum`` rounds the same exact total once. Values too large for the
-    split and non-finite values are summed row by row."""
-    n = sum(sizes)
-    bound = _SPLIT_LIMIT / max(n, 1)
-    if n >= _SPLIT_ROWS or not all(map(bound.__ge__, map(abs, values))):
-        return fsum(chain.from_iterable(map(repeat, values, sizes)))
-    terms = []
-    for v, k in zip(values, sizes):
-        t = v * 134217729.0  # 2**27 + 1
-        hi = t - (t - v)
-        terms += (k * hi, k * (v - hi))
-    return fsum(terms)
+    """``fsum`` of each value repeated its size times: the exact total,
+    summed per value. Non-finite values are summed row by row, for
+    ``fsum``'s inf, nan or :class:`ValueError`."""
+    if all(map(math.isfinite, values)):
+        return _exact_sum(values, sizes)
+    return fsum(chain.from_iterable(map(repeat, values, sizes)))
 
 
 def _centered(groups: list[list[float]], sizes: list[int], n: int):

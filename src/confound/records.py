@@ -1,16 +1,17 @@
 """Row-level records, stored column by column.
 
-A :class:`RecordTable` holds one tuple of cells per declared column.
+A :class:`RecordTable` holds one list of cells per declared column, never
+copied into a second form and never changed.
 ``RecordTable(columns, rows)`` checks every cell once; the CSV parser,
-which has typed every cell already, builds its tables through the internal
-:meth:`RecordTable._of_columns`, which checks nothing again, and
-:meth:`RecordTable.where` keeps rows without checking them again.
+which has typed every cell already, hands its column lists to the internal
+:meth:`RecordTable._of_columns`, which checks nothing again and keeps them,
+and :meth:`RecordTable.where` keeps rows without checking them again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Collection, Literal, Sequence
 
@@ -33,12 +34,13 @@ class RecordTable:
     Categorical cells are text, numeric cells are finite floats (an int
     cell is stored as its float), boolean cells are bools (outcome
     columns). ``RecordTable(columns, rows)`` raises the error of the first
-    bad cell in row order; ``rows`` is derived from the columns.
+    bad cell in row order; ``rows`` is derived from the columns. The hash
+    leaves the cells out: equal tables have equal columns and row counts.
     """
 
     columns: tuple[Column, ...]
     n_rows: int
-    _data: tuple[tuple, ...]  # one tuple of cells per column
+    _data: tuple[list, ...] = field(hash=False)  # one list of cells per column
 
     def __init__(self, columns: Sequence[Column], rows: Sequence[Sequence]):
         columns = tuple(columns)
@@ -52,12 +54,13 @@ class RecordTable:
         for i, row in enumerate(rows):
             _check_row(columns, i, row)
         data = list(zip(*rows)) or [()] * len(columns)
-        data = [map(float, d) if c.kind == "numeric" else d for c, d in zip(columns, data)]
+        data = [list(map(float, d) if c.kind == "numeric" else d) for c, d in zip(columns, data)]
         self._fill(columns, data, len(rows))
 
     @classmethod
     def _of_columns(cls, columns, data, n_rows: int) -> RecordTable:
-        """A table over columns whose cells are already checked; no validation."""
+        """A table over lists of cells that are already checked, one per
+        column, which it keeps as they are; no validation."""
         table = cls.__new__(cls)
         table._fill(columns, data, n_rows)
         return table
@@ -65,7 +68,7 @@ class RecordTable:
     def _fill(self, columns, data, n_rows: int) -> None:
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "_data", tuple(map(tuple, data)))
+        object.__setattr__(self, "_data", tuple(data))
 
     @property
     def rows(self) -> tuple[tuple[object, ...], ...]:
@@ -87,7 +90,7 @@ class RecordTable:
         """The rows whose value in column ``name`` is one of ``labels``."""
         keep = list(map(set(labels).__contains__, self.values(name)))
         return self._of_columns(
-            self.columns, [compress(cells, keep) for cells in self._data], sum(keep)
+            self.columns, [list(compress(cells, keep)) for cells in self._data], sum(keep)
         )
 
 

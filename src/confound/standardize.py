@@ -131,11 +131,15 @@ def _weights_and_comparison(
 
 def _exact_gap(sc: StratifiedComparison, sizes: list[int]) -> int:
     """The sign of sum(k_i * (p1_i/t1_i - p2_i/t2_i)) as an integer: the
-    sum's numerator over positive denominators, added pairwise."""
-    terms = [
-        (k * (a.positive * b.total - b.positive * a.total), a.total * b.total)
-        for k, a, b in zip(sizes, sc.counts("first"), sc.counts("second"))
-    ]
+    numerators are summed per distinct denominator t1_i * t2_i, zero sums
+    dropped (a stratum and its mirror cancel there), and the rest added
+    pairwise over positive denominators. With distinct denominators nothing
+    merges: the product of them all is then the size of the proof."""
+    numerators: dict[int, int] = {}
+    for k, a, b in zip(sizes, sc.counts("first"), sc.counts("second")):
+        d, n = a.total * b.total, k * (a.positive * b.total - b.positive * a.total)
+        numerators[d] = numerators.get(d, 0) + n
+    terms = [(n, d) for d, n in numerators.items() if n] or [(0, 1)]
     while len(terms) > 1:  # a (0, 1) pads an odd count
         pairs = zip(terms[::2], [*terms[1::2], (0, 1)])
         terms = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in pairs]

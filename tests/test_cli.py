@@ -46,6 +46,7 @@ from confound.errors import (
     RaggedRow,
     UnknownColumn,
 )
+from confound.records import RecordTable
 from confound.tables import StratifiedComparison, Stratum
 from support import BERKELEY, HOSPITAL, counts, hospital_records
 from test_golden import GOLDEN
@@ -219,6 +220,23 @@ class TestParseRecordsCsv:
         ]
         assert records.rows == (("a", True, 33.5), ("b", False, 40.0))
 
+    def test_parsed_table_is_the_table_of_its_rows(self):
+        # the parser's column lists are the table's cells: equal and of equal
+        # hash to the table built from the same rows, and values() a new list
+        text = "grp,dead,age\na,1,33.5\nb,no,40\na,yes,7\n"
+        records = parse_records_csv(
+            text, numeric_columns=("age",), boolean_columns=("dead",)
+        )
+        from_rows = RecordTable(records.columns, records.rows)
+        assert records == from_rows
+        assert hash(records) == hash(from_rows)
+        ages = records.values("age")
+        ages.append(1.0)
+        assert records.values("age") == [33.5, 40.0, 7.0]
+        assert records.where("grp", ["a"]) == RecordTable(
+            records.columns, [("a", True, 33.5), ("a", True, 7.0)]
+        )
+
     def test_outcome_lexicon_is_case_insensitive(self):
         text = "g,out\na,YES\nb,False\n"
         records = parse_records_csv(text, boolean_columns=("out",))
@@ -275,6 +293,9 @@ class TestParseRecordsCsv:
              "line 1: column names must be unique and non-empty: ['g', 'x', 'g']"),
             ("g,,x\na,zz\n", BadHeader,
              "line 1: column names must be unique and non-empty: ['g', '', 'x']"),
+            # a blank first line is a header without names, not one of no columns
+            ("\na,b\n1,2\n", BadHeader,
+             "line 1: column names must be unique and non-empty: []"),
         ],
     )
     def test_first_error_and_its_line(self, text, error, message):
@@ -777,6 +798,19 @@ class TestRun:
         assert run(argv) == 2
         assert capsys.readouterr() == (
             "", f"error:invalid-value: bin count must be <= 10000, got {bins}\n"
+        )
+
+    @pytest.mark.parametrize("size", ["-1", "-40"])
+    @pytest.mark.parametrize("records", ["r.csv", "missing.csv"])
+    def test_scan_checks_the_minimum_stratum_size_once(self, tmp_path, capsys, records, size):
+        # below 0, one error before the records are read
+        (tmp_path / "r.csv").write_text("g,out,x,c\na,1,1,u\nb,0,2,u\n")
+        argv = ["scan", str(tmp_path / records), "--group-col", "g",
+                "--outcome-col", "out", "--candidates", "x,c", "--numeric", "x",
+                "--min-stratum-size", size]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error:invalid-value: minimum stratum size must be >= 0, got {size}\n"
         )
 
     @pytest.mark.parametrize("enabled", [True, False])

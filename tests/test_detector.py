@@ -469,6 +469,9 @@ class TestBinNumeric:
             ({"min_stratum_size": False}, "min_stratum_size must be an integer, got False"),
             ({"bins": MAX_BINS + 1}, "bin count must be <= 10000, got 10001"),
             ({"bins": 10**30}, f"bin count must be <= 10000, got {10**30}"),
+            ({"min_stratum_size": -5}, "minimum stratum size must be >= 0, got -5"),
+            ({"min_stratum_size": -1, "bins": 1}, "bin count must be >= 2, got 1"),
+            ({"min_stratum_size": -1.5}, "min_stratum_size must be an integer, got -1.5"),
         ],
     )
     def test_scan_config_checks_its_binning_once(self, options, message):

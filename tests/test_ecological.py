@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from math import fsum
@@ -13,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confound import ecological
 from confound.cli import parse_records_csv, run
 from confound.ecological import (
     DivergenceReport,
     EcologicalDecomposition,
     GroupSummary,
-    _SPLIT_LIMIT,
-    _SPLIT_ROWS,
     _between_moments,
     _centered,
     _corr,
@@ -353,13 +354,14 @@ def _outcome(f, *args):
 
 
 class TestGroupLevelSums:
-    """The between moments and the mean offset are summed per group, from a
-    Veltkamp split of each value; they must give the row-level fsum's bits."""
+    """The between moments and the mean offset are summed per group, as an
+    exact integer total; they must give the row-level fsum's bits wherever
+    fsum gives a float, and a float wherever the exact total is one."""
 
     @staticmethod
     def _values(rng, kind, n):
-        if kind == "huge":  # on both sides of the split's cutoff
-            edge = _SPLIT_LIMIT / n
+        if kind == "huge":  # around 2**996 over the row count
+            edge = 2.0**996 / n
             return lambda: rng.choice([-1, 1]) * edge * rng.choice(
                 [rng.uniform(0.5, 1.0), 1.0, rng.uniform(1.0, 2.0), 2.0**20, 2.0**27]
             )
@@ -385,17 +387,18 @@ class TestGroupLevelSums:
             ), (values, sizes)
 
     def test_repeated_sum_of_large_groups_is_exact(self):
-        # groups too large to sum row by row here: the exactly rounded
-        # total, up to the largest size the split takes
+        # groups too large to sum row by row here: the exactly rounded total
         rng = random.Random("group-level sums: large groups")
         for case in range(300):
             k = rng.randrange(1, 5)
-            sizes = [rng.randrange(1, (_SPLIT_ROWS - 1) // k) for _ in range(k)]
+            sizes = [rng.randrange(1, (2**27 - 1) // k) for _ in range(k)]
             values = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 900) for _ in range(k)]
             exact = sum(Fraction(v) * n for v, n in zip(values, sizes))
             assert _repeated_fsum(values, sizes) == float(exact), (values, sizes)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-300, 5e-324, 1e150, 1e300, 2.0**990])
+    @pytest.mark.parametrize(
+        "scale", [1.0, 1e-300, 5e-324, 1e150, 1e300, 2.0**990, 2.0**1000]
+    )
     def test_between_values_and_moments_are_the_row_level_ones(self, scale):
         # against the row-level formulas they replaced: each row's between
         # value (its group's mean less the offset, the rows' mean of the
@@ -433,3 +436,88 @@ class TestGroupLevelSums:
             assert _outcome(_between_moments, bx, by, sizes, n) == _outcome(
                 lambda: tuple(fsum(map(mul, a, b)) / n for a, b in pairs)
             ), case
+
+    @pytest.mark.parametrize(
+        "values, sizes, total",
+        [
+            ([1e308, -1e308], [2, 2], 0.0),
+            ([1e308, -1e308], [3, 2], 1e308),
+            ([-1e308, 1e308, 5e-324], [2, 2, 3], 1.5e-323),
+        ],
+    )
+    def test_exact_where_the_row_sum_overflows_part_way(self, values, sizes, total):
+        # fsum's running sum over the rows leaves the float range, so it
+        # raises; the group-level sum is the exact total, correctly rounded
+        assert _outcome(_row_fsum, values, sizes) == "OverflowError"
+        assert _outcome(_repeated_fsum, values, sizes) == repr(total)
+
+    @pytest.mark.parametrize(
+        "values, sizes, outcome",
+        [
+            ([1e308], [2], "OverflowError"),
+            # half an ulp past the largest float rounds up, out of the range
+            ([sys.float_info.max, 2.0**970], [1, 1], "OverflowError"),
+            ([sys.float_info.max, 2.0**969], [1, 1], repr(sys.float_info.max)),
+            ([math.inf, 1.0], [2, 3], "inf"),
+            ([math.inf, -math.inf], [1, 1], "ValueError"),
+            ([math.nan, 1.0], [1, 1], "nan"),
+        ],
+    )
+    def test_past_the_float_range_and_non_finite(self, values, sizes, outcome):
+        assert _outcome(_repeated_fsum, values, sizes) == outcome
+        assert _outcome(_row_fsum, values, sizes) == outcome
+
+    @staticmethod
+    def _near_the_top(rng):
+        # groups whose centered rows sum to negatives first, past -top
+        # together, then to positives; the mean keeps the raw rows' running
+        # sum in range, so the row-level sum of the group means overflows
+        # part-way and the exact one does not
+        top = sys.float_info.max
+        neg, pos = ([rng.uniform(0.4, 0.9) for _ in range(rng.randrange(2, 4))] for _ in "np")
+        scale = min(sum(neg), sum(pos))
+        sums = [-u * scale / sum(neg) for u in neg] + [v * scale / sum(pos) for v in pos]
+        sizes = [rng.choice([1, 1, 2]) for _ in sums]
+        mean = rng.uniform(0.2, 1) * top / sum(sizes)
+        xs = [s * (top - mean) / k + mean for s, k in zip(sums, sizes) for _ in range(k)]
+        labels = [f"g{i}" for i, k in enumerate(sizes) for _ in range(k)]
+        return labels, xs, [rng.uniform(-1, 1) for _ in xs]
+
+    @staticmethod
+    def _near_1e150(rng):
+        # products near 1e300 and finite moments: decompose's bytes
+        n = rng.randrange(2, 40)
+        labels = [f"g{rng.randrange(rng.choice([1, 3, 12]))}" for _ in range(n)]
+        xs = [rng.uniform(-1, 1) * 1e150 for _ in range(n)]
+        return labels, xs, [rng.uniform(-2, 1) * rng.choice([1.0, 1e150]) for _ in range(n)]
+
+    @pytest.mark.parametrize("kind", ["_near_the_top", "_near_1e150"])
+    def test_decompose_is_that_of_the_row_level_sums(self, kind, monkeypatch):
+        # decompose gives the same bytes, or the same NumericOverflow, as with
+        # every group-level sum taken row by row: where a group-level sum is
+        # finite but the row-level fsum overflows part-way, a variance sum
+        # overflows too (Cauchy-Schwarz)
+        rng = random.Random(f"decompose, row-level sums:{kind}")
+        part_way = 0
+
+        def row_level(values, sizes):
+            nonlocal part_way
+            try:
+                return _row_fsum(values, sizes)
+            except OverflowError:
+                part_way += _outcome(_repeated_fsum, values, sizes) != "OverflowError"
+                raise
+
+        def outcome(records):
+            try:
+                return repr(decompose(records, "g", "x", "y"))
+            except NumericOverflow as exc:
+                return str(exc)
+
+        for case in range(200):
+            records = _records(*getattr(self, kind)(rng))
+            new = outcome(records)
+            with monkeypatch.context() as m:
+                m.setattr(ecological, "_repeated_fsum", row_level)
+                assert outcome(records) == new, case
+        assert part_way > 0 or kind == "_near_1e150"

@@ -247,6 +247,19 @@ def near_tie_table(rng: random.Random) -> list:
     return cells
 
 
+def shared_denominator_table(rng: random.Random) -> list:
+    """Mirrored pairs and near ties, plus strata that repeat another's
+    totals with nudged positives, in any order: strata share denominators,
+    and their summed numerators are zero for some and not for others."""
+    cells = mirrored_table(rng) + near_tie_table(rng)
+    cells += [
+        (t1, _nudged(rng, t1, p1), t2, _nudged(rng, t2, p2))
+        for t1, p1, t2, p2 in rng.sample(cells, rng.randint(0, len(cells)))
+    ]
+    rng.shuffle(cells)
+    return cells
+
+
 def huge_table(rng: random.Random) -> list:
     """4,000-digit counts, near ties among them, and sometimes a small
     stratum whose weight underflows to zero, or to a subnormal."""
@@ -270,7 +283,10 @@ class TestExactDirection:
     def test_agrees_with_fractions(self):
         rng = random.Random(2024)
         mismatches, ties, near, huge = [], 0, 0, 0
-        families = ((mirrored_table, 250), (near_tie_table, 250), (huge_table, 100))
+        families = (
+            (mirrored_table, 250), (near_tie_table, 250), (huge_table, 100),
+            (shared_denominator_table, 250),
+        )
         for family, count in families:
             for _ in range(count):
                 cells = family(rng)
