@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -492,7 +491,14 @@ def build_generate_report(sc: StratifiedComparison, k: int, scale: int, seed: in
         "table": {
             "group_first": sc.group_first_label,
             "group_second": sc.group_second_label,
-            "strata": [asdict(s) for s in sc.strata],
+            "strata": [
+                {
+                    "label": s.label,
+                    "first": {"total": s.first.total, "positive": s.first.positive},
+                    "second": {"total": s.second.total, "positive": s.second.positive},
+                }
+                for s in sc.strata
+            ],
         },
         "table_csv": serialize_table_csv(sc),
     }

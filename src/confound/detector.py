@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress
 from operator import not_
@@ -35,7 +34,7 @@ from .errors import (
     TooFewDistinctValues,
     ValidationError,
 )
-from .tables import Direction, StratifiedComparison, _integer, cross_direction
+from .tables import Direction, StratifiedComparison, _integer, _Value, cross_direction
 
 if TYPE_CHECKING:
     from .records import RecordTable
@@ -49,18 +48,33 @@ class Classification(Enum):
     MIXED = "MIXED"
 
 
-@dataclass(frozen=True)
-class ReversalReport:
+class ReversalReport(_Value):
     """Per-stratum directions plus the aggregate direction and verdict.
 
     ``majority_direction`` is the mode of the non-tie stratum directions,
     ``TIE`` when there is no mode.
     """
 
+    _fields = (
+        "stratum_directions", "aggregate_direction", "classification",
+        "majority_direction",
+    )
     stratum_directions: tuple[tuple[str, Direction], ...]
     aggregate_direction: Direction
     classification: Classification
     majority_direction: Direction
+
+    def __init__(
+        self,
+        stratum_directions: tuple[tuple[str, Direction], ...],
+        aggregate_direction: Direction,
+        classification: Classification,
+        majority_direction: Direction,
+    ):
+        object.__setattr__(self, "stratum_directions", stratum_directions)
+        object.__setattr__(self, "aggregate_direction", aggregate_direction)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "majority_direction", majority_direction)
 
 
 def _classify(
@@ -316,45 +330,75 @@ def stratify(
 # Covariate scan
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    binning: BinStrategy = "quantile"
-    bins: int = 4
-    min_stratum_size: int = 1
-    allow_tied_strata: bool = False
+class ScanConfig(_Value):
+    """How :func:`scan` bins numeric candidates, which strata it drops and
+    whether tied strata may stand in a full reversal."""
 
-    def __post_init__(self):
-        if self.binning not in ("quantile", "equal_width"):
-            raise ValidationError(f"unknown binning {self.binning!r}")
-        for name in ("bins", "min_stratum_size"):
-            _integer(name, getattr(self, name))
-        if self.bins < 2:
-            raise ValidationError(f"bin count must be >= 2, got {self.bins}")
-        if self.bins > MAX_BINS:
-            raise ValidationError(f"bin count must be <= {MAX_BINS}, got {self.bins}")
-        if self.min_stratum_size < 0:
+    _fields = ("binning", "bins", "min_stratum_size", "allow_tied_strata")
+    binning: BinStrategy
+    bins: int
+    min_stratum_size: int
+    allow_tied_strata: bool
+
+    def __init__(
+        self,
+        binning: BinStrategy = "quantile",
+        bins: int = 4,
+        min_stratum_size: int = 1,
+        allow_tied_strata: bool = False,
+    ):
+        if binning not in ("quantile", "equal_width"):
+            raise ValidationError(f"unknown binning {binning!r}")
+        _integer("bins", bins)
+        _integer("min_stratum_size", min_stratum_size)
+        if bins < 2:
+            raise ValidationError(f"bin count must be >= 2, got {bins}")
+        if bins > MAX_BINS:
+            raise ValidationError(f"bin count must be <= {MAX_BINS}, got {bins}")
+        if min_stratum_size < 0:
             raise ValidationError(
-                f"minimum stratum size must be >= 0, got {self.min_stratum_size}"
+                f"minimum stratum size must be >= 0, got {min_stratum_size}"
             )
+        object.__setattr__(self, "binning", binning)
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "min_stratum_size", min_stratum_size)
+        object.__setattr__(self, "allow_tied_strata", allow_tied_strata)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(_Value):
     """One candidate covariate that supported a full classification."""
 
+    _fields = ("covariate", "binning", "report", "stratum_sizes")
     covariate: str
     binning: str
     report: ReversalReport
     stratum_sizes: tuple[int, ...]
 
+    def __init__(
+        self,
+        covariate: str,
+        binning: str,
+        report: ReversalReport,
+        stratum_sizes: tuple[int, ...],
+    ):
+        object.__setattr__(self, "covariate", covariate)
+        object.__setattr__(self, "binning", binning)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "stratum_sizes", stratum_sizes)
 
-@dataclass(frozen=True)
-class SkippedCandidate:
+
+class SkippedCandidate(_Value):
     """One candidate covariate that could not be classified, and why."""
 
+    _fields = ("covariate", "reason", "detail")
     covariate: str
     reason: str
     detail: str
+
+    def __init__(self, covariate: str, reason: str, detail: str):
+        object.__setattr__(self, "covariate", covariate)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
 
 
 ScanResult = Union[Finding, SkippedCandidate]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import fsum
 from operator import mul, sub
@@ -25,6 +24,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     InsufficientData, NonNumeric, NumericOverflow, UndefinedCorrelation, ValidationError
 )
+from .tables import _Value
 
 if TYPE_CHECKING:
     from .records import RecordTable
@@ -32,16 +32,23 @@ if TYPE_CHECKING:
 _TOO_LARGE = "columns {!r} and {!r} are too large for float moments"
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(_Value):
+    """One group's label, size and x and y means."""
+
+    _fields = ("label", "n", "mean_x", "mean_y")
     label: str
     n: int
     mean_x: float
     mean_y: float
 
+    def __init__(self, label: str, n: int, mean_x: float, mean_y: float):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mean_x", mean_x)
+        object.__setattr__(self, "mean_y", mean_y)
 
-@dataclass(frozen=True)
-class EcologicalDecomposition:
+
+class EcologicalDecomposition(_Value):
     """Covariance split plus the matching correlations.
 
     ``total_cov == between_cov + within_cov`` holds exactly up to float
@@ -49,6 +56,10 @@ class EcologicalDecomposition:
     x or y variance is zero.
     """
 
+    _fields = (
+        "total_cov", "between_cov", "within_cov",
+        "total_corr", "between_corr", "within_corr", "group_summaries",
+    )
     total_cov: float
     between_cov: float
     within_cov: float
@@ -57,12 +68,37 @@ class EcologicalDecomposition:
     within_corr: float | None
     group_summaries: tuple[GroupSummary, ...]
 
+    def __init__(
+        self,
+        total_cov: float,
+        between_cov: float,
+        within_cov: float,
+        total_corr: float | None,
+        between_corr: float | None,
+        within_corr: float | None,
+        group_summaries: tuple[GroupSummary, ...],
+    ):
+        object.__setattr__(self, "total_cov", total_cov)
+        object.__setattr__(self, "between_cov", between_cov)
+        object.__setattr__(self, "within_cov", within_cov)
+        object.__setattr__(self, "total_corr", total_corr)
+        object.__setattr__(self, "between_corr", between_corr)
+        object.__setattr__(self, "within_corr", within_corr)
+        object.__setattr__(self, "group_summaries", group_summaries)
 
-@dataclass(frozen=True)
-class DivergenceReport:
+
+class DivergenceReport(_Value):
+    """Whether the between-group and within-group correlations have opposite signs."""
+
+    _fields = ("divergent", "between_corr", "within_corr")
     divergent: bool
     between_corr: float
     within_corr: float
+
+    def __init__(self, divergent: bool, between_corr: float, within_corr: float):
+        object.__setattr__(self, "divergent", divergent)
+        object.__setattr__(self, "between_corr", between_corr)
+        object.__setattr__(self, "within_corr", within_corr)
 
     @property
     def verdict(self) -> str:

@@ -18,17 +18,16 @@ always come from data coordinates, never canvas ones.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DegenerateRange, ValidationError
 from .tables import (
     _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, _integer, _pair,
-    aggregate, compare, percent, rate,
+    _Value, aggregate, compare, percent, rate,
 )
 
 
-@dataclass(frozen=True)
-class GroupPath:
+class GroupPath(_Value):
     """One group's cumulative vector path.
 
     ``points`` starts at the origin and accumulates stratum counts: each
@@ -36,19 +35,22 @@ class GroupPath:
     ``dx > 0``, so its slope is the (unreduced) rate of its stratum.
     """
 
+    _fields = ("label", "points")
     label: str
     points: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        points = tuple(self.points)
+    def __init__(self, label: str, points: Sequence[Sequence[int]]):
+        points = tuple(points)
         for p in points:
             if not isinstance(p, (tuple, list)) or len(p) != 2:
                 raise ValidationError(f"a path point is an (x, y) pair, got {p!r}")
-        object.__setattr__(self, "points", tuple(map(tuple, points)))
-        if len(self.points) < 2 or self.points[0] != (0, 0):
+        points = tuple(map(tuple, points))
+        if len(points) < 2 or points[0] != (0, 0):
             raise ValidationError("a path starts at (0, 0) and has >= 1 segment")
-        for x, y in self.points:
+        for x, y in points:
             _pair(x, y, ("x", "y"))
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "points", points)
         for dx, dy in self.vectors:
             _pair(dx, dy, ("dx", "dy"))
             if dx == 0:
@@ -78,20 +80,24 @@ class GroupPath:
         )
 
 
-@dataclass(frozen=True)
-class VectorDiagram:
+class VectorDiagram(_Value):
+    """The strata's labels and each group's path, one step per stratum."""
+
+    _fields = ("stratum_labels", "groups")
     stratum_labels: tuple[str, ...]
     groups: tuple[GroupPath, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "stratum_labels", tuple(self.stratum_labels))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        for g in self.groups:
-            if len(g.points) - 1 != len(self.stratum_labels):
+    def __init__(self, stratum_labels: Sequence[str], groups: Sequence[GroupPath]):
+        stratum_labels = tuple(stratum_labels)
+        groups = tuple(groups)
+        for g in groups:
+            if len(g.points) - 1 != len(stratum_labels):
                 raise ValidationError(
                     f"group {g.label!r} has {len(g.points) - 1} segments "
-                    f"for {len(self.stratum_labels)} strata"
+                    f"for {len(stratum_labels)} strata"
                 )
+        object.__setattr__(self, "stratum_labels", stratum_labels)
+        object.__setattr__(self, "groups", groups)
 
 
 def to_vectors(sc: StratifiedComparison) -> VectorDiagram:
@@ -133,19 +139,18 @@ DASH = "6,4"
 FONT_SIZE = 12
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Value):
     """Canvas size in pixels, each above ``2 * MARGIN`` so the plot area is
     not empty and at most the largest float so that it can be scaled, and
     whether stratum chords complete their parallelograms."""
 
-    width: int = 640
-    height: int = 480
-    parallelogram: bool = True
+    _fields = ("width", "height", "parallelogram")
+    width: int
+    height: int
+    parallelogram: bool
 
-    def __post_init__(self):
-        for name in ("width", "height"):
-            v = getattr(self, name)
+    def __init__(self, width: int = 640, height: int = 480, parallelogram: bool = True):
+        for name, v in (("width", width), ("height", height)):
             _integer(name, v)
             if v <= 2 * MARGIN:
                 raise ValidationError(
@@ -156,6 +161,9 @@ class RenderOptions:
                     f"{name} must be at most the largest float, got a "
                     f"{v.bit_length()}-bit integer"
                 )
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "parallelogram", parallelogram)
 
 
 def _fmt(v: float) -> str:

@@ -11,24 +11,29 @@ and :meth:`RecordTable.where` keeps rows without checking them again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Collection, Literal, Sequence
 
 from .errors import UnknownColumn, ValidationError
+from .tables import _Value
 
 
 ColumnKind = Literal["categorical", "numeric", "boolean"]
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(_Value):
+    """A column's name and the kind of its cells."""
+
+    _fields = ("name", "kind")
     name: str
     kind: ColumnKind
 
+    def __init__(self, name: str, kind: ColumnKind):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
 
-@dataclass(frozen=True, init=False)
-class RecordTable:
+
+class RecordTable(_Value):
     """Row-level data with a declared column schema, stored column by column.
 
     Categorical cells are text, numeric cells are finite floats (an int
@@ -38,9 +43,10 @@ class RecordTable:
     leaves the cells out: equal tables have equal columns and row counts.
     """
 
+    _fields = ("columns", "n_rows", "_data")
     columns: tuple[Column, ...]
     n_rows: int
-    _data: tuple[list, ...] = field(hash=False)  # one list of cells per column
+    _data: tuple[list, ...]  # one list of cells per column
 
     def __init__(self, columns: Sequence[Column], rows: Sequence[Sequence]):
         columns = tuple(columns)
@@ -69,6 +75,9 @@ class RecordTable:
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "_data", tuple(data))
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.n_rows))
 
     @property
     def rows(self) -> tuple[tuple[object, ...], ...]:

@@ -15,39 +15,50 @@ arithmetic decides the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import ValidationError, WeightMismatch
-from .tables import Direction, Side, StratifiedComparison, cross_direction
+from .tables import Direction, Side, StratifiedComparison, _Value, cross_direction
 
 Reference = Literal["combined", "first", "second", "equal"]
 
 _WEIGHT_SUM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative per-stratum weights summing to one."""
+class WeightVector(_Value):
+    """Non-negative per-stratum weights summing to one, each an int (not a
+    bool) or a float, and stored as a float."""
 
+    _fields = ("weights",)
     weights: tuple[tuple[str, float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple((label, float(w)) for label, w in self.weights)
-        )
-        if not self.weights:
+    def __init__(self, weights: Sequence[tuple[str, float]]):
+        weights = tuple((label, _weight(label, w)) for label, w in weights)
+        if not weights:
             raise ValidationError("a weight vector needs at least one stratum")
-        for label, w in self.weights:
+        for label, w in weights:
             if not w >= 0.0:  # also rejects NaN
                 raise ValidationError(f"weight for {label!r} must be >= 0, got {w}")
         # exactly rounded: a plain sum's error grows with the stratum count
-        total = math.fsum(w for _, w in self.weights)
+        total = math.fsum(w for _, w in weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
+        object.__setattr__(self, "weights", weights)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.weights)
+
+
+def _weight(label: str, w) -> float:
+    if isinstance(w, bool) or not isinstance(w, (int, float)):
+        raise ValidationError(f"weight for {label!r} must be a number, got {w!r}")
+    try:
+        return float(w)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(
+            f"weight for {label!r} must be within the float range, got a "
+            f"{w.bit_length()}-bit integer"
+        ) from None
 
 
 def reference_weights(

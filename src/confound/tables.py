@@ -12,7 +12,7 @@ function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Literal, Sequence
 
@@ -62,8 +62,46 @@ def _require_side(side: str) -> None:
         raise ValidationError(f"side must be 'first' or 'second', got {side!r}")
 
 
-@dataclass(frozen=True)
-class Counts:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, in ``_fields`` and sets each one
+    in its ``__init__`` with ``object.__setattr__``. Two values are equal
+    when they are of the same class and their fields are equal, the hash is
+    the hash of the fields, and a field can be neither assigned nor deleted.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # positional class patterns: ``case Counts(total, positive)``
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Counts(_Value):
     """Subjects and outcome events for one group within one stratum.
 
     ``total`` is the number of subjects, ``positive`` the number of outcome
@@ -71,15 +109,17 @@ class Counts:
     ``positive <= total``.
     """
 
+    _fields = ("total", "positive")
     total: int
     positive: int
 
-    def __post_init__(self):
-        _pair(self.total, self.positive)
+    def __init__(self, total: int, positive: int):
+        _pair(total, positive)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "positive", positive)
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(_Value):
     """An event proportion kept as an unreduced numerator/denominator pair.
 
     Reduction is deliberately not performed: ``Rate(36, 60)`` and
@@ -88,13 +128,16 @@ class Rate:
     approximation for display and weighting only.
     """
 
+    _fields = ("numerator", "denominator")
     numerator: int
     denominator: int
 
-    def __post_init__(self):
-        _pair(self.denominator, self.numerator, ("denominator", "numerator"))
-        if self.denominator == 0:
+    def __init__(self, numerator: int, denominator: int):
+        _pair(denominator, numerator, ("denominator", "numerator"))
+        if denominator == 0:
             raise ValidationError("denominator must be > 0, got 0")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def value(self) -> float:
@@ -108,17 +151,21 @@ class Rate:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Value):
     """One stratum's counts for both groups."""
 
+    _fields = ("label", "first", "second")
     label: str
     first: Counts
     second: Counts
 
+    def __init__(self, label: str, first: Counts, second: Counts):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
-@dataclass(frozen=True)
-class StratifiedComparison:
+
+class StratifiedComparison(_Value):
     """Two named groups observed across one or more named strata.
 
     Invariants enforced here: at least one stratum, text labels, unique
@@ -127,26 +174,29 @@ class StratifiedComparison:
     and then the first stratum empty on one side is an :class:`EmptyStratumSide`.
     """
 
+    _fields = ("group_first_label", "group_second_label", "strata")
     group_first_label: str
     group_second_label: str
     strata: tuple[Stratum, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "strata", tuple(self.strata))
-        if not self.strata:
+    def __init__(
+        self, group_first_label: str, group_second_label: str, strata: Sequence[Stratum]
+    ):
+        strata = tuple(strata)
+        if not strata:
             raise ValidationError("a comparison needs at least one stratum")
-        labels = [s.label for s in self.strata]
-        for label in (self.group_first_label, self.group_second_label, *labels):
+        labels = [s.label for s in strata]
+        for label in (group_first_label, group_second_label, *labels):
             if not isinstance(label, str):
                 raise ValidationError(f"labels must be text, got {label!r}")
-        if self.group_first_label == self.group_second_label:
+        if group_first_label == group_second_label:
             raise ValidationError(
-                f"group labels must differ, both are {self.group_first_label!r}"
+                f"group labels must differ, both are {group_first_label!r}"
             )
         if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
+            dupes = sorted(l for l, n in Counter(labels).items() if n > 1)
             raise ValidationError(f"duplicate stratum labels: {dupes}")
-        empty = [s for s in self.strata if not (s.first.total and s.second.total)]
+        empty = [s for s in strata if not (s.first.total and s.second.total)]
         for s in empty:
             if not (s.first.total or s.second.total):
                 raise ValidationError(
@@ -154,8 +204,11 @@ class StratifiedComparison:
                 )
         if empty:
             s = empty[0]
-            group = self.group_second_label if s.first.total else self.group_first_label
+            group = group_second_label if s.first.total else group_first_label
             raise EmptyStratumSide(f"stratum {s.label!r} has no rows for group {group!r}")
+        object.__setattr__(self, "group_first_label", group_first_label)
+        object.__setattr__(self, "group_second_label", group_second_label)
+        object.__setattr__(self, "strata", strata)
 
     @classmethod
     def from_pairs(

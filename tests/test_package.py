@@ -35,6 +35,11 @@ LOADS = {
     "decompose.robinson.text": {"records", "ecological"},
     "scan.robinson.text": {"records", "detector"},
 }
+# standard modules no process loads: statistics (binning has its own
+# quantiles), fractions (only the oracle), html (SVG labels have their own
+# escape table), json (no case here writes JSON), and dataclasses and the
+# inspect module it imports (the value classes are plain classes)
+UNUSED = {"statistics", "fractions", "html", "json", "dataclasses", "inspect"}
 
 
 def python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -44,6 +49,15 @@ def python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
         [sys.executable, *args], cwd=cwd, capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def imported(result: subprocess.CompletedProcess) -> set[str]:
+    """The modules a ``-X importtime`` process imported."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
 
 
 class TestLazyExports:
@@ -76,6 +90,13 @@ class TestLazyExports:
             "['confound']", "confound.cli confound.detector"
         ]
 
+    def test_cli_import_loads_base_modules_only(self):
+        result = python("-X", "importtime", "-c", "import confound.cli")
+        assert result.returncode == 0, result.stderr
+        loaded = imported(result)
+        assert {m for m in loaded if m.split(".")[0] == "confound"} == BASE
+        assert not loaded & UNUSED
+
 
 @pytest.mark.parametrize("name", sorted(LOADS))
 def test_fresh_process_output_and_modules(name, tmp_path):
@@ -89,15 +110,8 @@ def test_fresh_process_output_and_modules(name, tmp_path):
         Path(argv[argv.index("--out") + 1]).read_bytes() if ext == "svg" else result.stdout
     )
     assert produced == golden_path(name).read_bytes()
-    loaded = {
-        line.rsplit("|", 1)[1].strip()
-        for line in result.stderr.decode().splitlines()
-        if line.startswith("import time:")
-    }
+    loaded = imported(result)
     assert {m for m in loaded if m.split(".")[0] == "confound"} == BASE | {
         f"confound.{m}" for m in LOADS[name]
     }
-    # standard modules no case here runs: statistics (binning has its own
-    # quantiles), fractions (only the oracle), html (SVG labels have their own
-    # escape table) and json (no case writes JSON)
-    assert not loaded & {"statistics", "fractions", "html", "json"}
+    assert not loaded & UNUSED

@@ -3,7 +3,8 @@
 The goldens cover small tables only. The per-stratum loops of the generator,
 the JSON writer and the SVG renderer are pinned here on 4,000-stratum tables
 as well, by digests of what the same commands wrote before those loops were
-last optimised.
+last optimised. The table checks are run on 20,000 strata, with no clock:
+a check that is quadratic in the stratum count shows as a slow suite.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import io
 import pytest
 
 from confound.cli import run
+from confound.errors import ValidationError
+from confound.tables import StratifiedComparison
 
 SIZE = ["--strata", "4000", "--scale", "5000"]
 GENERATED = {
@@ -69,3 +72,11 @@ def test_seed0_outputs(command, table):
         stdout_of(["plot", str(table), "--out", str(svg), *options])
         data = svg.read_bytes()
     assert digest(data) == SEED0[command]
+
+
+def test_duplicate_label_among_20000_strata():
+    rows = [(f"s{i}", (2, 1), (3, 1)) for i in range(20_000)]
+    assert len(StratifiedComparison.from_pairs("a", "b", rows).strata) == 20_000
+    rows.append(("s7", (2, 1), (3, 1)))
+    with pytest.raises(ValidationError, match=r"^duplicate stratum labels: \['s7'\]$"):
+        StratifiedComparison.from_pairs("a", "b", rows)

@@ -53,6 +53,29 @@ class TestWeightVector:
         k = 40_000
         WeightVector(tuple((f"s{i}", 1 / k) for i in range(k)))
 
+    def test_int_weights_become_floats(self):
+        w = WeightVector((("a", 1), ("b", 0)))
+        assert w.weights == (("a", 1.0), ("b", 0.0))
+        assert all(type(x) is float for _, x in w.weights)
+
+    @pytest.mark.parametrize("bad", ["1", True, False, None, "x", b"1", [0.5], 1j])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(ValidationError) as err:
+            WeightVector((("a", 1.0), ("b", bad)))
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == f"weight for 'b' must be a number, got {bad!r}"
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024])
+    def test_rejects_int_past_float_range(self, big):
+        with pytest.raises(ValidationError) as err:
+            WeightVector((("a", big),))
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == (
+            f"weight for 'a' must be within the float range, got a "
+            f"{big.bit_length()}-bit integer"
+        )
+
+
 
 class TestReferenceWeights:
     def test_hospital_equal(self):

@@ -354,10 +354,16 @@ class TestComparisonInvariants:
             StratifiedComparison("a", "b", ())
 
     def test_rejects_duplicate_stratum_labels(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^duplicate stratum labels: \['s'\]$"):
             StratifiedComparison.from_pairs(
                 "a", "b", [("s", (1, 0), (1, 0)), ("s", (1, 0), (1, 0))]
             )
+        # each repeated label once, sorted
+        rows = [(label, (1, 0), (1, 0)) for label in "stusts"]
+        with pytest.raises(ValidationError) as err:
+            StratifiedComparison.from_pairs("a", "b", rows)
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == "duplicate stratum labels: ['s', 't']"
 
     def test_rejects_equal_group_labels(self):
         with pytest.raises(ValidationError):
