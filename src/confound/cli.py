@@ -22,7 +22,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -117,10 +118,12 @@ def parse_table_csv(text: str) -> StratifiedComparison:
 
     Strata and groups keep their order of first appearance. Every
     (stratum, group) pair must appear exactly once and there must be
-    exactly two group values.
+    exactly two group values. The text is read by the block readers of
+    :func:`parse_records_csv` and checked one block column by column; a
+    block with a fault is re-read row by row for the first error.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = _header(reader)
+    blocks = _blocks(text)
+    header = next(blocks)
     if tuple(header) != TABLE_HEADER:
         raise BadHeader(
             f"expected header {','.join(TABLE_HEADER)!r}, got {','.join(header)!r}",
@@ -131,44 +134,81 @@ def parse_table_csv(text: str) -> StratifiedComparison:
     # the same headroom under a lowered int-to-text limit (0 means none)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     max_digits = min(MAX_COUNT_DIGITS, limit - 300) if limit else MAX_COUNT_DIGITS
-    for line, (stratum, group, total_s, positive_s) in _rows(reader, 4):
-        total = _parse_count(total_s, "total", line, max_digits)
-        positive = _parse_count(positive_s, "positive", line, max_digits)
-        try:
-            counts = Counts(total, positive)
-        except ValidationError as exc:  # positive above total
-            raise BadCount(str(exc), line) from None
-        if (stratum, group) in cells:
-            raise DuplicateCell(
-                f"duplicate cell for stratum {stratum!r}, group {group!r}", line
-            )
-        cells[stratum, group] = counts
+    try:
+        for _, rows, columns in blocks:
+            if not rows:
+                continue
+            counts = None
+            if columns is not None:
+                totals = _count_column(columns[2], max_digits)
+                positives = _count_column(columns[3], max_digits)
+                if totals and positives and all(map(le, positives, totals)):
+                    counts = map(Counts, totals, positives)
+            if counts is None:
+                _raise_first_table_error(text, max_digits)
+            size = len(cells)
+            cells.update(zip(zip(columns[0], columns[1]), counts))
+            if len(cells) != size + rows:  # a duplicate cell
+                _raise_first_table_error(text, max_digits)
+    except csv.Error:  # a row of this block before the csv module's fault may be bad
+        _raise_first_table_error(text, max_digits)
+        raise
 
     if not cells:
         raise EmptyData("no data rows after the header")
     # cells keeps row order, so these keep the order of first appearance
-    strata_order = list(dict.fromkeys(stratum for stratum, _ in cells))
-    groups_order = list(dict.fromkeys(group for _, group in cells))
+    strata_order = list(dict.fromkeys(map(itemgetter(0), cells)))
+    groups_order = list(dict.fromkeys(map(itemgetter(1), cells)))
     if len(groups_order) != 2:
         raise NotTwoGroups(
             f"expected exactly two group values, found {len(groups_order)}: "
             f"{groups_order}"
         )
     first, second = groups_order
-    for stratum in strata_order:
-        for group in (first, second):
-            if (stratum, group) not in cells:
-                raise MissingCell(
-                    f"stratum {stratum!r} has no row for group {group!r}"
-                )
+    if len(cells) != 2 * len(strata_order):
+        for stratum in strata_order:
+            for group in (first, second):
+                if (stratum, group) not in cells:
+                    raise MissingCell(
+                        f"stratum {stratum!r} has no row for group {group!r}"
+                    )
+    firsts = map(cells.__getitem__, zip(strata_order, repeat(first)))
+    seconds = map(cells.__getitem__, zip(strata_order, repeat(second)))
     return StratifiedComparison(
-        first,
-        second,
-        tuple(
-            Stratum(lbl, cells[(lbl, first)], cells[(lbl, second)])
-            for lbl in strata_order
-        ),
+        first, second, tuple(map(Stratum, strata_order, firsts, seconds))
     )
+
+
+def _count_column(fields: Sequence[str], max_digits: int) -> list[int] | None:
+    """One block's count fields as ints, or None when one breaks the rule
+    of :func:`_parse_count`: one to ``max_digits`` ASCII digits."""
+    joined = "".join(fields)
+    if "" in fields or not (joined.isascii() and joined.isdigit()):
+        return None
+    if max(map(len, fields)) > max_digits:
+        return None
+    return list(map(int, fields))
+
+
+def _raise_first_table_error(text: str, max_digits: int) -> None:
+    """Re-read a table CSV row by row with the ``csv`` module and raise the
+    first bad row's error: a ragged row, a bad count, positive above total,
+    then a duplicate cell."""
+    seen = set()
+    for line, (stratum, group, total_s, positive_s) in _rows(
+        csv.reader(io.StringIO(text)), 4, 1
+    ):
+        total = _parse_count(total_s, "total", line, max_digits)
+        positive = _parse_count(positive_s, "positive", line, max_digits)
+        try:
+            Counts(total, positive)
+        except ValidationError as exc:  # positive above total
+            raise BadCount(str(exc), line) from None
+        if (stratum, group) in seen:
+            raise DuplicateCell(
+                f"duplicate cell for stratum {stratum!r}, group {group!r}", line
+            )
+        seen.add((stratum, group))
 
 
 def serialize_table_csv(sc: StratifiedComparison) -> str:
@@ -200,8 +240,7 @@ def parse_records_csv(
     """
     from .records import Column, RecordTable
 
-    plain = not ('"' in text or "\r" in text or "\0" in text)
-    blocks = _plain_blocks(text) if plain else _csv_blocks(text)
+    blocks = _blocks(text)
     header = next(blocks)
     if not header or len(set(header)) != len(header) or any(not h for h in header):
         raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
@@ -241,6 +280,13 @@ def parse_records_csv(
     if not n_rows:
         raise EmptyData("no data rows after the header")
     return RecordTable._of_columns(columns, data, n_rows)
+
+
+def _blocks(text: str):
+    """:func:`_plain_blocks` for text with no double quote, carriage return
+    or NUL, else :func:`_csv_blocks`."""
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    return _plain_blocks(text) if plain else _csv_blocks(text)
 
 
 def _csv_blocks(text: str):
@@ -676,10 +722,17 @@ def _json_dumps(doc) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, for what reports hold:
     dicts with str keys, lists, tuples, str, int, float, bool and None. Any
     other type is a TypeError. One recursive walk that dispatches on the exact
-    type writes it, instead of the pure-Python encoder that ``indent`` selects."""
+    type writes it, instead of the pure-Python encoder that ``indent`` selects.
+
+    A list of two or more records of one shape (dicts with the same keys in
+    the same order, or lists or tuples of one type and length, with one
+    scalar type at each leaf position) is written column by column: each
+    leaf position is formatted by one ``map``, then every record fills one
+    %-template that holds the keys and the indentation."""
     from json.encoder import encode_basestring_ascii as quote
 
-    specials = {math.inf: "Infinity", -math.inf: "-Infinity"}
+    floats = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    bools = {True: "true", False: "false"}
 
     def write(o, indent: str) -> str:
         t = type(o)
@@ -688,9 +741,8 @@ def _json_dumps(doc) -> str:
         if t is int:
             return int.__repr__(o)
         if t is float:
-            if o != o:
-                return "NaN"
-            return specials.get(o) or float.__repr__(o)
+            text = float.__repr__(o)
+            return floats.get(text, text)
         if t is dict or t is list or t is tuple:
             if not o:
                 return "{}" if t is dict else "[]"
@@ -698,13 +750,63 @@ def _json_dumps(doc) -> str:
             if t is dict:
                 items = [quote(k) + ": " + write(v, inner) for k, v in o.items()]
                 return "{" + inner + ("," + inner).join(items) + indent + "}"
-            items = [write(v, inner) for v in o]
+            shape = len(o) > 1 and columns(o, inner)
+            if shape:
+                template, cells = shape
+                records = zip(*cells) if cells else repeat((), len(o))
+                items = map(template.__mod__, records)
+            else:
+                items = [write(v, inner) for v in o]
             return "[" + inner + ("," + inner).join(items) + indent + "]"
         if o is None:
             return "null"
         if t is bool:
-            return "true" if o else "false"
+            return bools[o]
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def columns(values, indent: str) -> tuple[str, list] | None:
+        """The %-template and the formatted leaf columns that write each of
+        ``values`` at ``indent``, or None when they do not share one shape."""
+        types = set(map(type, values))
+        if len(types) != 1:
+            return None
+        t = types.pop()
+        if t is str:
+            return "%s", [list(map(quote, values))]
+        if t is int:
+            return "%s", [list(map(int.__repr__, values))]
+        if t is float:
+            texts = list(map(float.__repr__, values))
+            return "%s", [list(map(floats.get, texts, texts))]
+        if t is bool:
+            return "%s", [list(map(bools.__getitem__, values))]
+        if values[0] is None:
+            return "null", []
+        if t is dict:
+            keys = set(map(tuple, values))
+            if len(keys) != 1:
+                return None
+            names = [quote(k).replace("%", "%%") + ": " for k in keys.pop()]
+            fields = zip(*map(dict.values, values))
+        elif t is list or t is tuple:
+            if len(set(map(len, values))) != 1:
+                return None
+            names = [""] * len(values[0])
+            fields = zip(*values)
+        else:
+            return None
+        if not names:
+            return "{}" if t is dict else "[]", []
+        inner = indent + "  "
+        templates, cells = [], []
+        for name, field in zip(names, fields):
+            shape = columns(field, inner)
+            if shape is None:
+                return None
+            templates.append(name + shape[0])
+            cells += shape[1]
+        body = inner + ("," + inner).join(templates) + indent
+        return ("{" + body + "}" if t is dict else "[" + body + "]"), cells
 
     return write(doc, "\n")
 

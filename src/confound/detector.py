@@ -34,7 +34,9 @@ from .errors import (
     TooFewDistinctValues,
     ValidationError,
 )
-from .tables import Direction, StratifiedComparison, _integer, _Value, cross_direction
+from .tables import (
+    Direction, StratifiedComparison, _flag, _integer, _Value, cross_direction,
+)
 
 if TYPE_CHECKING:
     from .records import RecordTable
@@ -359,6 +361,7 @@ class ScanConfig(_Value):
             raise ValidationError(
                 f"minimum stratum size must be >= 0, got {min_stratum_size}"
             )
+        _flag("allow_tied_strata", allow_tied_strata)
         object.__setattr__(self, "binning", binning)
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "min_stratum_size", min_stratum_size)

@@ -18,12 +18,14 @@ always come from data coordinates, never canvas ones.
 from __future__ import annotations
 
 import sys
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 from typing import Sequence
 
 from .errors import DegenerateRange, ValidationError
 from .tables import (
-    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, _integer, _pair,
-    _Value, aggregate, compare, percent, rate,
+    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, _flag, _integer,
+    _pair, _Value, aggregate, compare, percent, rate,
 )
 
 
@@ -161,6 +163,7 @@ class RenderOptions(_Value):
                     f"{name} must be at most the largest float, got a "
                     f"{v.bit_length()}-bit integer"
                 )
+        _flag("parallelogram", parallelogram)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "parallelogram", parallelogram)
@@ -182,9 +185,14 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
     plot_h = options.height - 2 * MARGIN
     span_x, span_y = max(span_x, 1), max(span_y, 1)
 
-    def px(p: tuple[int, int]) -> tuple[float, float]:
-        # exact integer products divided once: no float overflow on huge counts
-        return ox + p[0] * plot_w / span_x, oy - p[1] * plot_h / span_y
+    def canvas(xs, ys) -> tuple[list[float], list[float]]:
+        """The canvas points ``(ox + x * plot_w / span_x, oy - y * plot_h /
+        span_y)`` of count points ``(x, y)``, as a column of canvas x and one
+        of canvas y: exact integer products divided once, so huge counts
+        cannot overflow a float."""
+        qx = map(truediv, map(mul, xs, repeat(plot_w)), repeat(span_x))
+        qy = map(truediv, map(mul, ys, repeat(plot_h)), repeat(span_y))
+        return list(map(add, repeat(ox), qx)), list(map(sub, repeat(oy), qy))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -201,43 +209,49 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
         f'text-anchor="start" fill="#444444">positive</text>',
     ]
 
-    # each element is one %-template per group, its constant parts filled in
+    # each element is one %-template per group, its constant parts filled in,
+    # and each group's points are columns of counts and of canvas coordinates
     origin = f"M {_fmt(ox)} {_fmt(oy)} L %.2f %.2f"
     for gi, g in enumerate(d.groups):
         color = COLORS[gi % len(COLORS)]
-        tx, ty = px(g.terminal)
+        total, positive = g.terminal
+        (tx,), (ty,) = canvas((total,), (positive,))
         chord = (
             f'<path class="stratum-chord" d="{origin}'
             + (f' M %.2f %.2f L {_fmt(tx)} {_fmt(ty)}' if options.parallelogram else "")
             + f'" stroke="{color}" stroke-width="1.5" stroke-dasharray="{DASH}" '
             'fill="none"/>'
         )
-        vectors = g.vectors
-        total, positive = g.terminal
-        for v in vectors:
-            if v == g.terminal:  # single stratum: chord and aggregate coincide
-                continue
-            coords = px(v)
+        xs, ys = zip(*g.points)
+        dxs, dys = list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys))
+        # every step of a path runs dx > 0, so a step is the whole path only
+        # when it is the only one: then chord and aggregate coincide
+        if len(dxs) > 1:
+            ends = canvas(dxs, dys)
             if options.parallelogram:
-                coords += px((total - v[0], positive - v[1]))
-            parts.append(chord % coords)
+                far = map(sub, repeat(total), dxs), map(sub, repeat(positive), dys)
+                ends += canvas(*far)
+            parts += map(chord.__mod__, zip(*ends))
         parts.append(
             f'<line class="aggregate-chord" x1="{_fmt(ox)}" y1="{_fmt(oy)}" '
             f'x2="{_fmt(tx)}" y2="{_fmt(ty)}" stroke="{color}" stroke-width="2"/>'
         )
 
+        # one marker per distinct point, the terminal first with its own label;
         # a path's steps and terminal are (total, positive) pairs it has checked
-        marked = {g.terminal: f"{g.label} {g.terminal} {percent(positive, total)}"}
-        for v in vectors:
-            marked.setdefault(v, f"{v} {percent(v[1], v[0])}")
+        mx, my = zip(*dict.fromkeys(chain((g.terminal,), zip(dxs, dys))))
+        label = f"{g.label} {g.terminal} {percent(positive, total)}"
+        labels = [label.translate(_MARKUP_ESCAPES)]
+        # the other labels are digits and punctuation that need no escape
+        sx, sy = mx[1:], my[1:]
+        labels += map("(%r, %r) %s".__mod__, zip(sx, sy, map(percent, sy, sx)))
         marker = (
             f'<circle class="marker" cx="%.2f" cy="%.2f" r="3" fill="{color}"/>\n'
             f'<text class="marker-label" x="%.2f" y="%.2f" fill="{color}">%s</text>'
         )
-        for p, label in marked.items():
-            cx, cy = px(p)
-            text = label.translate(_MARKUP_ESCAPES)
-            parts.append(marker % (cx, cy, cx + 6, cy - 6, text))
+        cx, cy = canvas(mx, my)
+        cells = zip(cx, cy, map(add, cx, repeat(6)), map(sub, cy, repeat(6)), labels)
+        parts += map(marker.__mod__, cells)
 
     parts.append(
         f'<circle class="marker" cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="3" fill="#000000"/>'

@@ -33,6 +33,12 @@ class WeightVector(_Value):
     weights: tuple[tuple[str, float], ...]
 
     def __init__(self, weights: Sequence[tuple[str, float]]):
+        weights = tuple(weights)
+        for entry in weights:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ValidationError(
+                    f"a weight is a (label, weight) pair, got {entry!r}"
+                )
         weights = tuple((label, _weight(label, w)) for label, w in weights)
         if not weights:
             raise ValidationError("a weight vector needs at least one stratum")

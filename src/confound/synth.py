@@ -3,10 +3,11 @@
 ``generate_reversal`` builds tables that are guaranteed full reversals by a
 constructive recipe (one group's exposure skewed toward the high-rate
 strata, the other's toward the low-rate strata, with every stratum strictly
-favoring the second group). Each attempt is a list of plain integer rows
-that the detector's own classification judges; a rejected attempt is
-dropped before any ``Counts`` or ``Stratum`` exists, and the next one draws
-fresh jitter from the same generator.
+favoring the second group). Each attempt is a list of plain integer rows,
+screened by its pooled cross-product and then judged by the detector's own
+classification; a rejected attempt is dropped before any ``Counts`` or
+``Stratum`` exists, and the next one draws fresh jitter from the same
+generator.
 
 ``brute_force_classify`` re-derives the detector's whole report from
 first principles with ``fractions.Fraction`` and longhand case analysis,
@@ -77,8 +78,9 @@ def _candidate(
 def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
     """A k-stratum table whose verdict is FULL_REVERSAL, deterministic per seed.
 
-    The detector judges each attempt on its integer rows; only the first it
-    accepts is built into a validated table."""
+    An attempt whose pooled rates do not favor the first group is dropped
+    at once; the detector judges the others on their integer rows, and only
+    the first it accepts is built into a validated table."""
     _integer("k", k)
     _integer("scale", scale)
     if k < 2:
@@ -94,6 +96,11 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
     labels = [f"s{i}" for i in range(1, k + 1)]
     for _ in range(GENERATION_BUDGET):
         rows = _candidate(rng, k, scale)
+        # every stratum of an attempt leans to the second group, so it is a
+        # full reversal exactly when the pooled first rate is the higher one
+        t1, p1, t2, p2 = map(sum, zip(*rows))
+        if p1 * t2 <= p2 * t1:
+            continue
         if _report(labels, rows, False).classification is Classification.FULL_REVERSAL:
             pairs = [(s, (t1, p1), (t2, p2)) for s, (t1, p1, t2, p2) in zip(labels, rows)]
             return StratifiedComparison.from_pairs("g1", "g2", pairs)

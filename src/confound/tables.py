@@ -43,6 +43,12 @@ def _integer(name: str, v) -> None:
         raise ValidationError(f"{name} must be an integer, got {v!r}")
 
 
+def _flag(name: str, v) -> None:
+    """Require a ``bool``: a flag that took any value would act on its truth."""
+    if not isinstance(v, bool):
+        raise ValidationError(f"{name} must be a bool, got {v!r}")
+
+
 def _pair(total, positive, names=("total", "positive")) -> None:
     """Require two integers >= 0 with ``positive <= total``."""
     # the valid case in one test; any other input meets the checks below,

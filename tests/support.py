@@ -6,8 +6,14 @@ import random
 
 from hypothesis import strategies as st
 
+from confound.errors import DegenerateRange
+from confound.geometry import (
+    COLORS, DASH, FONT_SIZE, MARGIN, RenderOptions, VectorDiagram, _fmt,
+)
 from confound.records import Column, RecordTable
-from confound.tables import Counts, Rate, StratifiedComparison, Stratum
+from confound.tables import (
+    _MARKUP_ESCAPES, Counts, Rate, StratifiedComparison, Stratum, percent,
+)
 
 HOSPITAL = StratifiedComparison.from_pairs(
     "A",
@@ -152,3 +158,85 @@ def records_from_columns(**cols) -> RecordTable:
     rows = tuple(tuple(cols[name][i] for name in names) for i in range(n))
     columns = tuple(Column(name, kind) for name, kind in zip(names, kinds))
     return RecordTable(columns, rows)
+
+
+def reference_render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> str:
+    """``geometry.render_svg`` written one point at a time, each chord end and
+    marker mapped to the canvas by its own ``px()`` call: the reference the
+    column-wise renderer must match byte for byte."""
+    span_x = max((g.terminal[0] for g in d.groups), default=0)
+    span_y = max((g.terminal[1] for g in d.groups), default=0)
+    if span_x == 0 and span_y == 0:
+        raise DegenerateRange("all points coincide at the origin")
+
+    ox, oy = float(MARGIN), float(options.height - MARGIN)
+    plot_w = options.width - 2 * MARGIN
+    plot_h = options.height - 2 * MARGIN
+    span_x, span_y = max(span_x, 1), max(span_y, 1)
+
+    def px(p: tuple[int, int]) -> tuple[float, float]:
+        # exact integer products divided once: no float overflow on huge counts
+        return ox + p[0] * plot_w / span_x, oy - p[1] * plot_h / span_y
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{options.width}" height="{options.height}" '
+        f'viewBox="0 0 {options.width} {options.height}" '
+        f'font-family="sans-serif" font-size="{FONT_SIZE}">',
+        f'<path class="axes" d="M {_fmt(ox)} {_fmt(oy)} L {_fmt(ox + plot_w)} '
+        f'{_fmt(oy)} M {_fmt(ox)} {_fmt(oy)} L {_fmt(ox)} {_fmt(oy - plot_h)}" '
+        f'stroke="#444444" stroke-width="1" fill="none"/>',
+        f'<text class="axis-label" x="{_fmt(ox + plot_w)}" y="{_fmt(oy + 18)}" '
+        f'text-anchor="end" fill="#444444">total</text>',
+        f'<text class="axis-label" x="{_fmt(ox - 6)}" y="{_fmt(oy - plot_h - 8)}" '
+        f'text-anchor="start" fill="#444444">positive</text>',
+    ]
+
+    # each element is one %-template per group, its constant parts filled in
+    origin = f"M {_fmt(ox)} {_fmt(oy)} L %.2f %.2f"
+    for gi, g in enumerate(d.groups):
+        color = COLORS[gi % len(COLORS)]
+        tx, ty = px(g.terminal)
+        chord = (
+            f'<path class="stratum-chord" d="{origin}'
+            + (f' M %.2f %.2f L {_fmt(tx)} {_fmt(ty)}' if options.parallelogram else "")
+            + f'" stroke="{color}" stroke-width="1.5" stroke-dasharray="{DASH}" '
+            'fill="none"/>'
+        )
+        vectors = g.vectors
+        total, positive = g.terminal
+        for v in vectors:
+            if v == g.terminal:  # single stratum: chord and aggregate coincide
+                continue
+            coords = px(v)
+            if options.parallelogram:
+                coords += px((total - v[0], positive - v[1]))
+            parts.append(chord % coords)
+        parts.append(
+            f'<line class="aggregate-chord" x1="{_fmt(ox)}" y1="{_fmt(oy)}" '
+            f'x2="{_fmt(tx)}" y2="{_fmt(ty)}" stroke="{color}" stroke-width="2"/>'
+        )
+
+        # a path's steps and terminal are (total, positive) pairs it has checked
+        marked = {g.terminal: f"{g.label} {g.terminal} {percent(positive, total)}"}
+        for v in vectors:
+            marked.setdefault(v, f"{v} {percent(v[1], v[0])}")
+        marker = (
+            f'<circle class="marker" cx="%.2f" cy="%.2f" r="3" fill="{color}"/>\n'
+            f'<text class="marker-label" x="%.2f" y="%.2f" fill="{color}">%s</text>'
+        )
+        for p, label in marked.items():
+            cx, cy = px(p)
+            text = label.translate(_MARKUP_ESCAPES)
+            parts.append(marker % (cx, cy, cx + 6, cy - 6, text))
+
+    parts.append(
+        f'<circle class="marker" cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="3" fill="#000000"/>'
+    )
+    parts.append(
+        f'<text class="marker-label" x="{_fmt(ox + 6)}" y="{_fmt(oy - 6)}" '
+        f'fill="#000000">(0, 0)</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -24,6 +24,7 @@ from confound.cli import (
     CHUNK_ROWS,
     MAX_COUNT_DIGITS,
     REFERENCES,
+    TABLE_HEADER,
     _json_dumps,
     build_analyze_report,
     parse_records_csv,
@@ -47,7 +48,7 @@ from confound.errors import (
     UnknownColumn,
 )
 from confound.records import RecordTable
-from confound.tables import StratifiedComparison, Stratum
+from confound.tables import Counts, StratifiedComparison, Stratum
 from support import BERKELEY, HOSPITAL, counts, hospital_records
 from test_golden import GOLDEN
 
@@ -533,6 +534,126 @@ def _first_record_error(text, header):
     raise AssertionError("the file has no fault")
 
 
+_table_label = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters='",\r\n\0'),
+    max_size=3,
+)
+_bad_counts = ["", "x", "1_0", " 5", "5 ", "+5", "-1", "\u0663", "5.0"]
+
+
+@st.composite
+def plain_table_texts(draw):
+    """A table CSV with no double quote, carriage return or NUL, and the
+    plain reader's block size. Counts have at most 3 digits, the cap the
+    test sets; at times the rows hold faults: a bad count (past the cap
+    too), positive above total, a repeated, missing or ragged row, or a
+    third group. Blank lines may fall anywhere and the last line end may
+    be missing."""
+    strata = draw(st.lists(_table_label, min_size=1, max_size=5, unique=True))
+    groups = draw(st.lists(_table_label, min_size=2, max_size=2, unique=True))
+    rows = []
+    for stratum in strata:
+        for group in groups:
+            total = draw(st.integers(1, 999))
+            rows.append([stratum, group, str(total), str(draw(st.integers(0, total)))])
+    faults = ["count", "digits", "over", "repeat", "drop", "ragged", "group"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "count":
+            rows[i][draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(_bad_counts))
+        elif fault == "digits":
+            rows[i][draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(["1000", "0012"]))
+        elif fault == "over" and rows[i][2].isdigit():
+            rows[i][3] = str(int(rows[i][2]) + 1)
+        elif fault == "repeat":
+            rows.insert(draw(st.integers(i + 1, len(rows))), list(rows[i]))
+        elif fault == "drop" and len(rows) > 1:
+            del rows[i]
+        elif fault == "ragged":
+            rows[i] = (rows[i] + ["9"])[: draw(st.sampled_from([1, 3, 5]))]
+        elif fault == "group":
+            rows[i][1] = draw(_table_label)
+    lines = [",".join(TABLE_HEADER)]
+    for row in rows:
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        lines.append(",".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return text, draw(st.sampled_from([1, 7, 64, BLOCK_CHARS]))
+
+
+def _row_parse_table(text, max_digits):
+    """``parse_table_csv`` written row by row with the ``csv`` module: the
+    reference for the block-wise parser, error for error."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != TABLE_HEADER:
+        raise BadHeader(
+            f"expected header {','.join(TABLE_HEADER)!r}, got {','.join(header)!r}", 1
+        )
+    cells = {}
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != 4:
+            raise RaggedRow(f"expected 4 fields, got {len(row)}", line)
+        counts = []
+        for name, field in zip(("total", "positive"), row[2:]):
+            if not (field.isascii() and field.isdigit()):
+                raise BadCount(f"{name} {field!r} is not a non-negative integer", line)
+            if len(field) > max_digits:
+                raise BadCount(
+                    f"{name} has {len(field)} digits, more than {max_digits}", line
+                )
+            counts.append(int(field))
+        total, positive = counts
+        if positive > total:
+            raise BadCount(f"positive ({positive}) exceeds total ({total})", line)
+        if tuple(row[:2]) in cells:
+            raise DuplicateCell(
+                f"duplicate cell for stratum {row[0]!r}, group {row[1]!r}", line
+            )
+        cells[tuple(row[:2])] = Counts(total, positive)
+    if not cells:
+        raise EmptyData("no data rows after the header")
+    strata = list(dict.fromkeys(stratum for stratum, _ in cells))
+    groups = list(dict.fromkeys(group for _, group in cells))
+    if len(groups) != 2:
+        raise NotTwoGroups(f"expected exactly two group values, found {len(groups)}: {groups}")
+    for stratum in strata:
+        for group in groups:
+            if (stratum, group) not in cells:
+                raise MissingCell(f"stratum {stratum!r} has no row for group {group!r}")
+    return StratifiedComparison(
+        *groups, [Stratum(s, cells[s, groups[0]], cells[s, groups[1]]) for s in strata]
+    )
+
+
+def _outcome(parse, text):
+    """The table ``parse`` reads from ``text``, or its error, message and line."""
+    try:
+        table = parse(text)
+    except ConfoundError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return table, repr(table)
+
+
+class TestTableIngestPaths:
+    """The table parser reads plain text directly and quoted text with the
+    csv module, block by block; both must give what a row-by-row reading of
+    the same rows gives: the same table, or the same error and line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_table_texts())
+    def test_plain_quoted_and_row_by_row_agree(self, case):
+        text, block = case
+        expected = _outcome(lambda t: _row_parse_table(t, 3), text)
+        with mock.patch.object(cli, "MAX_COUNT_DIGITS", 3), \
+                mock.patch.object(cli, "BLOCK_CHARS", block):
+            assert _outcome(parse_table_csv, text) == expected
+            assert _outcome(parse_table_csv, _quoted(text)) == expected
+
+
 class TestReports:
     def test_text_and_json_share_classification(self, hospital):
         doc = build_analyze_report(hospital)
@@ -591,11 +712,82 @@ _json_doc = st.recursive(
 )
 
 
+# one shape of record: a leaf kind, or a dict of shapes by key (keys that
+# hold "%" included), or a list or tuple of shapes
+_json_leaves = {
+    "str": _json_text,
+    "int": st.integers(),
+    "float": st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+    "bool": st.booleans(),
+    "null": st.none(),
+}
+_json_key = st.one_of(_json_text, st.sampled_from(["%", "%s", "%%", "a%db", "%(x)s"]))
+_json_shape = st.recursive(
+    st.sampled_from(sorted(_json_leaves)),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["list", "tuple"]), st.lists(inner, max_size=3)),
+        st.tuples(st.just("dict"), st.dictionaries(_json_key, inner, max_size=3)),
+    ),
+    max_leaves=8,
+)
+
+
+def _json_record(draw, shape):
+    if isinstance(shape, str):
+        return draw(_json_leaves[shape])
+    kind, inner = shape
+    if kind == "dict":
+        return {key: _json_record(draw, s) for key, s in inner.items()}
+    values = [_json_record(draw, s) for s in inner]
+    return values if kind == "list" else tuple(values)
+
+
+def _json_altered(draw, value):
+    """``value`` with one node, drawn, changed so that its record no longer
+    shares the others' shape: an int for a float, an empty container for a
+    full one, a list for a tuple (and back), keys in another order, or
+    another scalar."""
+    t = type(value)
+    if t in (dict, list, tuple) and value and draw(st.booleans()):
+        if t is dict:
+            key = draw(st.sampled_from(list(value)))
+            return {**value, key: _json_altered(draw, value[key])}
+        items = list(value)
+        i = draw(st.integers(0, len(items) - 1))
+        items[i] = _json_altered(draw, items[i])
+        return t(items)
+    if t is float:
+        return int(value) if math.isfinite(value) else 0
+    if t is dict:
+        return dict(reversed(value.items())) if draw(st.booleans()) else {}
+    if t in (list, tuple):
+        other = tuple if t is list else list
+        return other(value) if draw(st.booleans()) else t()
+    return draw(_json_scalar)
+
+
+@st.composite
+def json_record_lists(draw):
+    """Two or more records of one drawn shape, at times with one record
+    altered, and nested at a drawn depth."""
+    shape = draw(_json_shape)
+    records = [_json_record(draw, shape) for _ in range(draw(st.integers(2, 5)))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = _json_altered(draw, records[i])
+    return draw(st.sampled_from([records, tuple(records), {"rows": records}, [records]]))
+
+
 class TestJsonWriter:
     """The report writer against ``json.dumps(doc, indent=2)``."""
 
     @given(_json_doc)
     def test_matches_json_dumps(self, doc):
+        assert _json_dumps(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=300)
+    @given(json_record_lists())
+    def test_records_of_one_shape_match_json_dumps(self, doc):
         assert _json_dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)

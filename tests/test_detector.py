@@ -472,6 +472,10 @@ class TestBinNumeric:
             ({"min_stratum_size": -5}, "minimum stratum size must be >= 0, got -5"),
             ({"min_stratum_size": -1, "bins": 1}, "bin count must be >= 2, got 1"),
             ({"min_stratum_size": -1.5}, "min_stratum_size must be an integer, got -1.5"),
+            ({"allow_tied_strata": "no"}, "allow_tied_strata must be a bool, got 'no'"),
+            ({"allow_tied_strata": 1}, "allow_tied_strata must be a bool, got 1"),
+            # after the binning checks
+            ({"allow_tied_strata": None, "bins": 1}, "bin count must be >= 2, got 1"),
         ],
     )
     def test_scan_config_checks_its_binning_once(self, options, message):

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from confound.detector import detect_reversal
 from confound.errors import DegenerateRange, EmptyStratumSide, ValidationError
@@ -26,7 +27,28 @@ from confound.tables import (
     compare,
     rate,
 )
-from support import BERKELEY, HOSPITAL, comparisons
+from support import BERKELEY, HOSPITAL, comparisons, reference_render_svg
+
+# a few steps, so paths repeat vectors, and any step up to huge counts
+_steps = st.one_of(
+    st.sampled_from([(1, 0), (1, 1), (2, 1), (7, 3)]),
+    st.integers(1, 10**30).flatmap(lambda dx: st.tuples(st.just(dx), st.integers(0, dx))),
+)
+# labels with the characters markup and terminals cannot carry as themselves
+_svg_label = st.text(st.sampled_from("ab %&<>\x01\x1b\x7f\x85\ufffe\uffff"), max_size=5)
+
+
+@st.composite
+def diagrams(draw):
+    """Small diagrams of one to three groups over one to five strata."""
+    k = draw(st.integers(1, 5))
+    groups = []
+    for label in draw(st.lists(_svg_label, min_size=1, max_size=3)):
+        points = [(0, 0)]
+        for dx, dy in draw(st.lists(_steps, min_size=k, max_size=k)):
+            points.append((points[-1][0] + dx, points[-1][1] + dy))
+        groups.append(GroupPath(label, points))
+    return VectorDiagram([f"s{i}" for i in range(k)], groups)
 
 
 class TestToVectors:
@@ -212,10 +234,38 @@ class TestRenderSvg:
                 RenderOptions(**bad)
         render_svg(to_vectors(HOSPITAL), RenderOptions(width=97, height=97))
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"parallelogram": "no"}, "parallelogram must be a bool, got 'no'"),
+            ({"parallelogram": 0}, "parallelogram must be a bool, got 0"),
+            # after the sizes
+            ({"parallelogram": None, "width": 96}, "width must be an integer above 96, got 96"),
+        ],
+    )
+    def test_parallelogram_is_a_bool(self, options, message):
+        with pytest.raises(ValidationError) as err:
+            RenderOptions(**options)
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == message
+
     def test_options_change_bytes(self):
         a = render_svg(to_vectors(HOSPITAL))
         b = render_svg(to_vectors(HOSPITAL), RenderOptions(width=800))
         assert a != b
+
+
+@given(
+    diagrams(),
+    st.builds(
+        RenderOptions,
+        st.sampled_from([97, 640, 2001]),
+        st.sampled_from([97, 480]),
+        st.booleans(),
+    ),
+)
+def test_render_svg_matches_the_point_at_a_time_reference(d, options):
+    assert render_svg(d, options) == reference_render_svg(d, options)
 
 
 @given(comparisons(min_total=1))

@@ -75,6 +75,16 @@ class TestWeightVector:
             f"{big.bit_length()}-bit integer"
         )
 
+    @pytest.mark.parametrize(
+        "weights, entry",
+        [((("a",),), ("a",)), ((("a", 1.0, 2),), ("a", 1.0, 2)), ("ab", "a")],
+    )
+    def test_entries_are_pairs(self, weights, entry):
+        with pytest.raises(ValidationError) as err:
+            WeightVector(weights)
+        assert err.value.code == "invalid-value"
+        assert str(err.value) == f"a weight is a (label, weight) pair, got {entry!r}"
+
 
 
 class TestReferenceWeights:
