@@ -559,11 +559,15 @@ def plain_table_texts(draw):
     faults = ["count", "digits", "over", "repeat", "drop", "ragged", "group"]
     for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
         i = draw(st.integers(0, len(rows) - 1))
-        if fault == "count":
-            rows[i][draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(_bad_counts))
-        elif fault == "digits":
-            rows[i][draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(["1000", "0012"]))
-        elif fault == "over" and rows[i][2].isdigit():
+        # An earlier ragged fault may have cut the row short: a fault only
+        # touches a column the row still has.
+        width = len(rows[i])
+        col = draw(st.sampled_from([2, 3]))
+        if fault == "count" and col < width:
+            rows[i][col] = draw(st.sampled_from(_bad_counts))
+        elif fault == "digits" and col < width:
+            rows[i][col] = draw(st.sampled_from(["1000", "0012"]))
+        elif fault == "over" and width >= 4 and rows[i][2].isdigit():
             rows[i][3] = str(int(rows[i][2]) + 1)
         elif fault == "repeat":
             rows.insert(draw(st.integers(i + 1, len(rows))), list(rows[i]))
@@ -571,7 +575,7 @@ def plain_table_texts(draw):
             del rows[i]
         elif fault == "ragged":
             rows[i] = (rows[i] + ["9"])[: draw(st.sampled_from([1, 3, 5]))]
-        elif fault == "group":
+        elif fault == "group" and width >= 2:
             rows[i][1] = draw(_table_label)
     lines = [",".join(TABLE_HEADER)]
     for row in rows:
