@@ -721,56 +721,29 @@ def _read_text(path: str) -> str:
 def _json_dumps(doc) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, for what reports hold:
     dicts with str keys, lists, tuples, str, int, float, bool and None. Any
-    other type is a TypeError. One recursive walk that dispatches on the exact
-    type writes it, instead of the pure-Python encoder that ``indent`` selects.
+    other type is a TypeError. It is written without the pure-Python encoder
+    that ``indent`` selects, by one rule: the items of a list are one column.
 
-    A list of two or more records of one shape (dicts with the same keys in
-    the same order, or lists or tuples of one type and length, with one
-    scalar type at each leaf position) is written column by column: each
-    leaf position is formatted by one ``map``, then every record fills one
-    %-template that holds the keys and the indentation."""
+    A column of one scalar type is one ``map``; a column of dicts with the
+    same keys in the same order, or of two or more lists or tuples of one
+    type and length, is one %-template over its fields, each field a column
+    in turn. Any other column writes each of its values alone. Every item of
+    a list then fills the list's template once."""
     from json.encoder import encode_basestring_ascii as quote
 
     floats = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
     bools = {True: "true", False: "false"}
 
-    def write(o, indent: str) -> str:
-        t = type(o)
-        if t is str:
-            return quote(o)
-        if t is int:
-            return int.__repr__(o)
-        if t is float:
-            text = float.__repr__(o)
-            return floats.get(text, text)
-        if t is dict or t is list or t is tuple:
-            if not o:
-                return "{}" if t is dict else "[]"
-            inner = indent + "  "
-            if t is dict:
-                items = [quote(k) + ": " + write(v, inner) for k, v in o.items()]
-                return "{" + inner + ("," + inner).join(items) + indent + "}"
-            shape = len(o) > 1 and columns(o, inner)
-            if shape:
-                template, cells = shape
-                records = zip(*cells) if cells else repeat((), len(o))
-                items = map(template.__mod__, records)
-            else:
-                items = [write(v, inner) for v in o]
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
-        if o is None:
-            return "null"
-        if t is bool:
-            return bools[o]
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-    def columns(values, indent: str) -> tuple[str, list] | None:
-        """The %-template and the formatted leaf columns that write each of
-        ``values`` at ``indent``, or None when they do not share one shape."""
-        types = set(map(type, values))
-        if len(types) != 1:
-            return None
-        t = types.pop()
+    def column(values, indent: str) -> tuple[str, list]:
+        """The %-template and the formatted cell columns that write each of
+        ``values`` at ``indent``."""
+        t, *mixed = set(map(type, values))
+        if (
+            mixed
+            or t is dict and len(set(map(tuple, values))) > 1
+            or (t is list or t is tuple) and (len(values) < 2 or len(set(map(len, values))) > 1)
+        ):
+            return "%s", [list(map(alone, values, repeat(indent)))]
         if t is str:
             return "%s", [list(map(quote, values))]
         if t is int:
@@ -783,32 +756,37 @@ def _json_dumps(doc) -> str:
         if values[0] is None:
             return "null", []
         if t is dict:
-            keys = set(map(tuple, values))
-            if len(keys) != 1:
-                return None
-            names = [quote(k).replace("%", "%%") + ": " for k in keys.pop()]
+            names = [quote(k).replace("%", "%%") + ": " for k in values[0]]
             fields = zip(*map(dict.values, values))
         elif t is list or t is tuple:
-            if len(set(map(len, values))) != 1:
-                return None
             names = [""] * len(values[0])
             fields = zip(*values)
         else:
-            return None
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
         if not names:
             return "{}" if t is dict else "[]", []
         inner = indent + "  "
         templates, cells = [], []
         for name, field in zip(names, fields):
-            shape = columns(field, inner)
-            if shape is None:
-                return None
-            templates.append(name + shape[0])
-            cells += shape[1]
+            template, field_cells = column(field, inner)
+            templates.append(name + template)
+            cells += field_cells
         body = inner + ("," + inner).join(templates) + indent
         return ("{" + body + "}" if t is dict else "[" + body + "]"), cells
 
-    return write(doc, "\n")
+    def alone(value, indent: str) -> str:
+        """``value`` written at ``indent``."""
+        if type(value) is list or type(value) is tuple:
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            template, cells = column(value, inner)
+            rows = zip(*cells) if cells else repeat((), len(value))
+            return "[" + inner + ("," + inner).join(map(template.__mod__, rows)) + indent + "]"
+        template, cells = column([value], indent)
+        return template % next(zip(*cells), ())
+
+    return alone(doc, "\n")
 
 
 def _emit(ns: argparse.Namespace, doc: dict, text_renderer) -> int:

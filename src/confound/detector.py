@@ -57,10 +57,6 @@ class ReversalReport(_Value):
     ``TIE`` when there is no mode.
     """
 
-    _fields = (
-        "stratum_directions", "aggregate_direction", "classification",
-        "majority_direction",
-    )
     stratum_directions: tuple[tuple[str, Direction], ...]
     aggregate_direction: Direction
     classification: Classification
@@ -336,7 +332,6 @@ class ScanConfig(_Value):
     """How :func:`scan` bins numeric candidates, which strata it drops and
     whether tied strata may stand in a full reversal."""
 
-    _fields = ("binning", "bins", "min_stratum_size", "allow_tied_strata")
     binning: BinStrategy
     bins: int
     min_stratum_size: int
@@ -371,7 +366,6 @@ class ScanConfig(_Value):
 class Finding(_Value):
     """One candidate covariate that supported a full classification."""
 
-    _fields = ("covariate", "binning", "report", "stratum_sizes")
     covariate: str
     binning: str
     report: ReversalReport
@@ -393,7 +387,6 @@ class Finding(_Value):
 class SkippedCandidate(_Value):
     """One candidate covariate that could not be classified, and why."""
 
-    _fields = ("covariate", "reason", "detail")
     covariate: str
     reason: str
     detail: str

@@ -35,7 +35,6 @@ _TOO_LARGE = "columns {!r} and {!r} are too large for float moments"
 class GroupSummary(_Value):
     """One group's label, size and x and y means."""
 
-    _fields = ("label", "n", "mean_x", "mean_y")
     label: str
     n: int
     mean_x: float
@@ -56,10 +55,6 @@ class EcologicalDecomposition(_Value):
     x or y variance is zero.
     """
 
-    _fields = (
-        "total_cov", "between_cov", "within_cov",
-        "total_corr", "between_corr", "within_corr", "group_summaries",
-    )
     total_cov: float
     between_cov: float
     within_cov: float
@@ -90,7 +85,6 @@ class EcologicalDecomposition(_Value):
 class DivergenceReport(_Value):
     """Whether the between-group and within-group correlations have opposite signs."""
 
-    _fields = ("divergent", "between_corr", "within_corr")
     divergent: bool
     between_corr: float
     within_corr: float

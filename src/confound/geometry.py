@@ -37,7 +37,6 @@ class GroupPath(_Value):
     ``dx > 0``, so its slope is the (unreduced) rate of its stratum.
     """
 
-    _fields = ("label", "points")
     label: str
     points: tuple[tuple[int, int], ...]
 
@@ -85,7 +84,6 @@ class GroupPath(_Value):
 class VectorDiagram(_Value):
     """The strata's labels and each group's path, one step per stratum."""
 
-    _fields = ("stratum_labels", "groups")
     stratum_labels: tuple[str, ...]
     groups: tuple[GroupPath, ...]
 
@@ -146,7 +144,6 @@ class RenderOptions(_Value):
     not empty and at most the largest float so that it can be scaled, and
     whether stratum chords complete their parallelograms."""
 
-    _fields = ("width", "height", "parallelogram")
     width: int
     height: int
     parallelogram: bool

@@ -24,7 +24,6 @@ ColumnKind = Literal["categorical", "numeric", "boolean"]
 class Column(_Value):
     """A column's name and the kind of its cells."""
 
-    _fields = ("name", "kind")
     name: str
     kind: ColumnKind
 
@@ -43,7 +42,6 @@ class RecordTable(_Value):
     leaves the cells out: equal tables have equal columns and row counts.
     """
 
-    _fields = ("columns", "n_rows", "_data")
     columns: tuple[Column, ...]
     n_rows: int
     _data: tuple[list, ...]  # one list of cells per column

@@ -29,7 +29,6 @@ class WeightVector(_Value):
     """Non-negative per-stratum weights summing to one, each an int (not a
     bool) or a float, and stored as a float."""
 
-    _fields = ("weights",)
     weights: tuple[tuple[str, float], ...]
 
     def __init__(self, weights: Sequence[tuple[str, float]]):

@@ -71,15 +71,18 @@ def _require_side(side: str) -> None:
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields, in order, in ``_fields`` and sets each one
-    in its ``__init__`` with ``object.__setattr__``. Two values are equal
-    when they are of the same class and their fields are equal, the hash is
-    the hash of the fields, and a field can be neither assigned nor deleted.
+    A subclass annotates its fields, in order, and sets each one in its
+    ``__init__`` with ``object.__setattr__``; the annotations become
+    ``_fields``. Two values are equal when they are of the same class and
+    their fields are equal, the hash is the hash of the fields, and a field
+    can be neither assigned nor deleted.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
+        # a class's own annotations, in order (on Python 3.10 and later)
+        cls._fields = tuple(cls.__annotations__)
         # positional class patterns: ``case Counts(total, positive)``
         cls.__match_args__ = cls._fields
 
@@ -115,7 +118,6 @@ class Counts(_Value):
     ``positive <= total``.
     """
 
-    _fields = ("total", "positive")
     total: int
     positive: int
 
@@ -134,7 +136,6 @@ class Rate(_Value):
     approximation for display and weighting only.
     """
 
-    _fields = ("numerator", "denominator")
     numerator: int
     denominator: int
 
@@ -160,7 +161,6 @@ class Rate(_Value):
 class Stratum(_Value):
     """One stratum's counts for both groups."""
 
-    _fields = ("label", "first", "second")
     label: str
     first: Counts
     second: Counts
@@ -180,7 +180,6 @@ class StratifiedComparison(_Value):
     and then the first stratum empty on one side is an :class:`EmptyStratumSide`.
     """
 
-    _fields = ("group_first_label", "group_second_label", "strata")
     group_first_label: str
     group_second_label: str
     strata: tuple[Stratum, ...]

@@ -15,7 +15,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confound import cli
@@ -782,10 +782,33 @@ def json_record_lists(draw):
     return draw(st.sampled_from([records, tuple(records), {"rows": records}, [records]]))
 
 
+def _json_nested(depth: int):
+    """A list and a dict in turn, ``depth`` levels deep around one int."""
+    doc = 1
+    for level in range(depth):
+        doc = [doc] if level % 2 else {"k": doc}
+    return doc
+
+
 class TestJsonWriter:
     """The report writer against ``json.dumps(doc, indent=2)``."""
 
     @given(_json_doc)
+    # empty lists, alone and as one-item columns
+    @example([])
+    @example(())
+    @example({"": ([],)})
+    @example([[]])
+    # columns that share no template: other lengths, keys or key orders
+    @example([[1], [1, 2]])
+    @example([{"a": 1}, {"b": 1}])
+    @example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+    # mixed types, a key that holds "%", and the float spellings
+    @example([1, "a", None, True, 1.5, [], {}])
+    @example([(1, 2), [1, 2]])
+    @example([{"%": None}, {"%": None}])
+    @example([float("nan"), float("inf"), -0.0])
+    @example(_json_nested(200))
     def test_matches_json_dumps(self, doc):
         assert _json_dumps(doc) == json.dumps(doc, indent=2)
 
@@ -801,7 +824,11 @@ class TestJsonWriter:
         assert _json_dumps(doc) == json.dumps(doc, indent=2) == text.removesuffix("\n")
 
     @pytest.mark.parametrize(
-        "doc", [{1, 2}, {"a": [object()]}, b"x", {"k": 1j}, {1: "int key"}]
+        "doc",
+        [
+            {1, 2}, {"a": [object()]}, b"x", {"k": 1j}, {1: "int key"},
+            [1, object()], [[1], [object()]],
+        ],
     )
     def test_other_types_are_type_errors(self, doc):
         with pytest.raises(TypeError):
