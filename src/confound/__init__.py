@@ -54,12 +54,10 @@ _EXPORTS = {
     "render_svg": "geometry",
     "scan": "detector",
     "sign_divergence_report": "ecological",
-    "slope_bounds": "geometry",
     "standardized_comparison": "standardize",
     "standardized_rate": "standardize",
     "stratify": "detector",
     "to_vectors": "geometry",
-    "unweighted_mean_rate": "tables",
 }
 _SUBMODULES = {*_EXPORTS.values(), "cli"}
 

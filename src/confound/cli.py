@@ -43,7 +43,7 @@ from .errors import (
     UnknownColumn,
     ValidationError,
 )
-from .tables import Counts, StratifiedComparison, Stratum, aggregate, escaped, percent
+from .tables import StratifiedComparison, _pair, escaped, percent
 
 # the analysis modules are imported where a subcommand first needs them, so a
 # process loads only what its subcommand runs
@@ -130,7 +130,7 @@ def parse_table_csv(text: str) -> StratifiedComparison:
             line=1,
         )
 
-    cells: dict[tuple[str, str], Counts] = {}
+    cells: dict[tuple[str, str], tuple[int, int]] = {}
     # the same headroom under a lowered int-to-text limit (0 means none)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     max_digits = min(MAX_COUNT_DIGITS, limit - 300) if limit else MAX_COUNT_DIGITS
@@ -143,7 +143,7 @@ def parse_table_csv(text: str) -> StratifiedComparison:
                 totals = _count_column(columns[2], max_digits)
                 positives = _count_column(columns[3], max_digits)
                 if totals and positives and all(map(le, positives, totals)):
-                    counts = map(Counts, totals, positives)
+                    counts = zip(totals, positives)
             if counts is None:
                 _raise_first_table_error(text, max_digits)
             size = len(cells)
@@ -172,11 +172,9 @@ def parse_table_csv(text: str) -> StratifiedComparison:
                     raise MissingCell(
                         f"stratum {stratum!r} has no row for group {group!r}"
                     )
-    firsts = map(cells.__getitem__, zip(strata_order, repeat(first)))
-    seconds = map(cells.__getitem__, zip(strata_order, repeat(second)))
-    return StratifiedComparison(
-        first, second, tuple(map(Stratum, strata_order, firsts, seconds))
-    )
+    t1, p1 = zip(*map(cells.__getitem__, zip(strata_order, repeat(first))))
+    t2, p2 = zip(*map(cells.__getitem__, zip(strata_order, repeat(second))))
+    return StratifiedComparison._of_columns(first, second, strata_order, t1, p1, t2, p2)
 
 
 def _count_column(fields: Sequence[str], max_digits: int) -> list[int] | None:
@@ -201,7 +199,7 @@ def _raise_first_table_error(text: str, max_digits: int) -> None:
         total = _parse_count(total_s, "total", line, max_digits)
         positive = _parse_count(positive_s, "positive", line, max_digits)
         try:
-            Counts(total, positive)
+            _pair(total, positive)
         except ValidationError as exc:  # positive above total
             raise BadCount(str(exc), line) from None
         if (stratum, group) in seen:
@@ -216,11 +214,9 @@ def serialize_table_csv(sc: StratifiedComparison) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
-    for s in sc.strata:
-        writer.writerow([s.label, sc.group_first_label, s.first.total, s.first.positive])
-        writer.writerow(
-            [s.label, sc.group_second_label, s.second.total, s.second.positive]
-        )
+    for label, t1, p1, t2, p2 in zip(*sc._columns):
+        writer.writerow([label, sc.group_first_label, t1, p1])
+        writer.writerow([label, sc.group_second_label, t2, p2])
     return buf.getvalue()
 
 
@@ -376,12 +372,8 @@ def _raise_first_error(text: str, start: int, columns: Sequence[Column]) -> None
 # carry the same classification)
 
 
-def _cell_json(c: Counts) -> dict:
-    return {
-        "total": c.total,
-        "positive": c.positive,
-        "percent": percent(c.positive, c.total),
-    }
+def _cell_json(total: int, positive: int) -> dict:
+    return {"total": total, "positive": positive, "percent": percent(positive, total)}
 
 
 def _groups_json(sc: StratifiedComparison) -> dict:
@@ -389,10 +381,8 @@ def _groups_json(sc: StratifiedComparison) -> dict:
 
 
 def _pooled_json(sc: StratifiedComparison) -> dict:
-    return {
-        "first": _cell_json(aggregate(sc.counts("first"))),
-        "second": _cell_json(aggregate(sc.counts("second"))),
-    }
+    t1, p1, t2, p2 = map(sum, sc._columns[1:])
+    return {"first": _cell_json(t1, p1), "second": _cell_json(t2, p2)}
 
 
 def _reversal_json(report) -> dict:
@@ -429,24 +419,21 @@ def build_analyze_report(
 
     report = detect_reversal(sc, allow_tied_strata=allow_tied_strata)
     pooled = _pooled_json(sc)
+    _, t1, p1, t2, p2 = sc._columns
+    firsts, seconds = map(_cell_json, t1, p1), map(_cell_json, t2, p2)
     return {
         "format_version": FORMAT_VERSION,
         "command": "analyze",
         "input": {
-            "strata": len(sc.strata),
-            "cells": 2 * len(sc.strata),
+            "strata": len(t1),
+            "cells": 2 * len(t1),
             "subjects": pooled["first"]["total"] + pooled["second"]["total"],
         },
         "groups": _groups_json(sc),
         "rates": {
             "strata": [
-                {
-                    "stratum": s.label,
-                    "first": _cell_json(s.first),
-                    "second": _cell_json(s.second),
-                    "direction": d.value,
-                }
-                for s, (_, d) in zip(sc.strata, report.stratum_directions)
+                {"stratum": label, "first": first, "second": second, "direction": d.value}
+                for (label, d), first, second in zip(report.stratum_directions, firsts, seconds)
             ],
             "aggregate": {**pooled, "direction": report.aggregate_direction.value},
         },
@@ -539,11 +526,11 @@ def build_generate_report(sc: StratifiedComparison, k: int, scale: int, seed: in
             "group_second": sc.group_second_label,
             "strata": [
                 {
-                    "label": s.label,
-                    "first": {"total": s.first.total, "positive": s.first.positive},
-                    "second": {"total": s.second.total, "positive": s.second.positive},
+                    "label": label,
+                    "first": {"total": t1, "positive": p1},
+                    "second": {"total": t2, "positive": p2},
                 }
-                for s in sc.strata
+                for label, t1, p1, t2, p2 in zip(*sc._columns)
             ],
         },
         "table_csv": serialize_table_csv(sc),

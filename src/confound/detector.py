@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import accumulate, compress
-from operator import not_
+from operator import add, mul, not_
 from typing import TYPE_CHECKING, Iterable, Literal, Sequence, Union
 
 from .errors import (
@@ -69,10 +69,11 @@ class ReversalReport(_Value):
         classification: Classification,
         majority_direction: Direction,
     ):
-        object.__setattr__(self, "stratum_directions", stratum_directions)
-        object.__setattr__(self, "aggregate_direction", aggregate_direction)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "majority_direction", majority_direction)
+        self.__dict__.update(
+            stratum_directions=stratum_directions,
+            aggregate_direction=aggregate_direction, classification=classification,
+            majority_direction=majority_direction,
+        )
 
 
 def _classify(
@@ -96,24 +97,17 @@ def detect_reversal(
 ) -> ReversalReport:
     """Classify a stratified comparison; every stratum has subjects on both
     sides, which the comparison's constructor ensures."""
-    cells = [
-        (s.first.total, s.first.positive, s.second.total, s.second.positive)
-        for s in sc.strata
-    ]
-    return _report(sc.stratum_labels(), cells, allow_tied_strata)
+    return _report(*sc._columns, allow_tied_strata)
 
 
-def _report(
-    labels: Sequence[str],
-    cells: Sequence[tuple[int, int, int, int]],
-    allow_tied_strata: bool,
-) -> ReversalReport:
-    """The report over each stratum's ``(total, positive)`` for the first
-    group then the second, every total positive: a stratum's direction and
-    the aggregate's come from integer cross-products, with no ``Rate`` built."""
-    dirs = [cross_direction(p1 * t2, p2 * t1) for t1, p1, t2, p2 in cells]
-    t1, p1, t2, p2 = map(sum, zip(*cells))
-    aggregate_dir = cross_direction(p1 * t2, p2 * t1)
+def _report(labels, t1, p1, t2, p2, allow_tied_strata: bool) -> ReversalReport:
+    """The report over a table's columns: the stratum labels, then each
+    stratum's total and positive count for the first group and the second,
+    every total positive. A stratum's direction and the aggregate's come
+    from integer cross-products, with no ``Rate`` built."""
+    dirs = list(map(cross_direction, map(mul, p1, t2), map(mul, p2, t1)))
+    total1, positive1, total2, positive2 = map(sum, (t1, p1, t2, p2))
+    aggregate_dir = cross_direction(positive1 * total2, positive2 * total1)
     return ReversalReport(
         stratum_directions=tuple(zip(labels, dirs)),
         aggregate_direction=aggregate_dir,
@@ -263,9 +257,9 @@ def _sides(
 
 def _stratified(
     records: RecordTable, covariate: str, sides: list, config: ScanConfig
-) -> tuple[list[tuple[str, tuple[int, int], tuple[int, int]]], str]:
-    """Stratify records by one covariate into ``(label, (total, positive),
-    (total, positive))`` rows for :meth:`StratifiedComparison.from_pairs`,
+) -> tuple[list[list], str]:
+    """Stratify records by one covariate into the columns of a
+    :class:`StratifiedComparison` (see :meth:`StratifiedComparison._fill`),
     plus a binning description. The covariate's kind alone picks the strata:
     categorical labels pass through, numeric values are binned by ``config``.
 
@@ -288,19 +282,14 @@ def _stratified(
     if kind == "numeric":
         tallies, labels, description = _binned(tallies, column, config.binning, config.bins)
     (total1, positive1), (total2, positive2) = tallies
-    rows = [
-        (
-            key if labels is None else labels[key],
-            (total1[key], positive1[key]),
-            (total2[key], positive2[key]),
-        )
-        for key in sorted(total1.keys() | total2.keys())
-    ]
     size = config.min_stratum_size
-    kept = [(label, a, b) for label, a, b in rows if a[0] + b[0] >= size]
-    if not kept:
+    keys = sorted(total1.keys() | total2.keys())
+    keys = [key for key in keys if total1[key] + total2[key] >= size]
+    if not keys:
         raise AllStrataFiltered(f"every stratum of {covariate!r} is smaller than {size}")
-    return kept, description
+    names = keys if labels is None else list(map(labels.__getitem__, keys))
+    tallies = (total1, positive1, total2, positive2)
+    return [names, *(list(map(t.__getitem__, keys)) for t in tallies)], description
 
 
 def stratify(
@@ -320,8 +309,8 @@ def stratify(
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
     groups, sides = _sides(records, group_col, outcome_col)
-    rows = _stratified(records, covariate, sides, config)[0]
-    return StratifiedComparison.from_pairs(*groups, rows)
+    columns = _stratified(records, covariate, sides, config)[0]
+    return StratifiedComparison._of_columns(*groups, *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +346,10 @@ class ScanConfig(_Value):
                 f"minimum stratum size must be >= 0, got {min_stratum_size}"
             )
         _flag("allow_tied_strata", allow_tied_strata)
-        object.__setattr__(self, "binning", binning)
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "min_stratum_size", min_stratum_size)
-        object.__setattr__(self, "allow_tied_strata", allow_tied_strata)
+        self.__dict__.update(
+            binning=binning, bins=bins, min_stratum_size=min_stratum_size,
+            allow_tied_strata=allow_tied_strata,
+        )
 
 
 class Finding(_Value):
@@ -378,10 +367,10 @@ class Finding(_Value):
         report: ReversalReport,
         stratum_sizes: tuple[int, ...],
     ):
-        object.__setattr__(self, "covariate", covariate)
-        object.__setattr__(self, "binning", binning)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "stratum_sizes", stratum_sizes)
+        self.__dict__.update(
+            covariate=covariate, binning=binning, report=report,
+            stratum_sizes=stratum_sizes,
+        )
 
 
 class SkippedCandidate(_Value):
@@ -392,9 +381,7 @@ class SkippedCandidate(_Value):
     detail: str
 
     def __init__(self, covariate: str, reason: str, detail: str):
-        object.__setattr__(self, "covariate", covariate)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "detail", detail)
+        self.__dict__.update(covariate=covariate, reason=reason, detail=detail)
 
 
 ScanResult = Union[Finding, SkippedCandidate]
@@ -434,13 +421,14 @@ def scan(
     results: list[ScanResult] = []
     for cand in candidates:
         try:
-            rows, description = _stratified(records, cand, sides, config)
-            sc = StratifiedComparison.from_pairs(*groups, rows)
+            columns, description = _stratified(records, cand, sides, config)
+            sc = StratifiedComparison._of_columns(*groups, *columns)
             report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:
             results.append(SkippedCandidate(cand, exc.code, str(exc)))
         else:
-            sizes = tuple(s.first.total + s.second.total for s in sc.strata)
+            _, t1, _, t2, _ = columns
+            sizes = tuple(map(add, t1, t2))
             results.append(Finding(cand, description, report, sizes))
 
     return sorted(results, key=lambda r: (

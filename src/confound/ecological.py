@@ -41,10 +41,7 @@ class GroupSummary(_Value):
     mean_y: float
 
     def __init__(self, label: str, n: int, mean_x: float, mean_y: float):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mean_x", mean_x)
-        object.__setattr__(self, "mean_y", mean_y)
+        self.__dict__.update(label=label, n=n, mean_x=mean_x, mean_y=mean_y)
 
 
 class EcologicalDecomposition(_Value):
@@ -73,13 +70,11 @@ class EcologicalDecomposition(_Value):
         within_corr: float | None,
         group_summaries: tuple[GroupSummary, ...],
     ):
-        object.__setattr__(self, "total_cov", total_cov)
-        object.__setattr__(self, "between_cov", between_cov)
-        object.__setattr__(self, "within_cov", within_cov)
-        object.__setattr__(self, "total_corr", total_corr)
-        object.__setattr__(self, "between_corr", between_corr)
-        object.__setattr__(self, "within_corr", within_corr)
-        object.__setattr__(self, "group_summaries", group_summaries)
+        self.__dict__.update(
+            total_cov=total_cov, between_cov=between_cov, within_cov=within_cov,
+            total_corr=total_corr, between_corr=between_corr, within_corr=within_corr,
+            group_summaries=group_summaries,
+        )
 
 
 class DivergenceReport(_Value):
@@ -90,9 +85,9 @@ class DivergenceReport(_Value):
     within_corr: float
 
     def __init__(self, divergent: bool, between_corr: float, within_corr: float):
-        object.__setattr__(self, "divergent", divergent)
-        object.__setattr__(self, "between_corr", between_corr)
-        object.__setattr__(self, "within_corr", within_corr)
+        self.__dict__.update(
+            divergent=divergent, between_corr=between_corr, within_corr=within_corr,
+        )
 
     @property
     def verdict(self) -> str:

@@ -18,14 +18,13 @@ always come from data coordinates, never canvas ones.
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul, sub, truediv
 from typing import Sequence
 
 from .errors import DegenerateRange, ValidationError
 from .tables import (
-    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, _flag, _integer,
-    _pair, _Value, aggregate, compare, percent, rate,
+    _MARKUP_ESCAPES, Rate, StratifiedComparison, _flag, _integer, _pair, _Value, percent,
 )
 
 
@@ -50,8 +49,7 @@ class GroupPath(_Value):
             raise ValidationError("a path starts at (0, 0) and has >= 1 segment")
         for x, y in points:
             _pair(x, y, ("x", "y"))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "points", points)
+        self.__dict__.update(label=label, points=points)
         for dx, dy in self.vectors:
             _pair(dx, dy, ("dx", "dy"))
             if dx == 0:
@@ -96,37 +94,17 @@ class VectorDiagram(_Value):
                     f"group {g.label!r} has {len(g.points) - 1} segments "
                     f"for {len(stratum_labels)} strata"
                 )
-        object.__setattr__(self, "stratum_labels", stratum_labels)
-        object.__setattr__(self, "groups", groups)
+        self.__dict__.update(stratum_labels=stratum_labels, groups=groups)
 
 
 def to_vectors(sc: StratifiedComparison) -> VectorDiagram:
     """Cumulative vector paths for both groups, in stratum order."""
 
     def path(side: str) -> GroupPath:
-        points = [(0, 0)]
-        for c in sc.counts(side):
-            x, y = points[-1]
-            points.append((x + c.total, y + c.positive))
+        points = zip(*(accumulate(column, initial=0) for column in sc._side(side)))
         return GroupPath(sc.group_label(side), tuple(points))
 
     return VectorDiagram(sc.stratum_labels(), (path("first"), path("second")))
-
-
-def slope_bounds(cells: list[Counts]) -> tuple[Rate, Rate, Rate]:
-    """(min, max, aggregate) slope over a list of cells, compared exactly.
-
-    The aggregate slope is the mediant of the cell rates and always lies
-    weakly between the extremes.
-    """
-    rates = [rate(c) for c in cells]
-    lo = hi = rates[0]
-    for r in rates[1:]:
-        if compare(r, lo) is Direction.SECOND_HIGHER:  # r below current min
-            lo = r
-        if compare(r, hi) is Direction.FIRST_HIGHER:  # r above current max
-            hi = r
-    return lo, hi, rate(aggregate(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +139,7 @@ class RenderOptions(_Value):
                     f"{v.bit_length()}-bit integer"
                 )
         _flag("parallelogram", parallelogram)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "parallelogram", parallelogram)
+        self.__dict__.update(width=width, height=height, parallelogram=parallelogram)
 
 
 def _fmt(v: float) -> str:

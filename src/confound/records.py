@@ -28,8 +28,7 @@ class Column(_Value):
     kind: ColumnKind
 
     def __init__(self, name: str, kind: ColumnKind):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
+        self.__dict__.update(name=name, kind=kind)
 
 
 class RecordTable(_Value):
@@ -70,9 +69,7 @@ class RecordTable(_Value):
         return table
 
     def _fill(self, columns, data, n_rows: int) -> None:
-        object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "_data", tuple(data))
+        self.__dict__.update(columns=tuple(columns), n_rows=n_rows, _data=tuple(data))
 
     def __hash__(self) -> int:
         return hash((self.columns, self.n_rows))

@@ -15,6 +15,7 @@ arithmetic decides the rest.
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import ValidationError, WeightMismatch
@@ -48,7 +49,7 @@ class WeightVector(_Value):
         total = math.fsum(w for _, w in weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(weights=weights)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.weights)
@@ -79,17 +80,18 @@ def reference_weights(
     """
     sizes = _sizes(sc, reference)
     grand = sum(sizes)
-    return WeightVector(tuple((s.label, n / grand) for s, n in zip(sc.strata, sizes)))
+    return WeightVector(tuple((l, n / grand) for l, n in zip(sc.stratum_labels(), sizes)))
 
 
 def _sizes(sc: StratifiedComparison, reference: Reference) -> list[int]:
     """Each stratum's integer size under a reference; its weight is its share."""
+    labels, t1, _, t2, _ = sc._columns
     if reference == "equal":
-        return [1] * len(sc.strata)
+        return [1] * len(labels)
     if reference == "combined":
-        return [s.first.total + s.second.total for s in sc.strata]
+        return list(map(add, t1, t2))
     if reference in ("first", "second"):
-        return [c.total for c in sc.counts(reference)]
+        return list(t1 if reference == "first" else t2)
     raise ValidationError(f"unknown reference {reference!r}")
 
 
@@ -103,8 +105,8 @@ def standardized_rate(
             f"{list(sc.stratum_labels())}"
         )
     total = 0.0
-    for (_, weight), c in zip(w.weights, sc.counts(side)):
-        total += weight * (c.positive / c.total)
+    for (_, weight), t, p in zip(w.weights, *sc._side(side)):
+        total += weight * (p / t)
     return total
 
 
@@ -152,8 +154,8 @@ def _exact_gap(sc: StratifiedComparison, sizes: list[int]) -> int:
     pairwise over positive denominators. With distinct denominators nothing
     merges: the product of them all is then the size of the proof."""
     numerators: dict[int, int] = {}
-    for k, a, b in zip(sizes, sc.counts("first"), sc.counts("second")):
-        d, n = a.total * b.total, k * (a.positive * b.total - b.positive * a.total)
+    for k, t1, p1, t2, p2 in zip(sizes, *sc._columns[1:]):
+        d, n = t1 * t2, k * (p1 * t2 - p2 * t1)
         numerators[d] = numerators.get(d, 0) + n
     terms = [(n, d) for d, n in numerators.items() if n] or [(0, 1)]
     while len(terms) > 1:  # a (0, 1) pads an odd count

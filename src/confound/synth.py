@@ -5,9 +5,9 @@ constructive recipe (one group's exposure skewed toward the high-rate
 strata, the other's toward the low-rate strata, with every stratum strictly
 favoring the second group). Each attempt is a list of plain integer rows,
 screened by its pooled cross-product and then judged by the detector's own
-classification; a rejected attempt is dropped before any ``Counts`` or
-``Stratum`` exists, and the next one draws fresh jitter from the same
-generator.
+classification on its columns, which become the table it accepts; a
+rejected attempt is dropped, and the next one draws fresh jitter from the
+same generator.
 
 ``brute_force_classify`` re-derives the detector's whole report from
 first principles with ``fractions.Fraction`` and longhand case analysis,
@@ -79,8 +79,8 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
     """A k-stratum table whose verdict is FULL_REVERSAL, deterministic per seed.
 
     An attempt whose pooled rates do not favor the first group is dropped
-    at once; the detector judges the others on their integer rows, and only
-    the first it accepts is built into a validated table."""
+    at once; the detector judges the others on their integer columns, and
+    only the first it accepts is built into a table."""
     _integer("k", k)
     _integer("scale", scale)
     if k < 2:
@@ -95,15 +95,14 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
     rng = random.Random(seed)
     labels = [f"s{i}" for i in range(1, k + 1)]
     for _ in range(GENERATION_BUDGET):
-        rows = _candidate(rng, k, scale)
+        columns = list(zip(*_candidate(rng, k, scale)))
         # every stratum of an attempt leans to the second group, so it is a
         # full reversal exactly when the pooled first rate is the higher one
-        t1, p1, t2, p2 = map(sum, zip(*rows))
+        t1, p1, t2, p2 = map(sum, columns)
         if p1 * t2 <= p2 * t1:
             continue
-        if _report(labels, rows, False).classification is Classification.FULL_REVERSAL:
-            pairs = [(s, (t1, p1), (t2, p2)) for s, (t1, p1, t2, p2) in zip(labels, rows)]
-            return StratifiedComparison.from_pairs("g1", "g2", pairs)
+        if _report(labels, *columns, False).classification is Classification.FULL_REVERSAL:
+            return StratifiedComparison._of_columns("g1", "g2", labels, *columns)
     raise GenerationFailed(
         f"no full reversal found in {GENERATION_BUDGET} attempts "
         f"(k={k}, scale={scale}, seed={seed})"
@@ -193,9 +192,7 @@ def minimal_reversal(max_total: int) -> StratifiedComparison:
             for D in range(n - a - c - A + 1)
         )
         for a, b, c, d, A, B, C, D in tables:
-            report = _report(("s1", "s2"), [(a, b, A, B), (c, d, C, D)], False)
-            if report.classification is Classification.FULL_REVERSAL:
-                return StratifiedComparison.from_pairs(
-                    "g1", "g2", [("s1", (a, b), (A, B)), ("s2", (c, d), (C, D))]
-                )
+            columns = ("s1", "s2"), (a, c), (b, d), (A, C), (B, D)
+            if _report(*columns, False).classification is Classification.FULL_REVERSAL:
+                return StratifiedComparison._of_columns("g1", "g2", *columns)
     raise NotFound(f"no full reversal exists with at most {max_total} subjects")

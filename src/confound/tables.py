@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Literal, Sequence
 
 from .errors import EmptyInput, EmptyStratumSide, ValidationError
@@ -71,11 +73,12 @@ def _require_side(side: str) -> None:
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass annotates its fields, in order, and sets each one in its
-    ``__init__`` with ``object.__setattr__``; the annotations become
-    ``_fields``. Two values are equal when they are of the same class and
-    their fields are equal, the hash is the hash of the fields, and a field
-    can be neither assigned nor deleted.
+    A subclass annotates its fields, in order, and stores them in its
+    ``__init__`` with one ``self.__dict__.update``; the annotations become
+    ``_fields``, read with ``getattr``, so a field may be a property. Two
+    values are equal when they are of the same class and their fields are
+    equal, the hash is the hash of the fields, and a field can be neither
+    assigned nor deleted.
     """
 
     _fields: tuple[str, ...] = ()
@@ -87,7 +90,7 @@ class _Value:
         cls.__match_args__ = cls._fields
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(getattr, repeat(self), self._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -123,8 +126,7 @@ class Counts(_Value):
 
     def __init__(self, total: int, positive: int):
         _pair(total, positive)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "positive", positive)
+        self.__dict__.update(total=total, positive=positive)
 
 
 class Rate(_Value):
@@ -143,8 +145,7 @@ class Rate(_Value):
         _pair(denominator, numerator, ("denominator", "numerator"))
         if denominator == 0:
             raise ValidationError("denominator must be > 0, got 0")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        self.__dict__.update(numerator=numerator, denominator=denominator)
 
     @property
     def value(self) -> float:
@@ -166,14 +167,13 @@ class Stratum(_Value):
     second: Counts
 
     def __init__(self, label: str, first: Counts, second: Counts):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        self.__dict__.update(label=label, first=first, second=second)
 
 
 class StratifiedComparison(_Value):
     """Two named groups observed across one or more named strata.
 
+    Stored as columns, from which ``strata`` and :meth:`counts` are derived.
     Invariants enforced here: at least one stratum, text labels, unique
     stratum labels, distinct group labels, and subjects on both sides of
     every stratum: a stratum empty on both sides is a :class:`ValidationError`,
@@ -188,32 +188,13 @@ class StratifiedComparison(_Value):
         self, group_first_label: str, group_second_label: str, strata: Sequence[Stratum]
     ):
         strata = tuple(strata)
-        if not strata:
-            raise ValidationError("a comparison needs at least one stratum")
-        labels = [s.label for s in strata]
-        for label in (group_first_label, group_second_label, *labels):
-            if not isinstance(label, str):
-                raise ValidationError(f"labels must be text, got {label!r}")
-        if group_first_label == group_second_label:
-            raise ValidationError(
-                f"group labels must differ, both are {group_first_label!r}"
-            )
-        if len(set(labels)) != len(labels):
-            dupes = sorted(l for l, n in Counter(labels).items() if n > 1)
-            raise ValidationError(f"duplicate stratum labels: {dupes}")
-        empty = [s for s in strata if not (s.first.total and s.second.total)]
-        for s in empty:
-            if not (s.first.total or s.second.total):
-                raise ValidationError(
-                    f"stratum {s.label!r} has no subjects on either side"
-                )
-        if empty:
-            s = empty[0]
-            group = group_second_label if s.first.total else group_first_label
-            raise EmptyStratumSide(f"stratum {s.label!r} has no rows for group {group!r}")
-        object.__setattr__(self, "group_first_label", group_first_label)
-        object.__setattr__(self, "group_second_label", group_second_label)
-        object.__setattr__(self, "strata", strata)
+        for s in strata:
+            cells = (s.first, s.second) if isinstance(s, Stratum) else ()
+            if not (cells and all(isinstance(c, Counts) for c in cells)):
+                raise ValidationError(f"a stratum is a Stratum of two Counts, got {s!r}")
+        fields = ("label", "first.total", "first.positive", "second.total", "second.positive")
+        columns = (list(map(attrgetter(field), strata)) for field in fields)
+        self._fill(group_first_label, group_second_label, *columns)
 
     @classmethod
     def from_pairs(
@@ -223,14 +204,63 @@ class StratifiedComparison(_Value):
         rows: Sequence[tuple[str, tuple[int, int], tuple[int, int]]],
     ) -> "StratifiedComparison":
         """Build from ``(label, (total, positive), (total, positive))`` rows."""
-        strata = tuple(
-            Stratum(label, Counts(*first), Counts(*second))
-            for label, first, second in rows
+        cells = []
+        for row in rows:
+            try:
+                label, (t1, p1), (t2, p2) = row
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"a row is (label, (total, positive), (total, positive)), got {row!r}"
+                ) from None
+            _pair(t1, p1)
+            _pair(t2, p2)
+            cells.append((label, t1, p1, t2, p2))
+        columns = list(zip(*cells)) or [()] * 5
+        return cls._of_columns(group_first_label, group_second_label, *columns)
+
+    @classmethod
+    def _of_columns(cls, *columns) -> "StratifiedComparison":
+        """A table over :meth:`_fill`'s arguments, whose ``(total, positive)``
+        pairs are already checked; only the table-level rules are checked."""
+        sc = cls.__new__(cls)
+        sc._fill(*columns)
+        return sc
+
+    def _fill(self, first, second, labels, t1, p1, t2, p2) -> None:
+        """Check the table-level rules, in order, and store the group labels
+        and the columns: the stratum labels, then each stratum's total and
+        positive count for the first group and for the second."""
+        labels, t1, t2 = tuple(labels), tuple(t1), tuple(t2)
+        if not labels:
+            raise ValidationError("a comparison needs at least one stratum")
+        for label in (first, second, *labels):
+            if not isinstance(label, str):
+                raise ValidationError(f"labels must be text, got {label!r}")
+        if first == second:
+            raise ValidationError(f"group labels must differ, both are {first!r}")
+        if len(set(labels)) != len(labels):
+            dupes = sorted(l for l, n in Counter(labels).items() if n > 1)
+            raise ValidationError(f"duplicate stratum labels: {dupes}")
+        empty = [i for i, n in enumerate(map(min, t1, t2)) if not n]
+        for i in empty:
+            if not (t1[i] or t2[i]):
+                raise ValidationError(f"stratum {labels[i]!r} has no subjects on either side")
+        if empty:
+            i = empty[0]
+            group = second if t1[i] else first
+            raise EmptyStratumSide(f"stratum {labels[i]!r} has no rows for group {group!r}")
+        self.__dict__.update(
+            group_first_label=first, group_second_label=second,
+            _columns=(labels, t1, tuple(p1), t2, tuple(p2)),
         )
-        return cls(group_first_label, group_second_label, strata)
+
+    @property
+    def strata(self) -> tuple[Stratum, ...]:
+        labels, t1, p1, t2, p2 = self._columns
+        return tuple(map(Stratum, labels, map(Counts, t1, p1), map(Counts, t2, p2)))
 
     def stratum_labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.strata)
+        return self._columns[0]
 
     def group_label(self, side: Side) -> str:
         _require_side(side)
@@ -238,10 +268,13 @@ class StratifiedComparison(_Value):
 
     def counts(self, side: Side) -> tuple[Counts, ...]:
         """All strata's counts for one side, in stratum order."""
+        return tuple(map(Counts, *self._side(side)))
+
+    def _side(self, side: Side) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One side's total and positive columns."""
         _require_side(side)
-        if side == "first":
-            return tuple(s.first for s in self.strata)
-        return tuple(s.second for s in self.strata)
+        _, t1, p1, t2, p2 = self._columns
+        return (t1, p1) if side == "first" else (t2, p2)
 
 
 def percent(positive: int, total: int) -> str:
@@ -305,13 +338,3 @@ def compare(r1: Rate, r2: Rate) -> Direction:
 def pooled_rate(sc: StratifiedComparison, side: Side) -> Rate:
     """Rate of one group after summing its counts across all strata."""
     return rate(aggregate(sc.counts(side)))
-
-
-def unweighted_mean_rate(sc: StratifiedComparison, side: Side) -> float:
-    """Arithmetic mean of one group's per-stratum rates.
-
-    This is the naive "average of the ratios" that ignores stratum sizes;
-    it generally differs from :func:`pooled_rate`.
-    """
-    rates = [c.positive / c.total for c in sc.counts(side)]
-    return sum(rates) / len(rates)

@@ -12,7 +12,8 @@ from confound.geometry import (
 )
 from confound.records import Column, RecordTable
 from confound.tables import (
-    _MARKUP_ESCAPES, Counts, Rate, StratifiedComparison, Stratum, percent,
+    _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, Stratum, aggregate,
+    compare, percent, rate,
 )
 
 HOSPITAL = StratifiedComparison.from_pairs(
@@ -70,6 +71,22 @@ def comparisons(
         for i in range(k)
     )
     return StratifiedComparison("g1", "g2", strata)
+
+
+def slope_bounds(cells: list[Counts]) -> tuple[Rate, Rate, Rate]:
+    """(min, max, aggregate) slope over a list of cells, compared exactly.
+
+    The aggregate slope is the mediant of the cell rates, which lies weakly
+    between the extremes: the property the tests state with this helper.
+    """
+    rates = [rate(c) for c in cells]
+    lo = hi = rates[0]
+    for r in rates[1:]:
+        if compare(r, lo) is Direction.SECOND_HIGHER:  # r below current min
+            lo = r
+        if compare(r, hi) is Direction.FIRST_HIGHER:  # r above current max
+            hi = r
+    return lo, hi, rate(aggregate(cells))
 
 
 def swap_groups(sc: StratifiedComparison) -> StratifiedComparison:

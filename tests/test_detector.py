@@ -566,7 +566,8 @@ def test_binning_matches_the_sort_based_binning():
         assert list(map(repr, bin_numeric(column, strategy, k))) == list(map(repr, edges)), case
         # the rows, not the comparison built from them: a stratum may be
         # empty on one side, which building the comparison rejects
-        got_strata, got_description = _stratified(records, "x", sides, config)
+        got_columns, got_description = _stratified(records, "x", sides, config)
+        got_strata = [(label, (t1, p1), (t2, p2)) for label, t1, p1, t2, p2 in zip(*got_columns)]
         assert got_description == description, case
         assert got_strata == strata, case
         signed_zero_edges += "-0.0" in description

@@ -15,7 +15,6 @@ from confound.geometry import (
     RenderOptions,
     VectorDiagram,
     render_svg,
-    slope_bounds,
     to_vectors,
 )
 from confound.tables import (
@@ -27,7 +26,9 @@ from confound.tables import (
     compare,
     rate,
 )
-from support import BERKELEY, HOSPITAL, comparisons, reference_render_svg
+from support import (
+    BERKELEY, HOSPITAL, comparisons, reference_render_svg, slope_bounds,
+)
 
 # a few steps, so paths repeat vectors, and any step up to huge counts
 _steps = st.one_of(

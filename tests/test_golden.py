@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from confound.cli import run
+from confound.tables import Counts, Stratum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -224,6 +225,21 @@ def golden_path(name: str) -> Path:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, inputs_dir):
     assert produce(name, inputs_dir) == golden_path(name).read_bytes()
+
+
+def test_table_commands_build_no_counts_or_strata(inputs_dir, monkeypatch):
+    """A table moves through the CLI as columns: no case of a subcommand that
+    reads or builds one constructs a ``Counts`` or a ``Stratum``."""
+    def refuse(self, *args):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(Counts, "__init__", refuse)
+    monkeypatch.setattr(Stratum, "__init__", refuse)
+    commands = {"analyze", "standardize", "plot", "scan", "generate"}
+    names = [name for name, (argv, _) in CASES.items() if argv[:1] and argv[0] in commands]
+    assert {CASES[name][0][0] for name in names} == commands
+    for name in names:
+        assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
 
 
 def test_no_orphan_goldens():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,9 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from confound import brute_force_classify, scan, stratify
-from confound.cli import parse_table_csv
-from confound.errors import EmptyInput, EmptyStratumSide, ValidationError
+from confound.cli import TABLE_HEADER, parse_table_csv, serialize_table_csv
+from confound.errors import ConfoundError, EmptyInput, EmptyStratumSide, ValidationError
 from confound.geometry import GroupPath
+from confound.records import Column, RecordTable
+from confound.standardize import reference_weights, standardized_rate
 from confound.tables import (
     Counts,
     Direction,
@@ -23,7 +27,6 @@ from confound.tables import (
     compare,
     pooled_rate,
     rate,
-    unweighted_mean_rate,
 )
 from support import (
     BERKELEY,
@@ -271,6 +274,15 @@ class TestPooledRate:
             StratifiedComparison.from_pairs("g1", "g2", [("s", (0, 0), (5, 2))])
 
 
+def unweighted_mean_rate(sc: StratifiedComparison, side: str) -> float:
+    """The naive "average of the ratios", which ignores stratum sizes: the
+    standardized rate under the ``equal`` reference."""
+    got = standardized_rate(sc, side, reference_weights(sc, "equal"))
+    rates = [c.positive / c.total for c in sc.counts(side)]
+    assert got == pytest.approx(sum(rates) / len(rates))
+    return got
+
+
 class TestUnweightedMeanRate:
     def test_hospital_naive_averages(self):
         assert unweighted_mean_rate(HOSPITAL, "first") == pytest.approx(0.40)
@@ -281,6 +293,11 @@ class TestUnweightedMeanRate:
             "g1", "g2", [("a", (10, 3), (10, 3)), ("b", (40, 12), (20, 6))]
         )
         assert unweighted_mean_rate(sc, "first") == pytest.approx(0.3)
+
+    @given(comparisons(min_total=1))
+    def test_is_the_equal_reference_standardized_rate(self, sc):
+        for side in ("first", "second"):
+            unweighted_mean_rate(sc, side)
 
     def test_names_the_offending_stratum(self):
         # the table is rejected when built, before any rate is averaged
@@ -384,10 +401,99 @@ class TestComparisonInvariants:
         assert err.value.code == "invalid-value"
         assert str(err.value) == f"labels must be text, got {bad!r}"
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: StratifiedComparison("A", "B", [Stratum("s", (5, 2), (4, 1))]),
+             Stratum("s", (5, 2), (4, 1))),
+            (lambda: StratifiedComparison("A", "B", [Stratum("s", Counts(5, 2), None)]),
+             Stratum("s", Counts(5, 2), None)),
+            (lambda: StratifiedComparison("A", "B", [("s", (5, 2), (4, 1))]),
+             ("s", (5, 2), (4, 1))),
+            (lambda: StratifiedComparison.from_pairs("A", "B", [("s", (5, 2))]),
+             ("s", (5, 2))),
+            (lambda: StratifiedComparison.from_pairs("A", "B", [("s", (5, 2, 1), (4, 1))]),
+             ("s", (5, 2, 1), (4, 1))),
+            (lambda: StratifiedComparison.from_pairs("A", "B", ["s52"]), "s52"),
+            (lambda: StratifiedComparison.from_pairs("A", "B", [("s", 5, (4, 1))]),
+             ("s", 5, (4, 1))),
+        ],
+        ids=["tuple-counts", "none-counts", "tuple-stratum", "short-row", "long-pair",
+             "text-row", "int-pair"],
+    )
+    def test_malformed_strata_are_invalid_values(self, build, bad):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.code == "invalid-value"
+        assert str(err.value).endswith(f", got {bad!r}")
+
     def test_sides_are_first_and_second(self):
         for call in (HOSPITAL.counts, HOSPITAL.group_label):
             with pytest.raises(ValidationError, match="got 'third'"):
                 call("third")
+
+
+# one cell as (total, positive), empty now and then
+_cell = st.integers(0, 5).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t)))
+
+
+def _ways(cells: list[tuple[tuple[int, int], tuple[int, int]]]) -> tuple[dict, str]:
+    """Each way to build the table of ``cells`` (one pair of first and
+    second ``(total, positive)`` per stratum), as a call, and the table's
+    CSV text as :func:`serialize_table_csv` writes it."""
+    labels = [f"s{i:02d}" for i in range(len(cells))]  # sorted, as stratify sorts
+    rows = [(label, a, b) for label, (a, b) in zip(labels, cells)]
+    columns = [labels, *map(list, zip(*(a + b for a, b in cells)))]
+    cell_rows = [
+        (label, group, t, p)
+        for label, a, b in rows for group, (t, p) in (("g1", a), ("g2", b))
+    ]
+    text = "".join(",".join(map(str, row)) + "\n" for row in [TABLE_HEADER, *cell_rows])
+    ways = {
+        "from_pairs": lambda: StratifiedComparison.from_pairs("g1", "g2", rows),
+        "constructor": lambda: StratifiedComparison("g1", "g2", [
+            Stratum(label, Counts(*a), Counts(*b)) for label, a, b in rows
+        ]),
+        "parse_table_csv": lambda: parse_table_csv(text),
+        "_of_columns": lambda: StratifiedComparison._of_columns("g1", "g2", *columns),
+    }
+    # records hold no stratum without rows, and need rows in both groups
+    t1, t2 = columns[1], columns[3]
+    if all(map(max, t1, t2)) and sum(t1) and sum(t2):
+        schema = (
+            Column("g", "categorical"), Column("out", "boolean"), Column("cov", "categorical")
+        )
+        records = RecordTable(schema, [
+            (group, i < p, label) for label, group, t, p in cell_rows for i in range(t)
+        ])
+        ways["stratify"] = lambda: stratify(records, "g", "out", "cov")
+    return ways, text
+
+
+class TestOneBuildPath:
+    @given(st.lists(st.tuples(_cell, _cell), min_size=1, max_size=6))
+    def test_every_way_builds_the_same_table(self, cells):
+        ways, text = _ways(cells)
+        outcomes = {}
+        for name, build in ways.items():
+            try:
+                outcomes[name] = build()
+            except ConfoundError as exc:
+                outcomes[name] = (type(exc), str(exc))
+        first, *others = outcomes.values()
+        if isinstance(first, tuple):  # the same error, naming the same stratum
+            assert all(o == first for o in others), outcomes
+            return
+        for sc in outcomes.values():
+            assert sc == first and hash(sc) == hash(first) and repr(sc) == repr(first)
+            assert sc._columns == first._columns
+            # the text parsed above, so that way is parse(serialize(table))
+            assert serialize_table_csv(sc) == text
+            backs = [pickle.loads(pickle.dumps(sc, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for back in [*backs, copy.copy(sc), copy.deepcopy(sc)]:
+                assert type(back) is StratifiedComparison
+                assert back == sc and hash(back) == hash(sc) and repr(back) == repr(sc)
 
 
 @given(comparisons(min_total=1))

@@ -112,7 +112,7 @@ def values(name):
     cls = NAMES[name]
     _, args, other = CASES[cls]
     value = cls(*args)
-    twin = twin_of(cls)(*map(value.__dict__.__getitem__, cls._fields))
+    twin = twin_of(cls)(*(getattr(value, name) for name in cls._fields))
     return value, cls(*args), cls(*other), twin
 
 
