@@ -275,7 +275,7 @@ def parse_records_csv(
         raise
     if not n_rows:
         raise EmptyData("no data rows after the header")
-    return RecordTable._of_columns(columns, data, n_rows)
+    return RecordTable._of(columns, n_rows, tuple(data))
 
 
 def _blocks(text: str):

@@ -62,19 +62,6 @@ class ReversalReport(_Value):
     classification: Classification
     majority_direction: Direction
 
-    def __init__(
-        self,
-        stratum_directions: tuple[tuple[str, Direction], ...],
-        aggregate_direction: Direction,
-        classification: Classification,
-        majority_direction: Direction,
-    ):
-        self.__dict__.update(
-            stratum_directions=stratum_directions,
-            aggregate_direction=aggregate_direction, classification=classification,
-            majority_direction=majority_direction,
-        )
-
 
 def _classify(
     stratum_dirs: Sequence[Direction],
@@ -360,18 +347,6 @@ class Finding(_Value):
     report: ReversalReport
     stratum_sizes: tuple[int, ...]
 
-    def __init__(
-        self,
-        covariate: str,
-        binning: str,
-        report: ReversalReport,
-        stratum_sizes: tuple[int, ...],
-    ):
-        self.__dict__.update(
-            covariate=covariate, binning=binning, report=report,
-            stratum_sizes=stratum_sizes,
-        )
-
 
 class SkippedCandidate(_Value):
     """One candidate covariate that could not be classified, and why."""
@@ -379,9 +354,6 @@ class SkippedCandidate(_Value):
     covariate: str
     reason: str
     detail: str
-
-    def __init__(self, covariate: str, reason: str, detail: str):
-        self.__dict__.update(covariate=covariate, reason=reason, detail=detail)
 
 
 ScanResult = Union[Finding, SkippedCandidate]

@@ -40,9 +40,6 @@ class GroupSummary(_Value):
     mean_x: float
     mean_y: float
 
-    def __init__(self, label: str, n: int, mean_x: float, mean_y: float):
-        self.__dict__.update(label=label, n=n, mean_x=mean_x, mean_y=mean_y)
-
 
 class EcologicalDecomposition(_Value):
     """Covariance split plus the matching correlations.
@@ -60,22 +57,6 @@ class EcologicalDecomposition(_Value):
     within_corr: float | None
     group_summaries: tuple[GroupSummary, ...]
 
-    def __init__(
-        self,
-        total_cov: float,
-        between_cov: float,
-        within_cov: float,
-        total_corr: float | None,
-        between_corr: float | None,
-        within_corr: float | None,
-        group_summaries: tuple[GroupSummary, ...],
-    ):
-        self.__dict__.update(
-            total_cov=total_cov, between_cov=between_cov, within_cov=within_cov,
-            total_corr=total_corr, between_corr=between_corr, within_corr=within_corr,
-            group_summaries=group_summaries,
-        )
-
 
 class DivergenceReport(_Value):
     """Whether the between-group and within-group correlations have opposite signs."""
@@ -83,11 +64,6 @@ class DivergenceReport(_Value):
     divergent: bool
     between_corr: float
     within_corr: float
-
-    def __init__(self, divergent: bool, between_corr: float, within_corr: float):
-        self.__dict__.update(
-            divergent=divergent, between_corr=between_corr, within_corr=within_corr,
-        )
 
     @property
     def verdict(self) -> str:
@@ -134,20 +110,12 @@ def group_means(
 def _exact_sum(values: list[float], sizes, divisor: int = 1) -> float:
     """Σ size·value / divisor of finite floats, rounded once and correctly,
     as ``math.fsum`` rounds: a float is an integer over a power of two, so
-    the sum is an integer over the largest; :class:`OverflowError` only
-    when the result is past the float range."""
+    the sum is an integer over the largest; :class:`OverflowError` when the
+    result is past the float range or a value is infinite, and
+    :class:`ValueError` when one is NaN."""
     ratios = list(map(float.as_integer_ratio, values))
     den = max(q for _, q in ratios)
     return sum(k * p * (den // q) for (p, q), k in zip(ratios, sizes)) / (den * divisor)
-
-
-def _repeated_fsum(values: list[float], sizes: list[int]) -> float:
-    """``fsum`` of each value repeated its size times: the exact total,
-    summed per value. Non-finite values are summed row by row, for
-    ``fsum``'s inf, nan or :class:`ValueError`."""
-    if all(map(math.isfinite, values)):
-        return _exact_sum(values, sizes)
-    return fsum(chain.from_iterable(map(repeat, values, sizes)))
 
 
 def _centered(groups: list[list[float]], sizes: list[int], n: int):
@@ -160,7 +128,7 @@ def _centered(groups: list[list[float]], sizes: list[int], n: int):
     mean = fsum(chain.from_iterable(groups)) / n
     centered = [list(map(sub, g, repeat(mean))) for g in groups]
     means = [fsum(c) / len(c) for c in centered] if len(groups) > 1 else [0.0]
-    offset = _repeated_fsum(means, sizes) / n
+    offset = _exact_sum(means, sizes) / n
     return centered, means, [m - offset for m in means]
 
 
@@ -177,7 +145,7 @@ def _between_moments(us, vs, sizes: list[int], n: int) -> tuple[float, float, fl
     """:func:`_moments` of two between columns, each a list of one value per
     group that stands for the group's rows, summed per group."""
     pairs = ((us, vs), (us, us), (vs, vs))
-    return tuple(_repeated_fsum(list(map(mul, a, b)), sizes) / n for a, b in pairs)
+    return tuple(_exact_sum(list(map(mul, a, b)), sizes) / n for a, b in pairs)
 
 
 def _corr(cov: float, var_x: float, var_y: float) -> float | None:
@@ -210,7 +178,7 @@ def decompose(
         for c, m in zip(cx + cy, mx + my):
             c[:] = map(sub, c, repeat(m))
         within = _moments(cx, cy, n)
-    except (OverflowError, ValueError):  # fsum past the float range, or inf - inf
+    except (OverflowError, ValueError):  # a sum past the float range, inf or nan
         raise NumericOverflow(_TOO_LARGE.format(x_col, y_col)) from None
     if not all(map(math.isfinite, total + between + within)):
         raise NumericOverflow(_TOO_LARGE.format(x_col, y_col))

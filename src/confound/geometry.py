@@ -98,13 +98,14 @@ class VectorDiagram(_Value):
 
 
 def to_vectors(sc: StratifiedComparison) -> VectorDiagram:
-    """Cumulative vector paths for both groups, in stratum order."""
+    """Cumulative vector paths for both groups, in stratum order: a table's
+    counts are checked pairs, none empty, so its paths are checked already."""
 
     def path(side: str) -> GroupPath:
         points = zip(*(accumulate(column, initial=0) for column in sc._side(side)))
-        return GroupPath(sc.group_label(side), tuple(points))
+        return GroupPath._of(sc.group_label(side), tuple(points))
 
-    return VectorDiagram(sc.stratum_labels(), (path("first"), path("second")))
+    return VectorDiagram._of(sc.stratum_labels(), (path("first"), path("second")))
 
 
 # ---------------------------------------------------------------------------

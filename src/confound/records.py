@@ -3,9 +3,9 @@
 A :class:`RecordTable` holds one list of cells per declared column, never
 copied into a second form and never changed.
 ``RecordTable(columns, rows)`` checks every cell once; the CSV parser,
-which has typed every cell already, hands its column lists to the internal
-:meth:`RecordTable._of_columns`, which checks nothing again and keeps them,
-and :meth:`RecordTable.where` keeps rows without checking them again.
+which has typed every cell already, hands its column lists to the trusted
+``RecordTable._of(columns, n_rows, data)``, which checks nothing again and
+keeps them, and :meth:`RecordTable.where` keeps rows the same way.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class Column(_Value):
 
     name: str
     kind: ColumnKind
-
-    def __init__(self, name: str, kind: ColumnKind):
-        self.__dict__.update(name=name, kind=kind)
 
 
 class RecordTable(_Value):
@@ -58,18 +55,7 @@ class RecordTable(_Value):
             _check_row(columns, i, row)
         data = list(zip(*rows)) or [()] * len(columns)
         data = [list(map(float, d) if c.kind == "numeric" else d) for c, d in zip(columns, data)]
-        self._fill(columns, data, len(rows))
-
-    @classmethod
-    def _of_columns(cls, columns, data, n_rows: int) -> RecordTable:
-        """A table over lists of cells that are already checked, one per
-        column, which it keeps as they are; no validation."""
-        table = cls.__new__(cls)
-        table._fill(columns, data, n_rows)
-        return table
-
-    def _fill(self, columns, data, n_rows: int) -> None:
-        self.__dict__.update(columns=tuple(columns), n_rows=n_rows, _data=tuple(data))
+        self.__dict__.update(columns=columns, n_rows=len(rows), _data=tuple(data))
 
     def __hash__(self) -> int:
         return hash((self.columns, self.n_rows))
@@ -93,9 +79,8 @@ class RecordTable(_Value):
     def where(self, name: str, labels: Collection[str]) -> RecordTable:
         """The rows whose value in column ``name`` is one of ``labels``."""
         keep = list(map(set(labels).__contains__, self.values(name)))
-        return self._of_columns(
-            self.columns, [list(compress(cells, keep)) for cells in self._data], sum(keep)
-        )
+        data = tuple(list(compress(cells, keep)) for cells in self._data)
+        return self._of(self.columns, sum(keep), data)
 
 
 def _check_row(columns: tuple[Column, ...], i: int, row: tuple) -> None:

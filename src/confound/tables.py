@@ -73,12 +73,15 @@ def _require_side(side: str) -> None:
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass annotates its fields, in order, and stores them in its
-    ``__init__`` with one ``self.__dict__.update``; the annotations become
-    ``_fields``, read with ``getattr``, so a field may be a property. Two
-    values are equal when they are of the same class and their fields are
-    equal, the hash is the hash of the fields, and a field can be neither
-    assigned nor deleted.
+    A subclass annotates its fields, in order; the annotations become
+    ``_fields``, read with ``getattr``, so a field may be a property. A
+    subclass that defines no ``__init__`` gets one that takes each field and
+    stores it, built once from a source template as ``collections.namedtuple``
+    builds its methods; one that checks its arguments stores them with one
+    ``self.__dict__.update``. :meth:`_of` builds a value over fields that are
+    already checked and checks nothing again. Two values are equal when they
+    are of the same class and their stored state is equal, the hash is the
+    hash of the fields, and a field can be neither assigned nor deleted.
     """
 
     _fields: tuple[str, ...] = ()
@@ -88,13 +91,27 @@ class _Value:
         cls._fields = tuple(cls.__annotations__)
         # positional class patterns: ``case Counts(total, positive)``
         cls.__match_args__ = cls._fields
+        if "__init__" not in cls.__dict__:
+            names = ", ".join(cls._fields)
+            stores = ", ".join(f"{name}={name}" for name in cls._fields)
+            namespace = {"__name__": cls.__module__}
+            exec(f"def __init__(self, {names}):\n self.__dict__.update({stores})", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    @classmethod
+    def _of(cls, *fields):
+        """A value over fields that are already checked, kept as they are."""
+        value = cls.__new__(cls)
+        value.__dict__.update(zip(cls._fields, fields))
+        return value
 
     def _values(self) -> tuple:
         return tuple(map(getattr, repeat(self), self._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self.__dict__ == other.__dict__
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -165,9 +182,6 @@ class Stratum(_Value):
     label: str
     first: Counts
     second: Counts
-
-    def __init__(self, label: str, first: Counts, second: Counts):
-        self.__dict__.update(label=label, first=first, second=second)
 
 
 class StratifiedComparison(_Value):

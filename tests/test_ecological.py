@@ -24,8 +24,8 @@ from confound.ecological import (
     _between_moments,
     _centered,
     _corr,
+    _exact_sum,
     _grouped,
-    _repeated_fsum,
     decompose,
     group_means,
     sign_divergence_report,
@@ -353,6 +353,17 @@ def _outcome(f, *args):
         return type(exc).__name__
 
 
+def _settled(f, *args):
+    """``f``'s moments as decompose takes them: their repr when all are
+    finite, else the one NumericOverflow it raises for an error or for a
+    moment that is not finite."""
+    try:
+        moments = f(*args)
+    except (OverflowError, ValueError):
+        return "NumericOverflow"
+    return repr(moments) if all(map(math.isfinite, moments)) else "NumericOverflow"
+
+
 class TestGroupLevelSums:
     """The between moments and the mean offset are summed per group, as an
     exact integer total; they must give the row-level fsum's bits wherever
@@ -382,7 +393,7 @@ class TestGroupLevelSums:
             sizes = [rng.choice([1, 1, 2, rng.randrange(1, 300)]) for _ in range(k)]
             draw = self._values(rng, kind, sum(sizes))
             values = [draw() for _ in range(k)]
-            assert _outcome(_repeated_fsum, values, sizes) == _outcome(
+            assert _outcome(_exact_sum, values, sizes) == _outcome(
                 _row_fsum, values, sizes
             ), (values, sizes)
 
@@ -394,7 +405,7 @@ class TestGroupLevelSums:
             sizes = [rng.randrange(1, (2**27 - 1) // k) for _ in range(k)]
             values = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 900) for _ in range(k)]
             exact = sum(Fraction(v) * n for v, n in zip(values, sizes))
-            assert _repeated_fsum(values, sizes) == float(exact), (values, sizes)
+            assert _exact_sum(values, sizes) == float(exact), (values, sizes)
 
     @pytest.mark.parametrize(
         "scale", [1.0, 1e-300, 5e-324, 1e150, 1e300, 2.0**990, 2.0**1000]
@@ -433,7 +444,7 @@ class TestGroupLevelSums:
                 continue
             rx, ry = (list(chain.from_iterable(map(repeat, b, sizes))) for b in (bx, by))
             pairs = ((rx, ry), (rx, rx), (ry, ry))
-            assert _outcome(_between_moments, bx, by, sizes, n) == _outcome(
+            assert _settled(_between_moments, bx, by, sizes, n) == _settled(
                 lambda: tuple(fsum(map(mul, a, b)) / n for a, b in pairs)
             ), case
 
@@ -449,7 +460,7 @@ class TestGroupLevelSums:
         # fsum's running sum over the rows leaves the float range, so it
         # raises; the group-level sum is the exact total, correctly rounded
         assert _outcome(_row_fsum, values, sizes) == "OverflowError"
-        assert _outcome(_repeated_fsum, values, sizes) == repr(total)
+        assert _outcome(_exact_sum, values, sizes) == repr(total)
 
     @pytest.mark.parametrize(
         "values, sizes, outcome",
@@ -464,8 +475,36 @@ class TestGroupLevelSums:
         ],
     )
     def test_past_the_float_range_and_non_finite(self, values, sizes, outcome):
-        assert _outcome(_repeated_fsum, values, sizes) == outcome
+        # the row-level sum's outcome is the exact sum's for finite values;
+        # a non-finite one has no integer ratio, so the exact sum raises, and
+        # decompose reports either as one NumericOverflow (see below)
         assert _outcome(_row_fsum, values, sizes) == outcome
+        if all(map(math.isfinite, values)):
+            assert _outcome(_exact_sum, values, sizes) == outcome
+        else:
+            with pytest.raises((OverflowError, ValueError)):
+                _exact_sum(values, sizes)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            # a row centered past the float range: one group mean is inf
+            ([1.7e308, -1.7e308, -1.7e308], [1.0, 2.0, 3.0]),
+            # and -inf
+            ([-1.7e308, 1.7e308, 1.7e308], [1.0, 2.0, 3.0]),
+            # between products past the float range, all inf
+            ([1e200, -1e200], [1e200, -1e200]),
+            # inf and -inf, whose row-level sum is inf - inf
+            ([1e200, -1e200, 0.0], [1e200, 1e200, -2e200]),
+        ],
+    )
+    def test_non_finite_group_sums_are_numeric_overflow(self, xs, ys):
+        # a group-level sum of an inf takes no integer ratio; the rows' fsum
+        # of it is inf, nan or an error, which decompose reports the same way
+        records = _records("abc"[: len(xs)], xs, ys)
+        with pytest.raises(NumericOverflow) as err:
+            decompose(records, "g", "x", "y")
+        assert str(err.value) == ecological._TOO_LARGE.format("x", "y")
 
     @staticmethod
     def _near_the_top(rng):
@@ -500,12 +539,14 @@ class TestGroupLevelSums:
         rng = random.Random(f"decompose, row-level sums:{kind}")
         part_way = 0
 
-        def row_level(values, sizes):
+        def row_level(values, sizes, divisor=1):
             nonlocal part_way
+            if divisor != 1:  # a mean's exact fallback, not a group-level sum
+                return _exact_sum(values, sizes, divisor)
             try:
                 return _row_fsum(values, sizes)
             except OverflowError:
-                part_way += _outcome(_repeated_fsum, values, sizes) != "OverflowError"
+                part_way += _outcome(_exact_sum, values, sizes) != "OverflowError"
                 raise
 
         def outcome(records):
@@ -518,6 +559,6 @@ class TestGroupLevelSums:
             records = _records(*getattr(self, kind)(rng))
             new = outcome(records)
             with monkeypatch.context() as m:
-                m.setattr(ecological, "_repeated_fsum", row_level)
+                m.setattr(ecological, "_exact_sum", row_level)
                 assert outcome(records) == new, case
         assert part_way > 0 or kind == "_near_1e150"

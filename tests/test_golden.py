@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from confound.cli import run
+from confound.geometry import GroupPath, VectorDiagram
 from confound.tables import Counts, Stratum
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -238,6 +239,21 @@ def test_table_commands_build_no_counts_or_strata(inputs_dir, monkeypatch):
     commands = {"analyze", "standardize", "plot", "scan", "generate"}
     names = [name for name, (argv, _) in CASES.items() if argv[:1] and argv[0] in commands]
     assert {CASES[name][0][0] for name in names} == commands
+    for name in names:
+        assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+
+
+def test_plot_checks_no_path_or_diagram_again(inputs_dir, monkeypatch):
+    """``to_vectors`` builds its paths and diagram from a table's checked
+    columns: no plot case calls the checking ``GroupPath`` or
+    ``VectorDiagram`` constructor."""
+    def refuse(self, *args):
+        raise AssertionError(f"checked a {type(self).__name__} again")
+
+    monkeypatch.setattr(GroupPath, "__init__", refuse)
+    monkeypatch.setattr(VectorDiagram, "__init__", refuse)
+    names = [name for name, (argv, ext) in CASES.items() if "plot" in argv[:1]]
+    assert {CASES[name][1] for name in names} == {"svg", "err"}
     for name in names:
         assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
 

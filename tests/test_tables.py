@@ -496,6 +496,33 @@ class TestOneBuildPath:
                 assert back == sc and hash(back) == hash(sc) and repr(back) == repr(sc)
 
 
+def _refuse(self, *args):
+    raise AssertionError(f"built a {type(self).__name__}")
+
+
+# two draws from a small space of tables are often equal
+_small_tables = comparisons(max_strata=2, max_total=1)
+
+
+@given(_small_tables, _small_tables, st.booleans())
+def test_table_equality_reads_the_columns(one, two, swap):
+    """``==`` and ``!=`` on tables build no ``Counts`` or ``Stratum`` and
+    agree with comparing the fields, strata included."""
+    if swap:
+        two = StratifiedComparison(two.group_second_label, two.group_first_label, two.strata)
+    one_fields, two_fields = ((sc.group_label("first"), sc.group_label("second"), sc.strata)
+                              for sc in (one, two))
+    same = one_fields == two_fields
+    rebuilt = StratifiedComparison._of_columns(*one_fields[:2], *one._columns)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Counts, "__init__", _refuse)
+        m.setattr(Stratum, "__init__", _refuse)
+        assert (one == two) is same and (two == one) is same
+        assert (one != two) is not same and (two != one) is not same
+        assert one == rebuilt and not one != rebuilt
+        assert one != HOSPITAL and not HOSPITAL == one
+
+
 @given(comparisons(min_total=1))
 def test_mediant_property(sc):
     """The pooled rate lies in [min, max] of the stratum rates, strictly

@@ -184,3 +184,46 @@ def test_record_table_hash_leaves_the_cells_out():
     columns = (Column("x", "numeric"),)
     one, two = RecordTable(columns, [(1.0,)]), RecordTable(columns, [(2.0,)])
     assert one != two and hash(one) == hash(two) == hash((columns, 1))
+
+
+# the classes that only store their fields: each __init__ is the one
+# _Value builds from the annotations
+STORE_ONLY = ["Column", "DivergenceReport", "EcologicalDecomposition", "Finding",
+              "GroupSummary", "ReversalReport", "SkippedCandidate", "Stratum"]
+
+
+def type_error_of(call) -> str:
+    with pytest.raises(TypeError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name", STORE_ONLY)
+def test_built_init_is_the_twins(name):
+    cls = NAMES[name]
+    twin = twin_of(cls)
+    assert cls.__init__.__qualname__ == twin.__init__.__qualname__ == f"{name}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    args = CASES[cls][1]
+    calls = [
+        lambda c: c(*args[:-1]),  # a missing argument
+        lambda c: c(*args, extra=1),  # an unexpected one
+        lambda c: c(*args, **{cls._fields[0]: args[0]}),  # a repeated one
+    ]
+    for call in calls:
+        message = type_error_of(lambda: call(twin))
+        assert type_error_of(lambda: call(cls)) == message
+        assert message.startswith(f"{name}.__init__() ")
+
+
+@pytest.mark.parametrize("name", sorted(NAMES))
+def test_of_builds_the_public_constructors_value(name):
+    cls = NAMES[name]
+    value = values(name)[0]
+    if cls is StratifiedComparison:  # stored as columns, which _of_columns takes
+        labels = (value.group_first_label, value.group_second_label)
+        built = cls._of_columns(*labels, *value._columns)
+    else:
+        built = cls._of(*value._values())
+    assert type(built) is cls and built == value
+    assert repr(built) == repr(value) and hash(built) == hash(value)
