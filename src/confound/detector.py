@@ -229,7 +229,7 @@ def _sides(
         raise ValidationError(f"group column {group_col!r} must be categorical")
     if records.kind(outcome_col) != "boolean":
         raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
-    group = records.values(group_col)
+    group = records._cells(group_col)
     groups = sorted(set(group))
     if len(groups) != 2:
         raise NotTwoGroups(
@@ -237,7 +237,7 @@ def _sides(
             f"found {len(groups)}: {groups}"
         )
     first = list(map({groups[0]: True, groups[1]: False}.__getitem__, group))
-    outcome = records.values(outcome_col)
+    outcome = records._cells(outcome_col)
     selectors = (first, list(map(not_, first)))
     return groups, [(select, list(compress(outcome, select))) for select in selectors]
 
@@ -260,7 +260,7 @@ def _stratified(
         raise ValidationError(
             f"covariate {covariate!r} is boolean; numeric binning needs a numeric column"
         )
-    column = records.values(covariate)
+    column = records._cells(covariate)
     tallies = []
     for select, outcome in sides:
         part = list(compress(column, select))

@@ -15,7 +15,6 @@ correlations are ``None`` when the matching variance vanishes.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from itertools import chain, repeat
 from math import fsum
 from operator import mul, sub
@@ -79,14 +78,15 @@ def _grouped(
             raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
     if records.kind(group_col) != "categorical":
         raise ValidationError(f"group column {group_col!r} must be categorical")
-    buckets: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for group, x, y in zip(*map(records.values, (group_col, x_col, y_col))):
+    labels, xs, ys = map(records._cells, (group_col, x_col, y_col))
+    buckets = {label: ([], []) for label in sorted(set(labels))}
+    for group, x, y in zip(labels, xs, ys):
         gx, gy = buckets[group]
         gx.append(x)
         gy.append(y)
     return [
         (GroupSummary(label, len(gx), _mean(gx), _mean(gy)), gx, gy)
-        for label, (gx, gy) in sorted(buckets.items())
+        for label, (gx, gy) in buckets.items()
     ]
 
 
@@ -118,14 +118,15 @@ def _exact_sum(values: list[float], sizes, divisor: int = 1) -> float:
     return sum(k * p * (den // q) for (p, q), k in zip(ratios, sizes)) / (den * divisor)
 
 
-def _centered(groups: list[list[float]], sizes: list[int], n: int):
-    """One variable's values, group by group, centered on their mean; each
-    group's mean of the centered values; and each group's between value,
-    its mean centered again on the rows' mean of those means, which the
-    rounded overall mean leaves off zero. A single group has no
-    between-group spread, so its mean is zero rather than that rounding
-    residue."""
-    mean = fsum(chain.from_iterable(groups)) / n
+def _centered(column: list[float], groups: list[list[float]], sizes: list[int]):
+    """One variable's values, group by group (``groups``), centered on the
+    mean of its stored ``column``; each group's mean of the centered values;
+    and each group's between value, its mean centered again on the rows'
+    mean of those means, which the rounded overall mean leaves off zero. A
+    single group has no between-group spread, so its mean is zero rather
+    than that rounding residue."""
+    n = len(column)
+    mean = fsum(column) / n  # exactly rounded: the same in row or group order
     centered = [list(map(sub, g, repeat(mean))) for g in groups]
     means = [fsum(c) / len(c) for c in centered] if len(groups) > 1 else [0.0]
     offset = _exact_sum(means, sizes) / n
@@ -171,8 +172,8 @@ def decompose(
     groups = _grouped(records, group_col, x_col, y_col)
     sizes = [g.n for g, _, _ in groups]
     try:
-        cx, mx, bx = _centered([gx for _, gx, _ in groups], sizes, n)
-        cy, my, by = _centered([gy for _, _, gy in groups], sizes, n)
+        cx, mx, bx = _centered(records._cells(x_col), [gx for _, gx, _ in groups], sizes)
+        cy, my, by = _centered(records._cells(y_col), [gy for _, _, gy in groups], sizes)
         total, between = _moments(cx, cy, n), _between_moments(bx, by, sizes, n)
         # within = centered - group mean, in place: no second column is held
         for c, m in zip(cx + cy, mx + my):

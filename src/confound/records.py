@@ -74,11 +74,16 @@ class RecordTable(_Value):
         return self.columns[self.column_index(name)].kind
 
     def values(self, name: str) -> list:
-        return list(self._data[self.column_index(name)])
+        return list(self._cells(name))
+
+    def _cells(self, name: str) -> list:
+        """The stored cells of column ``name``, not copied: the package's own
+        readers use them and never change them."""
+        return self._data[self.column_index(name)]
 
     def where(self, name: str, labels: Collection[str]) -> RecordTable:
         """The rows whose value in column ``name`` is one of ``labels``."""
-        keep = list(map(set(labels).__contains__, self.values(name)))
+        keep = list(map(set(labels).__contains__, self._cells(name)))
         data = tuple(list(compress(cells, keep)) for cells in self._data)
         return self._of(self.columns, sum(keep), data)
 

@@ -273,6 +273,14 @@ class StratifiedComparison(_Value):
         labels, t1, p1, t2, p2 = self._columns
         return tuple(map(Stratum, labels, map(Counts, t1, p1), map(Counts, t2, p2)))
 
+    def __hash__(self) -> int:
+        # the hash of the fields, built from plain tuples: a tuple's hash is
+        # made of its items' hashes, and a Stratum's and a Counts' hashes
+        # are those of their fields' tuples
+        labels, t1, p1, t2, p2 = self._columns
+        strata = tuple(zip(labels, zip(t1, p1), zip(t2, p2)))
+        return hash((self.group_first_label, self.group_second_label, strata))
+
     def stratum_labels(self) -> tuple[str, ...]:
         return self._columns[0]
 

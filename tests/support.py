@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from typing import Mapping
 
 from hypothesis import strategies as st
 
+import confound
 from confound.errors import DegenerateRange
 from confound.geometry import (
     COLORS, DASH, FONT_SIZE, MARGIN, RenderOptions, VectorDiagram, _fmt,
@@ -15,6 +21,9 @@ from confound.tables import (
     _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, Stratum, aggregate,
     compare, percent, rate,
 )
+
+# the directory the confound package under test is imported from
+SRC = Path(confound.__file__).resolve().parent.parent
 
 HOSPITAL = StratifiedComparison.from_pairs(
     "A",
@@ -257,3 +266,17 @@ def reference_render_svg(d: VectorDiagram, options: RenderOptions = RenderOption
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def python(
+    *args: str, cwd: Path | None = None, env: Mapping[str, str] = os.environ,
+    stdout=subprocess.PIPE,
+) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the confound under
+    test, in ``env`` (by default this process's environment); stderr, and by
+    default stdout, are captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, stdout=stdout, stderr=subprocess.PIPE,
+        timeout=60, env=dict(env, PYTHONPATH=path),
+    )

@@ -10,7 +10,6 @@ test has loaded the module, so the subcommands here run as fresh
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
@@ -19,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import confound
+from support import SRC, python
 from test_golden import CASES, golden_path
 
-SRC = Path(confound.__file__).resolve().parent.parent
 DATA = SRC / "confound" / "data"
 # loaded by every subcommand: the package, the CLI and what it needs at import
 BASE = {"confound", "confound.cli", "confound.errors", "confound.tables"}
@@ -40,15 +39,6 @@ LOADS = {
 # escape table), json (no case here writes JSON), and dataclasses and the
 # inspect module it imports (the value classes are plain classes)
 UNUSED = {"statistics", "fractions", "html", "json", "dataclasses", "inspect"}
-
-
-def python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports this checkout's confound."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], cwd=cwd, capture_output=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
 
 
 def imported(result: subprocess.CompletedProcess) -> set[str]:
