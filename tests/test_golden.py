@@ -132,6 +132,9 @@ def _cases() -> dict[str, tuple[list[str], str]]:
         add(f"generate.seed{seed}.json",
             ["generate", "--seed", str(seed), "--format", "json"], "json")
     add_both("generate.strata6", ["generate", "--strata", "6", "--scale", "200", "--seed", "4"])
+    # the smallest scale, where the first group's light strata hold 2 subjects
+    add("generate.scale10.text",
+        ["generate", "--strata", "50", "--scale", "10", "--seed", "7"], "csv")
 
     scan = ["scan", "{d}/records.csv", "--group-col", "arm", "--outcome-col", "died",
             "--numeric", "age,const,visits",
