@@ -24,7 +24,7 @@ _EXPORTS = {
     "Direction": "tables",
     "DivergenceReport": "ecological",
     "EcologicalDecomposition": "ecological",
-    "Finding": "detector",
+    "Finding": "scanning",
     "GroupPath": "geometry",
     "GroupSummary": "ecological",
     "InputError": "errors",
@@ -32,15 +32,15 @@ _EXPORTS = {
     "RecordTable": "records",
     "RenderOptions": "geometry",
     "ReversalReport": "detector",
-    "ScanConfig": "detector",
-    "SkippedCandidate": "detector",
+    "ScanConfig": "scanning",
+    "SkippedCandidate": "scanning",
     "StandardizedComparison": "standardize",
     "StratifiedComparison": "tables",
     "Stratum": "tables",
     "VectorDiagram": "geometry",
     "WeightVector": "standardize",
     "aggregate": "tables",
-    "bin_numeric": "detector",
+    "bin_numeric": "scanning",
     "brute_force_classify": "synth",
     "compare": "tables",
     "decompose": "ecological",
@@ -52,11 +52,11 @@ _EXPORTS = {
     "rate": "tables",
     "reference_weights": "standardize",
     "render_svg": "geometry",
-    "scan": "detector",
+    "scan": "scanning",
     "sign_divergence_report": "ecological",
     "standardized_comparison": "standardize",
     "standardized_rate": "standardize",
-    "stratify": "detector",
+    "stratify": "scanning",
     "to_vectors": "geometry",
 }
 _SUBMODULES = {*_EXPORTS.values(), "cli"}

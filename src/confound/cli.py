@@ -456,7 +456,7 @@ def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
 
 
 def build_scan_report(records: RecordTable, candidates: Sequence[str], results) -> dict:
-    from .detector import Finding
+    from .scanning import Finding
 
     return {
         "format_version": FORMAT_VERSION,
@@ -808,7 +808,7 @@ def _cmd_standardize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
-    from .detector import ScanConfig, scan
+    from .scanning import ScanConfig, scan
 
     # the options are checked before the records are read
     config = ScanConfig(

@@ -15,7 +15,8 @@ arithmetic decides the rest.
 from __future__ import annotations
 
 import math
-from operator import add
+from itertools import repeat
+from operator import add, truediv
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import ValidationError, WeightMismatch
@@ -80,7 +81,16 @@ def reference_weights(
     """
     sizes = _sizes(sc, reference)
     grand = sum(sizes)
-    return WeightVector(tuple((l, n / grand) for l, n in zip(sc.stratum_labels(), sizes)))
+    # Built trusted: each check of WeightVector holds by construction. A
+    # table has at least one stratum, and each entry pairs its text label
+    # with a share n / grand of integer sizes 0 <= n <= grand, grand > 0.
+    # int / int rounds correctly, so a share is a finite float >= 0, off its
+    # exact value by at most 2**-53 of itself, plus 2**-1075 if it underflows.
+    # The exact shares sum to 1, so over K strata the floats sum to within
+    # 2**-53 + K * 2**-1075 of 1, which fsum rounds once more: far inside the
+    # public 1e-12 tolerance.
+    shares = map(truediv, sizes, repeat(grand))
+    return WeightVector._of(tuple(zip(sc.stratum_labels(), shares)))
 
 
 def _sizes(sc: StratifiedComparison, reference: Reference) -> list[int]:

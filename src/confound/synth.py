@@ -3,11 +3,11 @@
 ``generate_reversal`` builds tables that are guaranteed full reversals by a
 constructive recipe (one group's exposure skewed toward the high-rate
 strata, the other's toward the low-rate strata, with every stratum strictly
-favoring the second group). Each attempt is a list of plain integer rows,
-screened by its pooled cross-product and then judged by the detector's own
-classification on its columns, which become the table it accepts; a
-rejected attempt is dropped, and the next one draws fresh jitter from the
-same generator.
+favoring the second group). Each attempt is built as four plain integer
+columns, screened by its pooled cross-product and then judged by the
+detector's own classification on those columns, which become the table it
+accepts; a rejected attempt is dropped, and the next one draws fresh jitter
+from the same generator.
 
 ``brute_force_classify`` re-derives the detector's whole report from
 first principles with ``fractions.Fraction`` and longhand case analysis,
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import compress, repeat, starmap
+from operator import add, ge, mul, sub, truediv
 
 from .detector import Classification, ReversalReport, _report
 from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
@@ -34,45 +36,56 @@ GENERATION_BUDGET = 100_000
 _MAX_SCALE = int(sys.float_info.max / 1.2)
 
 
+def _shape(k: int, scale: int) -> tuple[list[float], ...]:
+    """The exposure columns every attempt shares: each stratum's position
+    ``frac`` from 0 (front) to 1 (back), ``1 - frac``, and the first group's
+    ``heavy`` and the second group's ``light`` expected sizes."""
+    low_exposure = scale // 5
+    frac = list(map(truediv, range(k), repeat(k - 1)))
+    rest = list(map(sub, repeat(1), frac))
+    heavy = list(map(add, map(mul, repeat(scale), rest), map(mul, repeat(low_exposure), frac)))
+    light = list(map(add, map(mul, repeat(scale), frac), map(mul, repeat(low_exposure), rest)))
+    return frac, rest, heavy, light
+
+
 def _candidate(
-    rng: random.Random, k: int, scale: int
-) -> list[tuple[int, int, int, int]]:
-    """One attempt as ``(t1, p1, t2, p2)`` rows, one per stratum: stratum
-    rates fall from front to back, the first group's exposure is
+    rng: random.Random, k: int, shape: tuple[list[float], ...]
+) -> list[list[int]]:
+    """One attempt as the columns ``t1, p1, t2, p2``, one entry per stratum:
+    stratum rates fall from front to back, the first group's exposure is
     front-loaded and the second group's back-loaded, and the second group
-    strictly leads inside every stratum."""
-    low_exposure = max(1, scale // 5)
+    strictly leads inside every stratum. ``shape`` is :func:`_shape`'s."""
+    frac, rest, heavy, light = shape
     top = rng.uniform(0.55, 0.85)
     bottom = rng.uniform(0.05, 0.35)
     gap = rng.uniform(0.06, 0.2)
 
-    # rng.uniform(0.8, 1.2) by its documented formula, with the draw bound once
-    random_ = rng.random
+    # each total is size * rng.uniform(0.8, 1.2) by its documented formula,
+    # the first group's from the even draws and the second's from the odd
     spread = 1.2 - 0.8
+    draws = starmap(rng.random, repeat((), 2 * k))
+    jitter = list(map(add, repeat(0.8), map(mul, repeat(spread), draws)))
+    # scale >= 10, so low_exposure >= 2 and every size is at least 2: each
+    # total is at least round(2 * 0.8) = 2, and none needs clamping to 1
+    t1 = list(map(round, map(mul, heavy, jitter[0::2])))
+    t2 = list(map(round, map(mul, light, jitter[1::2])))
     half_gap = gap / 2
-    last = k - 1
-    rows = []
-    for i in range(k):
-        frac = i / last
-        heavy = scale * (1 - frac) + low_exposure * frac
-        light = scale * frac + low_exposure * (1 - frac)
-        t1 = max(1, round(heavy * (0.8 + spread * random_())))
-        t2 = max(1, round(light * (0.8 + spread * random_())))
-        level = top * (1 - frac) + bottom * frac
-        # level <= 0.85 and half_gap <= 0.1, so 0 <= r1 < r2 <= 0.95 and
-        # 0 <= round(r * t) <= t: neither count needs clamping to [0, t]
-        r1 = max(0.0, level - half_gap)
-        r2 = level + half_gap
-        p1 = round(r1 * t1)
-        p2 = round(r2 * t2)
-        # integer rounding can break strictness; nudge until p1/t1 < p2/t2
-        while p1 * t2 >= p2 * t1:
-            if p2 < t2:
-                p2 += 1
+    level = list(map(add, map(mul, repeat(top), rest), map(mul, repeat(bottom), frac)))
+    # level <= 0.85 and half_gap <= 0.1, so r1 < r2 <= 0.95 and
+    # round(r * t) <= t; a negative r1 gives round(r1 * t1) <= 0, the count
+    # of a rate of 0, so a negative p1 becomes 0
+    p1 = list(map(round, map(mul, map(sub, level, repeat(half_gap)), t1)))
+    p2 = list(map(round, map(mul, map(add, level, repeat(half_gap)), t2)))
+    if min(p1) < 0:
+        p1 = [p if p > 0 else 0 for p in p1]
+    # integer rounding can break strictness; nudge until p1/t1 < p2/t2
+    for i in compress(range(k), list(map(ge, map(mul, p1, t2), map(mul, p2, t1)))):
+        while p1[i] * t2[i] >= p2[i] * t1[i]:
+            if p2[i] < t2[i]:
+                p2[i] += 1
             else:
-                p1 -= 1
-        rows.append((t1, p1, t2, p2))
-    return rows
+                p1[i] -= 1
+    return [t1, p1, t2, p2]
 
 
 def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
@@ -94,8 +107,9 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
         raise ValidationError(f"scale must be <= {_MAX_SCALE}, got {scale}")
     rng = random.Random(seed)
     labels = [f"s{i}" for i in range(1, k + 1)]
+    shape = _shape(k, scale)
     for _ in range(GENERATION_BUDGET):
-        columns = list(zip(*_candidate(rng, k, scale)))
+        columns = _candidate(rng, k, shape)
         # every stratum of an attempt leans to the second group, so it is a
         # full reversal exactly when the pooled first rate is the higher one
         t1, p1, t2, p2 = map(sum, columns)

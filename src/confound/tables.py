@@ -255,11 +255,14 @@ class StratifiedComparison(_Value):
         if len(set(labels)) != len(labels):
             dupes = sorted(l for l, n in Counter(labels).items() if n > 1)
             raise ValidationError(f"duplicate stratum labels: {dupes}")
-        empty = [i for i, n in enumerate(map(min, t1, t2)) if not n]
-        for i in empty:
-            if not (t1[i] or t2[i]):
-                raise ValidationError(f"stratum {labels[i]!r} has no subjects on either side")
-        if empty:
+        # the totals are checked counts, so a side is empty exactly where it is 0
+        if 0 in t1 or 0 in t2:
+            empty = [i for i, n in enumerate(map(min, t1, t2)) if not n]
+            for i in empty:
+                if not (t1[i] or t2[i]):
+                    raise ValidationError(
+                        f"stratum {labels[i]!r} has no subjects on either side"
+                    )
             i = empty[0]
             group = second if t1[i] else first
             raise EmptyStratumSide(f"stratum {labels[i]!r} has no rows for group {group!r}")

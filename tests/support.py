@@ -268,6 +268,45 @@ def reference_render_svg(d: VectorDiagram, options: RenderOptions = RenderOption
     return "\n".join(parts) + "\n"
 
 
+def reference_candidate(
+    rng: random.Random, k: int, scale: int
+) -> list[tuple[int, int, int, int]]:
+    """``synth._candidate`` written one stratum at a time, as ``(t1, p1, t2,
+    p2)`` rows, with each total clamped to at least 1 and the first group's
+    rate to at least 0: the reference the columnar generator must match
+    attempt for attempt, draw for draw."""
+    low_exposure = max(1, scale // 5)
+    top = rng.uniform(0.55, 0.85)
+    bottom = rng.uniform(0.05, 0.35)
+    gap = rng.uniform(0.06, 0.2)
+
+    # rng.uniform(0.8, 1.2) by its documented formula, with the draw bound once
+    random_ = rng.random
+    spread = 1.2 - 0.8
+    half_gap = gap / 2
+    last = k - 1
+    rows = []
+    for i in range(k):
+        frac = i / last
+        heavy = scale * (1 - frac) + low_exposure * frac
+        light = scale * frac + low_exposure * (1 - frac)
+        t1 = max(1, round(heavy * (0.8 + spread * random_())))
+        t2 = max(1, round(light * (0.8 + spread * random_())))
+        level = top * (1 - frac) + bottom * frac
+        r1 = max(0.0, level - half_gap)
+        r2 = level + half_gap
+        p1 = round(r1 * t1)
+        p2 = round(r2 * t2)
+        # integer rounding can break strictness; nudge until p1/t1 < p2/t2
+        while p1 * t2 >= p2 * t1:
+            if p2 < t2:
+                p2 += 1
+            else:
+                p1 -= 1
+        rows.append((t1, p1, t2, p2))
+    return rows
+
+
 def python(
     *args: str, cwd: Path | None = None, env: Mapping[str, str] = os.environ,
     stdout=subprocess.PIPE,

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confound.detector import (
-    Classification,
+from confound.detector import Classification, detect_reversal
+from confound.scanning import (
     Finding,
     MAX_BINS,
     ScanConfig,
@@ -21,7 +21,6 @@ from confound.detector import (
     _sides,
     _stratified,
     bin_numeric,
-    detect_reversal,
     scan,
     stratify,
 )

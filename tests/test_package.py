@@ -32,7 +32,7 @@ LOADS = {
     "standardize.hospital.combined.text": {"standardize"},
     "plot.hospital": {"geometry"},
     "decompose.robinson.text": {"records", "ecological"},
-    "scan.robinson.text": {"records", "detector"},
+    "scan.robinson.text": {"records", "detector", "scanning"},
 }
 # standard modules no process loads: statistics (binning has its own
 # quantiles), fractions (only the oracle), html (SVG labels have their own

@@ -126,6 +126,30 @@ class TestReferenceWeights:
         with pytest.raises(ValidationError):
             reference_weights(HOSPITAL, "bogus")
 
+    @given(comparisons())
+    def test_public_constructor_accepts_the_weights(self, sc):
+        # the weights are built without the public checks, which pass on them
+        for reference in REFERENCES:
+            w = reference_weights(sc, reference)
+            assert WeightVector(w.weights) == w
+
+    def test_public_constructor_accepts_the_weights_of_huge_counts(self):
+        # 1,000-digit totals beside small ones: the small shares underflow to
+        # 0.0, and the large ones carry the sum
+        rng = random.Random(1000)
+        for _ in range(200):
+            cells = []
+            for _ in range(rng.randint(1, 12)):
+                t1, t2 = (
+                    rng.choice((rng.randint(1, 9), rng.randrange(10**999, 10**1000)))
+                    for _ in range(2)
+                )
+                cells.append((t1, rng.randint(0, t1), t2, rng.randint(0, t2)))
+            sc = _table(cells)
+            for reference in REFERENCES:
+                w = reference_weights(sc, reference)
+                assert WeightVector(w.weights) == w
+
 
 class TestStandardizedRate:
     def test_hospital_under_equal_weights(self):

@@ -14,13 +14,17 @@ from confound.cli import run
 from confound.detector import Classification, detect_reversal
 from confound.errors import GenerationFailed, NotFound, ValidationError
 from confound.synth import (
+    _MAX_SCALE,
     _candidate,
+    _shape,
     brute_force_classify,
     generate_reversal,
     minimal_reversal,
 )
 from confound.tables import StratifiedComparison
-from support import BERKELEY, HOSPITAL, comparisons, random_comparison
+from support import (
+    BERKELEY, HOSPITAL, comparisons, random_comparison, reference_candidate,
+)
 
 # canonical witness of minimal_reversal, frozen from the exhaustive search:
 # 9 subjects, lexicographically smallest tuple (a, b, c, d, A, B, C, D)
@@ -99,7 +103,7 @@ class TestGenerateReversal:
                     [
                         (f"s{i}", (t1, p1), (t2, p2))
                         for i, (t1, p1, t2, p2) in enumerate(
-                            _candidate(rng, k, scale), 1
+                            reference_candidate(rng, k, scale), 1
                         )
                     ],
                 )
@@ -107,6 +111,25 @@ class TestGenerateReversal:
                 if verdict is Classification.FULL_REVERSAL:
                     break
             assert generate_reversal(k, scale, seed) == sc
+
+    def test_columns_match_the_row_wise_reference(self):
+        # 300 (k, scale) pairs, three seeds each and six attempts per seed:
+        # every attempt's columns and the generator's state after it agree
+        scales = [10, 11, 12, 14, 19, _MAX_SCALE]
+        pairs = [(2, scale) for scale in scales]
+        rng = random.Random(24)
+        while len(pairs) < 300:
+            scale = rng.choice([*scales, rng.randint(10, 10**6), rng.randint(10, 10**300)])
+            pairs.append((rng.randint(2, 60), scale))
+        for k, scale in pairs:
+            shape = _shape(k, scale)
+            for seed in range(3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(6):
+                    rows = reference_candidate(theirs, k, scale)
+                    columns = _candidate(ours, k, shape)
+                    assert columns == list(map(list, zip(*rows))), (k, scale, seed)
+                    assert ours.getstate() == theirs.getstate()
 
 
 class TestBruteForceClassify:

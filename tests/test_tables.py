@@ -365,6 +365,15 @@ class TestEmptyStratumSide:
             StratifiedComparison.from_pairs("g1", "g2", [*rows, ("c", (0, 0), (0, 0))])
 
 
+    @pytest.mark.parametrize(
+        "row, group", [(("b", (0, 0), (5, 2)), "g1"), (("b", (5, 1), (0, 0)), "g2")]
+    )
+    def test_one_empty_side_among_positive_totals(self, row, group):
+        # the only zero total of the table is in one column or the other
+        with pytest.raises(EmptyStratumSide, match=f"^stratum 'b' .* '{group}'$"):
+            StratifiedComparison.from_pairs("g1", "g2", [("a", (5, 1), (5, 2)), row])
+
+
 class TestComparisonInvariants:
     def test_requires_a_stratum(self):
         with pytest.raises(ValidationError):

@@ -18,12 +18,11 @@ from dataclasses import (
 
 import pytest
 
-from confound.detector import (
-    Classification, Finding, ReversalReport, ScanConfig, SkippedCandidate
-)
+from confound.detector import Classification, ReversalReport
 from confound.ecological import DivergenceReport, EcologicalDecomposition, GroupSummary
 from confound.geometry import GroupPath, RenderOptions, VectorDiagram
 from confound.records import Column, RecordTable
+from confound.scanning import Finding, ScanConfig, SkippedCandidate
 from confound.standardize import WeightVector
 from confound.tables import (
     Counts, Direction, Rate, StratifiedComparison, Stratum, _Value
