@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Sequence
@@ -49,7 +49,7 @@ from .tables import StratifiedComparison, _pair, escaped, percent
 # the analysis modules are imported where a subcommand first needs them, so a
 # process loads only what its subcommand runs
 if TYPE_CHECKING:
-    from .records import Column, RecordTable
+    from .records import RecordTable
 
 TABLE_HEADER = ("stratum", "group", "total", "positive")
 FORMAT_VERSION = "1"
@@ -62,7 +62,7 @@ LEXICON = {
 # the interpreter converts ints of at most 4,300 digits to text by default;
 # 300 digits of headroom keep every sum of a file's counts printable
 MAX_COUNT_DIGITS = 4000
-# record CSVs are read and typed one block at a time, so peak memory holds
+# both CSV kinds are read and typed one block at a time, so peak memory holds
 # one block's raw cells rather than the whole file's: CHUNK_ROWS rows where
 # the csv module reads the file, and the lines up to the first line end past
 # BLOCK_CHARS characters where the text is split directly
@@ -72,16 +72,6 @@ BLOCK_CHARS = 1 << 16
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
-
-
-def _parse_count(field: str, name: str, line: int, max_digits: int) -> int:
-    # ASCII digits only: int() would also take "1_000", " 5", "+5" and "٣",
-    # which serialize back differently
-    if not (field.isascii() and field.isdigit()):
-        raise BadCount(f"{name} {field!r} is not a non-negative integer", line)
-    if len(field) > max_digits:
-        raise BadCount(f"{name} has {len(field)} digits, more than {max_digits}", line)
-    return int(field)
 
 
 @contextmanager
@@ -94,34 +84,14 @@ def _csv_errors(reader):
         raise CsvError(str(exc), reader.line_num) from None
 
 
-def _header(reader) -> list[str]:
-    """The header row; :class:`EmptyData` for a file without one."""
-    with _csv_errors(reader):
-        header = next(reader, None)
-    if header is None:
-        raise EmptyData("file is empty")
-    return header
-
-
-def _rows(reader, width: int, start: int = 0):
-    """``(physical line, row)`` for each non-blank row from reader row ``start``
-    on; a row not ``width`` fields wide is a RaggedRow, a csv fault a CsvError."""
-    with _csv_errors(reader):
-        for row in filter(None, islice(reader, start, None)):
-            line = reader.line_num
-            if len(row) != width:
-                raise RaggedRow(f"expected {width} fields, got {len(row)}", line)
-            yield line, row
-
-
 def parse_table_csv(text: str) -> StratifiedComparison:
     """Parse an aggregated table CSV into a StratifiedComparison.
 
     Strata and groups keep their order of first appearance. Every
     (stratum, group) pair must appear exactly once and there must be
-    exactly two group values. The text is read by the block readers of
-    :func:`parse_records_csv` and checked one block column by column; a
-    block with a fault is re-read row by row for the first error.
+    exactly two group values. The text is read and typed block by block
+    as :func:`parse_records_csv` reads it; a block with a fault is re-read
+    row by row for the first error.
     """
     blocks = _blocks(text)
     header = next(blocks)
@@ -132,31 +102,15 @@ def parse_table_csv(text: str) -> StratifiedComparison:
         )
 
     cells: dict[tuple[str, str], tuple[int, int]] = {}
-    # the same headroom under a lowered int-to-text limit (0 means none)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    max_digits = min(MAX_COUNT_DIGITS, limit - 300) if limit else MAX_COUNT_DIGITS
-    try:
-        for _, rows, columns in blocks:
-            if not rows:
-                continue
-            counts = None
-            if columns is not None:
-                totals = _count_column(columns[2], max_digits)
-                positives = _count_column(columns[3], max_digits)
-                if totals and positives and all(map(le, positives, totals)):
-                    counts = zip(totals, positives)
-            if counts is None:
-                _raise_first_table_error(text, max_digits)
-            size = len(cells)
-            cells.update(zip(zip(columns[0], columns[1]), counts))
-            if len(cells) != size + rows:  # a duplicate cell
-                _raise_first_table_error(text, max_digits)
-    except csv.Error:  # a row of this block before the csv module's fault may be bad
-        _raise_first_table_error(text, max_digits)
-        raise
+    kinds = ("categorical", "categorical", "count", "count")
+    typed = _typed_blocks(blocks, kinds, lambda _: _raise_first_table_error(text))
+    for strata, groups, totals, positives in typed:
+        size = len(cells)
+        cells.update(zip(zip(strata, groups), zip(totals, positives)))
+        # a repeated cell, or positive above total
+        if len(cells) != size + len(totals) or not all(map(le, positives, totals)):
+            _raise_first_table_error(text)
 
-    if not cells:
-        raise EmptyData("no data rows after the header")
     # cells keeps row order, so these keep the order of first appearance
     strata_order = list(dict.fromkeys(map(itemgetter(0), cells)))
     groups_order = list(dict.fromkeys(map(itemgetter(1), cells)))
@@ -167,38 +121,22 @@ def parse_table_csv(text: str) -> StratifiedComparison:
         )
     first, second = groups_order
     if len(cells) != 2 * len(strata_order):
-        for stratum in strata_order:
-            for group in (first, second):
-                if (stratum, group) not in cells:
-                    raise MissingCell(
-                        f"stratum {stratum!r} has no row for group {group!r}"
-                    )
+        for stratum, group in product(strata_order, (first, second)):
+            if (stratum, group) not in cells:
+                raise MissingCell(f"stratum {stratum!r} has no row for group {group!r}")
     t1, p1 = zip(*map(cells.__getitem__, zip(strata_order, repeat(first))))
     t2, p2 = zip(*map(cells.__getitem__, zip(strata_order, repeat(second))))
     return StratifiedComparison._of_columns(first, second, strata_order, t1, p1, t2, p2)
 
 
-def _count_column(fields: Sequence[str], max_digits: int) -> list[int] | None:
-    """One block's count fields as ints, or None when one breaks the rule
-    of :func:`_parse_count`: one to ``max_digits`` ASCII digits."""
-    joined = "".join(fields)
-    if "" in fields or not (joined.isascii() and joined.isdigit()):
-        return None
-    if max(map(len, fields)) > max_digits:
-        return None
-    return list(map(int, fields))
-
-
-def _raise_first_table_error(text: str, max_digits: int) -> None:
-    """Re-read a table CSV row by row with the ``csv`` module and raise the
-    first bad row's error: a ragged row, a bad count, positive above total,
-    then a duplicate cell."""
+def _raise_first_table_error(text: str) -> None:
+    """Re-read a table CSV row by row from its first row and raise the first
+    bad row's error: a ragged row, a bad count, positive above total, then a
+    duplicate cell."""
     seen = set()
-    for line, (stratum, group, total_s, positive_s) in _rows(
-        csv.reader(io.StringIO(text)), 4, 1
+    for line, (stratum, group, total, positive) in _typed_rows(
+        text, 1, TABLE_HEADER, ("categorical", "categorical", "count", "count")
     ):
-        total = _parse_count(total_s, "total", line, max_digits)
-        positive = _parse_count(positive_s, "positive", line, max_digits)
         try:
             _pair(total, positive)
         except ValidationError as exc:  # positive above total
@@ -256,34 +194,15 @@ def parse_records_csv(
     }
     kinds = [declared.get(name, "categorical") for name in header]
     columns = tuple(map(Column, header, kinds))
-    memos: list[dict] = [{} for _ in columns]
     data: list[list] = [[] for _ in columns]
-    read = 1  # rows read, header and blank lines included
-    n_rows = 0
-    try:
-        for lines, rows, cells in blocks:
-            typed = None
-            if cells is not None:
-                typed = list(map(_typed_column, kinds, cells, memos))
-            if typed is None or str in map(type, typed):
-                _raise_first_error(text, read, columns)
-            for values, column in zip(data, typed):
-                values.extend(column)
-            read += lines
-            n_rows += rows
-    except csv.Error:  # a row of this block before the csv module's fault may be bad
-        _raise_first_error(text, read, columns)
-        raise
-    if not n_rows:
-        raise EmptyData("no data rows after the header")
-    return RecordTable._of(columns, n_rows, tuple(data))
-
-
-def _blocks(text: str):
-    """:func:`_plain_blocks` for text with no double quote, carriage return
-    or NUL, else :func:`_csv_blocks`."""
-    plain = not ('"' in text or "\r" in text or "\0" in text)
-    return _plain_blocks(text) if plain else _csv_blocks(text)
+    # a faulty block's rows, re-read up to the first bad one, which raises
+    typed = _typed_blocks(
+        blocks, kinds, lambda start: list(_typed_rows(text, start, header, kinds))
+    )
+    for block in typed:
+        for values, column in zip(data, block):
+            values.extend(column)
+    return RecordTable._of(columns, len(data[0]), tuple(data))
 
 
 def _csv_blocks(text: str):
@@ -291,7 +210,10 @@ def _csv_blocks(text: str):
     ``(rows read, non-blank rows, cells column by column)``, with ``None``
     for the cells when a non-blank row is not as wide as the header."""
     reader = csv.reader(io.StringIO(text))
-    header = _header(reader)
+    with _csv_errors(reader):
+        header = next(reader, None)
+    if header is None:
+        raise EmptyData("file is empty")
     yield header
     while chunk := list(islice(reader, CHUNK_ROWS)):
         rows = [row for row in chunk if row]
@@ -299,20 +221,22 @@ def _csv_blocks(text: str):
         yield len(chunk), len(rows), list(zip(*rows)) if aligned else None
 
 
-def _plain_blocks(text: str):
-    """:func:`_csv_blocks` for text with no double quote, carriage return or
-    NUL, where each line is one row. The lines up to the first line end past
-    each ``BLOCK_CHARS`` characters are one block, split once into cells with
-    a NUL cell between rows; the rows are all as wide as the header exactly
-    when every row's last cell is followed by a NUL cell. A block with a
-    field over the csv module's field size limit has ``None`` for its cells,
-    so the csv module re-reads it and raises its error for that field."""
+def _blocks(text: str):
+    """The header row and blocks of :func:`_csv_blocks`. Text with a double
+    quote, carriage return or NUL, or a header over the csv module's field
+    size limit, is read by that function; other text directly, each line one
+    row. The lines up to the first line end past each ``BLOCK_CHARS``
+    characters are one block, split once into cells with a NUL cell between
+    rows; the rows are all as wide as the header exactly when every row's
+    last cell is followed by a NUL cell. A block with a field over the csv
+    module's field size limit has ``None`` for its cells, so the csv module
+    re-reads it and raises its error for that field."""
     if not text:
         raise EmptyData("file is empty")
     limit = csv.field_size_limit()
     end = text.find("\n")
     first = text[:end] if end >= 0 else text
-    if len(first) > limit:
+    if '"' in text or "\r" in text or "\0" in text or len(first) > limit:
         yield from _csv_blocks(text)
         return
     header = first.split(",") if first else []
@@ -341,10 +265,49 @@ def _plain_blocks(text: str):
         yield lines, rows, [cells[j::stride] for j in range(width)] if aligned else None
 
 
+def _typed_blocks(blocks, kinds: Sequence[str], report):
+    """Each block of ``blocks`` that holds a row, as columns typed by
+    :func:`_typed_column` with one memo per column. A block with a bad cell
+    or a ragged row, or a csv module fault, goes to ``report(rows read
+    before it)``, which raises the first bad row's error; no rows: EmptyData."""
+    memos = [{} for _ in kinds]
+    read = 1  # rows read, header and blank lines included
+    n_rows = 0
+    try:
+        for lines, rows, cells in blocks:
+            if rows:
+                typed = None
+                if cells is not None:
+                    typed = list(map(_typed_column, kinds, cells, memos))
+                if typed is None or str in map(type, typed):
+                    report(read)
+                yield typed
+            read += lines
+            n_rows += rows
+    except csv.Error:  # a row of this block before the csv module's fault may be bad
+        report(read)
+        raise
+    if not n_rows:
+        raise EmptyData("no data rows after the header")
+
+
 def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
     """One block of one column's cells as typed values, or the fault of a
     bad cell. Repeated categorical labels share one string through ``memo``,
     which holds one entry per distinct label until parsing ends."""
+    if kind == "count":
+        # ASCII digits only: int() would also take "1_000", " 5", "+5" and "٣",
+        # which serialize back differently; at most MAX_COUNT_DIGITS of them,
+        # and 300 fewer than a lowered int-to-text limit (0 means none)
+        joined = "".join(cells)
+        if "" in cells or not (joined.isascii() and joined.isdigit()):
+            return "is not a non-negative integer"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        cap = min(MAX_COUNT_DIGITS, limit - 300) if limit else MAX_COUNT_DIGITS
+        longest = max(map(len, cells))
+        if longest > cap:
+            return f"has {longest} digits, more than {cap}"
+        return list(map(int, cells))
     if kind == "numeric":
         try:
             values = list(map(float, cells))
@@ -357,15 +320,29 @@ def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
     return list(map(memo.setdefault, cells, cells))
 
 
-def _raise_first_error(text: str, start: int, columns: Sequence[Column]) -> None:
-    """Re-read ``text`` from reader row ``start``, typing each cell alone by
-    :func:`_typed_column`, and raise the first bad row's error."""
-    for line, row in _rows(csv.reader(io.StringIO(text)), len(columns), start):
-        for col, cell in zip(columns, row):
-            fault = _typed_column(col.kind, (cell,), {})
-            if isinstance(fault, str):
-                error = NonNumeric if col.kind == "numeric" else BadOutcomeValue
-                raise error(f"column {col.name!r}: {cell!r} {fault}", line)
+def _typed_rows(text: str, start: int, names: Sequence[str], kinds: Sequence[str]):
+    """``(physical line, typed row)`` for each non-blank row of ``text`` from
+    reader row ``start`` on, read by the ``csv`` module with each cell typed
+    alone by :func:`_typed_column`. The first ragged row or bad cell raises
+    its error; a csv fault is a :class:`CsvError`."""
+    reader = csv.reader(io.StringIO(text))
+    with _csv_errors(reader):
+        for row in filter(None, islice(reader, start, None)):
+            line = reader.line_num
+            if len(row) != len(names):
+                raise RaggedRow(f"expected {len(names)} fields, got {len(row)}", line)
+            typed = []
+            for name, kind, cell in zip(names, kinds, row):
+                value = _typed_column(kind, (cell,), {})
+                if isinstance(value, list):
+                    typed.append(value[0])
+                elif kind == "count":  # the table's forms: no cell for too many digits
+                    shown = "" if value.startswith("has") else f" {cell!r}"
+                    raise BadCount(f"{name}{shown} {value}", line)
+                else:
+                    error = NonNumeric if kind == "numeric" else BadOutcomeValue
+                    raise error(f"column {name!r}: {cell!r} {value}", line)
+            yield line, typed
 
 
 # ---------------------------------------------------------------------------

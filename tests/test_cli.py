@@ -168,6 +168,20 @@ class TestParseTableCsv:
         proc = analyze(340)
         assert proc.returncode == 0, proc.stderr
         assert f"1/{'9' * 340}" in proc.stdout
+        # the cap is read from the interpreter at each parse, not at import
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            for quote in (str, _quoted):
+                text = HEADER + f"s,g1,{'9' * 340},1\ns,g2,5,1\n"
+                assert parse_table_csv(quote(text)).strata[0].first.total == 10**340 - 1
+                with pytest.raises(BadCount) as err:
+                    parse_table_csv(quote(HEADER + f"s,g1,{'9' * 341},1\ns,g2,5,1\n"))
+                assert str(err.value) == "line 2: total has 341 digits, more than 340"
+        finally:
+            sys.set_int_max_str_digits(default)
 
     def test_csv_module_fault_names_line(self):
         # a carriage return inside an unquoted line; the CLI reads files with
@@ -474,6 +488,31 @@ class TestIngestPaths:
         finally:
             csv.field_size_limit(default)
 
+    @given(
+        st.sampled_from(["categorical", "numeric", "boolean", "count"]),
+        st.lists(
+            st.sampled_from(["", " 5", "+5", "\u0663", "1_000", "nan", "inf", "yes",
+                             "No", "0", "7", "2.5", "-1", "999", "1000", "12345"]),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_a_block_types_as_its_cells_one_by_one(self, kind, cells):
+        # the row-by-row re-read finds a bad row in every block the block
+        # typer rejects: a block is a fault exactly when one of its cells
+        # alone is (here with counts capped at 3 digits), and else its
+        # values are its cells' values in order, each of its kind's type
+        with mock.patch.object(cli, "MAX_COUNT_DIGITS", 3):
+            block = cli._typed_column(kind, cells, {})
+            alone = [cli._typed_column(kind, (cell,), {}) for cell in cells]
+        faults = [fault for fault in alone if isinstance(fault, str)]
+        if faults:
+            assert block in faults
+        else:
+            values = [value for values in alone for value in values]
+            assert [(type(v), v) for v in block] == [(type(v), v) for v in values]
+            kind_type = {"categorical": str, "numeric": float, "boolean": bool, "count": int}
+            assert {type(v) for v in block} == {kind_type[kind]}
+
     def test_a_long_line_hands_the_rest_to_the_csv_module(self):
         # the long line's block is re-read by the csv module, which sees its
         # oversized field; the rows before it were read directly
@@ -649,6 +688,10 @@ class TestTableIngestPaths:
 
     @settings(max_examples=300, deadline=None)
     @given(plain_table_texts())
+    # a block of blank lines alone holds no fault
+    @example(("stratum,group,total,positive\n\n\n,,1,0\n\n\n,0,1,0", 1))
+    # each fault search starts afresh: the repeat on line 4 comes first
+    @example(("stratum,group,total,positive\ns,a,5,1\ns,b,5,1\ns,a,5,1\nt,a,x,1\n", 1))
     def test_plain_quoted_and_row_by_row_agree(self, case):
         text, block = case
         expected = _outcome(lambda t: _row_parse_table(t, 3), text)
