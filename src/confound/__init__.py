@@ -41,7 +41,6 @@ _EXPORTS = {
     "WeightVector": "standardize",
     "aggregate": "tables",
     "bin_numeric": "scanning",
-    "brute_force_classify": "synth",
     "compare": "tables",
     "decompose": "ecological",
     "detect_reversal": "detector",

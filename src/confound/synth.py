@@ -1,4 +1,4 @@
-"""Reversal construction, exhaustive minimal search, and a brute-force oracle.
+"""Reversal construction and exhaustive minimal search.
 
 ``generate_reversal`` builds tables that are guaranteed full reversals by a
 constructive recipe (one group's exposure skewed toward the high-rate
@@ -8,11 +8,6 @@ columns, screened by its pooled cross-product and then judged by the
 detector's own classification on those columns, which become the table it
 accepts; a rejected attempt is dropped, and the next one draws fresh jitter
 from the same generator.
-
-``brute_force_classify`` re-derives the detector's whole report from
-first principles with ``fractions.Fraction`` and longhand case analysis,
-sharing no logic with the detector so the two can serve as differential
-oracles for each other.
 
 ``minimal_reversal`` enumerates every two-stratum table up to a subject
 bound and returns the canonical smallest reversal: fewest subjects, ties
@@ -27,9 +22,9 @@ import sys
 from itertools import compress, repeat, starmap
 from operator import add, ge, mul, sub, truediv
 
-from .detector import Classification, ReversalReport, _report
-from .errors import EmptyStratumSide, GenerationFailed, NotFound, ValidationError
-from .tables import Direction, StratifiedComparison, _integer
+from .detector import Classification, _report
+from .errors import GenerationFailed, NotFound, ValidationError
+from .tables import StratifiedComparison, _integer
 
 GENERATION_BUDGET = 100_000
 # the jitter draws totals of up to 1.2 x scale, which must be finite floats
@@ -121,67 +116,6 @@ def generate_reversal(k: int, scale: int, seed: int) -> StratifiedComparison:
         f"no full reversal found in {GENERATION_BUDGET} attempts "
         f"(k={k}, scale={scale}, seed={seed})"
     )
-
-
-def brute_force_classify(sc: StratifiedComparison) -> ReversalReport:
-    """Same contract as the detector, independently derived with Fractions."""
-    from fractions import Fraction  # only the oracle needs it, not generate
-
-    directions = []
-    t1 = p1 = t2 = p2 = 0
-    for s in sc.strata:
-        if s.first.total == 0 or s.second.total == 0:
-            side = (
-                sc.group_first_label if s.first.total == 0 else sc.group_second_label
-            )
-            raise EmptyStratumSide(f"stratum {s.label!r} has no {side!r} subjects")
-        f = Fraction(s.first.positive, s.first.total)
-        g = Fraction(s.second.positive, s.second.total)
-        if f > g:
-            d = Direction.FIRST_HIGHER
-        elif g > f:
-            d = Direction.SECOND_HIGHER
-        else:
-            d = Direction.TIE
-        directions.append((s.label, d))
-        t1 += s.first.total
-        p1 += s.first.positive
-        t2 += s.second.total
-        p2 += s.second.positive
-
-    pooled1 = Fraction(p1, t1)
-    pooled2 = Fraction(p2, t2)
-    if pooled1 > pooled2:
-        agg = Direction.FIRST_HIGHER
-    elif pooled2 > pooled1:
-        agg = Direction.SECOND_HIGHER
-    else:
-        agg = Direction.TIE
-
-    n = len(directions)
-    firsts = sum(1 for _, d in directions if d is Direction.FIRST_HIGHER)
-    seconds = sum(1 for _, d in directions if d is Direction.SECOND_HIGHER)
-    if firsts == n and agg is Direction.SECOND_HIGHER:
-        verdict = Classification.FULL_REVERSAL
-    elif seconds == n and agg is Direction.FIRST_HIGHER:
-        verdict = Classification.FULL_REVERSAL
-    elif firsts == 0 and seconds == 0:
-        verdict = Classification.CONSISTENT
-    elif agg is Direction.FIRST_HIGHER and seconds == 0:
-        verdict = Classification.CONSISTENT
-    elif agg is Direction.SECOND_HIGHER and firsts == 0:
-        verdict = Classification.CONSISTENT
-    else:
-        verdict = Classification.MIXED
-
-    if firsts > seconds:
-        majority = Direction.FIRST_HIGHER
-    elif seconds > firsts:
-        majority = Direction.SECOND_HIGHER
-    else:
-        majority = Direction.TIE
-
-    return ReversalReport(tuple(directions), agg, verdict, majority)
 
 
 def minimal_reversal(max_total: int) -> StratifiedComparison:

@@ -6,13 +6,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
 from hypothesis import strategies as st
 
 import confound
-from confound.errors import DegenerateRange
+from confound.detector import Classification, ReversalReport
+from confound.errors import DegenerateRange, EmptyStratumSide
 from confound.geometry import (
     COLORS, DASH, FONT_SIZE, MARGIN, RenderOptions, VectorDiagram, _fmt,
 )
@@ -137,6 +139,76 @@ def random_comparison(
             )
         )
     return StratifiedComparison("g1", "g2", tuple(strata))
+
+
+def brute_force_classify(
+    sc: StratifiedComparison, *, allow_tied_strata: bool = False
+) -> ReversalReport:
+    """Same contract as the detector, independently derived with Fractions.
+
+    The differential oracle: it shares no logic with the detector and takes
+    from ``confound`` only the types it returns and the error it raises."""
+    directions = []
+    t1 = p1 = t2 = p2 = 0
+    for s in sc.strata:
+        if s.first.total == 0 or s.second.total == 0:
+            side = (
+                sc.group_first_label if s.first.total == 0 else sc.group_second_label
+            )
+            raise EmptyStratumSide(f"stratum {s.label!r} has no {side!r} subjects")
+        f = Fraction(s.first.positive, s.first.total)
+        g = Fraction(s.second.positive, s.second.total)
+        if f > g:
+            d = Direction.FIRST_HIGHER
+        elif g > f:
+            d = Direction.SECOND_HIGHER
+        else:
+            d = Direction.TIE
+        directions.append((s.label, d))
+        t1 += s.first.total
+        p1 += s.first.positive
+        t2 += s.second.total
+        p2 += s.second.positive
+
+    pooled1 = Fraction(p1, t1)
+    pooled2 = Fraction(p2, t2)
+    if pooled1 > pooled2:
+        agg = Direction.FIRST_HIGHER
+    elif pooled2 > pooled1:
+        agg = Direction.SECOND_HIGHER
+    else:
+        agg = Direction.TIE
+
+    n = len(directions)
+    firsts = sum(1 for _, d in directions if d is Direction.FIRST_HIGHER)
+    seconds = sum(1 for _, d in directions if d is Direction.SECOND_HIGHER)
+    if firsts == n and agg is Direction.SECOND_HIGHER:
+        verdict = Classification.FULL_REVERSAL
+    elif seconds == n and agg is Direction.FIRST_HIGHER:
+        verdict = Classification.FULL_REVERSAL
+    # with tied strata allowed, the ties stand aside: every other stratum
+    # leans one way, at least one stratum leans, and the pool leans the other
+    elif allow_tied_strata and firsts > 0 and seconds == 0 and agg is Direction.SECOND_HIGHER:
+        verdict = Classification.FULL_REVERSAL
+    elif allow_tied_strata and seconds > 0 and firsts == 0 and agg is Direction.FIRST_HIGHER:
+        verdict = Classification.FULL_REVERSAL
+    elif firsts == 0 and seconds == 0:
+        verdict = Classification.CONSISTENT
+    elif agg is Direction.FIRST_HIGHER and seconds == 0:
+        verdict = Classification.CONSISTENT
+    elif agg is Direction.SECOND_HIGHER and firsts == 0:
+        verdict = Classification.CONSISTENT
+    else:
+        verdict = Classification.MIXED
+
+    if firsts > seconds:
+        majority = Direction.FIRST_HIGHER
+    elif seconds > firsts:
+        majority = Direction.SECOND_HIGHER
+    else:
+        majority = Direction.TIE
+
+    return ReversalReport(tuple(directions), agg, verdict, majority)
 
 
 def hospital_records(noise_seed: int | None = None) -> RecordTable:

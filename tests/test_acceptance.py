@@ -23,12 +23,13 @@ from confound.standardize import (
     standardized_comparison,
     standardized_rate,
 )
-from confound.synth import brute_force_classify, generate_reversal, minimal_reversal
+from confound.synth import generate_reversal, minimal_reversal
 from confound.tables import Direction, Rate, compare, pooled_rate, rate
 from conftest import fixture_text
 from support import (
     BERKELEY,
     HOSPITAL,
+    brute_force_classify,
     dominating_comparison,
     random_comparison,
     records_from_columns,

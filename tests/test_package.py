@@ -35,9 +35,9 @@ LOADS = {
     "scan.robinson.text": {"records", "detector", "scanning"},
 }
 # standard modules no process loads: statistics (binning has its own
-# quantiles), fractions (only the oracle), html (SVG labels have their own
-# escape table), json (no case here writes JSON), and dataclasses and the
-# inspect module it imports (the value classes are plain classes)
+# quantiles), fractions (no shipped module uses it), html (SVG labels have
+# their own escape table), json (no case here writes JSON), and dataclasses
+# and the inspect module it imports (the value classes are plain classes)
 UNUSED = {"statistics", "fractions", "html", "json", "dataclasses", "inspect"}
 
 
@@ -50,7 +50,25 @@ def imported(result: subprocess.CompletedProcess) -> set[str]:
     }
 
 
+# the public names, written out: retiring or adding one edits this list
+PUBLIC = [
+    "AnalysisError", "Classification", "Column", "ConfoundError", "Counts",
+    "Direction", "DivergenceReport", "EcologicalDecomposition", "Finding",
+    "GroupPath", "GroupSummary", "InputError", "Rate", "RecordTable",
+    "RenderOptions", "ReversalReport", "ScanConfig", "SkippedCandidate",
+    "StandardizedComparison", "StratifiedComparison", "Stratum", "VectorDiagram",
+    "WeightVector", "aggregate", "bin_numeric", "compare", "decompose",
+    "detect_reversal", "generate_reversal", "group_means", "minimal_reversal",
+    "pooled_rate", "rate", "reference_weights", "render_svg", "scan",
+    "sign_divergence_report", "standardized_comparison", "standardized_rate",
+    "stratify", "to_vectors",
+]
+
+
 class TestLazyExports:
+    def test_public_names(self):
+        assert sorted(confound.__all__) == PUBLIC
+
     def test_every_name_is_its_defining_modules_object(self):
         for name in confound.__all__:
             value = getattr(confound, name)

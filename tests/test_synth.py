@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from types import CodeType, ModuleType
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
+
+import support
 
 from confound import synth
 from confound.cli import run
@@ -17,13 +21,13 @@ from confound.synth import (
     _MAX_SCALE,
     _candidate,
     _shape,
-    brute_force_classify,
     generate_reversal,
     minimal_reversal,
 )
-from confound.tables import StratifiedComparison
+from confound.tables import Direction, StratifiedComparison
 from support import (
-    BERKELEY, HOSPITAL, comparisons, random_comparison, reference_candidate,
+    BERKELEY, HOSPITAL, brute_force_classify, comparisons, random_comparison,
+    reference_candidate,
 )
 
 # canonical witness of minimal_reversal, frozen from the exhaustive search:
@@ -132,6 +136,22 @@ class TestGenerateReversal:
                     assert ours.getstate() == theirs.getstate()
 
 
+def tied_comparison(rng: random.Random) -> StratifiedComparison:
+    """A table of 1 to 4 strata of at most 12 subjects a side, each stratum
+    a planted tie (one rate, both sides a multiple of it) with odds 2 in 5."""
+    rows = []
+    for i in range(rng.randint(1, 4)):
+        if rng.random() < 0.4:
+            total = rng.randint(1, 6)
+            positive = rng.randint(0, total)
+            a, b = rng.randint(1, 2), rng.randint(1, 2)
+            rows.append((f"s{i + 1}", (a * total, a * positive), (b * total, b * positive)))
+        else:
+            t1, t2 = rng.randint(1, 12), rng.randint(1, 12)
+            rows.append((f"s{i + 1}", (t1, rng.randint(0, t1)), (t2, rng.randint(0, t2))))
+    return StratifiedComparison.from_pairs("g1", "g2", rows)
+
+
 class TestBruteForceClassify:
     def test_hospital(self):
         report = brute_force_classify(HOSPITAL)
@@ -143,15 +163,58 @@ class TestBruteForceClassify:
         assert report.classification is Classification.MIXED
         assert report == detect_reversal(BERKELEY)
 
-    @given(comparisons(min_total=1))
-    def test_differential_arbitrary_tables(self, sc):
-        assert brute_force_classify(sc) == detect_reversal(sc)
+    @given(comparisons(min_total=1), st.booleans())
+    def test_differential_arbitrary_tables(self, sc, allow):
+        assert brute_force_classify(sc, allow_tied_strata=allow) == detect_reversal(
+            sc, allow_tied_strata=allow
+        )
 
     def test_differential_seeded_sample(self):
         rng = random.Random(2024)
         for _ in range(500):
             sc = random_comparison(rng)
             assert brute_force_classify(sc) == detect_reversal(sc)
+            assert brute_force_classify(sc, allow_tied_strata=True) == detect_reversal(
+                sc, allow_tied_strata=True
+            )
+
+    def test_differential_planted_ties(self):
+        # small tables with 40% of strata planted as ties; only with tied
+        # strata allowed do some of them become full reversals
+        rng = random.Random(26)
+        allowed_only_by_flag = 0
+        for _ in range(4000):
+            sc = tied_comparison(rng)
+            strict = brute_force_classify(sc)
+            relaxed = brute_force_classify(sc, allow_tied_strata=True)
+            assert strict == detect_reversal(sc)
+            assert relaxed == detect_reversal(sc, allow_tied_strata=True)
+            if relaxed.classification is not strict.classification:
+                assert strict.classification is Classification.MIXED
+                assert relaxed.classification is Classification.FULL_REVERSAL
+                assert any(d is Direction.TIE for _, d in relaxed.stratum_directions)
+                allowed_only_by_flag += 1
+        assert allowed_only_by_flag >= 100
+
+    def test_shares_no_logic_with_the_package(self):
+        # the package objects the oracle reads are the types it returns and
+        # the error it raises; it imports nothing from confound itself
+        names = set()
+        codes = [brute_force_classify.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes.extend(c for c in code.co_consts if isinstance(c, CodeType))
+        assert not any(name.startswith("confound") for name in names)
+        read = {name: vars(support)[name] for name in names & vars(support).keys()}
+        from_package = {
+            name for name, value in read.items()
+            if (value.__name__ if isinstance(value, ModuleType)
+                else getattr(value, "__module__", "")).split(".")[0] == "confound"
+        }
+        assert from_package == {
+            "Classification", "ReversalReport", "Direction", "EmptyStratumSide"
+        }
 
 
 class TestMinimalReversal:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confound import brute_force_classify, scan, stratify
+from confound import scan, stratify
 from confound.cli import TABLE_HEADER, parse_table_csv, serialize_table_csv
 from confound.errors import ConfoundError, EmptyInput, EmptyStratumSide, ValidationError
 from confound.geometry import GroupPath
@@ -31,6 +31,7 @@ from confound.tables import (
 from support import (
     BERKELEY,
     HOSPITAL,
+    brute_force_classify,
     comparisons,
     counts,
     rates,
