@@ -63,6 +63,34 @@ def _records_csv(seed: int, extra_group: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _signed_csv(seed: int) -> str:
+    """Seeded records whose numeric cells spell one value several ways.
+
+    ``x`` writes 1 as ``1``, ``1.0``, ``1e0`` and `` 1`` and zero as ``0``,
+    ``0.0``, ``-0`` and ``-0.0``; at this seed its quartile edges come out
+    as ``-0.0`` and ``0.0``. ``z`` is never negative and its first zero, in a
+    row of the second group, is ``-0``, so its lowest bin opens at ``-0``.
+    Outcomes mix the lexicon's casings; ``c`` holds non-ASCII labels.
+    """
+    rng = random.Random(seed)
+    lines = ["g,out,x,c,z"]
+    spellings = {1: ["1", "1.0", "1e0", " 1"], 0: ["0", "0.0", "-0", "-0.0"]}
+    first_zero = True
+    for i in range(48):
+        g = "ab"[i % 2]
+        v = rng.choice([-2, -1, 0, 0, 0, 0, 1, 1, 1, 2, 3])
+        x = rng.choice(spellings.get(v, [str(v)]))
+        out = rng.choice(["YES", "nO", "tRuE", "false", "1", "0", "No", "yes"])
+        c = rng.choice(["é", "e", "Ω", "z"])
+        w = rng.choice([0, 0, 1, 2, 3, 4])
+        if w == 0 and first_zero:
+            z, first_zero = ("-0", False) if g == "b" else ("4", True)
+        else:
+            z = rng.choice(spellings[0][:2]) if w == 0 else str(w)
+        lines.append(f"{g},{out},{x},{c},{z}")
+    return "\n".join(lines) + "\n"
+
+
 def _inputs() -> dict[str, str]:
     data = resources.files("confound") / "data"
     files = {
@@ -71,6 +99,14 @@ def _inputs() -> dict[str, str]:
     }
     files["records.csv"] = _records_csv(1)
     files["records3.csv"] = _records_csv(2, extra_group=True)
+    # an age that is not a number, in the first row of group C, which
+    # --groups A,B drops
+    lines = files["records3.csv"].split("\n")
+    first_c = next(i for i, line in enumerate(lines) if line.startswith("C,"))
+    cells = lines[first_c].split(",")
+    lines[first_c] = ",".join([*cells[:3], "old", *cells[4:]])
+    files["records3_bad.csv"] = "\n".join(lines)
+    files["signed.csv"] = _signed_csv(2)
     # repeated stratum vectors exercise the plot's marker de-duplication
     files["repeats.csv"] = TABLE_HEADER + (
         "a,g1,10,3\na,g2,20,5\nb,g1,10,3\nb,g2,5,1\nc,g1,30,20\nc,g2,20,5\n"
@@ -149,6 +185,10 @@ def _cases() -> dict[str, tuple[list[str], str]]:
              "--numeric", "age", "--candidates", "severity,age,noise"]
     add_both("scan.records3.groups-ab", [*scan3, "--groups", "A,B"])
     add_both("scan.records3.groups-cb", [*scan3, "--groups", "C,B"])
+    signed = ["scan", "{d}/signed.csv", "--group-col", "g", "--outcome-col", "out",
+              "--numeric", "x,z", "--candidates", "x,c,z"]
+    add_both("scan.signed", [*signed, "--bins", "4"])
+    add_both("scan.signed.equal-width", [*signed, "--binning", "equal_width", "--bins", "3"])
 
     errors = {
         "analyze.robinson": ["analyze", robinson],
@@ -168,6 +208,9 @@ def _cases() -> dict[str, tuple[list[str], str]]:
                           "--outcome-col", "positive", "--candidates", "stratum"],
         "scan.records3.no-groups": scan3,
         "scan.records3.one-group": [*scan3, "--groups", "A"],
+        # every row is typed before --groups keeps any: a dropped row's bad cell
+        "scan.records3.groups-ab.bad-dropped-row":
+            ["scan", "{d}/records3_bad.csv", *scan3[2:], "--groups", "A,B"],
         "scan.records.no-candidates": [*scan[:-1], ""],
         "scan.records.duplicate-candidates": [*scan[:-1], "severity,severity"],
         "scan.records.unknown-group": [*scan[:3], "ward", *scan[4:]],

@@ -3,8 +3,9 @@
 The goldens cover small tables only. The per-stratum loops of the generator,
 the JSON writer and the SVG renderer are pinned here on 4,000-stratum tables
 as well, by digests of what the same commands wrote before those loops were
-last optimised. The table checks are run on 20,000 strata, with no clock:
-a check that is quadratic in the stratum count shows as a slow suite.
+last optimised, and the record scan on 100,000 rows of eight columns. The
+table checks are run on 20,000 strata, with no clock: a check that is
+quadratic in the stratum count shows as a slow suite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -35,6 +37,9 @@ SEED0 = {
     "plot": "a81fecde23b5877f80e0e1d4742b20d950c683165379954896308ba767aabdb1",
     "plot --fan-only": "74449c64ca9381fa89ce07fdfcda7ba07687d04ca91f6b7de2def4e283902ffd",
 }
+
+# a seeded records file of the benchmark's shape, and its scan
+SCAN = "db5d56ddff9e3f0425a0708c010a0b37bf25fe596c4a1baa423b704e8dac8a2e"
 
 
 def stdout_of(argv: list[str]) -> bytes:
@@ -72,6 +77,37 @@ def test_seed0_outputs(command, table):
         stdout_of(["plot", str(table), "--out", str(svg), *options])
         data = svg.read_bytes()
     assert digest(data) == SEED0[command]
+
+
+def scan_records_csv(seed: int, n: int = 100_000) -> str:
+    """Records with eight columns: a treatment arm, a yes/no death, a
+    severity that drives both, a 40-level site, a sex, an integer age, a
+    quarter-step bmi and a 1,000-level note."""
+    rng = random.Random(seed)
+    lines = ["arm,died,severity,site,sex,age,bmi,note"]
+    for _ in range(n):
+        level, p_treated, base = rng.choice(
+            [("low", 0.2, 0.05), ("mid", 0.5, 0.15), ("high", 0.8, 0.4)]
+        )
+        arm = "treated" if rng.random() < p_treated else "control"
+        died = "yes" if rng.random() < base - 0.03 * (arm == "treated") else "no"
+        bmi = min(45.0, max(16.0, round(rng.gauss(27.0, 5.0) * 4) / 4))
+        lines.append(
+            f"{arm},{died},{level},site-{rng.randrange(40):02d},{rng.choice('FM')},"
+            f"{rng.randint(18, 90)},{bmi},n{rng.randrange(1000):03d}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_scan_of_100000_records(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(scan_records_csv(1), encoding="utf-8")
+    data = stdout_of([
+        "scan", str(path), "--group-col", "arm", "--outcome-col", "died",
+        "--candidates", "severity,site,sex,age,bmi,note", "--numeric", "age,bmi",
+        "--bins", "16", "--format", "json",
+    ])
+    assert digest(data) == SCAN
 
 
 def test_duplicate_label_among_20000_strata():
