@@ -59,6 +59,13 @@ REFERENCES = ("combined", "first", "second", "equal")
 LEXICON = {
     "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
 }
+# every ASCII casing of each lexicon word, so a boolean block is typed with one
+# lookup per cell; only a block with a cell outside it is lowered first
+_CASINGS = {
+    "".join(chars): value
+    for word, value in LEXICON.items()
+    for chars in product(*({c, c.upper()} for c in word))
+}
 # the interpreter converts ints of at most 4,300 digits to text by default;
 # 300 digits of headroom keep every sum of a file's counts printable
 MAX_COUNT_DIGITS = 4000
@@ -177,22 +184,7 @@ def parse_records_csv(
 
     blocks = _blocks(text)
     header = next(blocks)
-    if not header or len(set(header)) != len(header) or any(not h for h in header):
-        raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
-    for name in (*numeric_columns, *boolean_columns):
-        if name not in header:
-            raise UnknownColumn(f"declared column {name!r} is not in the header")
-    if set(numeric_columns) & set(boolean_columns):
-        raise ValidationError(
-            f"columns declared both numeric and boolean: "
-            f"{sorted(set(numeric_columns) & set(boolean_columns))}"
-        )
-
-    declared = {
-        **dict.fromkeys(numeric_columns, "numeric"),
-        **dict.fromkeys(boolean_columns, "boolean"),
-    }
-    kinds = [declared.get(name, "categorical") for name in header]
+    kinds = _record_kinds(header, numeric_columns, boolean_columns)
     columns = tuple(map(Column, header, kinds))
     data: list[list] = [[] for _ in columns]
     # a faulty block's rows, re-read up to the first bad one, which raises
@@ -203,6 +195,29 @@ def parse_records_csv(
         for values, column in zip(data, block):
             values.extend(column)
     return RecordTable._of(columns, len(data[0]), tuple(data))
+
+
+def _record_kinds(
+    header: Sequence[str], numeric_columns: Sequence[str], boolean_columns: Sequence[str]
+) -> list[str]:
+    """Each column's kind (undeclared columns are categorical), after the
+    header's checks: unique non-empty names, declared columns present, and
+    none declared both numeric and boolean."""
+    if not header or len(set(header)) != len(header) or any(not h for h in header):
+        raise BadHeader(f"column names must be unique and non-empty: {header}", line=1)
+    for name in (*numeric_columns, *boolean_columns):
+        if name not in header:
+            raise UnknownColumn(f"declared column {name!r} is not in the header")
+    if set(numeric_columns) & set(boolean_columns):
+        raise ValidationError(
+            f"columns declared both numeric and boolean: "
+            f"{sorted(set(numeric_columns) & set(boolean_columns))}"
+        )
+    declared = {
+        **dict.fromkeys(numeric_columns, "numeric"),
+        **dict.fromkeys(boolean_columns, "boolean"),
+    }
+    return [declared.get(name, "categorical") for name in header]
 
 
 def _csv_blocks(text: str):
@@ -291,10 +306,12 @@ def _typed_blocks(blocks, kinds: Sequence[str], report):
         raise EmptyData("no data rows after the header")
 
 
-def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
+def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> Sequence | str:
     """One block of one column's cells as typed values, or the fault of a
     bad cell. Repeated categorical labels share one string through ``memo``,
-    which holds one entry per distinct label until parsing ends."""
+    which holds one entry per distinct label until parsing ends. A scan
+    reads its categorical columns as ``text`` and its numeric ones as
+    ``numeric text``: the cells as read, numbers checked as ``numeric`` is."""
     if kind == "count":
         # ASCII digits only: int() would also take "1_000", " 5", "+5" and "٣",
         # which serialize back differently; at most MAX_COUNT_DIGITS of them,
@@ -308,15 +325,24 @@ def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> list | str:
         if longest > cap:
             return f"has {longest} digits, more than {cap}"
         return list(map(int, cells))
-    if kind == "numeric":
+    if kind in ("numeric", "numeric text"):
+        # a scan converts each distinct number once, after counting, so its
+        # blocks are checked on their distinct texts and kept as read
+        numbers = cells if kind == "numeric" else set(cells)
         try:
-            values = list(map(float, cells))
+            values = list(map(float, numbers))
         except ValueError:
             return "is not a number"
-        return values if all(map(math.isfinite, values)) else "is not finite"
+        if not all(map(math.isfinite, values)):
+            return "is not finite"
+        return values if kind == "numeric" else cells
     if kind == "boolean":
-        values = list(map(LEXICON.get, map(str.lower, cells)))
+        values = list(map(_CASINGS.get, cells))
+        if None in values:
+            values = list(map(LEXICON.get, map(str.lower, cells)))
         return "is not in the true/false lexicon" if None in values else values
+    if kind == "text":
+        return cells
     return list(map(memo.setdefault, cells, cells))
 
 
@@ -433,12 +459,17 @@ def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
 
 
 def build_scan_report(records: RecordTable, candidates: Sequence[str], results) -> dict:
+    return _scan_report(records.n_rows, candidates, results)
+
+
+def _scan_report(rows: int, candidates: Sequence[str], results) -> dict:
+    """The scan report over ``rows`` kept rows."""
     from .scanning import Finding
 
     return {
         "format_version": FORMAT_VERSION,
         "command": "scan",
-        "input": {"rows": records.n_rows, "candidates": list(candidates)},
+        "input": {"rows": rows, "candidates": list(candidates)},
         "findings": [
             {
                 "covariate": r.covariate,
@@ -785,7 +816,7 @@ def _cmd_standardize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
-    from .scanning import ScanConfig, scan
+    from .scanning import ScanConfig, _findings, _Tally
 
     # the options are checked before the records are read
     config = ScanConfig(
@@ -795,18 +826,33 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         allow_tied_strata=ns.allow_tied_strata,
     )
     candidates = _split_list(ns.candidates)
-    records = parse_records_csv(
-        _read_text(ns.records),
-        numeric_columns=_split_list(ns.numeric),
-        boolean_columns=(ns.outcome_col,),
+    text = _read_text(ns.records)
+    blocks = _blocks(text)
+    header = next(blocks)
+    kinds = _record_kinds(header, _split_list(ns.numeric), (ns.outcome_col,))
+    # each block is counted as it is read, with its labels and numbers as read
+    as_read = [{"categorical": "text", "numeric": "numeric text"}.get(k, k) for k in kinds]
+    typed = _typed_blocks(
+        blocks, as_read, lambda start: list(_typed_rows(text, start, header, kinds))
     )
-    if ns.groups:
-        pair = _split_list(ns.groups)
-        if len(pair) != 2:
-            raise NotTwoGroups(f"--groups needs exactly two labels, got {pair}")
-        records = records.where(ns.group_col, pair)
-    results = scan(records, ns.group_col, ns.outcome_col, candidates, config)
-    return _emit(ns, build_scan_report(records, candidates, results), render_scan_text)
+    columns = dict(zip(header, kinds))
+    try:
+        keep = None
+        if ns.groups:
+            keep = _split_list(ns.groups)
+            if len(keep) != 2:
+                raise NotTwoGroups(f"--groups needs exactly two labels, got {keep}")
+            if ns.group_col not in columns:
+                raise UnknownColumn(f"no column named {ns.group_col!r}")
+        tally = _Tally(columns, ns.group_col, ns.outcome_col, candidates, keep)
+    except ConfoundError:
+        for _ in typed:  # a bad row, and then a file without rows, comes first
+            pass
+        raise
+    for block in typed:
+        tally.add(block)
+    results = _findings(tally, config)
+    return _emit(ns, _scan_report(tally.n_rows, candidates, results), render_scan_text)
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:

@@ -1,12 +1,19 @@
 """Record-level confounder scanning.
 
-The scan takes row-level records, stratifies them by each candidate
-covariate (categorical passthrough or numeric binning), and reports which
-candidates induce a reversal, as :mod:`confound.detector` classifies it.
-Scan-wide faults (options, group and outcome columns) raise; candidate
-faults become skip records, and :func:`stratify` is one candidate that
-raises instead. The result order is deterministic regardless of evaluation
-order.
+The scan stratifies row-level records by each candidate covariate
+(categorical passthrough or numeric binning) and reports which candidates
+induce a reversal, as :mod:`confound.detector` classifies it. Scan-wide
+faults (options, group and outcome columns) raise; candidate faults become
+skip records, and :func:`stratify` is one candidate that raises instead.
+The result order is deterministic regardless of evaluation order.
+
+One tally serves every scan. :class:`_Tally` counts a block of columns at a
+time, each candidate's cells per group label and outcome, keyed by the cell
+as stored, and converts each distinct numeric key with ``float`` once: the
+command line feeds it the CSV's blocks with labels and numbers as read,
+:func:`scan` and :func:`stratify` a table's stored columns as one block.
+One findings step then bins the counts and builds each candidate's
+comparison.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, compress
-from operator import add, not_
+from itertools import accumulate, chain, compress, islice
+from operator import add, itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Literal, Sequence, Union
 
 from .detector import Classification, ReversalReport, detect_reversal
@@ -26,6 +33,7 @@ from .errors import (
     NotTwoGroups,
     NumericOverflow,
     TooFewDistinctValues,
+    UnknownColumn,
     ValidationError,
 )
 from .tables import StratifiedComparison, _flag, _integer, _Value
@@ -67,22 +75,23 @@ def bin_numeric(
         vals = [math.inf]
     if not all(map(math.isfinite, vals)):
         raise ValidationError("values must be finite")
-    return _edges(Counter(vals), strategy, k, vals)
+    counts = Counter(vals)
+    return _edges(counts, strategy, k, [v for v in vals if v == 0] if 0 in counts else [])
 
 
 def _edges(
-    counts: dict[float, int], strategy: str, k: int, values: Iterable[float]
+    counts: dict[float, int], strategy: str, k: int, zeros: Sequence[float]
 ) -> list[float]:
-    """:func:`bin_numeric`'s edges from each distinct value's row count.
-    ``values`` (the rows, in order) is read only when zeros are among them.
-    An edge past the float range is a :class:`NumericOverflow`."""
+    """:func:`bin_numeric`'s edges from each distinct value's row count and
+    the zero rows' values (-0.0 or 0.0) in row order. An edge past the float
+    range is a :class:`NumericOverflow`."""
     if strategy == "quantile":
         if len(counts) < k:
             raise TooFewDistinctValues(
                 f"quantile binning into {k} bins needs at least {k} distinct "
                 f"values, got {len(counts)}"
             )
-        edges = _quantiles(counts, k, values)
+        edges = _quantiles(counts, k, zeros)
     else:
         if len(counts) < 2:
             raise TooFewDistinctValues("all values are identical")
@@ -93,7 +102,7 @@ def _edges(
     return edges
 
 
-def _quantiles(counts: dict[float, int], k: int, values: Iterable[float]) -> list[float]:
+def _quantiles(counts: dict[float, int], k: int, zeros: Sequence[float]) -> list[float]:
     """``statistics.quantiles(values, n=k, method="inclusive")`` by its own
     formula, reading each order statistic off the distinct values' counts
     rather than a sorted copy of the rows."""
@@ -101,7 +110,6 @@ def _quantiles(counts: dict[float, int], k: int, values: Iterable[float]) -> lis
     ends = list(accumulate(map(counts.__getitem__, distinct)))  # rows up to each value
     # sorted() keeps equal values in row order, and -0.0 == 0.0, so the
     # zeros' signs in the sorted rows are those of the zero rows in order
-    zeros = [v for v in values if v == 0] if 0 in counts else []
 
     def nth(j: int) -> float:  # sorted(values)[j]
         i = bisect_right(ends, j)
@@ -123,81 +131,192 @@ def _bin_label(i: int, lo: float, hi: float, last: bool) -> str:
 
 
 def _binned(
-    tallies: list[tuple[Counter, Counter]], column: Sequence[float], strategy: str, k: int
+    pairs: list[tuple[Counter, Counter]], values: dict, zeros: Sequence[float],
+    strategy: str, k: int,
 ) -> tuple[list[tuple[Counter, Counter]], list[str], str]:
-    """Each group's ``(totals, positives)`` tally of ``column`` re-keyed by
-    bin, with the bin labels and the binning's description. Each distinct
-    value is binned once; its key in the row counts is its first row's value
-    (-0.0 or 0.0), which is what ``min`` and ``max`` over the rows return."""
+    """Each group's ``(negatives, positives)`` tally of a numeric candidate
+    re-keyed by bin, with the bin labels and the binning's description.
+    ``values`` holds each distinct key's float and ``zeros`` the zero rows'
+    values in row order. Each distinct key is binned once; the row count of
+    zero is keyed by the first zero row's value (-0.0 or 0.0), which is what
+    ``min`` and ``max`` over the rows return."""
     rows = Counter()
-    for totals, _ in tallies:
-        rows.update(totals)
-    if 0 in rows:
-        rows[column[column.index(0)]] = rows.pop(0)
-    edges = _edges(rows, strategy, k, column)
+    for tally in chain.from_iterable(pairs):
+        for key, n in tally.items():
+            rows[values[key]] += n
+    if zeros:
+        rows[zeros[0]] = rows.pop(0)
+    edges = _edges(rows, strategy, k, zeros)
     bounds = [min(rows), *edges, max(rows)]
     labels = [_bin_label(i, *bounds[i : i + 2], i == k - 1) for i in range(k)]
-    bin_of = {value: bisect_right(edges, value) for value in rows}
+    bin_of = {key: bisect_right(edges, value) for key, value in values.items()}
 
     def by_bin(tally: Counter) -> Counter:
         binned = Counter()
-        for value, n in tally.items():
-            binned[bin_of[value]] += n
+        for key, n in tally.items():
+            binned[bin_of[key]] += n
         return binned
 
-    binned = [(by_bin(totals), by_bin(positives)) for totals, positives in tallies]
+    binned = [(by_bin(negatives), by_bin(positives)) for negatives, positives in pairs]
     return binned, labels, f"{strategy} k={k} edges={[round(e, 6) for e in edges]}"
 
 
-def _sides(
-    records: RecordTable, group_col: str, outcome_col: str
-) -> tuple[list, list[tuple[list[bool], list[bool]]]]:
-    """The two sorted group labels, and for each group its row selector and
-    its rows' outcomes: the one check of the group and outcome columns."""
-    if records.kind(group_col) != "categorical":
-        raise ValidationError(f"group column {group_col!r} must be categorical")
-    if records.kind(outcome_col) != "boolean":
-        raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
-    group = records._cells(group_col)
-    groups = sorted(set(group))
-    if len(groups) != 2:
-        raise NotTwoGroups(
-            f"group column {group_col!r} must take exactly two values, "
-            f"found {len(groups)}: {groups}"
-        )
-    first = list(map({groups[0]: True, groups[1]: False}.__getitem__, group))
-    outcome = records._cells(outcome_col)
-    selectors = (first, list(map(not_, first)))
-    return groups, [(select, list(compress(outcome, select))) for select in selectors]
+class _Tally:
+    """The rows of a scan, counted block by block.
+
+    Construction makes the scan-wide checks, in order: candidates given and
+    distinct, the group and outcome columns present, the group categorical
+    and the outcome boolean. ``kinds`` maps each column name to its kind, in
+    the order of a block's columns; ``keep``, when given, names the group
+    labels whose rows count.
+
+    For each categorical or numeric candidate, ``counts`` holds per group
+    label a ``(negatives, positives)`` pair of Counters of the cell as
+    stored, over the label's rows with a false and with a true outcome.
+    Once a third group label is found the rows are no longer counted, only
+    their labels collected: the scan will fail.
+    """
+
+    def __init__(
+        self, kinds: dict[str, str], group_col: str, outcome_col: str,
+        candidates: Sequence[str], keep: Iterable[str] | None = None,
+    ):
+        if not candidates:
+            raise EmptyCandidates("no candidate covariates given")
+        if len(set(candidates)) != len(candidates):
+            raise ValidationError(f"duplicate candidates in {list(candidates)}")
+        for name in (group_col, outcome_col):
+            if name not in kinds:
+                raise UnknownColumn(f"no column named {name!r}")
+        if kinds[group_col] != "categorical":
+            raise ValidationError(f"group column {group_col!r} must be categorical")
+        if kinds[outcome_col] != "boolean":
+            raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
+        index = {name: i for i, name in enumerate(kinds)}
+        counted = [n for n in candidates if kinds.get(n) in ("categorical", "numeric")]
+        self.kinds = kinds
+        self.group_col = group_col
+        self.candidates = list(candidates)
+        self.keep = None if keep is None else set(keep)
+        self.labels: set[str] = set()
+        self.n_rows = 0
+        self.counts: dict[str, dict[str, tuple[Counter, Counter]]] = {
+            name: {} for name in counted
+        }
+        # a numeric candidate's float per key, its zero keys and zero rows' values
+        self.numbers: dict[str, tuple[dict, set, list[float]]] = {
+            name: ({}, set(), []) for name in counted if kinds[name] == "numeric"
+        }
+        self._index = (index[group_col], index[outcome_col], [index[n] for n in counted])
+
+    def add(self, block: Sequence[Sequence]) -> None:
+        """Count one block of rows, given as its columns."""
+        g, o, candidates = self._index
+        group = block[g]
+        found = set(group)
+        kept = found if self.keep is None else found & self.keep
+        self.labels |= kept
+        if len(self.labels) > 2 or not kept:
+            return
+        # each kept label's rows with a false, then a true outcome
+        split, order = [], []
+        everything, outcome = range(len(group)), block[o]
+        for label in kept:
+            rows, out = everything, outcome
+            if len(found) > 1:
+                chosen = list(map({label: True}.get, group))
+                rows, out = list(compress(rows, chosen)), list(compress(out, chosen))
+            negatives = list(compress(rows, map(not_, out)))
+            positives = list(compress(rows, out))
+            split.append((label, negatives, positives))
+            order += negatives
+            order += positives
+        self.n_rows += len(order)
+        # one index more than the rows, so the getter returns a tuple even
+        # for one row; the slices below never reach it
+        gather = itemgetter(*order, 0)
+        for name, j in zip(self.counts, candidates):
+            column = block[j]
+            cells = gather(column)
+            sides = self.counts[name]
+            end, new = 0, []
+            for label, *parts in split:
+                if label not in sides:
+                    sides[label] = (Counter(), Counter())
+                for tally, rows in zip(sides[label], parts):
+                    start, end = end, end + len(rows)
+                    known = len(tally)
+                    tally.update(cells[start:end])
+                    new += islice(reversed(tally), len(tally) - known)  # its new keys
+            if name in self.numbers:
+                self._numbers(name, new, column, order)
+
+    def _numbers(self, name: str, new: list, column: Sequence, order: list[int]) -> None:
+        """Convert a numeric candidate's keys new in this block, and keep its
+        zero rows' values in row order: once a zero has been counted, every
+        block's kept rows are searched for zeros."""
+        values, zero_keys, zeros = self.numbers[name]
+        fresh = set(new).difference(values)
+        values.update(zip(fresh, map(float, fresh)))
+        zero_keys.update(key for key in fresh if values[key] == 0)
+        if zero_keys:
+            kept = column
+            if len(order) < len(column):
+                kept = map(column.__getitem__, sorted(order))
+            zeros.extend(float(cell) for cell in kept if cell in zero_keys)
+
+    def groups(self) -> list[str]:
+        """The two group labels, sorted; any other number is the scan's fault."""
+        groups = sorted(self.labels)
+        if len(groups) != 2:
+            raise NotTwoGroups(
+                f"group column {self.group_col!r} must take exactly two values, "
+                f"found {len(groups)}: {groups}"
+            )
+        return groups
+
+
+def _record_tally(
+    records: RecordTable, group_col: str, outcome_col: str, candidates: Sequence[str]
+) -> _Tally:
+    """The tally of a table's stored columns, as one block."""
+    tally = _Tally(
+        {c.name: c.kind for c in records.columns}, group_col, outcome_col, candidates
+    )
+    tally.add(records._data)
+    return tally
 
 
 def _stratified(
-    records: RecordTable, covariate: str, sides: list, config: ScanConfig
+    tally: _Tally, covariate: str, groups: list, config: ScanConfig
 ) -> tuple[list[list], str]:
-    """Stratify records by one covariate into the columns of a
+    """One candidate's tally as the columns of a
     :class:`StratifiedComparison` (see :meth:`StratifiedComparison._fill`),
     plus a binning description. The covariate's kind alone picks the strata:
     categorical labels pass through, numeric values are binned by ``config``.
 
-    ``sides`` is each group's row selector and outcomes from :func:`_sides`.
     Strata with no rows at all are never formed (numeric bins can be empty);
     strata smaller than ``config.min_stratum_size`` are dropped. A stratum
     may still be empty on one side, which building the comparison rejects.
     """
-    kind = records.kind(covariate)
+    kind = tally.kinds.get(covariate)
+    if kind is None:
+        raise UnknownColumn(f"no column named {covariate!r}")
     if kind == "boolean":
         raise ValidationError(
             f"covariate {covariate!r} is boolean; numeric binning needs a numeric column"
         )
-    column = records._cells(covariate)
-    tallies = []
-    for select, outcome in sides:
-        part = list(compress(column, select))
-        tallies.append((Counter(part), Counter(compress(part, outcome))))
+    sides = tally.counts[covariate]
+    pairs = [sides.get(label, (Counter(), Counter())) for label in groups]
     labels, description = None, "categorical"
     if kind == "numeric":
-        tallies, labels, description = _binned(tallies, column, config.binning, config.bins)
-    (total1, positive1), (total2, positive2) = tallies
+        values, _, zeros = tally.numbers[covariate]
+        pairs, labels, description = _binned(
+            pairs, values, zeros, config.binning, config.bins
+        )
+    (total1, positive1), (total2, positive2) = (
+        (negatives + positives, positives) for negatives, positives in pairs
+    )
     size = config.min_stratum_size
     keys = sorted(total1.keys() | total2.keys())
     keys = [key for key in keys if total1[key] + total2[key] >= size]
@@ -224,8 +343,9 @@ def stratify(
     config = ScanConfig(binning, bins)
     for name in (group_col, outcome_col, covariate):
         records.column_index(name)
-    groups, sides = _sides(records, group_col, outcome_col)
-    columns = _stratified(records, covariate, sides, config)[0]
+    tally = _record_tally(records, group_col, outcome_col, [covariate])
+    groups = tally.groups()
+    columns = _stratified(tally, covariate, groups, config)[0]
     return StratifiedComparison._of_columns(*groups, *columns)
 
 
@@ -311,18 +431,17 @@ def scan(
     broken by covariate name — followed by skips sorted by name, so any
     evaluation schedule yields the same list.
     """
-    if not candidates:
-        raise EmptyCandidates("no candidate covariates given")
-    if len(set(candidates)) != len(candidates):
-        raise ValidationError(f"duplicate candidates in {list(candidates)}")
-    for name in (group_col, outcome_col):
-        records.column_index(name)
-    groups, sides = _sides(records, group_col, outcome_col)
+    return _findings(_record_tally(records, group_col, outcome_col, candidates), config)
 
+
+def _findings(tally: _Tally, config: ScanConfig) -> list[ScanResult]:
+    """:func:`scan`'s results from a finished tally: its two groups, then
+    each candidate's finding or skip, in the scan's order."""
+    groups = tally.groups()
     results: list[ScanResult] = []
-    for cand in candidates:
+    for cand in tally.candidates:
         try:
-            columns, description = _stratified(records, cand, sides, config)
+            columns, description = _stratified(tally, cand, groups, config)
             sc = StratifiedComparison._of_columns(*groups, *columns)
             report = detect_reversal(sc, allow_tied_strata=config.allow_tied_strata)
         except ConfoundError as exc:
@@ -336,4 +455,3 @@ def scan(
         _CLASS_ORDER[r.report.classification] if isinstance(r, Finding) else 3,
         r.covariate,
     ))
-

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -9,16 +11,19 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
+from unittest import mock
 
 from hypothesis import strategies as st
 
 import confound
+from confound import cli
 from confound.detector import Classification, ReversalReport
-from confound.errors import DegenerateRange, EmptyStratumSide
+from confound.errors import DegenerateRange, EmptyStratumSide, NotTwoGroups
 from confound.geometry import (
     COLORS, DASH, FONT_SIZE, MARGIN, RenderOptions, VectorDiagram, _fmt,
 )
 from confound.records import Column, RecordTable
+from confound.scanning import ScanConfig, scan
 from confound.tables import (
     _MARKUP_ESCAPES, Counts, Direction, Rate, StratifiedComparison, Stratum, aggregate,
     compare, percent, rate,
@@ -377,6 +382,46 @@ def reference_candidate(
                 p1 -= 1
         rows.append((t1, p1, t2, p2))
     return rows
+
+
+def reference_cmd_scan(ns) -> int:
+    """``confound scan`` composed from the library: ``parse_records_csv``,
+    ``RecordTable.where`` for ``--groups``, ``scan``, ``build_scan_report``
+    and the chosen writer, each check where that composition makes it. The
+    reference the command's block-by-block tally must match."""
+    config = ScanConfig(
+        binning=ns.binning,
+        bins=ns.bins,
+        min_stratum_size=ns.min_stratum_size,
+        allow_tied_strata=ns.allow_tied_strata,
+    )
+    candidates = cli._split_list(ns.candidates)
+    records = cli.parse_records_csv(
+        cli._read_text(ns.records),
+        numeric_columns=cli._split_list(ns.numeric),
+        boolean_columns=(ns.outcome_col,),
+    )
+    if ns.groups:
+        pair = cli._split_list(ns.groups)
+        if len(pair) != 2:
+            raise NotTwoGroups(f"--groups needs exactly two labels, got {pair}")
+        records = records.where(ns.group_col, pair)
+    results = scan(records, ns.group_col, ns.outcome_col, candidates, config)
+    doc = cli.build_scan_report(records, candidates, results)
+    return cli._emit(ns, doc, cli.render_scan_text)
+
+
+def run_captured(argv: list[str], *, reference_scan: bool = False) -> tuple[int, str, str]:
+    """``cli.run(argv)``'s exit code, stdout and stderr; with
+    ``reference_scan``, ``scan`` runs as :func:`reference_cmd_scan`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if reference_scan:
+            stack.enter_context(mock.patch.object(cli, "_cmd_scan", reference_cmd_scan))
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def python(

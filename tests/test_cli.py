@@ -6,6 +6,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from confound.errors import (
 )
 from confound.records import RecordTable
 from confound.tables import Counts, StratifiedComparison, Stratum
-from support import BERKELEY, HOSPITAL, counts, hospital_records, python
+from support import BERKELEY, HOSPITAL, counts, hospital_records, python, run_captured
 from test_golden import GOLDEN
 
 HEADER = "stratum,group,total,positive\n"
@@ -421,23 +422,27 @@ _plain_cell = st.one_of(
 
 
 @st.composite
-def plain_records_texts(draw):
+def plain_records_texts(draw, cells=None, min_columns=0, clean=False):
     """A record CSV with no double quote, carriage return or NUL, its header,
     the csv field size limit to read it under (``None``: the default) and the
     plain reader's block size. Good rows may push the drawn ones to and past
     ``CHUNK_ROWS``; the drawn rows may be ragged or blank, and the last line
-    may lack its line end."""
+    may lack its line end. ``cells`` maps a column name to the cells its
+    rows draw from; other columns draw cells every column kind takes. The
+    header holds at least ``min_columns`` of the five names; a ``clean``
+    text has a good header and no ragged rows."""
+    cells = cells or {}
+    every_kind = ["0", "1", "1", "0", "2.5", "yes", "", "a", "123456789012"]
     names = draw(st.permutations(["g", "x", "y", "out", "c"]))
-    header = names[: draw(st.integers(0, 5))]
-    if draw(st.integers(0, 4)) == 0 and header:
+    header = names[: draw(st.integers(min_columns, 5))]
+    if not clean and draw(st.integers(0, 4)) == 0 and header:
         header = [*header, draw(st.sampled_from([*header, ""]))]  # a bad header
     pad = draw(st.sampled_from([0, 0, CHUNK_ROWS - 2, CHUNK_ROWS - 1, CHUNK_ROWS]))
     # mostly rows as wide as the header, of cells every column kind takes
-    fitting = st.lists(
-        st.sampled_from(["0", "1", "1", "0", "2.5", "yes", "", "a", "123456789012"]),
-        min_size=len(header), max_size=len(header),
+    fitting = st.tuples(*(st.sampled_from(cells.get(name, every_kind)) for name in header))
+    row = fitting if clean else st.one_of(
+        fitting, fitting, fitting, st.lists(_plain_cell, max_size=6)
     )
-    row = st.one_of(fitting, fitting, fitting, st.lists(_plain_cell, max_size=6))
     rows = draw(st.lists(row.map(",".join), max_size=8))
     lines = [",".join(header), *[",".join(["1"] * len(header))] * pad, *rows]
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
@@ -489,7 +494,9 @@ class TestIngestPaths:
             csv.field_size_limit(default)
 
     @given(
-        st.sampled_from(["categorical", "numeric", "boolean", "count"]),
+        st.sampled_from(
+            ["categorical", "numeric", "boolean", "count", "text", "numeric text"]
+        ),
         st.lists(
             st.sampled_from(["", " 5", "+5", "\u0663", "1_000", "nan", "inf", "yes",
                              "No", "0", "7", "2.5", "-1", "999", "1000", "12345"]),
@@ -510,7 +517,10 @@ class TestIngestPaths:
         else:
             values = [value for values in alone for value in values]
             assert [(type(v), v) for v in block] == [(type(v), v) for v in values]
-            kind_type = {"categorical": str, "numeric": float, "boolean": bool, "count": int}
+            kind_type = {
+                "categorical": str, "numeric": float, "boolean": bool, "count": int,
+                "text": str, "numeric text": str,
+            }
             assert {type(v) for v in block} == {kind_type[kind]}
 
     def test_a_long_line_hands_the_rest_to_the_csv_module(self):
@@ -544,6 +554,160 @@ class TestIngestPaths:
         records = parse_records_csv(text, numeric_columns=("x",))
         assert records.rows == (("a", 1.0),)
         assert records == parse_records_csv(_quoted(text), numeric_columns=("x",))
+
+
+# the cells of a scan's columns: two group labels and a third, outcomes in
+# mixed case, numbers spelled several ways with signed zeros, and labels with
+# non-ASCII letters; the outcome and number pools each hold one cell their
+# kind rejects ("N\u00d8", "inf", "nan")
+_SCAN_CELLS = {
+    "g": ["a", "1", "a", "1", "b", "a", "1"],
+    "out": ["0", "1", "YES", "nO", "tRuE", "no", "FALSE", "yes", "false", "N\u00d8",
+            "1", "0", "TRUE", "No", "0", "1", "yes", "no", "true", "0"],
+    "x": ["0", "-0", "0.0", "-0.0", "1e0", " 1", "1", "1.0", "2.5", "inf", "-1", "2",
+          "0", "-0", "1", "3", "0.0", "-2", "1e0", "2"],
+    "y": ["0", "-0", "1", "2", "3", "-2.5", "1e300", "2", "nan", "1", "0.0", "3", "-0.0",
+          "2", "1", "0"],
+    "c": ["\u00e9", "\u03a9", "a", "", "1", "-0", "\u00e9"],
+}
+
+
+@st.composite
+def scan_cases(draw):
+    """A records text as :func:`plain_records_texts` draws it, the ``scan``
+    arguments to run on it with ``{path}`` for its file, the csv field size
+    limit and the block size. Half the cases have a clean text and options a
+    scan accepts, so that most of them reach the tally; in the other half
+    every option may take a value that fails, in any combination."""
+    wild = draw(st.booleans())
+    text, header, limit, block = draw(
+        plain_records_texts(_SCAN_CELLS, min_columns=0 if wild else 5, clean=not wild)
+    )
+
+    def option(usual, *others):
+        return draw(st.sampled_from([usual, usual, *others, usual] if wild else [usual]))
+
+    # candidates unknown, duplicated, the group or the outcome column
+    candidates = draw(st.lists(
+        st.sampled_from(["c", "x", "y", *(["g", "out", "ghost", "c"] if wild else [])]),
+        min_size=not wild, max_size=4, unique=not wild,
+    ))
+    # numbers declared on candidates, the group, the outcome or no column
+    numeric = draw(st.lists(
+        st.sampled_from(["x", "y", *(["c", "g", "out", "ghost"] if wild else [])]),
+        max_size=3, unique=True,
+    ))
+    # a pair of present labels, or absent ones and the wrong length
+    pair = st.just(["a", "1"])
+    label = st.sampled_from(["a", "b", "\u00e9", "1", "zz", "-0"])
+    groups = draw(st.one_of(
+        st.none(), pair, st.lists(label, min_size=1, max_size=3) if wild else pair
+    ))
+    argv = [
+        "scan", "{path}",
+        f"--group-col={option('g', 'x', 'c', 'ghost', 'out')}",
+        f"--outcome-col={option('out', 'g', 'ghost', 'x')}",
+        f"--candidates={','.join(candidates)}",
+        f"--binning={draw(st.sampled_from(['quantile', 'equal_width']))}",
+        f"--bins={option(draw(st.sampled_from([2, 3, 4])), 1)}",
+        f"--min-stratum-size={option(draw(st.sampled_from([0, 1, 3])), -1)}",
+        f"--format={draw(st.sampled_from(['text', 'json']))}",
+    ]
+    if numeric:
+        argv.append(f"--numeric={','.join(numeric)}")
+    if groups is not None:
+        argv.append(f"--groups={','.join(groups)}")
+    if draw(st.booleans()):
+        argv.append("--allow-tied-strata")
+    return text, argv, limit, block
+
+
+class TestScanPath:
+    """``confound scan`` counts each block as it is read. The library
+    composition it replaced (parse, ``where``, ``scan``, report) is the
+    reference: both must exit, print and report errors alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_matches_the_library_composition(self, tmp_path_factory, case):
+        text, argv, limit, block = case
+        path = tmp_path_factory.getbasetemp() / "scan-case.csv"
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            with mock.patch.object(cli, "BLOCK_CHARS", block):
+                for copy in (text, _quoted(text)):
+                    path.write_text(copy, encoding="utf-8")
+                    args = [a.replace("{path}", str(path)) for a in argv]
+                    assert run_captured(args) == run_captured(args, reference_scan=True)
+        finally:
+            csv.field_size_limit(default)
+
+    def test_the_signs_of_zero_come_from_kept_rows(self, tmp_path):
+        # the dropped group's -0 comes first, so the lowest bin opens at 0
+        # only when the zeros are taken from the kept rows alone
+        path = tmp_path / "zeros.csv"
+        path.write_text(
+            "g,out,x\nc,1,-0\na,1,0\nb,0,-0\na,0,2\nb,1,2\na,1,4\nb,0,4\n",
+            encoding="utf-8",
+        )
+        argv = ["scan", str(path), "--group-col", "g", "--outcome-col", "out",
+                "--numeric", "x", "--candidates", "x", "--groups", "a,b",
+                "--binning", "equal_width", "--bins", "2", "--format", "json"]
+        code, out, err = run_captured(argv)
+        assert (code, out, err) == run_captured(argv, reference_scan=True)
+        assert '"bin00 [0, 2)"' in out and "-0" not in out
+
+    def test_the_lexicon_in_every_ascii_casing(self):
+        # the casing table gives what lowering and the lexicon give, for
+        # every casing of every word and for other strings
+        words = {
+            "".join(chars)
+            for word in cli.LEXICON
+            for chars in itertools.product(*({c.lower(), c.upper()} for c in word))
+        }
+        assert set(cli._CASINGS) == words and len(words) == 62
+        others = ["", " yes", "yes ", "ye", "t", "TRUE\u200b", "\u0131", "truE1",
+                  "n\u00f8", "\uff59es", "K", "1.0", "-0", "nO\x00", "\u212a"]
+        for cell in [*sorted(words), *others]:
+            expected = cli.LEXICON.get(cell.lower())
+            assert cli._CASINGS.get(cell) is (expected if cell in words else None)
+            typed = cli._typed_column("boolean", [cell], {})
+            assert typed == ([expected] if expected is not None else
+                             "is not in the true/false lexicon"), cell
+        # a block with one cell outside the table is typed as a whole
+        block = [*sorted(words), "\u212a", "no"]
+        assert cli._typed_column("boolean", block, {}) == "is not in the true/false lexicon"
+        block = sorted(words)
+        assert cli._typed_column("boolean", block, {}) == [
+            cli.LEXICON[cell.lower()] for cell in block
+        ]
+
+    def test_a_group_column_of_20000_labels(self, tmp_path):
+        # one label per row: the tally stops counting at the third label but
+        # reads every row and names every label, in the time a linear tally
+        # takes (a quadratic one shows as a slow suite)
+        rows = [f"id{i:05d},{i % 2},{'ab'[i % 3 % 2]}" for i in range(20_000)]
+        path = tmp_path / "ids.csv"
+        path.write_text("id,out,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["scan", str(path), "--group-col", "id", "--outcome-col", "out",
+                "--candidates", "c"]
+        code, out, err = run_captured(argv)
+        assert (code, out, err) == run_captured(argv, reference_scan=True)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error:not-two-groups: group column 'id' must take exactly two values, "
+            "found 20000: ['id00000', 'id00001', "
+        )
+        # a bad row after the third label is still reported, at its line
+        path.write_text(
+            "id,out,c\n" + "\n".join(rows) + "\nid,maybe,a\n", encoding="utf-8"
+        )
+        assert run_captured(argv)[2] == (
+            "error:bad-outcome-value: line 20002: column 'out': 'maybe' is not in "
+            "the true/false lexicon\n"
+        )
 
 
 def _first_record_error(text, header):

@@ -18,7 +18,7 @@ from confound.scanning import (
     MAX_BINS,
     ScanConfig,
     SkippedCandidate,
-    _sides,
+    _record_tally,
     _stratified,
     bin_numeric,
     scan,
@@ -551,7 +551,8 @@ def test_binning_matches_the_sort_based_binning():
         records = RecordTable(_cols("g:categorical", "out:boolean", "x:numeric"), rows)
         # each row's side code, 2 * group index + outcome, derived here
         code = [2 * "ab".index(g) + out for g, out, _ in rows]
-        sides = _sides(records, "g", "out")[1]
+        tally = _record_tally(records, "g", "out", ["x"])
+        groups = tally.groups()
         strategy, k = rng.choice(["quantile", "equal_width"]), rng.randrange(2, 7)
         config = ScanConfig(strategy, k)
         expected = _sort_based_binning(column, code, strategy, k)
@@ -559,13 +560,13 @@ def test_binning_matches_the_sort_based_binning():
             with pytest.raises(TooFewDistinctValues):
                 bin_numeric(column, strategy, k)
             with pytest.raises(TooFewDistinctValues):
-                _stratified(records, "x", sides, config)
+                _stratified(tally, "x", groups, config)
             continue
         edges, description, strata = expected
         assert list(map(repr, bin_numeric(column, strategy, k))) == list(map(repr, edges)), case
         # the rows, not the comparison built from them: a stratum may be
         # empty on one side, which building the comparison rejects
-        got_columns, got_description = _stratified(records, "x", sides, config)
+        got_columns, got_description = _stratified(tally, "x", groups, config)
         got_strata = [(label, (t1, p1), (t2, p2)) for label, t1, p1, t2, p2 in zip(*got_columns)]
         assert got_description == description, case
         assert got_strata == strata, case

@@ -23,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
+from confound import cli
 from confound.cli import run
 from confound.geometry import GroupPath, VectorDiagram
+from confound.records import RecordTable
 from confound.tables import Counts, Stratum
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -287,6 +289,33 @@ def test_table_commands_build_no_counts_or_strata(inputs_dir, monkeypatch):
     assert {CASES[name][0][0] for name in names} == commands
     for name in names:
         assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+
+
+def test_scan_builds_no_record_table(inputs_dir, monkeypatch):
+    """``scan`` counts each block of records as it reads it: no scan case
+    parses the file into a ``RecordTable``, builds one, or keeps its rows
+    with ``where``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or filtered a RecordTable")
+
+    monkeypatch.setattr(cli, "parse_records_csv", refuse)
+    monkeypatch.setattr(RecordTable, "__init__", refuse)
+    monkeypatch.setattr(RecordTable, "_of", classmethod(refuse))
+    monkeypatch.setattr(RecordTable, "where", refuse)
+    names = [name for name, (argv, _) in CASES.items() if argv[:1] == ["scan"]]
+    assert {CASES[name][1] for name in names} == {"txt", "json", "err"}
+    for name in names:
+        assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_scan_counts_any_blocks_alike(inputs_dir, monkeypatch, block):
+    """Blocks of one line, or of a few, give every scan case's bytes: the
+    counts, the numbers converted and the zero rows carry across blocks."""
+    monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+    for name, (argv, _) in CASES.items():
+        if argv[:1] == ["scan"]:
+            assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
 
 
 def test_plot_checks_no_path_or_diagram_again(inputs_dir, monkeypatch):

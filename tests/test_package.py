@@ -32,7 +32,7 @@ LOADS = {
     "standardize.hospital.combined.text": {"standardize"},
     "plot.hospital": {"geometry"},
     "decompose.robinson.text": {"records", "ecological"},
-    "scan.robinson.text": {"records", "detector", "scanning"},
+    "scan.robinson.text": {"detector", "scanning"},
 }
 # standard modules no process loads: statistics (binning has its own
 # quantiles), fractions (no shipped module uses it), html (SVG labels have
