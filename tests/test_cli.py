@@ -644,6 +644,34 @@ class TestScanPath:
         finally:
             csv.field_size_limit(default)
 
+    # each case holds two faults; the first named in the order options,
+    # header, first bad row, no rows, --groups pair, its unknown group
+    # column, empty candidates, duplicate candidates, unknown group column,
+    # column kinds, two groups, is the one reported
+    @pytest.mark.parametrize("rows, options, code", [
+        ("a,1,2\n", ["--bins=1", "--numeric=ghost"], "invalid-value: bin count"),
+        ("a,1,zz\n", ["--numeric=x,ghost"], "unknown-column: declared column"),
+        ("a,1,zz\n", ["--numeric=x", "--groups=a"], "non-numeric: line 2"),
+        ("a,maybe,1\nb,1\n", ["--groups=a"], "bad-outcome-value: line 2"),
+        ("", ["--groups=a"], "empty-data: no data rows"),
+        ("a,1,2\n", ["--groups=a", "--candidates="], "not-two-groups: --groups"),
+        ("a,1,2\n", ["--groups=a,b", "--group-col=ghost", "--candidates="],
+         "unknown-column: no column named 'ghost'"),
+        ("a,1,2\n", ["--candidates=", "--group-col=ghost"], "empty-candidates"),
+        ("a,1,2\n", ["--candidates=x,x", "--group-col=ghost"], "invalid-value: duplicate"),
+        ("1,1,2\n2,0,3\n3,1,4\n", ["--group-col=ghost"], "unknown-column: no column"),
+        ("1,1,2\n2,0,3\n3,1,4\n", ["--numeric=g"], "invalid-value: group column"),
+        ("a,1,2\nb,0,3\nc,1,4\n", ["--candidates=ghost,out"], "not-two-groups: group"),
+    ])
+    def test_errors_keep_their_precedence(self, tmp_path, rows, options, code):
+        path = tmp_path / "faults.csv"
+        path.write_text("g,out,x\n" + rows, encoding="utf-8")
+        argv = ["scan", str(path), "--group-col=g", "--outcome-col=out",
+                "--candidates=x", *options]
+        result = run_captured(argv)
+        assert result == run_captured(argv, reference_scan=True)
+        assert result[2].startswith(f"error:{code}"), result[2]
+
     def test_the_signs_of_zero_come_from_kept_rows(self, tmp_path):
         # the dropped group's -0 comes first, so the lowest bin opens at 0
         # only when the zeros are taken from the kept rows alone
