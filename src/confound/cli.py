@@ -59,8 +59,8 @@ REFERENCES = ("combined", "first", "second", "equal")
 LEXICON = {
     "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
 }
-# every ASCII casing of each lexicon word, so a boolean block is typed with one
-# lookup per cell; only a block with a cell outside it is lowered first
+# every ASCII casing of each lexicon word, so a boolean cell is typed with one
+# lookup; no non-ASCII text lowers into a lexicon word, so this is the whole rule
 _CASINGS = {
     "".join(chars): value
     for word, value in LEXICON.items()
@@ -338,8 +338,6 @@ def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> Sequence | str
         return values if kind == "numeric" else cells
     if kind == "boolean":
         values = list(map(_CASINGS.get, cells))
-        if None in values:
-            values = list(map(LEXICON.get, map(str.lower, cells)))
         return "is not in the true/false lexicon" if None in values else values
     if kind == "text":
         return cells
@@ -458,18 +456,15 @@ def build_standardize_report(sc: StratifiedComparison, reference: str) -> dict:
     }
 
 
-def build_scan_report(records: RecordTable, candidates: Sequence[str], results) -> dict:
-    return _scan_report(records.n_rows, candidates, results)
-
-
-def _scan_report(rows: int, candidates: Sequence[str], results) -> dict:
-    """The scan report over ``rows`` kept rows."""
+def build_scan_report(records, candidates: Sequence[str], results) -> dict:
+    """The scan report over the ``records.n_rows`` rows scanned: those of a
+    :class:`RecordTable`, or those a scan's tally kept."""
     from .scanning import Finding
 
     return {
         "format_version": FORMAT_VERSION,
         "command": "scan",
-        "input": {"rows": rows, "candidates": list(candidates)},
+        "input": {"rows": records.n_rows, "candidates": list(candidates)},
         "findings": [
             {
                 "covariate": r.covariate,
@@ -852,7 +847,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     for block in typed:
         tally.add(block)
     results = _findings(tally, config)
-    return _emit(ns, _scan_report(tally.n_rows, candidates, results), render_scan_text)
+    return _emit(ns, build_scan_report(tally, candidates, results), render_scan_text)
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:

@@ -689,7 +689,12 @@ class TestScanPath:
 
     def test_the_lexicon_in_every_ascii_casing(self):
         # the casing table gives what lowering and the lexicon give, for
-        # every casing of every word and for other strings
+        # every casing of every word and for other strings; it is the whole
+        # rule because the one non-ASCII code point that lowers to ASCII
+        # text (the Kelvin sign, to "k") lowers to no letter of a word
+        lowered = {c.lower() for c in map(chr, range(128, 0x110000))}
+        assert {t for t in lowered if t.isascii()} == {"k"}
+        assert not set("".join(cli.LEXICON)) & {"k"}
         words = {
             "".join(chars)
             for word in cli.LEXICON
@@ -704,7 +709,7 @@ class TestScanPath:
             typed = cli._typed_column("boolean", [cell], {})
             assert typed == ([expected] if expected is not None else
                              "is not in the true/false lexicon"), cell
-        # a block with one cell outside the table is typed as a whole
+        # a block with one cell outside the table is a fault as a whole
         block = [*sorted(words), "\u212a", "no"]
         assert cli._typed_column("boolean", block, {}) == "is not in the true/false lexicon"
         block = sorted(words)

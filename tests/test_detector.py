@@ -507,6 +507,25 @@ class TestBinNumeric:
             "numeric-overflow", "equal_width bin edges overflow the float range: [inf]"
         )
 
+    def test_ints_past_two_to_the_53_bin_as_their_floats(self):
+        # a table stores an int cell as its float, so 2**53 and 2**53 + 1 are
+        # one value to every analysis, as if they had been given as floats
+        columns = (Column("g", "categorical"), Column("out", "boolean"),
+                   Column("x", "numeric"))
+        big = 2**53
+        ints = RecordTable(columns, [("a", True, big), ("a", False, big + 1),
+                                     ("b", False, big), ("b", True, big + 1)])
+        floats = RecordTable(columns, [(g, o, float(x)) for g, o, x in ints.rows])
+        assert ints.values("x") == [float(big)] * 4
+        config = ScanConfig(binning="equal_width", bins=2)
+        [skip] = scan(ints, "g", "out", ["x"], config)
+        assert (skip.reason, skip.detail) == (
+            "too-few-distinct-values", "all values are identical"
+        )
+        assert scan(floats, "g", "out", ["x"], config) == [skip]
+        with pytest.raises(TooFewDistinctValues):
+            stratify(ints, "g", "out", "x", binning="equal_width", bins=2)
+
 
 def _sort_based_binning(column, code, strategy, k):
     """Numeric binning the way it was done on the sorted rows: edges from
