@@ -191,9 +191,12 @@ def parse_records_csv(
     typed = _typed_blocks(
         blocks, kinds, lambda start: list(_typed_rows(text, start, header, kinds))
     )
+    # repeated categorical labels share one string, with one entry per
+    # distinct label until parsing ends
+    memos = [{} if kind == "categorical" else None for kind in kinds]
     for block in typed:
-        for values, column in zip(data, block):
-            values.extend(column)
+        for values, column, memo in zip(data, block, memos):
+            values.extend(column if memo is None else map(memo.setdefault, column, column))
     return RecordTable._of(columns, len(data[0]), tuple(data))
 
 
@@ -282,10 +285,9 @@ def _blocks(text: str):
 
 def _typed_blocks(blocks, kinds: Sequence[str], report):
     """Each block of ``blocks`` that holds a row, as columns typed by
-    :func:`_typed_column` with one memo per column. A block with a bad cell
-    or a ragged row, or a csv module fault, goes to ``report(rows read
-    before it)``, which raises the first bad row's error; no rows: EmptyData."""
-    memos = [{} for _ in kinds]
+    :func:`_typed_column`. A block with a bad cell or a ragged row, or a csv
+    module fault, goes to ``report(rows read before it)``, which raises the
+    first bad row's error; no rows: EmptyData."""
     read = 1  # rows read, header and blank lines included
     n_rows = 0
     try:
@@ -293,7 +295,7 @@ def _typed_blocks(blocks, kinds: Sequence[str], report):
             if rows:
                 typed = None
                 if cells is not None:
-                    typed = list(map(_typed_column, kinds, cells, memos))
+                    typed = list(map(_typed_column, kinds, cells))
                 if typed is None or str in map(type, typed):
                     report(read)
                 yield typed
@@ -306,12 +308,10 @@ def _typed_blocks(blocks, kinds: Sequence[str], report):
         raise EmptyData("no data rows after the header")
 
 
-def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> Sequence | str:
+def _typed_column(kind: str, cells: Sequence[str]) -> Sequence | str:
     """One block of one column's cells as typed values, or the fault of a
-    bad cell. Repeated categorical labels share one string through ``memo``,
-    which holds one entry per distinct label until parsing ends. A scan
-    reads its categorical columns as ``text`` and its numeric ones as
-    ``numeric text``: the cells as read, numbers checked as ``numeric`` is."""
+    bad cell; categorical cells as read. A scan reads its numeric columns as
+    ``numeric text``: the cells as read, checked as ``numeric`` is."""
     if kind == "count":
         # ASCII digits only: int() would also take "1_000", " 5", "+5" and "٣",
         # which serialize back differently; at most MAX_COUNT_DIGITS of them,
@@ -339,9 +339,7 @@ def _typed_column(kind: str, cells: Sequence[str], memo: dict) -> Sequence | str
     if kind == "boolean":
         values = list(map(_CASINGS.get, cells))
         return "is not in the true/false lexicon" if None in values else values
-    if kind == "text":
-        return cells
-    return list(map(memo.setdefault, cells, cells))
+    return cells
 
 
 def _typed_rows(text: str, start: int, names: Sequence[str], kinds: Sequence[str]):
@@ -357,8 +355,8 @@ def _typed_rows(text: str, start: int, names: Sequence[str], kinds: Sequence[str
                 raise RaggedRow(f"expected {len(names)} fields, got {len(row)}", line)
             typed = []
             for name, kind, cell in zip(names, kinds, row):
-                value = _typed_column(kind, (cell,), {})
-                if isinstance(value, list):
+                value = _typed_column(kind, (cell,))
+                if not isinstance(value, str):
                     typed.append(value[0])
                 elif kind == "count":  # the table's forms: no cell for too many digits
                     shown = "" if value.startswith("has") else f" {cell!r}"
@@ -826,7 +824,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     header = next(blocks)
     kinds = _record_kinds(header, _split_list(ns.numeric), (ns.outcome_col,))
     # each block is counted as it is read, with its labels and numbers as read
-    as_read = [{"categorical": "text", "numeric": "numeric text"}.get(k, k) for k in kinds]
+    as_read = [{"numeric": "numeric text"}.get(k, k) for k in kinds]
     typed = _typed_blocks(
         blocks, as_read, lambda start: list(_typed_rows(text, start, header, kinds))
     )

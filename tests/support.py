@@ -411,6 +411,14 @@ def reference_cmd_scan(ns) -> int:
     return cli._emit(ns, doc, cli.render_scan_text)
 
 
+def quoted(text: str) -> str:
+    """``text`` with every field of every non-blank line in double quotes."""
+    return "\n".join(
+        ",".join(f'"{f}"' for f in line.split(",")) if line else ""
+        for line in text.split("\n")
+    )
+
+
 def run_captured(argv: list[str], *, reference_scan: bool = False) -> tuple[int, str, str]:
     """``cli.run(argv)``'s exit code, stdout and stderr; with
     ``reference_scan``, ``scan`` runs as :func:`reference_cmd_scan`."""

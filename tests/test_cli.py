@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from unittest import mock
 
 import pytest
@@ -50,8 +51,10 @@ from confound.errors import (
 )
 from confound.records import RecordTable
 from confound.tables import Counts, StratifiedComparison, Stratum
-from support import BERKELEY, HOSPITAL, counts, hospital_records, python, run_captured
-from test_golden import GOLDEN
+from goldens import GOLDEN
+from support import (
+    BERKELEY, HOSPITAL, counts, hospital_records, python, quoted, run_captured,
+)
 
 HEADER = "stratum,group,total,positive\n"
 
@@ -175,7 +178,7 @@ class TestParseTableCsv:
         default = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
-            for quote in (str, _quoted):
+            for quote in (str, quoted):
                 text = HEADER + f"s,g1,{'9' * 340},1\ns,g2,5,1\n"
                 assert parse_table_csv(quote(text)).strata[0].first.total == 10**340 - 1
                 with pytest.raises(BadCount) as err:
@@ -252,6 +255,16 @@ class TestParseRecordsCsv:
         assert records.where("grp", ["a"]) == RecordTable(
             records.columns, [("a", True, 33.5), ("a", True, 7.0)]
         )
+
+    @pytest.mark.parametrize("quote", [str, quoted])
+    def test_repeated_labels_share_one_string(self, quote):
+        # across blocks and on both reading paths: the table keeps one string
+        # per distinct label, not one per row
+        text = quote("g,x\n" + "ab,1\ncd,2\n" * 3)
+        with mock.patch.object(cli, "BLOCK_CHARS", 1):
+            labels = parse_records_csv(text, numeric_columns=("x",)).values("g")
+        assert labels == ["ab", "cd"] * 3
+        assert len(set(map(id, labels))) == 2
 
     def test_outcome_lexicon_is_case_insensitive(self):
         text = "g,out\na,YES\nb,False\n"
@@ -451,14 +464,6 @@ def plain_records_texts(draw, cells=None, min_columns=0, clean=False):
     return text, header, limit, block
 
 
-def _quoted(text):
-    """``text`` with every field of every non-blank line in double quotes."""
-    return "\n".join(
-        ",".join(f'"{f}"' for f in line.split(",")) if line else ""
-        for line in text.split("\n")
-    )
-
-
 def _parsed(text, header):
     """The table ``parse_records_csv`` reads, or its error, line and message."""
     try:
@@ -481,22 +486,20 @@ class TestIngestPaths:
     @given(plain_records_texts())
     def test_plain_and_quoted_text_agree(self, case):
         text, header, limit, block = case
-        quoted = _quoted(text)
+        copy = quoted(text)
         assert not any(c in text for c in '"\r\0')
-        assert '"' in quoted or not text.strip("\n")
+        assert '"' in copy or not text.strip("\n")
         default = csv.field_size_limit()
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
             with mock.patch.object(cli, "BLOCK_CHARS", block):
-                assert _parsed(text, header) == _parsed(quoted, header)
+                assert _parsed(text, header) == _parsed(copy, header)
         finally:
             csv.field_size_limit(default)
 
     @given(
-        st.sampled_from(
-            ["categorical", "numeric", "boolean", "count", "text", "numeric text"]
-        ),
+        st.sampled_from(["categorical", "numeric", "boolean", "count", "numeric text"]),
         st.lists(
             st.sampled_from(["", " 5", "+5", "\u0663", "1_000", "nan", "inf", "yes",
                              "No", "0", "7", "2.5", "-1", "999", "1000", "12345"]),
@@ -509,8 +512,8 @@ class TestIngestPaths:
         # alone is (here with counts capped at 3 digits), and else its
         # values are its cells' values in order, each of its kind's type
         with mock.patch.object(cli, "MAX_COUNT_DIGITS", 3):
-            block = cli._typed_column(kind, cells, {})
-            alone = [cli._typed_column(kind, (cell,), {}) for cell in cells]
+            block = cli._typed_column(kind, cells)
+            alone = [cli._typed_column(kind, (cell,)) for cell in cells]
         faults = [fault for fault in alone if isinstance(fault, str)]
         if faults:
             assert block in faults
@@ -519,7 +522,7 @@ class TestIngestPaths:
             assert [(type(v), v) for v in block] == [(type(v), v) for v in values]
             kind_type = {
                 "categorical": str, "numeric": float, "boolean": bool, "count": int,
-                "text": str, "numeric text": str,
+                "numeric text": str,
             }
             assert {type(v) for v in block} == {kind_type[kind]}
 
@@ -553,7 +556,7 @@ class TestIngestPaths:
     def test_line_ends_and_blank_lines(self, text):
         records = parse_records_csv(text, numeric_columns=("x",))
         assert records.rows == (("a", 1.0),)
-        assert records == parse_records_csv(_quoted(text), numeric_columns=("x",))
+        assert records == parse_records_csv(quoted(text), numeric_columns=("x",))
 
 
 # the cells of a scan's columns: two group labels and a third, outcomes in
@@ -637,7 +640,7 @@ class TestScanPath:
             if limit is not None:
                 csv.field_size_limit(limit)
             with mock.patch.object(cli, "BLOCK_CHARS", block):
-                for copy in (text, _quoted(text)):
+                for copy in (text, quoted(text)):
                     path.write_text(copy, encoding="utf-8")
                     args = [a.replace("{path}", str(path)) for a in argv]
                     assert run_captured(args) == run_captured(args, reference_scan=True)
@@ -706,14 +709,14 @@ class TestScanPath:
         for cell in [*sorted(words), *others]:
             expected = cli.LEXICON.get(cell.lower())
             assert cli._CASINGS.get(cell) is (expected if cell in words else None)
-            typed = cli._typed_column("boolean", [cell], {})
+            typed = cli._typed_column("boolean", [cell])
             assert typed == ([expected] if expected is not None else
                              "is not in the true/false lexicon"), cell
         # a block with one cell outside the table is a fault as a whole
         block = [*sorted(words), "\u212a", "no"]
-        assert cli._typed_column("boolean", block, {}) == "is not in the true/false lexicon"
+        assert cli._typed_column("boolean", block) == "is not in the true/false lexicon"
         block = sorted(words)
-        assert cli._typed_column("boolean", block, {}) == [
+        assert cli._typed_column("boolean", block) == [
             cli.LEXICON[cell.lower()] for cell in block
         ]
 
@@ -895,7 +898,7 @@ class TestTableIngestPaths:
         with mock.patch.object(cli, "MAX_COUNT_DIGITS", 3), \
                 mock.patch.object(cli, "BLOCK_CHARS", block):
             assert _outcome(parse_table_csv, text) == expected
-            assert _outcome(parse_table_csv, _quoted(text)) == expected
+            assert _outcome(parse_table_csv, quoted(text)) == expected
 
 
 class TestReports:
@@ -1131,6 +1134,16 @@ class TestTextSafety:
         assert "\\x1b[31mr1" in out
         assert "r2\\uffff" in out and "\uffff" not in out
 
+    def test_plot_labels(self, tmp_path, capsys):
+        # a control character in a group label is escaped, so the SVG parses
+        p = tmp_path / "table.csv"
+        p.write_text(HEADER + "s,A\x01x,80,40\ns,B,60,20\n")
+        out = tmp_path / "p.svg"
+        assert run(["plot", str(p), "--out", str(out)]) == 0
+        root = ET.parse(out).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "A\\x01x (80, 40) 50.0%" in texts
+
 
 @pytest.fixture
 def hospital_path(tmp_path, hospital_csv):
@@ -1275,6 +1288,43 @@ class TestRun:
         assert capsys.readouterr() == (
             "", f"error:invalid-value: minimum stratum size must be >= 0, got {size}\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, argv, code, message",
+        [
+            # values near 1e308: the sum of the group means, exact, is 0 (fsum
+            # over the rows would overflow part-way), and the squares overflow
+            ("g,x,y\na,-6.3e307,1\nb,-6.3e307,2\nc,1.5e308,3\nd,1.5e308,1\n",
+             ["decompose", "{f}", "--group-col", "g", "--x", "x", "--y", "y"], 3,
+             "error:numeric-overflow: columns 'x' and 'y' are too large for float moments\n"),
+            # the group and outcome columns are checked once, before any candidate
+            (None,
+             ["scan", "{f}", "--group-col", "foreign_born", "--outcome-col", "literate",
+              "--candidates", "region", "--numeric", "foreign_born"], 2,
+             "error:invalid-value: group column 'foreign_born' must be categorical\n"),
+            # so is decompose's, even when it is also x: -0 and 0 are one value,
+            # not two groups
+            ("g,x,y\na,-0,1\nb,0,2\nc,1,3\nd,2,1\n",
+             ["decompose", "{f}", "--group-col", "x", "--x", "x", "--y", "y"], 2,
+             "error:invalid-value: group column 'x' must be categorical\n"),
+            # a blank first line is a header without names
+            ("\ng,x,y\na,1,2\nb,2,1\n",
+             ["decompose", "{f}", "--group-col", "g", "--x", "x", "--y", "y"], 2,
+             "error:bad-header: line 1: column names must be unique and non-empty: []\n"),
+        ],
+        ids=["decompose-overflow", "scan-numeric-group", "decompose-signed-zero-group",
+             "decompose-blank-header"],
+    )
+    def test_error_message_and_no_report(
+        self, tmp_path, robinson_path, text, argv, code, message
+    ):
+        # on the records written here, or else on the Robinson fixture
+        path = robinson_path
+        if text is not None:
+            path = str(tmp_path / "r.csv")
+            (tmp_path / "r.csv").write_text(text)
+        argv = [path if a == "{f}" else a for a in argv]
+        assert run_captured(argv) == (code, "", message)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_collector_as_it_found_it(self, robinson_path, capsys, enabled):

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from goldens import CASES, golden_path, judged, write_inputs
 from support import python
-from test_golden import CASES, _inputs, golden_path
 
 # name -> (argv, exit status) of cases no golden holds: a count past the
 # total, a stratum with no subjects in one group, and argparse's own errors
@@ -44,8 +44,7 @@ TEARDOWN_PROBE = (
 
 
 def _write_inputs(d: Path) -> None:
-    for name, text in _inputs().items():
-        (d / name).write_text(text, encoding="utf-8")
+    write_inputs(d)
     header = "stratum,group,total,positive\n"
     (d / "over.csv").write_text(header + "s,a,5,6\ns,b,5,1\n")
     (d / "zero.csv").write_text(header + "s,a,0,0\ns,b,5,1\n")
@@ -82,15 +81,13 @@ def observed(run) -> tuple:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(name, dirs):
-    argv, ext = CASES[name]
     # paths relative to the working directory, so stderr names the same file
-    argv = [a.replace("{d}/", "") for a in argv]
+    argv = [a.replace("{d}/", "") for a in CASES[name][0]]
     plain, dev = both(["-m", "confound", *argv], dirs)
     assert observed(plain) == observed(dev)
-    result, written = plain
-    if ext != "err":
-        assert result.returncode == 0, result.stderr
-        assert (written if ext == "svg" else result.stdout) == golden_path(name).read_bytes()
+    result = plain[0]
+    got = judged(name, dirs[0], result.returncode, result.stdout, result.stderr.decode())
+    assert got == golden_path(name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(EXTRA))

@@ -10,6 +10,7 @@ test has loaded the module, so the subcommands here run as fresh
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -18,10 +19,11 @@ from pathlib import Path
 import pytest
 
 import confound
+from goldens import CASES, golden_path
 from support import SRC, python
-from test_golden import CASES, golden_path
 
 DATA = SRC / "confound" / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 # loaded by every subcommand: the package, the CLI and what it needs at import
 BASE = {"confound", "confound.cli", "confound.errors", "confound.tables"}
 # golden case -> the analysis modules its process may load
@@ -79,6 +81,12 @@ class TestLazyExports:
         exec("from confound import *", namespace)
         assert set(confound.__all__) <= namespace.keys()
         assert {*confound.__all__, "__version__"} <= set(dir(confound))
+
+    def test_readme_library_example_runs(self):
+        # a retired or renamed public name left in the example fails here
+        text = README.read_text(encoding="utf-8")
+        code = re.search(r"\n## Library\n+```python\n(.*?)```", text, re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {})
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
