@@ -828,20 +828,8 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     typed = _typed_blocks(
         blocks, as_read, lambda start: list(_typed_rows(text, start, header, kinds))
     )
-    columns = dict(zip(header, kinds))
-    try:
-        keep = None
-        if ns.groups:
-            keep = _split_list(ns.groups)
-            if len(keep) != 2:
-                raise NotTwoGroups(f"--groups needs exactly two labels, got {keep}")
-            if ns.group_col not in columns:
-                raise UnknownColumn(f"no column named {ns.group_col!r}")
-        tally = _Tally(columns, ns.group_col, ns.outcome_col, candidates, keep)
-    except ConfoundError:
-        for _ in typed:  # a bad row, and then a file without rows, comes first
-            pass
-        raise
+    keep = _split_list(ns.groups) if ns.groups else None
+    tally = _Tally(dict(zip(header, kinds)), ns.group_col, ns.outcome_col, candidates, keep)
     for block in typed:
         tally.add(block)
     results = _findings(tally, config)

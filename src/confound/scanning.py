@@ -12,7 +12,9 @@ time, each candidate's cells per group label and outcome, keyed by the cell
 as stored, and converts each distinct numeric key with ``float`` once: the
 command line feeds it the CSV's blocks with labels and numbers as read,
 :func:`scan` and :func:`stratify` a table's stored columns as one block.
-One findings step then bins the counts and builds each candidate's
+Building the tally checks nothing; :meth:`_Tally.groups` makes every
+scan-wide check after the last block, so the command's row faults come
+first. One findings step then bins the counts and builds each candidate's
 comparison.
 """
 
@@ -23,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate, chain, compress, islice
 from operator import add, itemgetter, not_
-from typing import TYPE_CHECKING, Iterable, Literal, Sequence, Union
+from typing import TYPE_CHECKING, Literal, Sequence, Union
 
 from .detector import Classification, ReversalReport, detect_reversal
 from .errors import (
@@ -164,11 +166,11 @@ def _binned(
 class _Tally:
     """The rows of a scan, counted block by block.
 
-    Construction makes the scan-wide checks, in order: candidates given and
-    distinct, the group and outcome columns present, the group categorical
-    and the outcome boolean. ``kinds`` maps each column name to its kind, in
-    the order of a block's columns; ``keep``, when given, names the group
-    labels whose rows count.
+    Construction checks nothing: ``kinds`` maps each column name to its
+    kind, in the order of a block's columns; ``keep``, when given, names the
+    group labels whose rows count. A block without the group or the outcome
+    column counts nothing, and a repeated candidate is counted once.
+    :meth:`groups`, after the last block, makes the scan-wide checks.
 
     For each categorical or numeric candidate, ``counts`` holds per group
     label a ``(negatives, positives)`` pair of Counters of the cell as
@@ -179,25 +181,16 @@ class _Tally:
 
     def __init__(
         self, kinds: dict[str, str], group_col: str, outcome_col: str,
-        candidates: Sequence[str], keep: Iterable[str] | None = None,
+        candidates: Sequence[str], keep: Sequence[str] | None = None,
     ):
-        if not candidates:
-            raise EmptyCandidates("no candidate covariates given")
-        if len(set(candidates)) != len(candidates):
-            raise ValidationError(f"duplicate candidates in {list(candidates)}")
-        for name in (group_col, outcome_col):
-            if name not in kinds:
-                raise UnknownColumn(f"no column named {name!r}")
-        if kinds[group_col] != "categorical":
-            raise ValidationError(f"group column {group_col!r} must be categorical")
-        if kinds[outcome_col] != "boolean":
-            raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
         index = {name: i for i, name in enumerate(kinds)}
-        counted = [n for n in candidates if kinds.get(n) in ("categorical", "numeric")]
+        counted = [
+            n for n in dict.fromkeys(candidates) if kinds.get(n) in ("categorical", "numeric")
+        ]
         self.kinds = kinds
-        self.group_col = group_col
+        self.group_col, self.outcome_col = group_col, outcome_col
         self.candidates = list(candidates)
-        self.keep = None if keep is None else set(keep)
+        self.keep = keep
         self.labels: set[str] = set()
         self.n_rows = 0
         self.counts: dict[str, dict[str, tuple[Counter, Counter]]] = {
@@ -207,14 +200,16 @@ class _Tally:
         self.numbers: dict[str, tuple[dict, set, list[float]]] = {
             name: ({}, set(), []) for name in counted if kinds[name] == "numeric"
         }
-        self._index = (index[group_col], index[outcome_col], [index[n] for n in counted])
+        self._index = (index.get(group_col), index.get(outcome_col), [index[n] for n in counted])
 
     def add(self, block: Sequence[Sequence]) -> None:
         """Count one block of rows, given as its columns."""
         g, o, candidates = self._index
+        if g is None or o is None:
+            return
         group = block[g]
         found = set(group)
-        kept = found if self.keep is None else found & self.keep
+        kept = found if self.keep is None else found.intersection(self.keep)
         self.labels |= kept
         if len(self.labels) > 2 or not kept:
             return
@@ -222,10 +217,8 @@ class _Tally:
         split, order = [], []
         everything, outcome = range(len(group)), block[o]
         for label in kept:
-            rows, out = everything, outcome
-            if len(found) > 1:
-                chosen = list(map({label: True}.get, group))
-                rows, out = list(compress(rows, chosen)), list(compress(out, chosen))
+            chosen = list(map({label: True}.get, group))
+            rows, out = list(compress(everything, chosen)), list(compress(outcome, chosen))
             negatives = list(compress(rows, map(not_, out)))
             positives = list(compress(rows, out))
             split.append((label, negatives, positives))
@@ -260,17 +253,32 @@ class _Tally:
         values.update(zip(fresh, map(float, fresh)))
         zero_keys.update(key for key in fresh if values[key] == 0)
         if zero_keys:
-            kept = column
-            if len(order) < len(column):
-                kept = map(column.__getitem__, sorted(order))
-            zeros.extend(float(cell) for cell in kept if cell in zero_keys)
+            zeros.extend(float(column[i]) for i in sorted(order) if column[i] in zero_keys)
 
     def groups(self) -> list[str]:
-        """The two group labels, sorted; any other number is the scan's fault."""
+        """The two group labels, sorted, after the scan-wide checks in the
+        order their faults take: ``keep``, candidates, columns, labels."""
+        group_col, outcome_col, kinds = self.group_col, self.outcome_col, self.kinds
+        if self.keep is not None:
+            if len(self.keep) != 2:
+                raise NotTwoGroups(f"--groups needs exactly two labels, got {self.keep}")
+            if group_col not in kinds:
+                raise UnknownColumn(f"no column named {group_col!r}")
+        if not self.candidates:
+            raise EmptyCandidates("no candidate covariates given")
+        if len(set(self.candidates)) != len(self.candidates):
+            raise ValidationError(f"duplicate candidates in {self.candidates}")
+        for name in (group_col, outcome_col):
+            if name not in kinds:
+                raise UnknownColumn(f"no column named {name!r}")
+        if kinds[group_col] != "categorical":
+            raise ValidationError(f"group column {group_col!r} must be categorical")
+        if kinds[outcome_col] != "boolean":
+            raise ValidationError(f"outcome column {outcome_col!r} must be boolean")
         groups = sorted(self.labels)
         if len(groups) != 2:
             raise NotTwoGroups(
-                f"group column {self.group_col!r} must take exactly two values, "
+                f"group column {group_col!r} must take exactly two values, "
                 f"found {len(groups)}: {groups}"
             )
         return groups

@@ -48,8 +48,10 @@ from confound.errors import (
     NotTwoGroups,
     RaggedRow,
     UnknownColumn,
+    ValidationError,
 )
 from confound.records import RecordTable
+from confound.scanning import scan
 from confound.tables import Counts, StratifiedComparison, Stratum
 from goldens import GOLDEN
 from support import (
@@ -580,8 +582,9 @@ def scan_cases(draw):
     """A records text as :func:`plain_records_texts` draws it, the ``scan``
     arguments to run on it with ``{path}`` for its file, the csv field size
     limit and the block size. Half the cases have a clean text and options a
-    scan accepts, so that most of them reach the tally; in the other half
-    every option may take a value that fails, in any combination."""
+    scan accepts but for one in eight that repeats a candidate, so that most
+    of them reach the tally; in the other half every option may take a value
+    that fails, in any combination."""
     wild = draw(st.booleans())
     text, header, limit, block = draw(
         plain_records_texts(_SCAN_CELLS, min_columns=0 if wild else 5, clean=not wild)
@@ -600,6 +603,14 @@ def scan_cases(draw):
         st.sampled_from(["x", "y", *(["c", "g", "out", "ghost"] if wild else [])]),
         max_size=3, unique=True,
     ))
+    if not wild and draw(st.sampled_from([True, *[False] * 7])):
+        # a clean case that repeats a candidate in place among c and a numeric
+        # x after it: counted twice, a candidate would shift its cells into
+        # those after it, as c's text into x's numbers
+        candidates = sorted({"c", "x", *candidates})
+        i = draw(st.integers(0, len(candidates) - 1))
+        candidates.insert(i, candidates[i])
+        numeric = list(dict.fromkeys([*numeric, "x"]))
     # a pair of present labels, or absent ones and the wrong length
     pair = st.just(["a", "1"])
     label = st.sampled_from(["a", "b", "\u00e9", "1", "zz", "-0"])
@@ -674,6 +685,24 @@ class TestScanPath:
         result = run_captured(argv)
         assert result == run_captured(argv, reference_scan=True)
         assert result[2].startswith(f"error:{code}"), result[2]
+
+    @pytest.mark.parametrize("candidates", ["site,site,age", "age,age"])
+    def test_a_repeated_candidate_is_counted_once(self, tmp_path, candidates):
+        # the tally counts every row before it checks the candidates: counted
+        # twice, site would shift its text into age's numbers
+        text = "g,out,site,age\na,1,north,30\nb,0,south,41\na,0,south,52\nb,1,north,63\n"
+        path = tmp_path / "repeated.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = ["scan", str(path), "--group-col=g", "--outcome-col=out",
+                f"--candidates={candidates}", "--numeric=age"]
+        names = candidates.split(",")
+        result = run_captured(argv)
+        assert result == (2, "", f"error:invalid-value: duplicate candidates in {names}\n")
+        assert result == run_captured(argv, reference_scan=True)
+        records = parse_records_csv(text, numeric_columns=["age"], boolean_columns=["out"])
+        with pytest.raises(ValidationError) as caught:
+            scan(records, "g", "out", names)
+        assert str(caught.value) == f"duplicate candidates in {names}"
 
     def test_the_signs_of_zero_come_from_kept_rows(self, tmp_path):
         # the dropped group's -0 comes first, so the lowest bin opens at 0
