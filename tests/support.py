@@ -411,6 +411,18 @@ def reference_cmd_scan(ns) -> int:
     return cli._emit(ns, doc, cli.render_scan_text)
 
 
+def reference_cmd_decompose(ns) -> int:
+    """``confound decompose`` composed from the library: the whole file read
+    as one string, ``parse_records_csv``, ``build_decompose_report`` over the
+    ``RecordTable`` and the chosen writer. The reference the command's
+    block-by-block bucketing must match."""
+    records = cli.parse_records_csv(
+        cli._read_text(ns.records), numeric_columns=(ns.x, ns.y)
+    )
+    doc = cli.build_decompose_report(records, ns.group_col, ns.x, ns.y)
+    return cli._emit(ns, doc, cli.render_decompose_text)
+
+
 def quoted(text: str) -> str:
     """``text`` with every field of every non-blank line in double quotes."""
     return "\n".join(
@@ -419,15 +431,19 @@ def quoted(text: str) -> str:
     )
 
 
-def run_captured(argv: list[str], *, reference_scan: bool = False) -> tuple[int, str, str]:
-    """``cli.run(argv)``'s exit code, stdout and stderr; with
-    ``reference_scan``, ``scan`` runs as :func:`reference_cmd_scan`."""
+def run_captured(argv: list[str], *, reference: bool = False) -> tuple[int, str, str]:
+    """``cli.run(argv)``'s exit code, stdout and stderr; with ``reference``,
+    ``scan`` runs as :func:`reference_cmd_scan` and ``decompose`` as
+    :func:`reference_cmd_decompose`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        if reference_scan:
+        if reference:
             stack.enter_context(mock.patch.object(cli, "_cmd_scan", reference_cmd_scan))
+            stack.enter_context(
+                mock.patch.object(cli, "_cmd_decompose", reference_cmd_decompose)
+            )
         code = cli.run(argv)
     return code, out.getvalue(), err.getvalue()
 

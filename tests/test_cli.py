@@ -654,7 +654,7 @@ class TestScanPath:
                 for copy in (text, quoted(text)):
                     path.write_text(copy, encoding="utf-8")
                     args = [a.replace("{path}", str(path)) for a in argv]
-                    assert run_captured(args) == run_captured(args, reference_scan=True)
+                    assert run_captured(args) == run_captured(args, reference=True)
         finally:
             csv.field_size_limit(default)
 
@@ -683,7 +683,7 @@ class TestScanPath:
         argv = ["scan", str(path), "--group-col=g", "--outcome-col=out",
                 "--candidates=x", *options]
         result = run_captured(argv)
-        assert result == run_captured(argv, reference_scan=True)
+        assert result == run_captured(argv, reference=True)
         assert result[2].startswith(f"error:{code}"), result[2]
 
     @pytest.mark.parametrize("candidates", ["site,site,age", "age,age"])
@@ -698,7 +698,7 @@ class TestScanPath:
         names = candidates.split(",")
         result = run_captured(argv)
         assert result == (2, "", f"error:invalid-value: duplicate candidates in {names}\n")
-        assert result == run_captured(argv, reference_scan=True)
+        assert result == run_captured(argv, reference=True)
         records = parse_records_csv(text, numeric_columns=["age"], boolean_columns=["out"])
         with pytest.raises(ValidationError) as caught:
             scan(records, "g", "out", names)
@@ -716,7 +716,7 @@ class TestScanPath:
                 "--numeric", "x", "--candidates", "x", "--groups", "a,b",
                 "--binning", "equal_width", "--bins", "2", "--format", "json"]
         code, out, err = run_captured(argv)
-        assert (code, out, err) == run_captured(argv, reference_scan=True)
+        assert (code, out, err) == run_captured(argv, reference=True)
         assert '"bin00 [0, 2)"' in out and "-0" not in out
 
     def test_the_lexicon_in_every_ascii_casing(self):
@@ -759,7 +759,7 @@ class TestScanPath:
         argv = ["scan", str(path), "--group-col", "id", "--outcome-col", "out",
                 "--candidates", "c"]
         code, out, err = run_captured(argv)
-        assert (code, out, err) == run_captured(argv, reference_scan=True)
+        assert (code, out, err) == run_captured(argv, reference=True)
         assert code == 2 and out == ""
         assert err.startswith(
             "error:not-two-groups: group column 'id' must take exactly two values, "
@@ -773,6 +773,120 @@ class TestScanPath:
             "error:bad-outcome-value: line 20002: column 'out': 'maybe' is not in "
             "the true/false lexicon\n"
         )
+
+
+# the cells of a decomposition's columns: group labels with a non-ASCII one
+# and an empty one, and numbers spelled several ways, near the float range's
+# ends, subnormal, and three that the numeric kind rejects
+_DECOMPOSE_CELLS = {
+    "g": ["a", "b", "a", "\u00e9", "1", "", "a"],
+    "x": ["0", "-0", "1", "2.5", " 3", "1e308", "-1.7e308", "1.7e308", "9e307", "nan",
+          "-2", "1e-320", "4", "inf", "x1", "2", "1"],
+    "y": ["1", "-0.0", "2", "-1e308", "1.7e308", "0.5", "3", "-3", "5e-324", "NaN", "7",
+          "2", "1"],
+}
+# bytes UTF-8 cannot decode: a stray continuation byte, a lead byte with no
+# continuation, a sequence cut short, and an encoded surrogate
+_UNDECODABLE = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@st.composite
+def decompose_cases(draw):
+    """A records text as :func:`plain_records_texts` draws it, the
+    ``decompose`` arguments to run on it with ``{path}`` for its file, the
+    csv field size limit, the block size, and how the text is written: with
+    or without a byte order mark, with line ends as written, CRLF or a bare
+    CR, and one in four times with bytes UTF-8 cannot decode inserted at a
+    drawn place. Half the cases have a clean text and the usual columns; in
+    the other half each option may name an unknown column, a categorical one
+    or the group column."""
+    wild = draw(st.booleans())
+    text, header, limit, block = draw(
+        plain_records_texts(_DECOMPOSE_CELLS, min_columns=0 if wild else 5, clean=not wild)
+    )
+
+    def option(usual, *others):
+        return draw(st.sampled_from([usual, usual, *others, usual] if wild else [usual]))
+
+    argv = [
+        "decompose", "{path}",
+        f"--group-col={option('g', 'x', 'c', 'ghost')}",
+        f"--x={option('x', 'c', 'g', 'ghost', 'y')}",
+        f"--y={option('y', 'x', 'out', 'ghost')}",
+        f"--format={draw(st.sampled_from(['text', 'json']))}",
+    ]
+    bom = draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    bad = draw(st.sampled_from([None, None, None, *_UNDECODABLE]))
+    where = draw(st.floats(0, 1))
+
+    def encoded(copy: str) -> bytes:
+        data = copy.replace("\n", newline).encode("utf-8")
+        if bad is not None:
+            cut = round(where * len(data))
+            data = data[:cut] + bad + data[cut:]
+        return bom + data
+
+    return text, argv, limit, block, encoded
+
+
+class TestDecomposePath:
+    """``confound decompose`` reads its file a block at a time and puts each
+    block's rows straight into their groups. The library composition it
+    replaced (the whole file as one string, ``parse_records_csv``, the report
+    over the ``RecordTable``) is the reference: both must exit, print and
+    report errors alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decompose_cases())
+    def test_matches_the_library_composition(self, tmp_path_factory, case):
+        text, argv, limit, block, encoded = case
+        path = tmp_path_factory.getbasetemp() / "decompose-case.csv"
+        args = [a.replace("{path}", str(path)) for a in argv]
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            with mock.patch.object(cli, "BLOCK_CHARS", block):
+                for copy in (text, quoted(text)):
+                    path.write_bytes(encoded(copy))
+                    assert run_captured(args) == run_captured(args, reference=True)
+        finally:
+            csv.field_size_limit(default)
+
+    # each case holds two faults; the first named in the order header, first
+    # bad row, undecodable byte before either, no rows, too few rows, x and y
+    # columns, group column, is the one reported
+    @pytest.mark.parametrize("rows, options, error", [
+        (b"a,1,zz\n", ["--x=ghost"], "2 unknown-column: declared column"),
+        (b"a,zz,1\n", ["--group-col=ghost"], "2 non-numeric: line 2"),
+        (b"a,zz,1\nb,1,\xff\n", [], "2 csv: "),
+        (b"a,1\nb,1,\xe2\x82", [], "2 csv: "),
+        (b"", ["--group-col=ghost"], "2 empty-data: no data rows"),
+        (b"\n\n", ["--group-col=x"], "2 empty-data: no data rows"),
+        (b"a,1,2\n", ["--group-col=ghost"], "3 insufficient-data"),
+        (b"a,1,2\nb,2,3\n", ["--group-col=ghost"], "2 unknown-column: no column named"),
+        (b"1,1,2\n2,2,3\n", ["--group-col=x"], "2 invalid-value: group column 'x'"),
+        (b"a,1e308,1\na,1.7e308,2\nb,-1.7e308,3\n", [], "3 numeric-overflow"),
+    ])
+    def test_errors_keep_their_precedence(self, tmp_path, rows, options, error):
+        path = tmp_path / "faults.csv"
+        path.write_bytes(b"g,x,y\n" + rows)
+        argv = ["decompose", str(path), "--group-col=g", "--x=x", "--y=y", *options]
+        code, out, err = run_captured(argv)
+        assert (code, out, err) == run_captured(argv, reference=True)
+        exit_code, message = error.split(" ", 1)
+        assert (code, out) == (int(exit_code), "")
+        assert err.startswith(f"error:{message}"), err
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_few_rows(self, tmp_path, rows):
+        path = tmp_path / "few.csv"
+        path.write_text("g,x,y\n" + "a,1,2\nb,3,1\nb,4,5\n"[: 6 * rows], encoding="utf-8")
+        argv = ["decompose", str(path), "--group-col=g", "--x=x", "--y=y"]
+        result = run_captured(argv)
+        assert result == run_captured(argv, reference=True)
+        assert result[0] == (3 if rows == 1 else 0)
 
 
 def _first_record_error(text, header):

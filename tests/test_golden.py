@@ -95,12 +95,14 @@ def test_scan_builds_no_record_table(inputs_dir, monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 64])
 def test_scan_counts_any_blocks_alike(inputs_dir, monkeypatch, block):
-    """Blocks of one line, or of a few, give every scan case's bytes: the
-    counts, the numbers converted and the zero rows carry across blocks."""
+    """Blocks of one line, or of a few, give every scan and decompose case's
+    bytes: the counts, the numbers converted, the zero rows and each group's
+    rows carry across blocks."""
     monkeypatch.setattr(cli, "BLOCK_CHARS", block)
-    for name, (argv, _) in CASES.items():
-        if argv[:1] == ["scan"]:
-            assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+    names = [name for name, (argv, _) in CASES.items() if argv[:1] in (["scan"], ["decompose"])]
+    assert {CASES[name][0][0] for name in names} == {"scan", "decompose"}
+    for name in names:
+        assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
 
 
 def test_plot_checks_no_path_or_diagram_again(inputs_dir, monkeypatch):

@@ -3,7 +3,8 @@
 The goldens cover small tables only. The per-stratum loops of the generator,
 the JSON writer and the SVG renderer are pinned here on 4,000-stratum tables
 as well, by digests of what the same commands wrote before those loops were
-last optimised, and the record scan on 100,000 rows of eight columns. The
+last optimised, the record scan on 100,000 rows of eight columns, and the
+decomposition of 100,000 rows in 500 groups. The
 table checks are run on 20,000 strata, with no clock: a check that is
 quadratic in the stratum count shows as a slow suite.
 """
@@ -40,6 +41,12 @@ SEED0 = {
 
 # a seeded records file of the benchmark's shape, and its scan
 SCAN = "db5d56ddff9e3f0425a0708c010a0b37bf25fe596c4a1baa423b704e8dac8a2e"
+# a seeded file of regions, x and y of the benchmark's shape, and its
+# decomposition in each format
+DECOMPOSE = {
+    "text": "a6186ed8edd28db4d86bb0b6489087622e8f419f4ca97d86bb5b4072088f8d6e",
+    "json": "2e374dd460a15e51a271617866925f5631ca06c4be4da48157bbe06be4b81222",
+}
 
 
 def stdout_of(argv: list[str]) -> bytes:
@@ -108,6 +115,36 @@ def test_scan_of_100000_records(tmp_path):
         "--bins", "16", "--format", "json",
     ])
     assert digest(data) == SCAN
+
+
+def decompose_records_csv(seed: int, n: int = 100_000, groups: int = 500) -> str:
+    """Records of ``groups`` regions, each with a row, whose x and y means
+    rise together while x and y fall against each other inside a region;
+    x and y have four decimals."""
+    rng = random.Random(seed)
+    centers = []
+    for _ in range(groups):
+        mx = rng.uniform(10.0, 90.0)
+        centers.append((mx, 0.8 * mx + rng.gauss(0.0, 5.0)))
+    lines = ["region,x,y"]
+    for i in range(n):
+        g = i if i < groups else rng.randrange(groups)
+        mx, my = centers[g]
+        x = mx + rng.gauss(0.0, 8.0)
+        y = my - 0.6 * (x - mx) + rng.gauss(0.0, 4.0)
+        lines.append(f"region-{g:03d},{x:.4f},{y:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(DECOMPOSE))
+def test_decompose_of_100000_records(tmp_path, fmt):
+    path = tmp_path / "regions.csv"
+    path.write_text(decompose_records_csv(1), encoding="utf-8")
+    data = stdout_of([
+        "decompose", str(path), "--group-col", "region", "--x", "x", "--y", "y",
+        "--format", fmt,
+    ])
+    assert digest(data) == DECOMPOSE[fmt]
 
 
 def test_duplicate_label_among_20000_strata():
