@@ -9,13 +9,17 @@ errors as one-line ``error:<code>: message``. Exit codes: 0 success,
 Table CSVs use the fixed header ``stratum,group,total,positive`` (comma
 separated, double-quote escaping, no comment lines) so golden files are
 bit-exact. Record CSVs have a free-form header; schema flags decide which
-columns are numeric and which hold a boolean outcome.
+columns are numeric and which hold a boolean outcome. The record commands
+read their file a block at a time, never whole, and build no
+``RecordTable``: ``scan`` counts each block, ``decompose`` puts each
+block's rows straight into their groups.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
+import codecs
 import csv
 import gc
 import io
@@ -23,7 +27,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Sequence
@@ -71,14 +75,91 @@ _CASINGS = {
 MAX_COUNT_DIGITS = 4000
 # both CSV kinds are read and typed one block at a time, so peak memory holds
 # one block's raw cells rather than the whole file's: CHUNK_ROWS rows where
-# the csv module reads the file, and the lines up to the first line end past
-# BLOCK_CHARS characters where the text is split directly
+# the csv module reads the file, and the whole lines of each BLOCK_CHARS
+# characters where the text is split directly; a records file is read
+# BLOCK_CHARS bytes, then characters, at a time
 CHUNK_ROWS = 1024
 BLOCK_CHARS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
+
+
+class _Text:
+    """CSV text that each reading takes from its start: ``pieces()`` yields
+    it ``BLOCK_CHARS`` characters at a time for the direct splitter,
+    ``lines()`` line by line for the ``csv`` module. ``special``: the text
+    holds a double quote, carriage return or NUL, so only the ``csv``
+    module reads it."""
+
+    def __init__(self, special: bool, pieces, lines):
+        self.special, self.pieces, self.lines = special, pieces, lines
+
+    @classmethod
+    def of(cls, text: str) -> _Text:
+        """A string, in slices of ``BLOCK_CHARS`` characters."""
+        special = '"' in text or "\r" in text or "\0" in text
+        return cls(
+            special,
+            lambda: (text[i : i + BLOCK_CHARS] for i in range(0, len(text), BLOCK_CHARS)),
+            lambda: io.StringIO(text),
+        )
+
+
+@contextmanager
+def _file_text(path: str):
+    """The records file at ``path`` as :class:`_Text`, decoded as
+    :func:`_read_text` decodes it but never held whole.
+
+    A first pass decodes every byte and looks only for a double quote or
+    NUL, so an undecodable byte anywhere is that function's
+    :class:`CsvError` before any row is read. Each reading then decodes the
+    file again from its start. A pipe, which cannot be read twice, is read
+    into memory once."""
+    with open(path, "rb") as raw:
+        if not raw.seekable():
+            raw = io.BytesIO(raw.read())
+        special = _checked(raw, path)
+        raw.seek(0)
+        stream = io.TextIOWrapper(raw, encoding="utf-8-sig")
+
+        def pieces():
+            stream.seek(0)
+            while piece := stream.read(BLOCK_CHARS):
+                yield piece
+
+        def lines():
+            stream.seek(0)
+            return stream
+
+        yield _Text(special, pieces, lines)
+
+
+def _checked(raw, path: str) -> bool:
+    """Decode the binary file ``raw`` from its start, ``BLOCK_CHARS`` bytes
+    at a time, and say whether its text holds a double quote or NUL. A
+    carriage return is not asked for: decoding makes every line end a
+    ``\n``. An undecodable byte is :func:`_read_text`'s error, at the same
+    offset."""
+    data = raw.read(3)
+    if codecs.BOM_UTF8.startswith(data):  # a byte order mark, or a file of its start
+        data = b""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0  # bytes decoded before data, after a byte order mark
+    special = False
+    while True:
+        more = raw.read(BLOCK_CHARS)
+        special = special or b'"' in data or b"\0" in data
+        try:
+            decoder.decode(data, final=not more)
+        except UnicodeDecodeError as exc:
+            # the offset is counted from the start of the decoder's held bytes
+            raise _undecodable(path, exc, fed - len(decoder.buffer) + exc.start) from None
+        if not more:
+            return special
+        fed += len(data)
+        data = more
 
 
 @contextmanager
@@ -100,7 +181,8 @@ def parse_table_csv(text: str) -> StratifiedComparison:
     as :func:`parse_records_csv` reads it; a block with a fault is re-read
     row by row for the first error.
     """
-    blocks = _blocks(text)
+    source = _Text.of(text)
+    blocks = _blocks(source)
     header = next(blocks)
     if tuple(header) != TABLE_HEADER:
         raise BadHeader(
@@ -110,13 +192,13 @@ def parse_table_csv(text: str) -> StratifiedComparison:
 
     cells: dict[tuple[str, str], tuple[int, int]] = {}
     kinds = ("categorical", "categorical", "count", "count")
-    typed = _typed_blocks(blocks, kinds, lambda _: _raise_first_table_error(text))
+    typed = _typed_blocks(blocks, kinds, lambda _: _raise_first_table_error(source))
     for strata, groups, totals, positives in typed:
         size = len(cells)
         cells.update(zip(zip(strata, groups), zip(totals, positives)))
         # a repeated cell, or positive above total
         if len(cells) != size + len(totals) or not all(map(le, positives, totals)):
-            _raise_first_table_error(text)
+            _raise_first_table_error(source)
 
     # cells keeps row order, so these keep the order of first appearance
     strata_order = list(dict.fromkeys(map(itemgetter(0), cells)))
@@ -136,13 +218,13 @@ def parse_table_csv(text: str) -> StratifiedComparison:
     return StratifiedComparison._of_columns(first, second, strata_order, t1, p1, t2, p2)
 
 
-def _raise_first_table_error(text: str) -> None:
+def _raise_first_table_error(text: _Text) -> None:
     """Re-read a table CSV row by row from its first row and raise the first
     bad row's error: a ragged row, a bad count, positive above total, then a
     duplicate cell."""
     seen = set()
     for line, (stratum, group, total, positive) in _typed_rows(
-        text, 1, TABLE_HEADER, ("categorical", "categorical", "count", "count")
+        text.lines(), 1, TABLE_HEADER, ("categorical", "categorical", "count", "count")
     ):
         try:
             _pair(total, positive)
@@ -178,26 +260,41 @@ def parse_records_csv(
     lexicon (1/0, true/false, yes/no). Text with no double quote, carriage
     return or NUL is split on line ends and commas directly; any other text
     is read by the ``csv`` module. Both read one grammar and raise the same
-    errors.
+    errors. The command line reads records files through the same reader
+    but not through this function.
     """
     from .records import Column, RecordTable
 
-    blocks = _blocks(text)
-    header = next(blocks)
-    kinds = _record_kinds(header, numeric_columns, boolean_columns)
-    columns = tuple(map(Column, header, kinds))
+    schema, typed = _record_blocks(_Text.of(text), numeric_columns, boolean_columns)
+    columns = tuple(map(Column, schema, schema.values()))
     data: list[list] = [[] for _ in columns]
-    # a faulty block's rows, re-read up to the first bad one, which raises
-    typed = _typed_blocks(
-        blocks, kinds, lambda start: list(_typed_rows(text, start, header, kinds))
-    )
     # repeated categorical labels share one string, with one entry per
     # distinct label until parsing ends
-    memos = [{} if kind == "categorical" else None for kind in kinds]
+    memos = [{} if kind == "categorical" else None for kind in schema.values()]
     for block in typed:
         for values, column, memo in zip(data, block, memos):
             values.extend(column if memo is None else map(memo.setdefault, column, column))
     return RecordTable._of(columns, len(data[0]), tuple(data))
+
+
+def _record_blocks(
+    text: _Text,
+    numeric_columns: Sequence[str],
+    boolean_columns: Sequence[str],
+    numbers: str = "numeric",
+):
+    """A records CSV's columns, as a dict of each name's kind in header
+    order, and its blocks as :func:`_typed_blocks` types them, numeric
+    columns as the kind ``numbers``. A faulty block is re-read row by row
+    from the text's start, up to the first bad row, which raises."""
+    blocks = _blocks(text)
+    header = next(blocks)
+    kinds = _record_kinds(header, numeric_columns, boolean_columns)
+    typing = [numbers if kind == "numeric" else kind for kind in kinds]
+    typed = _typed_blocks(
+        blocks, typing, lambda start: list(_typed_rows(text.lines(), start, header, kinds))
+    )
+    return dict(zip(header, kinds)), typed
 
 
 def _record_kinds(
@@ -223,11 +320,11 @@ def _record_kinds(
     return [declared.get(name, "categorical") for name in header]
 
 
-def _csv_blocks(text: str):
+def _csv_blocks(lines):
     """The header row, then each block of up to ``CHUNK_ROWS`` rows as
     ``(rows read, non-blank rows, cells column by column)``, with ``None``
     for the cells when a non-blank row is not as wide as the header."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(lines)
     with _csv_errors(reader):
         header = next(reader, None)
     if header is None:
@@ -239,35 +336,37 @@ def _csv_blocks(text: str):
         yield len(chunk), len(rows), list(zip(*rows)) if aligned else None
 
 
-def _blocks(text: str):
+def _blocks(text: _Text):
     """The header row and blocks of :func:`_csv_blocks`. Text with a double
     quote, carriage return or NUL, or a header over the csv module's field
     size limit, is read by that function; other text directly, each line one
-    row. The lines up to the first line end past each ``BLOCK_CHARS``
-    characters are one block, split once into cells with a NUL cell between
-    rows; the rows are all as wide as the header exactly when every row's
-    last cell is followed by a NUL cell. A block with a field over the csv
-    module's field size limit has ``None`` for its cells, so the csv module
-    re-reads it and raises its error for that field."""
-    if not text:
-        raise EmptyData("file is empty")
+    row, in blocks of :func:`_line_blocks`. Each block is split once into
+    cells with a NUL cell between rows; the rows are all as wide as the
+    header exactly when every row's last cell is followed by a NUL cell. A
+    block with a field over the csv module's field size limit has ``None``
+    for its cells, so the csv module re-reads it and raises its error for
+    that field."""
     limit = csv.field_size_limit()
-    end = text.find("\n")
-    first = text[:end] if end >= 0 else text
-    if '"' in text or "\r" in text or "\0" in text or len(first) > limit:
-        yield from _csv_blocks(text)
+    if text.special:
+        yield from _csv_blocks(text.lines())
+        return
+    pieces = iter(text.pieces())
+    head = ""
+    for piece in pieces:  # up to the header's line end
+        head += piece
+        if "\n" in head or len(head) > limit:
+            break
+    if not head:
+        raise EmptyData("file is empty")
+    first = head.partition("\n")[0]
+    if len(first) > limit:
+        yield from _csv_blocks(text.lines())
         return
     header = first.split(",") if first else []
     yield header
     width = len(header)
     stride = width + 1
-    pos = len(first) + 1
-    while pos < len(text):
-        end = text.find("\n", pos + BLOCK_CHARS)
-        if end < 0:  # the last block; a final line end ends no further line
-            end = len(text) - text.endswith("\n")
-        block = text[pos:end]
-        pos = end + 1
+    for block in _line_blocks(chain((head[len(first) + 1 :],), pieces)):
         lines = block.count("\n") + 1
         if "\n\n" in block or block[:1] == "\n" or block[-1:] == "\n":
             block = "\n".join(filter(None, block.split("\n")))  # blank lines
@@ -281,6 +380,22 @@ def _blocks(text: str):
             and cells[width::stride].count("\0") == rows - 1
         )
         yield lines, rows, [cells[j::stride] for j in range(width)] if aligned else None
+
+
+def _line_blocks(pieces):
+    """The text of ``pieces`` as blocks of whole lines: the lines that end
+    in each piece, with what the pieces before it left of a line, without
+    the last line end; then any rest. A final line end ends no further
+    line."""
+    rest = ""
+    for piece in pieces:
+        text = rest + piece
+        end = text.rfind("\n")
+        if end >= 0:
+            yield text[:end]
+        rest = text[end + 1 :]
+    if rest:
+        yield rest
 
 
 def _typed_blocks(blocks, kinds: Sequence[str], report):
@@ -342,12 +457,12 @@ def _typed_column(kind: str, cells: Sequence[str]) -> Sequence | str:
     return cells
 
 
-def _typed_rows(text: str, start: int, names: Sequence[str], kinds: Sequence[str]):
-    """``(physical line, typed row)`` for each non-blank row of ``text`` from
-    reader row ``start`` on, read by the ``csv`` module with each cell typed
-    alone by :func:`_typed_column`. The first ragged row or bad cell raises
-    its error; a csv fault is a :class:`CsvError`."""
-    reader = csv.reader(io.StringIO(text))
+def _typed_rows(lines, start: int, names: Sequence[str], kinds: Sequence[str]):
+    """``(physical line, typed row)`` for each non-blank row of ``lines``
+    from reader row ``start`` on, read by the ``csv`` module with each cell
+    typed alone by :func:`_typed_column`. The first ragged row or bad cell
+    raises its error; a csv fault is a :class:`CsvError`."""
+    reader = csv.reader(lines)
     with _csv_errors(reader):
         for row in filter(None, islice(reader, start, None)):
             line = reader.line_num
@@ -482,9 +597,18 @@ def build_scan_report(records, candidates: Sequence[str], results) -> dict:
 
 
 def build_decompose_report(records: RecordTable, group_col, x_col, y_col) -> dict:
-    from .ecological import decompose, sign_divergence_report
+    from .ecological import _grouped
 
-    d = decompose(records, group_col, x_col, y_col)
+    return _decompose_report(_grouped(records, group_col, x_col, y_col))
+
+
+def _decompose_report(groups) -> dict:
+    """The decompose report over the ``groups.n_rows`` rows of an
+    ``ecological._Groups``: a table's, or those the command put into their
+    groups block by block."""
+    from .ecological import _decomposition, sign_divergence_report
+
+    d = _decomposition(groups)
     divergence = None
     if d.between_corr is not None and d.within_corr is not None:
         rep = sign_divergence_report(d)
@@ -497,7 +621,7 @@ def build_decompose_report(records: RecordTable, group_col, x_col, y_col) -> dic
         "format_version": FORMAT_VERSION,
         "command": "decompose",
         "convention": "population",
-        "input": {"rows": records.n_rows, "groups": len(d.group_summaries)},
+        "input": {"rows": groups.n_rows, "groups": len(d.group_summaries)},
         "covariance": {
             "total": d.total_cov,
             "between": d.between_cov,
@@ -702,9 +826,13 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise CsvError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
+        raise _undecodable(path, exc, exc.start) from None
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError, start: int) -> CsvError:
+    """The error for a file whose bytes from offset ``start`` (after a byte
+    order mark) do not decode."""
+    return CsvError(f"{path}: not UTF-8 text ({exc.reason} at byte {start})")
 
 
 def _json_dumps(doc) -> str:
@@ -718,7 +846,10 @@ def _json_dumps(doc) -> str:
     type and length, is one %-template over its fields, each field a column
     in turn. Any other column writes each of its values alone. Every item of
     a list then fills the list's template once."""
-    from json.encoder import encode_basestring_ascii as quote
+    try:  # the C quoter that json.encoder re-exports, without the json package
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter without the C accelerator
+        from json.encoder import encode_basestring_ascii as quote
 
     floats = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
     bools = {True: "true", False: "false"}
@@ -771,7 +902,8 @@ def _json_dumps(doc) -> str:
             inner = indent + "  "
             template, cells = column(value, inner)
             rows = zip(*cells) if cells else repeat((), len(value))
-            return "[" + inner + ("," + inner).join(map(template.__mod__, rows)) + indent + "]"
+            items = ("," + inner).join(map(template.__mod__, rows))
+            return "".join(("[", inner, items, indent, "]"))
         template, cells = column([value], indent)
         return template % next(zip(*cells), ())
 
@@ -780,7 +912,9 @@ def _json_dumps(doc) -> str:
 
 def _emit(ns: argparse.Namespace, doc: dict, text_renderer) -> int:
     if ns.format == "json":
-        sys.stdout.write(_json_dumps(doc) + "\n")
+        # apart, so no copy of the document holds the line end too
+        sys.stdout.write(_json_dumps(doc))
+        sys.stdout.write("\n")
     else:
         sys.stdout.write(text_renderer(doc, color=_color_enabled()))
     return 0
@@ -819,29 +953,29 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         allow_tied_strata=ns.allow_tied_strata,
     )
     candidates = _split_list(ns.candidates)
-    text = _read_text(ns.records)
-    blocks = _blocks(text)
-    header = next(blocks)
-    kinds = _record_kinds(header, _split_list(ns.numeric), (ns.outcome_col,))
-    # each block is counted as it is read, with its labels and numbers as read
-    as_read = [{"numeric": "numeric text"}.get(k, k) for k in kinds]
-    typed = _typed_blocks(
-        blocks, as_read, lambda start: list(_typed_rows(text, start, header, kinds))
-    )
     keep = _split_list(ns.groups) if ns.groups else None
-    tally = _Tally(dict(zip(header, kinds)), ns.group_col, ns.outcome_col, candidates, keep)
-    for block in typed:
-        tally.add(block)
+    with _file_text(ns.records) as text:
+        # each block is counted as it is read, with its labels and numbers as read
+        kinds, typed = _record_blocks(
+            text, _split_list(ns.numeric), (ns.outcome_col,), "numeric text"
+        )
+        tally = _Tally(kinds, ns.group_col, ns.outcome_col, candidates, keep)
+        for block in typed:
+            tally.add(block)
     results = _findings(tally, config)
     return _emit(ns, build_scan_report(tally, candidates, results), render_scan_text)
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
-    records = parse_records_csv(
-        _read_text(ns.records), numeric_columns=(ns.x, ns.y)
-    )
-    doc = build_decompose_report(records, ns.group_col, ns.x, ns.y)
-    return _emit(ns, doc, render_decompose_text)
+    from .ecological import _Groups
+
+    with _file_text(ns.records) as text:
+        kinds, typed = _record_blocks(text, (ns.x, ns.y), ())
+        # each block's rows go straight into their groups
+        groups = _Groups(kinds, ns.group_col, ns.x, ns.y)
+        for block in typed:
+            groups.add(block, len(block[0]))
+    return _emit(ns, _decompose_report(groups), render_decompose_text)
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
@@ -849,10 +983,8 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
     sc = generate_reversal(ns.strata, ns.scale, ns.seed)
     if ns.format == "json":
-        doc = build_generate_report(sc, ns.strata, ns.scale, ns.seed)
-        sys.stdout.write(_json_dumps(doc) + "\n")
-    else:
-        sys.stdout.write(serialize_table_csv(sc))
+        return _emit(ns, build_generate_report(sc, ns.strata, ns.scale, ns.seed), None)
+    sys.stdout.write(serialize_table_csv(sc))
     return 0
 
 

@@ -10,18 +10,31 @@ between the two.
 Conventions: population (1/N) covariance throughout, so the split is an
 exact identity; groups of size one contribute zero within-covariance;
 correlations are ``None`` when the matching variance vanishes.
+
+One core serves every decomposition. :class:`_Groups` puts a block of rows
+at a time into their groups, each group's x and y values in row order: the
+command line feeds it the CSV's typed blocks, :func:`decompose` and
+:func:`group_means` a table's stored columns as one block (:func:`_grouped`).
+Building the groups checks nothing; :meth:`_Groups.groups` checks the
+columns after the last block, so the command's row faults come first.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import chain, repeat
 from math import fsum
 from operator import mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import (
-    InsufficientData, NonNumeric, NumericOverflow, UndefinedCorrelation, ValidationError
+    InsufficientData,
+    NonNumeric,
+    NumericOverflow,
+    UndefinedCorrelation,
+    UnknownColumn,
+    ValidationError,
 )
 from .tables import _Value
 
@@ -69,25 +82,64 @@ class DivergenceReport(_Value):
         return "DIVERGENT" if self.divergent else "NOT_DIVERGENT"
 
 
-def _grouped(
-    records: RecordTable, group_col: str, x_col: str, y_col: str
-) -> list[tuple[GroupSummary, list[float], list[float]]]:
-    """Each group's summary with its x and y values, ordered by group label."""
-    for col in (x_col, y_col):
-        if records.kind(col) != "numeric":
-            raise NonNumeric(f"column {col!r} is {records.kind(col)}, need numeric")
-    if records.kind(group_col) != "categorical":
-        raise ValidationError(f"group column {group_col!r} must be categorical")
-    labels, xs, ys = map(records._cells, (group_col, x_col, y_col))
-    buckets = {label: ([], []) for label in sorted(set(labels))}
-    for group, x, y in zip(labels, xs, ys):
-        gx, gy = buckets[group]
-        gx.append(x)
-        gy.append(y)
-    return [
-        (GroupSummary(label, len(gx), _mean(gx), _mean(gy)), gx, gy)
-        for label, (gx, gy) in buckets.items()
-    ]
+class _Groups:
+    """The rows of a decomposition, put into their groups block by block.
+
+    Construction checks nothing: ``kinds`` maps each column name to its
+    kind, in the order of a block's columns. While the group column is
+    categorical and x and y are numeric, each block's x and y values are
+    appended to their group's lists, in row order; otherwise the rows are
+    only counted, and :meth:`groups` will raise.
+    """
+
+    def __init__(self, kinds: dict[str, str], group_col: str, x_col: str, y_col: str):
+        self.kinds = kinds
+        self.columns = (group_col, x_col, y_col)
+        self.n_rows = 0
+        self.buckets: dict[str, tuple[list[float], list[float]]] = defaultdict(
+            lambda: ([], [])
+        )
+        wanted = ("categorical", "numeric", "numeric")
+        index = {name: i for i, name in enumerate(kinds)}
+        fits = tuple(map(kinds.get, self.columns)) == wanted
+        self._index = [index[name] for name in self.columns] if fits else None
+
+    def add(self, block, rows: int) -> None:
+        """Put one block of ``rows`` rows, given as its columns, into their groups."""
+        self.n_rows += rows
+        if self._index is None:
+            return
+        labels, xs, ys = (block[i] for i in self._index)
+        for (gx, gy), x, y in zip(map(self.buckets.__getitem__, labels), xs, ys):
+            gx.append(x)
+            gy.append(y)
+
+    def groups(self) -> list[tuple[GroupSummary, list[float], list[float]]]:
+        """Each group's summary with its x and y values, ordered by group
+        label, after the column checks: x, then y, numeric, then the group
+        column categorical."""
+        def kind(col: str) -> str:
+            if col not in self.kinds:
+                raise UnknownColumn(f"no column named {col!r}")
+            return self.kinds[col]
+
+        group_col, x_col, y_col = self.columns
+        for col in (x_col, y_col):
+            if kind(col) != "numeric":
+                raise NonNumeric(f"column {col!r} is {kind(col)}, need numeric")
+        if kind(group_col) != "categorical":
+            raise ValidationError(f"group column {group_col!r} must be categorical")
+        return [
+            (GroupSummary(label, len(gx), _mean(gx), _mean(gy)), gx, gy)
+            for label, (gx, gy) in sorted(self.buckets.items())
+        ]
+
+
+def _grouped(records: RecordTable, group_col: str, x_col: str, y_col: str) -> _Groups:
+    """A table's stored columns put into their groups, as one block."""
+    groups = _Groups({c.name: c.kind for c in records.columns}, group_col, x_col, y_col)
+    groups.add(records._data, records.n_rows)
+    return groups
 
 
 def _mean(values: list[float]) -> float:
@@ -104,7 +156,7 @@ def group_means(
     records: RecordTable, group_col: str, x_col: str, y_col: str
 ) -> list[GroupSummary]:
     """Per-group sizes and (x, y) means, ordered by group label."""
-    return [g for g, _, _ in _grouped(records, group_col, x_col, y_col)]
+    return [g for g, _, _ in _grouped(records, group_col, x_col, y_col).groups()]
 
 
 def _exact_sum(values: list[float], sizes, divisor: int = 1) -> float:
@@ -118,15 +170,16 @@ def _exact_sum(values: list[float], sizes, divisor: int = 1) -> float:
     return sum(k * p * (den // q) for (p, q), k in zip(ratios, sizes)) / (den * divisor)
 
 
-def _centered(column: list[float], groups: list[list[float]], sizes: list[int]):
-    """One variable's values, group by group (``groups``), centered on the
-    mean of its stored ``column``; each group's mean of the centered values;
-    and each group's between value, its mean centered again on the rows'
-    mean of those means, which the rounded overall mean leaves off zero. A
-    single group has no between-group spread, so its mean is zero rather
-    than that rounding residue."""
-    n = len(column)
-    mean = fsum(column) / n  # exactly rounded: the same in row or group order
+def _centered(groups: list[list[float]], sizes: list[int]):
+    """One variable's values, group by group (``groups``, of ``sizes``
+    rows), centered on their mean, which ``math.fsum`` rounds exactly, so it
+    is the same in row or group order; each group's mean of the centered
+    values; and each group's between value, its mean centered again on the
+    rows' mean of those means, which the rounded overall mean leaves off
+    zero. A single group has no between-group spread, so its mean is zero
+    rather than that rounding residue."""
+    n = sum(sizes)
+    mean = fsum(chain.from_iterable(groups)) / n
     centered = [list(map(sub, g, repeat(mean))) for g in groups]
     means = [fsum(c) / len(c) for c in centered] if len(groups) > 1 else [0.0]
     offset = _exact_sum(means, sizes) / n
@@ -166,14 +219,21 @@ def decompose(
     Values whose sums or products leave the float range raise
     :class:`NumericOverflow` rather than yield infinite or NaN moments.
     """
-    n = records.n_rows
+    return _decomposition(_grouped(records, group_col, x_col, y_col))
+
+
+def _decomposition(grouped: _Groups) -> EcologicalDecomposition:
+    """:func:`decompose` of rows put into their groups: at least two rows,
+    then the column checks, then the split."""
+    n = grouped.n_rows
     if n < 2:
         raise InsufficientData(f"need at least 2 rows to decompose, got {n}")
-    groups = _grouped(records, group_col, x_col, y_col)
+    groups = grouped.groups()
+    _, x_col, y_col = grouped.columns
     sizes = [g.n for g, _, _ in groups]
     try:
-        cx, mx, bx = _centered(records._cells(x_col), [gx for _, gx, _ in groups], sizes)
-        cy, my, by = _centered(records._cells(y_col), [gy for _, _, gy in groups], sizes)
+        cx, mx, bx = _centered([gx for _, gx, _ in groups], sizes)
+        cy, my, by = _centered([gy for _, _, gy in groups], sizes)
         total, between = _moments(cx, cy, n), _between_moments(bx, by, sizes, n)
         # within = centered - group mean, in place: no second column is held
         for c, m in zip(cx + cy, mx + my):

@@ -234,5 +234,5 @@ def render_svg(d: VectorDiagram, options: RenderOptions = RenderOptions()) -> st
         f'<text class="marker-label" x="{_fmt(ox + 6)}" y="{_fmt(oy - 6)}" '
         f'fill="#000000">(0, 0)</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ("</svg>", "")  # the empty part ends the document with a line end
+    return "\n".join(parts)

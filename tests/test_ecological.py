@@ -421,9 +421,8 @@ class TestGroupLevelSums:
             xs = [rng.uniform(-1, 1) * scale for _ in range(n)]
             ys = [rng.uniform(-2, 1) * rng.choice([1.0, scale]) for _ in range(n)]
             records = _records(labels, xs, ys)
-            groups = _grouped(records, "g", "x", "y")
+            groups = _grouped(records, "g", "x", "y").groups()
             sizes = [g.n for g, _, _ in groups]
-            columns = {1: records._cells("x"), 2: records._cells("y")}
 
             def reference(cols):
                 mean = fsum(chain.from_iterable(cols)) / n
@@ -433,16 +432,16 @@ class TestGroupLevelSums:
                 offset = fsum(chain.from_iterable(rows)) / n
                 return list(chain.from_iterable([m - offset for m in r] for r in rows))
 
-            def new(column, cols):
-                between = _centered(column, cols, sizes)[2]
+            def new(cols):
+                between = _centered(cols, sizes)[2]
                 return list(chain.from_iterable(map(repeat, between, sizes)))
 
             for pick in (1, 2):
                 cols = [g[pick] for g in groups]
-                assert _outcome(new, columns[pick], cols) == _outcome(reference, cols), case
+                assert _outcome(new, cols) == _outcome(reference, cols), case
             try:
                 bx, by = (
-                    _centered(columns[i], [g[i] for g in groups], sizes)[2] for i in (1, 2)
+                    _centered([g[i] for g in groups], sizes)[2] for i in (1, 2)
                 )
             except (OverflowError, ValueError):
                 continue

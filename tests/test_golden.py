@@ -93,6 +93,22 @@ def test_scan_builds_no_record_table(inputs_dir, monkeypatch):
         assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
 
 
+def test_decompose_builds_no_record_table(inputs_dir, monkeypatch):
+    """``decompose`` puts each block's rows into their groups as it reads
+    them: no decompose case parses the file into a ``RecordTable`` or
+    builds one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a RecordTable")
+
+    monkeypatch.setattr(cli, "parse_records_csv", refuse)
+    monkeypatch.setattr(RecordTable, "__init__", refuse)
+    monkeypatch.setattr(RecordTable, "_of", classmethod(refuse))
+    names = [name for name, (argv, _) in CASES.items() if argv[:1] == ["decompose"]]
+    assert {CASES[name][1] for name in names} == {"txt", "json", "err"}
+    for name in names:
+        assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+
+
 @pytest.mark.parametrize("block", [1, 64])
 def test_scan_counts_any_blocks_alike(inputs_dir, monkeypatch, block):
     """Blocks of one line, or of a few, give every scan and decompose case's

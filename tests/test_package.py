@@ -33,13 +33,16 @@ LOADS = {
     "analyze.hospital.std-combined.text": {"detector", "standardize"},
     "standardize.hospital.combined.text": {"standardize"},
     "plot.hospital": {"geometry"},
-    "decompose.robinson.text": {"records", "ecological"},
+    "decompose.robinson.text": {"ecological"},
+    "decompose.robinson.json": {"ecological"},
     "scan.robinson.text": {"detector", "scanning"},
+    "scan.robinson.json": {"detector", "scanning"},
 }
 # standard modules no process loads: statistics (binning has its own
 # quantiles), fractions (no shipped module uses it), html (SVG labels have
-# their own escape table), json (no case here writes JSON), and dataclasses
-# and the inspect module it imports (the value classes are plain classes)
+# their own escape table), json (the JSON writer quotes with the C module
+# _json), and dataclasses and the inspect module it imports (the value
+# classes are plain classes)
 UNUSED = {"statistics", "fractions", "html", "json", "dataclasses", "inspect"}
 
 
