@@ -121,7 +121,6 @@ def _file_text(path: str):
         if not raw.seekable():
             raw = io.BytesIO(raw.read())
         special = _checked(raw, path)
-        raw.seek(0)
         stream = io.TextIOWrapper(raw, encoding="utf-8-sig")
 
         def pieces():
@@ -448,7 +447,9 @@ def _typed_column(kind: str, cells: Sequence[str]) -> Sequence | str:
             values = list(map(float, numbers))
         except ValueError:
             return "is not a number"
-        if not all(map(math.isfinite, values)):
+        # an inf or nan makes the sum one too, so a finite sum settles it in
+        # one fast pass; finite values whose sum overflows are checked one by one
+        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
             return "is not finite"
         return values if kind == "numeric" else cells
     if kind == "boolean":
