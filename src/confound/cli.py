@@ -277,9 +277,7 @@ def parse_records_csv(
 
 
 def _record_blocks(
-    text: _Text,
-    numeric_columns: Sequence[str],
-    boolean_columns: Sequence[str],
+    text: _Text, numeric_columns: Sequence[str], boolean_columns: Sequence[str],
     numbers: str = "numeric",
 ):
     """A records CSV's columns, as a dict of each name's kind in header
@@ -972,7 +970,6 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
     with _file_text(ns.records) as text:
         kinds, typed = _record_blocks(text, (ns.x, ns.y), ())
-        # each block's rows go straight into their groups
         groups = _Groups(kinds, ns.group_col, ns.x, ns.y)
         for block in typed:
             groups.add(block, len(block[0]))
