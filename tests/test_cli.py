@@ -59,6 +59,11 @@ from support import (
 )
 
 HEADER = "stratum,group,total,positive\n"
+# the --help texts of confound and of each subcommand at 80 columns, and the
+# minor versions they were computed on (3.10.13, 3.11.7, 3.12.1 and 3.13.0):
+# argparse words and wraps them alike on all four
+HELP = GOLDEN.parent / "help"
+HELP_VERSIONS = {(3, 10), (3, 11), (3, 12), (3, 13)}
 
 # labels stress CSV quoting (commas, quotes) but stay clear of control
 # characters, which the one-line-per-cell format does not promise to carry
@@ -1545,6 +1550,21 @@ class TestRun:
     def test_usage_error_exit_2(self, capsys):
         assert run(["analyze"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] not in HELP_VERSIONS,
+        reason="the help texts are pinned for the interpreters they were computed on",
+    )
+    @pytest.mark.parametrize(
+        "command",
+        ["confound", "analyze", "standardize", "scan", "decompose", "generate", "plot"],
+    )
+    def test_help_text(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if command == "confound" else [command]
+        code, out, err = run_captured([*argv, "--help"])
+        assert (code, err) == (0, "")
+        assert out == (HELP / f"{command}.txt").read_text(encoding="utf-8")
 
     def test_scan_subcommand(self, tmp_path, capsys):
         records = hospital_records(noise_seed=8)
