@@ -21,6 +21,8 @@ from typing import Iterable, Literal, Sequence
 from .errors import EmptyInput, EmptyStratumSide, ValidationError
 
 Side = Literal["first", "second"]
+# the header of a table CSV, which ``confound.ingest`` reads and ``generate`` writes
+TABLE_HEADER = ("stratum", "group", "total", "positive")
 
 
 class Direction(Enum):

@@ -16,7 +16,8 @@ from unittest import mock
 from hypothesis import strategies as st
 
 import confound
-from confound import cli
+from confound import cli, ingest
+from confound.commands.scan import _split_list
 from confound.detector import Classification, ReversalReport
 from confound.errors import DegenerateRange, EmptyStratumSide, NotTwoGroups
 from confound.geometry import (
@@ -395,14 +396,14 @@ def reference_cmd_scan(ns) -> int:
         min_stratum_size=ns.min_stratum_size,
         allow_tied_strata=ns.allow_tied_strata,
     )
-    candidates = cli._split_list(ns.candidates)
-    records = cli.parse_records_csv(
-        cli._read_text(ns.records),
-        numeric_columns=cli._split_list(ns.numeric),
+    candidates = _split_list(ns.candidates)
+    records = ingest.parse_records_csv(
+        ingest._read_text(ns.records),
+        numeric_columns=_split_list(ns.numeric),
         boolean_columns=(ns.outcome_col,),
     )
     if ns.groups:
-        pair = cli._split_list(ns.groups)
+        pair = _split_list(ns.groups)
         if len(pair) != 2:
             raise NotTwoGroups(f"--groups needs exactly two labels, got {pair}")
         records = records.where(ns.group_col, pair)
@@ -416,11 +417,32 @@ def reference_cmd_decompose(ns) -> int:
     as one string, ``parse_records_csv``, ``build_decompose_report`` over the
     ``RecordTable`` and the chosen writer. The reference the command's
     block-by-block bucketing must match."""
-    records = cli.parse_records_csv(
-        cli._read_text(ns.records), numeric_columns=(ns.x, ns.y)
+    records = ingest.parse_records_csv(
+        ingest._read_text(ns.records), numeric_columns=(ns.x, ns.y)
     )
     doc = cli.build_decompose_report(records, ns.group_col, ns.x, ns.y)
     return cli._emit(ns, doc, cli.render_decompose_text)
+
+
+@contextlib.contextmanager
+def block_chars(chars: int):
+    """The reader's ``BLOCK_CHARS`` set to ``chars``, first seen to take
+    effect: the reader then takes a string ``chars`` characters at a time.
+    A patch the reader does not read fails here instead of leaving every
+    block at the default size."""
+    with mock.patch.object(ingest, "BLOCK_CHARS", chars):
+        assert [len(p) for p in ingest._Text.of("x" * (chars + 1)).pieces()] == [chars, 1]
+        yield
+
+
+@contextlib.contextmanager
+def count_digits(digits: int):
+    """The reader's ``MAX_COUNT_DIGITS`` set to ``digits``, first seen to
+    take effect: a count one digit longer is then refused."""
+    with mock.patch.object(ingest, "MAX_COUNT_DIGITS", digits):
+        longer = ingest._typed_column("count", ["9" * (digits + 1)])
+        assert longer == f"has {digits + 1} digits, more than {digits}"
+        yield
 
 
 def quoted(text: str) -> str:

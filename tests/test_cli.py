@@ -14,17 +14,13 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confound import cli
+from confound import cli, ingest
 from confound.cli import (
-    BLOCK_CHARS,
-    CHUNK_ROWS,
-    MAX_COUNT_DIGITS,
     REFERENCES,
     TABLE_HEADER,
     _json_dumps,
@@ -50,12 +46,14 @@ from confound.errors import (
     UnknownColumn,
     ValidationError,
 )
+from confound.ingest import BLOCK_CHARS, CHUNK_ROWS, MAX_COUNT_DIGITS
 from confound.records import RecordTable
 from confound.scanning import scan
 from confound.tables import Counts, StratifiedComparison, Stratum
 from goldens import GOLDEN
 from support import (
-    BERKELEY, HOSPITAL, counts, hospital_records, python, quoted, run_captured,
+    BERKELEY, HOSPITAL, block_chars, count_digits, counts, hospital_records, python, quoted,
+    run_captured,
 )
 
 HEADER = "stratum,group,total,positive\n"
@@ -268,7 +266,7 @@ class TestParseRecordsCsv:
         # across blocks and on both reading paths: the table keeps one string
         # per distinct label, not one per row
         text = quote("g,x\n" + "ab,1\ncd,2\n" * 3)
-        with mock.patch.object(cli, "BLOCK_CHARS", 1):
+        with block_chars(1):
             labels = parse_records_csv(text, numeric_columns=("x",)).values("g")
         assert labels == ["ab", "cd"] * 3
         assert len(set(map(id, labels))) == 2
@@ -500,7 +498,7 @@ class TestIngestPaths:
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with mock.patch.object(cli, "BLOCK_CHARS", block):
+            with block_chars(block):
                 assert _parsed(text, header) == _parsed(copy, header)
         finally:
             csv.field_size_limit(default)
@@ -518,9 +516,9 @@ class TestIngestPaths:
         # typer rejects: a block is a fault exactly when one of its cells
         # alone is (here with counts capped at 3 digits), and else its
         # values are its cells' values in order, each of its kind's type
-        with mock.patch.object(cli, "MAX_COUNT_DIGITS", 3):
-            block = cli._typed_column(kind, cells)
-            alone = [cli._typed_column(kind, (cell,)) for cell in cells]
+        with count_digits(3):
+            block = ingest._typed_column(kind, cells)
+            alone = [ingest._typed_column(kind, (cell,)) for cell in cells]
         faults = [fault for fault in alone if isinstance(fault, str)]
         if faults:
             assert block in faults
@@ -540,7 +538,7 @@ class TestIngestPaths:
         text = "g,x\n" + "a,1\n" * 50 + "b," + "9" * 40 + "\n" + "c,2\n"
         try:
             csv.field_size_limit(30)
-            with mock.patch.object(cli, "BLOCK_CHARS", 16):
+            with block_chars(16):
                 with pytest.raises(CsvError) as err:
                     parse_records_csv(text, numeric_columns=("x",))
         finally:
@@ -554,7 +552,7 @@ class TestIngestPaths:
         # together they hold as many cells as two good rows, and every cell
         # is good text wherever it lands
         text = "g,c\na,1\nb\nc,2,3\nd,4\n"
-        with mock.patch.object(cli, "BLOCK_CHARS", block):
+        with block_chars(block):
             with pytest.raises(RaggedRow) as err:
                 parse_records_csv(text)
         assert str(err.value) == "line 3: expected 2 fields, got 1"
@@ -655,7 +653,7 @@ class TestScanPath:
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with mock.patch.object(cli, "BLOCK_CHARS", block):
+            with block_chars(block):
                 for copy in (text, quoted(text)):
                     path.write_text(copy, encoding="utf-8")
                     args = [a.replace("{path}", str(path)) for a in argv]
@@ -731,27 +729,27 @@ class TestScanPath:
         # text (the Kelvin sign, to "k") lowers to no letter of a word
         lowered = {c.lower() for c in map(chr, range(128, 0x110000))}
         assert {t for t in lowered if t.isascii()} == {"k"}
-        assert not set("".join(cli.LEXICON)) & {"k"}
+        assert not set("".join(ingest.LEXICON)) & {"k"}
         words = {
             "".join(chars)
-            for word in cli.LEXICON
+            for word in ingest.LEXICON
             for chars in itertools.product(*({c.lower(), c.upper()} for c in word))
         }
-        assert set(cli._CASINGS) == words and len(words) == 62
+        assert set(ingest._CASINGS) == words and len(words) == 62
         others = ["", " yes", "yes ", "ye", "t", "TRUE\u200b", "\u0131", "truE1",
                   "n\u00f8", "\uff59es", "K", "1.0", "-0", "nO\x00", "\u212a"]
         for cell in [*sorted(words), *others]:
-            expected = cli.LEXICON.get(cell.lower())
-            assert cli._CASINGS.get(cell) is (expected if cell in words else None)
-            typed = cli._typed_column("boolean", [cell])
+            expected = ingest.LEXICON.get(cell.lower())
+            assert ingest._CASINGS.get(cell) is (expected if cell in words else None)
+            typed = ingest._typed_column("boolean", [cell])
             assert typed == ([expected] if expected is not None else
                              "is not in the true/false lexicon"), cell
         # a block with one cell outside the table is a fault as a whole
         block = [*sorted(words), "\u212a", "no"]
-        assert cli._typed_column("boolean", block) == "is not in the true/false lexicon"
+        assert ingest._typed_column("boolean", block) == "is not in the true/false lexicon"
         block = sorted(words)
-        assert cli._typed_column("boolean", block) == [
-            cli.LEXICON[cell.lower()] for cell in block
+        assert ingest._typed_column("boolean", block) == [
+            ingest.LEXICON[cell.lower()] for cell in block
         ]
 
     def test_a_group_column_of_20000_labels(self, tmp_path):
@@ -852,7 +850,7 @@ class TestDecomposePath:
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with mock.patch.object(cli, "BLOCK_CHARS", block):
+            with block_chars(block):
                 for copy in (text, quoted(text)):
                     path.write_bytes(encoded(copy))
                     assert run_captured(args) == run_captured(args, reference=True)
@@ -1043,8 +1041,7 @@ class TestTableIngestPaths:
     def test_plain_quoted_and_row_by_row_agree(self, case):
         text, block = case
         expected = _outcome(lambda t: _row_parse_table(t, 3), text)
-        with mock.patch.object(cli, "MAX_COUNT_DIGITS", 3), \
-                mock.patch.object(cli, "BLOCK_CHARS", block):
+        with count_digits(3), block_chars(block):
             assert _outcome(parse_table_csv, text) == expected
             assert _outcome(parse_table_csv, quoted(text)) == expected
 

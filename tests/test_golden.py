@@ -20,14 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from confound import cli
+from confound import cli, ingest
 from confound.cli import run
 from confound.geometry import GroupPath, VectorDiagram
 from confound.records import RecordTable
 from confound.tables import Counts, Stratum
 import goldens
 from goldens import CASES, GOLDEN, _inputs, case_argv, golden_path, judged, write_inputs
-from support import SRC, quoted
+from support import SRC, block_chars, quoted
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +83,12 @@ def test_scan_builds_no_record_table(inputs_dir, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built or filtered a RecordTable")
 
-    monkeypatch.setattr(cli, "parse_records_csv", refuse)
+    monkeypatch.setattr(ingest, "parse_records_csv", refuse)
     monkeypatch.setattr(RecordTable, "__init__", refuse)
     monkeypatch.setattr(RecordTable, "_of", classmethod(refuse))
     monkeypatch.setattr(RecordTable, "where", refuse)
+    with pytest.raises(AssertionError):  # not the empty file's EmptyData
+        cli.parse_records_csv("")
     names = [name for name, (argv, _) in CASES.items() if argv[:1] == ["scan"]]
     assert {CASES[name][1] for name in names} == {"txt", "json", "err"}
     for name in names:
@@ -100,9 +102,11 @@ def test_decompose_builds_no_record_table(inputs_dir, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a RecordTable")
 
-    monkeypatch.setattr(cli, "parse_records_csv", refuse)
+    monkeypatch.setattr(ingest, "parse_records_csv", refuse)
     monkeypatch.setattr(RecordTable, "__init__", refuse)
     monkeypatch.setattr(RecordTable, "_of", classmethod(refuse))
+    with pytest.raises(AssertionError):  # not the empty file's EmptyData
+        cli.parse_records_csv("")
     names = [name for name, (argv, _) in CASES.items() if argv[:1] == ["decompose"]]
     assert {CASES[name][1] for name in names} == {"txt", "json", "err"}
     for name in names:
@@ -110,15 +114,15 @@ def test_decompose_builds_no_record_table(inputs_dir, monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 64])
-def test_scan_counts_any_blocks_alike(inputs_dir, monkeypatch, block):
+def test_scan_counts_any_blocks_alike(inputs_dir, block):
     """Blocks of one line, or of a few, give every scan and decompose case's
     bytes: the counts, the numbers converted, the zero rows and each group's
     rows carry across blocks."""
-    monkeypatch.setattr(cli, "BLOCK_CHARS", block)
     names = [name for name, (argv, _) in CASES.items() if argv[:1] in (["scan"], ["decompose"])]
     assert {CASES[name][0][0] for name in names} == {"scan", "decompose"}
-    for name in names:
-        assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+    with block_chars(block):
+        for name in names:
+            assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
 
 
 def test_plot_checks_no_path_or_diagram_again(inputs_dir, monkeypatch):

@@ -1,8 +1,8 @@
 """The package's lazy exports, and the modules each subcommand's process loads.
 
 ``confound`` imports a submodule when one of its names is first used, and
-``confound.cli`` imports each analysis module inside the subcommand that
-runs it. In-process tests cannot see a missing local import once another
+``confound.cli`` imports each subcommand's module, the CSV reader and the
+analysis modules only when the subcommand that runs them does. In-process tests cannot see a missing local import once another
 test has loaded the module, so the subcommands here run as fresh
 ``python -m confound`` processes and report what they imported through
 ``-X importtime``.
@@ -10,33 +10,46 @@ test has loaded the module, so the subcommands here run as fresh
 
 from __future__ import annotations
 
+import ast
 import re
 import shutil
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import confound
+from confound import cli
 from goldens import CASES, golden_path
 from support import SRC, python
 
 DATA = SRC / "confound" / "data"
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 # loaded by every subcommand: the package, the CLI and what it needs at import
-BASE = {"confound", "confound.cli", "confound.errors", "confound.tables"}
-# golden case -> the analysis modules its process may load
+BASE = {"confound", "confound.cli", "confound.errors"}
+# golden case -> the modules past BASE its process may load: its subcommand's
+# module under confound.commands, the CSV reader for a subcommand that reads
+# a file, and the table model and analysis modules it runs
 LOADS = {
-    "generate.seed0.text": {"detector", "synth"},
-    "analyze.hospital.text": {"detector"},
-    "analyze.hospital.std-combined.text": {"detector", "standardize"},
-    "standardize.hospital.combined.text": {"standardize"},
-    "plot.hospital": {"geometry"},
-    "decompose.robinson.text": {"ecological"},
-    "decompose.robinson.json": {"ecological"},
-    "scan.robinson.text": {"detector", "scanning"},
-    "scan.robinson.json": {"detector", "scanning"},
+    "generate.seed0.text": {"commands.generate", "tables", "detector", "synth"},
+    "analyze.hospital.text": {
+        "commands.analyze", "commands.standardize", "ingest", "tables", "detector",
+    },
+    "analyze.hospital.std-combined.text": {
+        "commands.analyze", "commands.standardize", "ingest", "tables", "detector",
+        "standardize",
+    },
+    "standardize.hospital.combined.text": {
+        "commands.standardize", "ingest", "tables", "standardize",
+    },
+    "plot.hospital": {"commands.plot", "ingest", "tables", "geometry"},
+    "decompose.robinson.text": {"commands.decompose", "ingest", "tables", "ecological"},
+    "decompose.robinson.json": {"commands.decompose", "ingest", "tables", "ecological"},
+    "scan.robinson.text": {"commands.scan", "ingest", "tables", "detector", "scanning"},
+    "scan.robinson.json": {"commands.scan", "ingest", "tables", "detector", "scanning"},
 }
 # standard modules no process loads: statistics (binning has its own
 # quantiles), fractions (no shipped module uses it), html (SVG labels have
@@ -131,6 +144,40 @@ def test_fresh_process_output_and_modules(name, tmp_path):
     assert produced == golden_path(name).read_bytes()
     loaded = imported(result)
     assert {m for m in loaded if m.split(".")[0] == "confound"} == BASE | {
-        f"confound.{m}" for m in LOADS[name]
+        "confound.commands", *(f"confound.{m}" for m in LOADS[name])
     }
     assert not loaded & UNUSED
+
+
+def test_each_subcommand_loads_its_module_and_only_generate_no_reader():
+    for name, modules in LOADS.items():
+        command = CASES[name][0][0]
+        assert f"commands.{command}" in modules, name
+        assert ("ingest" in modules) == (command != "generate"), name
+
+
+def _names_read_from_cli() -> set[str]:
+    """The names the benchmark's and the tests' code read from
+    ``confound.cli``: imported from it, or read as an attribute of it."""
+    names = set()
+    for path in [*(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "confound.cli":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id == "cli"
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "cli"
+            ):
+                names.add(node.attr)
+    return {name for name in names if not name.startswith("__")}
+
+
+def test_each_name_read_from_cli_is_its_defining_modules_object():
+    names = _names_read_from_cli()
+    # the bench's forwarded names are among those found
+    assert {"parse_table_csv", "parse_records_csv", "build_scan_report", "run"} <= names
+    for name in sorted(names):
+        module = f"confound.{cli._MOVED.get(name, 'cli')}"
+        value = getattr(cli, name)
+        assert value is vars(import_module(module))[name], name
+        assert getattr(value, "__module__", module) == module, name
