@@ -300,11 +300,13 @@ def _blocks(text: _Text):
         yield from _csv_blocks(text.lines())
         return
     pieces = iter(text.pieces())
-    head = ""
-    for piece in pieces:  # up to the header's line end
-        head += piece
-        if "\n" in head or len(head) > limit:
+    head, size = [], 0
+    for piece in pieces:  # up to the header's line end, joined once
+        head.append(piece)
+        size += len(piece)
+        if "\n" in piece or size > limit:
             break
+    head = "".join(head)
     if not head:
         raise EmptyData("file is empty")
     first = head.partition("\n")[0]
@@ -335,15 +337,15 @@ def _line_blocks(pieces):
     """The text of ``pieces`` as blocks of whole lines: the lines that end
     in each piece, with what the pieces before it left of a line, without
     the last line end; then any rest. A final line end ends no further
-    line."""
-    rest = ""
+    line. The pieces of an unfinished line are joined once, when it ends."""
+    rest = []
     for piece in pieces:
-        text = rest + piece
-        end = text.rfind("\n")
+        end = piece.rfind("\n")
         if end >= 0:
-            yield text[:end]
-        rest = text[end + 1 :]
-    if rest:
+            yield "".join([*rest, piece[:end]])
+            rest = []
+        rest.append(piece[end + 1 :])
+    if rest := "".join(rest):
         yield rest
 
 

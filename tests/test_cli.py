@@ -482,6 +482,20 @@ def _parsed(text, header):
     return table, repr(table)
 
 
+def _reference_line_blocks(pieces):
+    """``ingest._line_blocks``' rule as first written, copying an unfinished
+    line again with each piece: the reference for its blocks."""
+    rest = ""
+    for piece in pieces:
+        text = rest + piece
+        end = text.rfind("\n")
+        if end >= 0:
+            yield text[:end]
+        rest = text[end + 1 :]
+    if rest:
+        yield rest
+
+
 class TestIngestPaths:
     """Text without a double quote, carriage return or NUL is split directly;
     the same text with every field quoted is read by the csv module. Both
@@ -556,6 +570,15 @@ class TestIngestPaths:
             with pytest.raises(RaggedRow) as err:
                 parse_records_csv(text)
         assert str(err.value) == "line 3: expected 2 fields, got 1"
+
+    @given(st.text("ab\n", max_size=40), st.lists(st.integers(0, 40), max_size=8))
+    def test_line_blocks_follow_the_rule_on_any_split(self, text, cuts):
+        # the cuts make empty pieces too, at the start and where two fall
+        # together past the end
+        cuts = sorted(min(cut, len(text)) for cut in cuts)
+        pieces = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+        assert "".join(pieces) == text
+        assert list(ingest._line_blocks(pieces)) == list(_reference_line_blocks(pieces))
 
     @pytest.mark.parametrize("text", ["g,x\na,1\n", "g,x\na,1", "g,x\n\na,1\n\n"])
     def test_line_ends_and_blank_lines(self, text):
