@@ -1,7 +1,8 @@
 """CSV ingestion: the reader that table and record files share.
 
 Table CSVs have the fixed header ``stratum,group,total,positive``, record
-CSVs a free-form one; both are read and typed a block at a time, never whole.
+CSVs a free-form one. Both are typed a block at a time; records files are
+read from disk a block at a time too.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def test_scan_builds_no_record_table(inputs_dir, monkeypatch):
     monkeypatch.setattr(RecordTable, "__init__", refuse)
     monkeypatch.setattr(RecordTable, "_of", classmethod(refuse))
     monkeypatch.setattr(RecordTable, "where", refuse)
-    with pytest.raises(AssertionError):  # not the empty file's EmptyData
+    with pytest.raises(AssertionError):  # the refusal, not the reader's EmptyData
         cli.parse_records_csv("")
     names = [name for name, (argv, _) in CASES.items() if argv[:1] == ["scan"]]
     assert {CASES[name][1] for name in names} == {"txt", "json", "err"}
@@ -105,7 +105,7 @@ def test_decompose_builds_no_record_table(inputs_dir, monkeypatch):
     monkeypatch.setattr(ingest, "parse_records_csv", refuse)
     monkeypatch.setattr(RecordTable, "__init__", refuse)
     monkeypatch.setattr(RecordTable, "_of", classmethod(refuse))
-    with pytest.raises(AssertionError):  # not the empty file's EmptyData
+    with pytest.raises(AssertionError):  # the refusal, not the reader's EmptyData
         cli.parse_records_csv("")
     names = [name for name, (argv, _) in CASES.items() if argv[:1] == ["decompose"]]
     assert {CASES[name][1] for name in names} == {"txt", "json", "err"}
