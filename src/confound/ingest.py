@@ -301,13 +301,13 @@ def _blocks(text: _Text):
         yield from _csv_blocks(text.lines())
         return
     pieces = iter(text.pieces())
-    head, size = [], 0
+    parts, size = [], 0
     for piece in pieces:  # up to the header's line end, joined once
-        head.append(piece)
+        parts.append(piece)
         size += len(piece)
         if "\n" in piece or size > limit:
             break
-    head = "".join(head)
+    head = "".join(parts)
     if not head:
         raise EmptyData("file is empty")
     first = head.partition("\n")[0]
