@@ -1,4 +1,4 @@
-"""Command-line surface: the argument parser and each subcommand's dispatch.
+"""Command-line surface: the option table and each subcommand's dispatch.
 
 Subcommands: ``analyze``, ``scan``, ``standardize``, ``decompose``,
 ``generate``, ``plot``. Reports go to stdout as text (default) or as JSON
@@ -9,20 +9,26 @@ errors as one-line ``error:<code>: message``. Exit codes: 0 success,
 This module holds what every process runs and the report parts several
 subcommands share. Each subcommand's module under ``confound.commands``, and
 the CSV reader ``confound.ingest``, load only when a subcommand runs them.
+A well-formed command line is read straight from the option table,
+``COMMANDS``; argparse, built from the same table, loads only to print help
+or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import sys
 from importlib import import_module
 from itertools import repeat
-from typing import NoReturn, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .errors import ConfoundError, InputError
+
+if TYPE_CHECKING:
+    import argparse
 
 FORMAT_VERSION = "1"
 # the reference populations of ``standardize`` and ``analyze --standardize``
@@ -193,7 +199,76 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
     return run(ns)
 
 
+# each subcommand, in order: its help line and its add_argument calls as
+# (name, keywords), in order; every subcommand but plot prints a report, and
+# --format is its last option
+_FORMAT = (
+    "--format",
+    dict(choices=("text", "json"), default="text", help="report format (default: text)"),
+)
+COMMANDS = {
+    "analyze": ("classify a table CSV for reversal", (
+        ("table", dict(help="table CSV (stratum,group,total,positive)")),
+        ("--standardize", dict(
+            choices=REFERENCES, default=None, metavar="REF",
+            help="also report the standardized comparison under this reference",
+        )),
+        ("--allow-tied-strata", dict(action="store_true")),
+        _FORMAT,
+    )),
+    "standardize": ("reference-weighted comparison of a table CSV", (
+        ("table", {}),
+        ("--reference", dict(choices=REFERENCES, default="combined")),
+        _FORMAT,
+    )),
+    "scan": ("scan record-level data for reversal-inducing covariates", (
+        ("records", dict(help="records CSV with a header row")),
+        ("--group-col", dict(required=True)),
+        ("--outcome-col", dict(required=True)),
+        ("--candidates", dict(required=True, help="comma-separated covariate column names")),
+        ("--numeric", dict(default=None, help="comma-separated columns to parse as numbers")),
+        ("--binning", dict(choices=("quantile", "equal_width"), default="quantile")),
+        ("--bins", dict(type=int, default=4)),
+        ("--min-stratum-size", dict(type=int, default=1)),
+        ("--groups", dict(
+            default=None, metavar="G1,G2",
+            help="restrict to these two group values when the column has more",
+        )),
+        ("--allow-tied-strata", dict(action="store_true")),
+        _FORMAT,
+    )),
+    "decompose": ("between/within association decomposition", (
+        ("records", {}),
+        ("--group-col", dict(required=True)),
+        ("--x", dict(required=True, help="numeric x column")),
+        ("--y", dict(required=True, help="numeric y column")),
+        _FORMAT,
+    )),
+    "generate": ("emit a synthetic full-reversal table", (
+        ("--strata", dict(type=int, default=2)),
+        ("--scale", dict(type=int, default=80)),
+        ("--seed", dict(type=int, default=0)),
+        _FORMAT,
+    )),
+    "plot": ("render the vector diagram of a table CSV to SVG", (
+        ("table", {}),
+        ("--out", dict(required=True, help="output SVG path")),
+        ("--width", dict(type=int, default=640)),
+        ("--height", dict(type=int, default=480)),
+        ("--fan-only", dict(
+            action="store_true",
+            help="draw stratum chords from the origin only, without the "
+            "terminal-anchored copies",
+        )),
+    )),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of :data:`COMMANDS`: it reads what
+    :func:`_read_argv` declines, and prints the help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="confound",
         description=(
@@ -203,88 +278,79 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+    for name, (help, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("analyze", _cmd_analyze, "classify a table CSV for reversal")
-    p.add_argument("table", help="table CSV (stratum,group,total,positive)")
-    p.add_argument(
-        "--standardize", choices=REFERENCES, default=None, metavar="REF",
-        help="also report the standardized comparison under this reference",
-    )
-    p.add_argument("--allow-tied-strata", action="store_true")
-
-    p = command(
-        "standardize", _cmd_standardize, "reference-weighted comparison of a table CSV"
-    )
-    p.add_argument("table")
-    p.add_argument("--reference", choices=REFERENCES, default="combined")
-
-    p = command(
-        "scan", _cmd_scan, "scan record-level data for reversal-inducing covariates"
-    )
-    p.add_argument("records", help="records CSV with a header row")
-    p.add_argument("--group-col", required=True)
-    p.add_argument("--outcome-col", required=True)
-    p.add_argument(
-        "--candidates", required=True,
-        help="comma-separated covariate column names",
-    )
-    p.add_argument(
-        "--numeric", default=None,
-        help="comma-separated columns to parse as numbers",
-    )
-    p.add_argument("--binning", choices=("quantile", "equal_width"), default="quantile")
-    p.add_argument("--bins", type=int, default=4)
-    p.add_argument("--min-stratum-size", type=int, default=1)
-    p.add_argument(
-        "--groups", default=None, metavar="G1,G2",
-        help="restrict to these two group values when the column has more",
-    )
-    p.add_argument("--allow-tied-strata", action="store_true")
-
-    p = command("decompose", _cmd_decompose, "between/within association decomposition")
-    p.add_argument("records")
-    p.add_argument("--group-col", required=True)
-    p.add_argument("--x", required=True, help="numeric x column")
-    p.add_argument("--y", required=True, help="numeric y column")
-
-    p = command("generate", _cmd_generate, "emit a synthetic full-reversal table")
-    p.add_argument("--strata", type=int, default=2)
-    p.add_argument("--scale", type=int, default=80)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = command("plot", _cmd_plot, "render the vector diagram of a table CSV to SVG")
-    p.add_argument("table")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
-    p.add_argument(
-        "--fan-only", action="store_true",
-        help="draw stratum chords from the origin only, without the "
-        "terminal-anchored copies",
-    )
-
-    # every subcommand but plot prints a report; --format is its last option
-    for name, p in sub.choices.items():
-        if name != "plot":
-            p.add_argument(
-                "--format", choices=("text", "json"), default="text",
-                help="report format (default: text)",
-            )
+        p.set_defaults(func=globals()[f"_cmd_{name}"])
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
     return parser
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, read from
+    :data:`COMMANDS` without argparse; None where argparse may read ``argv``
+    otherwise or would refuse it.
+
+    It takes an exact subcommand name, then exact option names, each
+    ``store`` option followed by a value that does not start with ``-``,
+    converted by its ``type`` as argparse converts it and one of its
+    ``choices``; every other token fills the next positional. Anything else
+    (``-h``, an abbreviation, ``--opt=value``, ``--``, a negative number, a
+    bad value, a missing or an extra token) is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    values = {"command": command, "func": globals()[f"_cmd_{command}"]}
+    options, positionals, required = {}, [], set()
+    for argument, keywords in COMMANDS[command][1]:
+        if not argument.startswith("-"):
+            positionals.append(argument)
+            continue
+        dest = argument[2:].replace("-", "_")
+        options[argument] = dest, keywords
+        if keywords.get("required"):
+            required.add(argument)
+        values[dest] = (
+            False if keywords.get("action") == "store_true" else keywords.get("default")
+        )
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in options:
+            if token.startswith("-") or not positionals:
+                return None
+            values[positionals.pop(0)] = token
+            continue
+        dest, keywords = options[token]
+        required.discard(token)
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as "-" is
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if positionals or required:
+        return None
+    return SimpleNamespace(**values)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; returns the exit code instead of raising."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already reported to stderr
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _read_argv(argv)
+    if ns is None:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already reported to stderr
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return ns.func(ns)
     except ConfoundError as exc:
@@ -297,9 +363,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     # a run leaves only a few hundred objects in cycles (the argument
-    # parser's), and the cyclic collector would otherwise walk the containers
-    # a records file fills, time and again, while they are built; run()
-    # itself leaves the collector as it finds it
+    # parser's, when argparse reads the command line), and the cyclic
+    # collector would otherwise walk the containers a records file fills,
+    # time and again, while they are built; run() itself leaves the
+    # collector as it finds it
     gc.disable()
     _exit(run(sys.argv[1:]))
 

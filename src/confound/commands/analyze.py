@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import argparse
+from typing import TYPE_CHECKING
 
 from ..cli import FORMAT_VERSION, _bold, _columns, _emit, _reversal_json
 from ..ingest import _read_text, parse_table_csv
 from ..tables import StratifiedComparison, escaped
 from .standardize import (_cell_json, _cell_text, _dir_text, _groups_json, _groups_text,
                           _pooled_json, _standardized_json, _standardized_text)
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def build_analyze_report(

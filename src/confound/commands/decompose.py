@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 from typing import TYPE_CHECKING
 
 from ..cli import FORMAT_VERSION, _bold, _columns, _emit
@@ -10,6 +9,8 @@ from ..ingest import _file_text, _record_blocks
 from ..tables import escaped
 
 if TYPE_CHECKING:
+    import argparse
+
     from ..records import RecordTable
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..ingest import _read_text, parse_table_csv
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def run(ns: argparse.Namespace) -> int:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..cli import FORMAT_VERSION, _columns, _emit, _reversal_json
 from ..ingest import _file_text, _record_blocks
 from ..tables import escaped
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def build_scan_report(records, candidates: Sequence[str], results) -> dict:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
+from typing import TYPE_CHECKING
 
 from ..cli import FORMAT_VERSION, _emit
 from ..ingest import _read_text, parse_table_csv
 from ..tables import StratifiedComparison, escaped, percent
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _cell_json(total: int, positive: int) -> dict:
