@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-import argparse
-import csv
+import _csv  # the C writer the csv package re-exports, without that package
 import io
 import sys
+from typing import TYPE_CHECKING
 
 from ..cli import FORMAT_VERSION, _emit
 from ..tables import TABLE_HEADER, StratifiedComparison
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def serialize_table_csv(sc: StratifiedComparison) -> str:
     """Inverse of :func:`parse_table_csv` (parse -> serialize -> parse is id)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
     for label, t1, p1, t2, p2 in zip(*sc._columns):
         writer.writerow([label, sc.group_first_label, t1, p1])

@@ -7,8 +7,8 @@ read from disk a block at a time too.
 
 from __future__ import annotations
 
+import _csv  # the C reader the csv package re-exports, without that package
 import codecs
-import csv
 import io
 import math
 import sys
@@ -131,7 +131,7 @@ def _csv_errors(reader):
     field over its size limit) as :class:`CsvError` at the reader's line."""
     try:
         yield
-    except csv.Error as exc:
+    except _csv.Error as exc:
         raise CsvError(str(exc), reader.line_num) from None
 
 
@@ -274,7 +274,7 @@ def _csv_blocks(lines):
     """The header row, then each block of up to ``CHUNK_ROWS`` rows as
     ``(rows read, non-blank rows, cells column by column)``, with ``None``
     for the cells when a non-blank row is not as wide as the header."""
-    reader = csv.reader(lines)
+    reader = _csv.reader(lines)
     with _csv_errors(reader):
         header = next(reader, None)
     if header is None:
@@ -296,7 +296,7 @@ def _blocks(text: _Text):
     block with a field over the csv module's field size limit has ``None``
     for its cells, so the csv module re-reads it and raises its error for
     that field."""
-    limit = csv.field_size_limit()
+    limit = _csv.field_size_limit()
     if text.special:
         yield from _csv_blocks(text.lines())
         return
@@ -368,7 +368,7 @@ def _typed_blocks(blocks, kinds: Sequence[str], report):
                 yield typed
             read += lines
             n_rows += rows
-    except csv.Error:  # a row of this block before the csv module's fault may be bad
+    except _csv.Error:  # a row of this block before the csv module's fault may be bad
         report(read)
         raise
     if not n_rows:
@@ -416,7 +416,7 @@ def _typed_rows(lines, start: int, names: Sequence[str], kinds: Sequence[str]):
     from reader row ``start`` on, read by the ``csv`` module with each cell
     typed alone by :func:`_typed_column`. The first ragged row or bad cell
     raises its error; a csv fault is a :class:`CsvError`."""
-    reader = csv.reader(lines)
+    reader = _csv.reader(lines)
     with _csv_errors(reader):
         for row in filter(None, islice(reader, start, None)):
             line = reader.line_num
