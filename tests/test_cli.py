@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import hashlib
@@ -1707,6 +1708,155 @@ class TestRun:
         assert "wrote" in captured.err
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().count("<line ") == 2
+
+
+# every option of every subcommand, for options given to the wrong one
+_ALL_OPTIONS = sorted(
+    {name for _, arguments in cli.COMMANDS.values() for name, _ in arguments if name[0] == "-"}
+)
+# values for an option or a positional: ints that int() and argparse read
+# alike, or refuse alike, and tokens argparse reads as options or refuses
+_VALUES = [
+    "x.csv", "a,b", "5", " 5", "+5", "1_0", "\u0663", "0", "1.5", " -5", "-1", "", "-",
+    "--", "-h", "--help", "xml",
+]
+# the keywords the reader interprets; help and metavar only shape the help
+_READ_KEYWORDS = {"action", "choices", "default", "help", "metavar", "required", "type"}
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command line drawn from a subcommand's grammar: its positionals and
+    required options, then more of its options, in any order, with values
+    from each option's own. In half of them, parts are mangled: any value,
+    options of other subcommands, abbreviations, ``--opt=value``, ``--``,
+    ``-1``, ``-h``, empty strings, and a piece or a token left out."""
+    mangled = draw(st.booleans())
+    commands = [*cli.COMMANDS, *(["anal", "-h", "", "--format"] if mangled else [])]
+    command = draw(st.sampled_from(commands))
+    arguments = cli.COMMANDS.get(command, ("", ()))[1]
+    options = [(name, kw) for name, kw in arguments if name[0] == "-"]
+
+    def value(keywords: dict) -> str:
+        valid = st.sampled_from([*map(str, keywords.get("choices", ()))] or (
+            ["5", " 5", "+5", "1_0", "\u0663"] if "type" in keywords else ["x.csv", "a,b", ""]
+        ))
+        return draw(st.sampled_from(_VALUES) if mangled and draw(st.booleans()) else valid)
+
+    def option(name: str, keywords: dict) -> list[str]:
+        return [name] if keywords.get("action") else [name, value(keywords)]
+
+    pieces = [
+        option(name, kw) if name[0] == "-" else [value(kw)]
+        for name, kw in arguments
+        if name[0] != "-" or kw.get("required")
+    ]
+    kinds = ["own", "bare", "other", "abbreviation", "equals", "positional", "loose"]
+    for _ in range(draw(st.integers(0, 4)) if options else 0):
+        name, kw = draw(st.sampled_from(options))
+        kind = draw(st.sampled_from(kinds)) if mangled and draw(st.booleans()) else "own"
+        if kind == "own":
+            pieces.append(option(name, kw))
+        elif kind == "bare":
+            pieces.append([name])
+        elif kind == "other":
+            pieces.append([draw(st.sampled_from(_ALL_OPTIONS)), value({})])
+        elif kind == "abbreviation":
+            pieces.append([name[:draw(st.integers(2, len(name) - 1))], value(kw)])
+        elif kind == "equals":
+            pieces.append([f"{name}={value(kw)}"])
+        elif kind == "positional":
+            pieces.append([value({})])
+        else:
+            pieces.append([draw(st.sampled_from(["--", "-1", "-h", ""]))])
+    pieces = draw(st.permutations(pieces))
+    if mangled and pieces and draw(st.integers(0, 3)) == 0:
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    argv = [command, *(token for piece in pieces for token in piece)]
+    if mangled and len(argv) > 1 and draw(st.integers(0, 3)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """``vars(_build_parser().parse_args(argv))``, or None where argparse
+    refuses ``argv``."""
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _stub(ns) -> int:
+    """A subcommand that prints the namespace it was given."""
+    print(sorted((k, v) for k, v in vars(ns).items() if k != "func"), ns.func.__name__)
+    return 0
+
+
+class TestArgvReader:
+    """``cli._read_argv`` reads a well-formed command line from the option
+    table as argparse reads it, and leaves every other one to argparse."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "t.csv"],
+        ["analyze", "t.csv", "--standardize", "first", "--allow-tied-strata", "--format", "json"],
+        ["standardize", "--reference", "equal", "t.csv"],
+        ["scan", "r.csv", "--candidates", "c,d", "--group-col", "g", "--outcome-col", "o",
+         "--bins", " 5", "--min-stratum-size", "+5", "--bins", "1_0", "--numeric", ""],
+        ["decompose", "r.csv", "--group-col", "g", "--x", "x", "--y", "y"],
+        ["generate", "--seed", "\u0663", "--strata", "4"],
+        ["generate"],
+        ["plot", "t.csv", "--out", "p.svg", "--fan-only", "--width", "96", "--fan-only"],
+    ])
+    def test_reads_a_well_formed_command_line(self, argv):
+        ns = cli._read_argv(argv)
+        assert ns is not None
+        assert vars(ns) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["anal", "t.csv"], ["analyze", "t.csv", "-h"],
+        ["analyze", "t.csv", "--format=json"], ["analyze", "t.csv", "--form", "json"],
+        ["analyze", "--", "t.csv"], ["analyze", "t.csv", "--format", "xml"],
+        ["analyze", "t.csv", "--format"], ["analyze"], ["analyze", "t.csv", "u.csv"],
+        ["analyze", "t.csv", "--reference", "first"], ["generate", "--seed", "-1"],
+        ["generate", "--seed", "1.5"], ["scan", "r.csv", "--group-col", "g"],
+        ["plot", "t.csv", "--out", "-"],
+    ])
+    def test_leaves_every_other_command_line_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    @example(["scan", "r.csv", "--group-col", "g", "--outcome-col", "o", "--candidates", "c"])
+    @example(["generate", "--seed", "-1"])
+    def test_agrees_with_argparse(self, argv):
+        ns = cli._read_argv(argv)
+        if ns is not None:
+            assert vars(ns) == _argparse_vars(argv)
+        with pytest.MonkeyPatch.context() as patched:
+            for name in cli.COMMANDS:
+                patched.setattr(cli, f"_cmd_{name}", _stub)
+            read = run_captured(argv)
+            patched.setattr(cli, "_read_argv", lambda argv: None)
+            assert run_captured(argv) == read
+
+    def test_the_reader_interprets_every_keyword_of_the_table(self):
+        # a keyword outside these, such as nargs= or action="append", would be
+        # read as a plain store option: it fails here instead
+        for command, (_, arguments) in cli.COMMANDS.items():
+            for name, keywords in arguments:
+                assert set(keywords) <= _READ_KEYWORDS, (command, name)
+                if name[0] != "-":
+                    assert set(keywords) <= {"help", "metavar"}, (command, name)
+                    continue
+                assert name.startswith("--") and "=" not in name, (command, name)
+                assert keywords.get("action", "store_true") == "store_true", (command, name)
+                if "action" in keywords:
+                    assert set(keywords) <= {"action", "help"}, (command, name)
+                # argparse would pass a str default through the type
+                assert keywords.get("type", int) is int, (command, name)
+                assert not ("type" in keywords and isinstance(keywords["default"], str))
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,16 @@
 ``confound.cli`` imports each subcommand's module, the CSV reader and the
 analysis modules only when the subcommand that runs them does. In-process tests cannot see a missing local import once another
 test has loaded the module, so the subcommands here run as fresh
-``python -m confound`` processes and report what they imported through
-``-X importtime``.
+``python -m confound`` processes and report what they imported: through
+``-X importtime``, and through a ``sitecustomize`` that lists
+``sys.modules`` at exit, which also holds what ``importlib.import_module``
+loaded.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
 import shutil
 import subprocess
@@ -54,18 +57,52 @@ LOADS = {
 # standard modules no process loads: statistics (binning has its own
 # quantiles), fractions (no shipped module uses it), html (SVG labels have
 # their own escape table), json (the JSON writer quotes with the C module
-# _json), and dataclasses and the inspect module it imports (the value
-# classes are plain classes)
-UNUSED = {"statistics", "fractions", "html", "json", "dataclasses", "inspect"}
+# _json), csv (the reader and writer are the C module _csv's), dataclasses
+# and the inspect module it imports (the value classes are plain classes),
+# and argparse and the gettext and locale modules it loads (a well-formed
+# command line is read from the option table)
+UNUSED = {
+    "statistics", "fractions", "html", "json", "csv", "dataclasses", "inspect",
+    "argparse", "gettext", "locale",
+}
+# loaded by a process whose command line argparse reads, to print help or a
+# usage error
+ARGPARSE = {"argparse", "gettext", "locale"}
+# on the path of each process, it lists the modules the process holds at exit
+# on stderr; cli._exit runs the atexit hooks before it ends the process
+SITECUSTOMIZE = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print('sys.modules:', *sorted(sys.modules), file=sys.stderr))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def watched(tmp_path_factory):
+    """``watched(*args, cwd=None)``: the result of ``python -X importtime
+    *args``, run with :data:`SITECUSTOMIZE` on its path, and the modules it
+    imported."""
+    site = tmp_path_factory.mktemp("site")
+    (site / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    path = os.pathsep.join(filter(None, [str(site), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args: str, cwd: Path | None = None):
+        result = python("-X", "importtime", *args, cwd=cwd, env=env)
+        return result, imported(result)
+
+    return run
 
 
 def imported(result: subprocess.CompletedProcess) -> set[str]:
-    """The modules a ``-X importtime`` process imported."""
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in result.stderr.decode().splitlines()
-        if line.startswith("import time:")
-    }
+    """The modules a process imported: those ``-X importtime`` lists, which
+    the import statement loaded, and those :data:`SITECUSTOMIZE` lists, which
+    also holds what ``importlib.import_module`` loaded."""
+    lines = result.stderr.decode().splitlines()
+    at_exit = [line.split()[1:] for line in lines if line.startswith("sys.modules: ")]
+    assert len(at_exit) == 1, result.stderr
+    return set(at_exit[0]).union(
+        line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")
+    )
 
 
 # the public names, written out: retiring or adding one edits this list
@@ -122,31 +159,46 @@ class TestLazyExports:
             "['confound']", "confound.cli confound.detector"
         ]
 
-    def test_cli_import_loads_base_modules_only(self):
-        result = python("-X", "importtime", "-c", "import confound.cli")
+    def test_cli_import_loads_base_modules_only(self, watched):
+        result, loaded = watched("-c", "import confound.cli")
         assert result.returncode == 0, result.stderr
-        loaded = imported(result)
         assert {m for m in loaded if m.split(".")[0] == "confound"} == BASE
         assert not loaded & UNUSED
 
+    def test_a_lazy_export_is_seen_loaded(self, watched):
+        # confound.__getattr__ loads the module through importlib.import_module,
+        # which -X importtime does not list
+        result, loaded = watched("-c", "import confound; confound.scan")
+        assert result.returncode == 0, result.stderr
+        assert "confound.scanning" in loaded
+
 
 @pytest.mark.parametrize("name", sorted(LOADS))
-def test_fresh_process_output_and_modules(name, tmp_path):
+def test_fresh_process_output_and_modules(name, tmp_path, watched):
     for fixture in DATA.glob("*.csv"):
         shutil.copy(fixture, tmp_path)
     argv, ext = CASES[name]
     argv = [a.replace("{d}", str(tmp_path)) for a in argv]
-    result = python("-X", "importtime", "-m", "confound", *argv, cwd=tmp_path)
+    result, loaded = watched("-m", "confound", *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     produced = (
         Path(argv[argv.index("--out") + 1]).read_bytes() if ext == "svg" else result.stdout
     )
     assert produced == golden_path(name).read_bytes()
-    loaded = imported(result)
     assert {m for m in loaded if m.split(".")[0] == "confound"} == BASE | {
         "confound.commands", *(f"confound.{m}" for m in LOADS[name])
     }
     assert not loaded & UNUSED
+
+
+@pytest.mark.parametrize("argv", [[], ["scan", "--help"]], ids=["no-subcommand", "help"])
+def test_argparse_loads_for_a_usage_error_or_help(argv, watched):
+    # the no-subcommand run is the usage.no-subcommand golden case
+    result, loaded = watched("-m", "confound", *argv)
+    assert result.returncode == (0 if argv else 2), result.stderr
+    assert b"usage: confound" in (result.stdout if argv else result.stderr)
+    assert ARGPARSE <= loaded
+    assert {m for m in loaded if m.split(".")[0] == "confound"} == BASE
 
 
 def test_each_subcommand_loads_its_module_and_only_generate_no_reader():
