@@ -325,7 +325,7 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
         if keywords.get("action") == "store_true":
             values[dest] = True
             continue
-        value = next(tokens, "-")  # a missing value is declined as "-" is
+        value = next(tokens, "-")  # a missing value is declined as a "-" is
         if value.startswith("-"):
             return None
         if "type" in keywords:

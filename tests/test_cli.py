@@ -1856,7 +1856,7 @@ class TestArgvReader:
                     assert set(keywords) <= {"action", "help"}, (command, name)
                 # argparse would pass a str default through the type
                 assert keywords.get("type", int) is int, (command, name)
-                assert not ("type" in keywords and isinstance(keywords["default"], str))
+                assert not ("type" in keywords and isinstance(keywords.get("default"), str))
 
 
 @pytest.fixture(scope="module")
