@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..cli import FORMAT_VERSION, _bold, _columns, _emit
-from ..ingest import _file_text, _record_blocks
+from ..ingest import _read_records
 from ..tables import escaped
 
 if TYPE_CHECKING:
@@ -94,9 +94,8 @@ def render_decompose_text(doc: dict, color: bool = False) -> str:
 def run(ns: argparse.Namespace) -> int:
     from ..ecological import _Groups
 
-    with _file_text(ns.records) as text:
-        kinds, typed = _record_blocks(text, (ns.x, ns.y), ())
-        groups = _Groups(kinds, ns.group_col, ns.x, ns.y)
-        for block in typed:
-            groups.add(block, len(block[0]))
+    groups = _read_records(
+        ns.records, (ns.x, ns.y), (), "numeric",
+        lambda kinds: _Groups(kinds, ns.group_col, ns.x, ns.y),
+    )
     return _emit(ns, _decompose_report(groups), render_decompose_text)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..cli import FORMAT_VERSION, _columns, _emit, _reversal_json
-from ..ingest import _file_text, _record_blocks
+from ..ingest import _read_records
 from ..tables import escaped
 
 if TYPE_CHECKING:
@@ -83,13 +83,10 @@ def run(ns: argparse.Namespace) -> int:
     )
     candidates = _split_list(ns.candidates)
     keep = _split_list(ns.groups) if ns.groups else None
-    with _file_text(ns.records) as text:
-        # each block is counted as it is read, with its labels and numbers as read
-        kinds, typed = _record_blocks(
-            text, _split_list(ns.numeric), (ns.outcome_col,), "numeric text"
-        )
-        tally = _Tally(kinds, ns.group_col, ns.outcome_col, candidates, keep)
-        for block in typed:
-            tally.add(block)
+    # each block is counted as it is read, with its labels and numbers as read
+    tally = _read_records(
+        ns.records, _split_list(ns.numeric), (ns.outcome_col,), "numeric text",
+        lambda kinds: _Tally(kinds, ns.group_col, ns.outcome_col, candidates, keep),
+    )
     results = _findings(tally, config)
     return _emit(ns, build_scan_report(tally, candidates, results), render_scan_text)

@@ -15,6 +15,8 @@ One core serves every decomposition. :class:`_Groups` puts a block of rows
 at a time into their groups, each group's x and y values in row order: the
 command line feeds it the CSV's typed blocks, :func:`decompose` and
 :func:`group_means` a table's stored columns as one block (:func:`_grouped`).
+The groups of a file's two halves, read at once, merge through
+:meth:`_Groups.state` and :meth:`_Groups.merge`.
 Building the groups checks nothing; :meth:`_Groups.groups` checks the
 columns after the last block, so the command's row faults come first.
 """
@@ -104,15 +106,31 @@ class _Groups:
         fits = tuple(map(kinds.get, self.columns)) == wanted
         self._index = [index[name] for name in self.columns] if fits else None
 
-    def add(self, block, rows: int) -> None:
-        """Put one block of ``rows`` rows, given as its columns, into their groups."""
-        self.n_rows += rows
+    def add(self, block, rows: int | None = None) -> None:
+        """Put one block of ``rows`` rows, given as its columns, into their
+        groups; by default the block has as many rows as its first column."""
+        self.n_rows += len(block[0]) if rows is None else rows
         if self._index is None:
             return
         labels, xs, ys = (block[i] for i in self._index)
         for (gx, gy), x, y in zip(map(self.buckets.__getitem__, labels), xs, ys):
             gx.append(x)
             gy.append(y)
+
+    def state(self) -> tuple:
+        """The rows put into their groups, in types ``marshal`` writes, for
+        :meth:`merge`."""
+        return self.n_rows, dict(self.buckets)
+
+    def merge(self, state: tuple) -> None:
+        """Put into their groups, after this object's rows, those of another
+        of the same columns, given as its :meth:`state`."""
+        n_rows, buckets = state
+        self.n_rows += n_rows
+        for label, (xs, ys) in buckets.items():
+            gx, gy = self.buckets[label]
+            gx += xs
+            gy += ys
 
     def groups(self) -> list[tuple[GroupSummary, list[float], list[float]]]:
         """Each group's summary with its x and y values, ordered by group

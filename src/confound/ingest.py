@@ -2,7 +2,10 @@
 
 Table CSVs have the fixed header ``stratum,group,total,positive``, record
 CSVs a free-form one. Both are typed a block at a time; records files are
-read from disk a block at a time too.
+read from disk a block at a time too. Where the process can fork, a plain
+records file is read in two halves at once: a forked helper types and
+counts the second half while the process reads the first, and any fault
+sends the whole file to the serial reader (:func:`_read_records`).
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 import _csv  # the C reader the csv package re-exports, without that package
 import codecs
 import io
+import marshal
 import math
+import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice, product, repeat
@@ -19,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
-    BadCount, BadHeader, BadOutcomeValue, CsvError, DuplicateCell, EmptyData, MissingCell,
-    NonNumeric, NotTwoGroups, RaggedRow, UnknownColumn, ValidationError,
+    BadCount, BadHeader, BadOutcomeValue, ConfoundError, CsvError, DuplicateCell, EmptyData,
+    MissingCell, NonNumeric, NotTwoGroups, RaggedRow, UnknownColumn, ValidationError,
 )
 from .tables import TABLE_HEADER, StratifiedComparison, _pair
 
@@ -71,20 +76,30 @@ class _Text:
         )
 
 
-@contextmanager
-def _file_text(path: str):
-    """The records file at ``path`` as :class:`_Text`, decoded as
-    :func:`_read_text` decodes it but never held whole.
+def _read_records(
+    path: str, numeric_columns: Sequence[str], boolean_columns: Sequence[str],
+    numbers: str, accumulator,
+):
+    """The records file at ``path`` read into ``accumulator(kinds)``, an
+    object whose ``add`` takes each block :func:`_record_blocks` types, and
+    returned; the file is decoded as :func:`_read_text` decodes it but never
+    held whole.
 
     A first pass decodes every byte and looks only for a double quote or
     NUL, so an undecodable byte anywhere is that function's
-    :class:`CsvError` before any row is read. Each reading then decodes the
-    file again from its start. A pipe, which cannot be read twice, is read
-    into memory once."""
+    :class:`CsvError` before any row is read. Plain text is then read in two
+    halves at once where :func:`_may_fork` allows (see :func:`_read_halves`);
+    otherwise, or when a half fails, each reading decodes the file again from
+    its start. A pipe, which cannot be read twice, is read into memory
+    once."""
     with open(path, "rb") as raw:
         if not raw.seekable():
             raw = io.BytesIO(raw.read())
         special = _checked(raw, path)
+        if not special and _may_fork():
+            split = _read_halves(raw, numeric_columns, boolean_columns, numbers, accumulator)
+            if split is not None:
+                return split
         stream = io.TextIOWrapper(raw, encoding="utf-8-sig")
 
         def pieces():
@@ -96,7 +111,163 @@ def _file_text(path: str):
             stream.seek(0)
             return stream
 
-        yield _Text(special, pieces, lines)
+        text = _Text(special, pieces, lines)
+        kinds, typed = _record_blocks(text, numeric_columns, boolean_columns, numbers)
+        into = accumulator(kinds)
+        for block in typed:
+            into.add(block)
+        return into
+
+
+def _may_fork() -> bool:
+    """Whether a forked helper may read half a file: ``os.fork`` exists, no
+    other Python thread runs (``threading`` is looked up, not imported) and
+    the process may use more than one CPU."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
+        return False
+    return _cpus() > 1
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _reader(raw):
+    """``read(size, offset)`` on the binary file ``raw`` that never moves
+    its offset, which a forked process shares: ``os.pread`` on a file, a
+    slice of a pipe's copy in memory."""
+    if isinstance(raw, io.BytesIO):
+        return lambda size, offset: bytes(raw.getbuffer()[offset : offset + size])
+    fd = raw.fileno()
+    return lambda size, offset: os.pread(fd, size, offset)
+
+
+def _cut(read, size: int) -> int | None:
+    """The offset just past the first line end after the middle byte of a
+    file of ``size`` bytes, when the bytes on each side of it fill a
+    ``BLOCK_CHARS`` block at least; otherwise ``None``."""
+    offset = size // 2
+    while offset < size - BLOCK_CHARS and (data := read(BLOCK_CHARS, offset)):
+        end = data.find(b"\n")
+        if end >= 0:
+            cut = offset + end + 1
+            return cut if BLOCK_CHARS <= cut <= size - BLOCK_CHARS else None
+        offset += len(data)
+    return None
+
+
+class _HalfFault(Exception):
+    """A half of a file read in two that the serial reader must read again,
+    to report its fault as it does."""
+
+
+def _refuse_half(*_):
+    """A half's ``lines`` and its faulty block's ``report``: neither is read
+    again but by the serial reader."""
+    raise _HalfFault
+
+
+def _span(read, start: int, end: int, encoding: str):
+    """The text of bytes ``start`` to ``end`` of a file, read by position
+    ``BLOCK_CHARS`` bytes at a time and decoded with every line end (CRLF or
+    a bare CR too) read as ``\n``, as a text stream reads it."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder(encoding)(), True)
+    while start < end:
+        data = read(min(BLOCK_CHARS, end - start), start)
+        if not data:  # the file shrank
+            raise _HalfFault
+        start += len(data)
+        yield decoder.decode(data, final=start == end)
+
+
+def _read_halves(
+    raw, numeric_columns: Sequence[str], boolean_columns: Sequence[str], numbers: str,
+    accumulator,
+):
+    """:func:`_read_records` of the plain text of the binary file ``raw`` in
+    two halves at once, split at :func:`_cut`; ``None`` when the serial
+    reader must read the whole file.
+
+    The header is read first, so a fault in it forks nothing. A forked
+    helper then types the rest of the file with the same column kinds, feeds
+    its own accumulator and writes that accumulator's ``state()`` to a pipe
+    with ``marshal``, while this process reads the first half; the helper's
+    state is merged after this process's rows, so the rows keep their order.
+    A fault in either half (a bad row, a field over the csv module's limit),
+    a fork that fails, a helper that exits non-zero, a short payload or no
+    row in either half ends the helper and gives ``None``: the serial reader
+    then reports every fault as it alone does."""
+    read = _reader(raw)
+    size = raw.seek(0, io.SEEK_END)
+    cut = _cut(read, size)
+    if cut is None:
+        return None
+    faults = (ConfoundError, _HalfFault, OSError, UnicodeDecodeError)
+    try:
+        first = _Text(False, lambda: _span(read, 0, cut, "utf-8-sig"), _refuse_half)
+        kinds, typed = _record_blocks(first, numeric_columns, boolean_columns, numbers)
+    except faults:
+        return None
+    into = accumulator(kinds)
+    out, put = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: the serial reader reads the file
+        os.close(out)
+        os.close(put)
+        return None
+    if not pid:  # the helper: it never returns
+        code = 1
+        try:
+            os.close(out)
+            theirs = accumulator(kinds)
+            typing = [numbers if kind == "numeric" else kind for kind in kinds.values()]
+            rest = _plain_blocks(
+                _span(read, cut, size, "utf-8"), len(kinds), _csv.field_size_limit()
+            )
+            rows = _fill(theirs, _typed_blocks(rest, typing, _refuse_half))
+            with open(put, "wb") as pipe:
+                marshal.dump((rows, theirs.state()), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(put)
+    payload = None
+    try:
+        with open(out, "rb") as pipe:
+            rows = _fill(into, typed)
+            payload = pipe.read()
+    except faults:
+        return None
+    finally:
+        if payload is None:  # this half's fault, or an interrupt
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    try:
+        their_rows, state = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):  # a short payload
+        return None
+    if status or not (rows or their_rows):
+        return None
+    into.merge(state)
+    return into
+
+
+def _fill(into, typed) -> bool:
+    """Feed ``into`` one half's typed blocks, and say whether the half held
+    a row: a half of blank lines is no fault."""
+    try:
+        for block in typed:
+            into.add(block)
+    except EmptyData:  # raised once every block is read
+        return False
+    return True
 
 
 def _checked(raw, path: str) -> bool:
@@ -316,13 +487,19 @@ def _blocks(text: _Text):
         return
     header = first.split(",") if first else []
     yield header
-    width = len(header)
+    yield from _plain_blocks(chain((head[len(first) + 1 :],), pieces), len(header), limit)
+
+
+def _plain_blocks(pieces, width: int, limit: int):
+    """The blocks of :func:`_csv_blocks` from text with no double quote,
+    carriage return or NUL, given as ``pieces`` after the header's line end,
+    for a header ``width`` cells wide and the csv field size ``limit``."""
     stride = width + 1
-    for block in _line_blocks(chain((head[len(first) + 1 :],), pieces)):
-        lines = block.count("\n") + 1
-        if "\n\n" in block or block[:1] == "\n" or block[-1:] == "\n":
+    for block in _line_blocks(pieces):
+        lines = rows = block.count("\n") + 1
+        if not block or "\n\n" in block or block[0] == "\n" or block[-1] == "\n":
             block = "\n".join(filter(None, block.split("\n")))  # blank lines
-        rows = block.count("\n") + 1 if block else 0
+            rows = block.count("\n") + 1 if block else 0
         cells = block.replace("\n", ",\0,").split(",") if block else []
         if len(block) > limit and max(map(len, cells)) > limit:
             yield lines, rows, None

@@ -12,10 +12,11 @@ time, each candidate's cells per group label and outcome, keyed by the cell
 as stored, and converts each distinct numeric key with ``float`` once: the
 command line feeds it the CSV's blocks with labels and numbers as read,
 :func:`scan` and :func:`stratify` a table's stored columns as one block.
-Building the tally checks nothing; :meth:`_Tally.groups` makes every
-scan-wide check after the last block, so the command's row faults come
-first. One findings step then bins the counts and builds each candidate's
-comparison.
+The tallies of a file's two halves, read at once, merge through
+:meth:`_Tally.state` and :meth:`_Tally.merge`. Building the tally checks
+nothing; :meth:`_Tally.groups` makes every scan-wide check after the last
+block, so the command's row faults come first. One findings step then bins
+the counts and builds each candidate's comparison.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, chain, compress, islice
-from operator import add, itemgetter, not_
+from itertools import accumulate, chain, islice
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Literal, Sequence, Union
 
 from .detector import Classification, ReversalReport, detect_reversal
@@ -168,8 +169,9 @@ class _Tally:
 
     Construction checks nothing: ``kinds`` maps each column name to its
     kind, in the order of a block's columns; ``keep``, when given, names the
-    group labels whose rows count. A block without the group or the outcome
-    column counts nothing, and a repeated candidate is counted once.
+    group labels whose rows count. A block without the group column or a
+    boolean outcome column counts nothing, and a repeated candidate is
+    counted once.
     :meth:`groups`, after the last block, makes the scan-wide checks.
 
     For each categorical or numeric candidate, ``counts`` holds per group
@@ -200,7 +202,8 @@ class _Tally:
         self.numbers: dict[str, tuple[dict, set, list[float]]] = {
             name: ({}, set(), []) for name in counted if kinds[name] == "numeric"
         }
-        self._index = (index.get(group_col), index.get(outcome_col), [index[n] for n in counted])
+        outcome = index.get(outcome_col) if kinds.get(outcome_col) == "boolean" else None
+        self._index = (index.get(group_col), outcome, [index[n] for n in counted])
 
     def add(self, block: Sequence[Sequence]) -> None:
         """Count one block of rows, given as its columns."""
@@ -213,17 +216,17 @@ class _Tally:
         self.labels |= kept
         if len(self.labels) > 2 or not kept:
             return
-        # each kept label's rows with a false, then a true outcome
-        split, order = [], []
-        everything, outcome = range(len(group)), block[o]
-        for label in kept:
-            chosen = list(map({label: True}.get, group))
-            rows, out = list(compress(everything, chosen)), list(compress(outcome, chosen))
-            negatives = list(compress(rows, map(not_, out)))
-            positives = list(compress(rows, out))
-            split.append((label, negatives, positives))
-            order += negatives
-            order += positives
+        # each kept label's rows with a false, then a true outcome, in one
+        # pass: a row's part is 2 x its label's place + its outcome, and the
+        # rows of a label not kept go to the last two parts
+        kept = list(kept)
+        places = dict.fromkeys(found, 2 * len(kept))
+        places.update(zip(kept, range(0, 2 * len(kept), 2)))
+        parts = [[] for _ in range(2 * len(kept) + 2)]
+        part = map(parts.__getitem__, map(add, map(places.__getitem__, group), block[o]))
+        any(map(list.append, part, range(len(group))))
+        split = [(label, *parts[2 * i : 2 * i + 2]) for i, label in enumerate(kept)]
+        order = list(chain.from_iterable(parts[:-2]))
         self.n_rows += len(order)
         # one index more than the rows, so the getter returns a tuple even
         # for one row; the slices below never reach it
@@ -254,6 +257,36 @@ class _Tally:
         zero_keys.update(key for key in fresh if values[key] == 0)
         if zero_keys:
             zeros.extend(float(column[i]) for i in sorted(order) if column[i] in zero_keys)
+
+    def state(self) -> tuple:
+        """What this tally has counted, in types ``marshal`` writes (Counters
+        as dicts, sets as lists), for :meth:`merge`."""
+        counts = {
+            name: {label: tuple(map(dict, pair)) for label, pair in sides.items()}
+            for name, sides in self.counts.items()
+        }
+        numbers = {
+            name: (values, list(zero_keys), zeros)
+            for name, (values, zero_keys, zeros) in self.numbers.items()
+        }
+        return list(self.labels), self.n_rows, counts, numbers
+
+    def merge(self, state: tuple) -> None:
+        """Count, after this tally's rows, those of a tally of the same
+        columns and candidates, given as its :meth:`state`."""
+        labels, n_rows, counts, numbers = state
+        self.labels.update(labels)
+        self.n_rows += n_rows
+        for name, sides in counts.items():
+            mine = self.counts[name]
+            for label, pair in sides.items():
+                for tally, more in zip(mine.setdefault(label, (Counter(), Counter())), pair):
+                    tally.update(more)
+        for name, (values, zero_keys, zeros) in numbers.items():
+            mine = self.numbers[name]
+            mine[0].update(values)
+            mine[1].update(zero_keys)
+            mine[2].extend(zeros)
 
     def groups(self) -> list[str]:
         """The two group labels, sorted, after the scan-wide checks in the

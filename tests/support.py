@@ -436,6 +436,39 @@ def block_chars(chars: int):
 
 
 @contextlib.contextmanager
+def split_read():
+    """The records reader free to read a file in two halves on any host, as
+    on one with two CPUs, yielding ``(forked, merged)``: the pid of each
+    helper it forks, and for each split read whether the helper's rows were
+    merged (``False`` when the serial reader read the file again). Every
+    helper is reaped when the reader returns, so none is left on exit."""
+    forked, merged = [], []
+    fork, halves = os.fork, ingest._read_halves
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def spied_halves(*args):
+        split = halves(*args)
+        merged.append(split is not None)
+        return split
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(ingest, "_cpus", lambda: 2))
+        stack.enter_context(mock.patch.object(os, "fork", counted_fork))
+        stack.enter_context(mock.patch.object(ingest, "_read_halves", spied_halves))
+        yield forked, merged
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child process, running or unreaped
+        return
+    raise AssertionError(f"a child process outlived the command: {left}")
+
+
+@contextlib.contextmanager
 def count_digits(digits: int):
     """The reader's ``MAX_COUNT_DIGITS`` set to ``digits``, first seen to
     take effect: a count one digit longer is then refused."""

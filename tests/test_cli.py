@@ -12,15 +12,18 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confound import cli, ingest
+from confound import cli, ingest, scanning
 from confound.cli import (
     REFERENCES,
     TABLE_HEADER,
@@ -54,7 +57,7 @@ from confound.tables import Counts, StratifiedComparison, Stratum
 from goldens import GOLDEN
 from support import (
     BERKELEY, HOSPITAL, block_chars, count_digits, counts, hospital_records, python, quoted,
-    run_captured,
+    run_captured, split_read,
 )
 
 HEADER = "stratum,group,total,positive\n"
@@ -663,6 +666,23 @@ def scan_cases(draw):
     return text, argv, limit, block
 
 
+def _placed_faults(rows, code: str, blanks: int = 100) -> dict:
+    """A case's rows (text or bytes) and the start of its error message
+    (``code``) as written, keyed ``""``, then read in two halves with the
+    rows' faults placed by blank lines: all in the first half, all in the
+    second, and the first row in the first half with the rest in the
+    second. Blank lines before the first row move its line number."""
+    newline = b"\n" if isinstance(rows, bytes) else "\n"
+    pad = newline * blanks
+    first, end, rest = rows.partition(newline)
+    return {
+        "": (rows, code),
+        "first": (rows + pad, code),
+        "second": (pad + rows, code.replace("line 2", f"line {2 + blanks}")),
+        "both": (first + end + pad + rest, code),
+    }
+
+
 class TestScanPath:
     """``confound scan`` counts each block as it is read. The library
     composition it replaced (parse, ``where``, ``scan``, report) is the
@@ -677,7 +697,7 @@ class TestScanPath:
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with block_chars(block):
+            with block_chars(block), split_read():
                 for copy in (text, quoted(text)):
                     path.write_text(copy, encoding="utf-8")
                     args = [a.replace("{path}", str(path)) for a in argv]
@@ -706,12 +726,14 @@ class TestScanPath:
     ])
     def test_errors_keep_their_precedence(self, tmp_path, rows, options, code):
         path = tmp_path / "faults.csv"
-        path.write_text("g,out,x\n" + rows, encoding="utf-8")
         argv = ["scan", str(path), "--group-col=g", "--outcome-col=out",
                 "--candidates=x", *options]
-        result = run_captured(argv)
-        assert result == run_captured(argv, reference=True)
-        assert result[2].startswith(f"error:{code}"), result[2]
+        for placed, (text, expected) in _placed_faults(rows, code).items():
+            path.write_text("g,out,x\n" + text, encoding="utf-8")
+            with block_chars(1), split_read() if placed else contextlib.nullcontext():
+                result = run_captured(argv)
+            assert result == run_captured(argv, reference=True), placed
+            assert result[2].startswith(f"error:{expected}"), (placed, result[2])
 
     @pytest.mark.parametrize("candidates", ["site,site,age", "age,age"])
     def test_a_repeated_candidate_is_counted_once(self, tmp_path, candidates):
@@ -874,7 +896,7 @@ class TestDecomposePath:
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with block_chars(block):
+            with block_chars(block), split_read():
                 for copy in (text, quoted(text)):
                     path.write_bytes(encoded(copy))
                     assert run_captured(args) == run_captured(args, reference=True)
@@ -898,13 +920,15 @@ class TestDecomposePath:
     ])
     def test_errors_keep_their_precedence(self, tmp_path, rows, options, error):
         path = tmp_path / "faults.csv"
-        path.write_bytes(b"g,x,y\n" + rows)
         argv = ["decompose", str(path), "--group-col=g", "--x=x", "--y=y", *options]
-        code, out, err = run_captured(argv)
-        assert (code, out, err) == run_captured(argv, reference=True)
         exit_code, message = error.split(" ", 1)
-        assert (code, out) == (int(exit_code), "")
-        assert err.startswith(f"error:{message}"), err
+        for placed, (data, expected) in _placed_faults(rows, message).items():
+            path.write_bytes(b"g,x,y\n" + data)
+            with block_chars(1), split_read() if placed else contextlib.nullcontext():
+                code, out, err = run_captured(argv)
+            assert (code, out, err) == run_captured(argv, reference=True), placed
+            assert (code, out) == (int(exit_code), ""), placed
+            assert err.startswith(f"error:{expected}"), (placed, err)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_few_rows(self, tmp_path, rows):
@@ -914,6 +938,110 @@ class TestDecomposePath:
         result = run_captured(argv)
         assert result == run_captured(argv, reference=True)
         assert result[0] == (3 if rows == 1 else 0)
+
+
+class TestSplitRead:
+    """A plain records file of a block or more per half is read in two
+    halves at once: a forked helper types and counts the second. Whatever
+    happens to either half, the command prints what the serial reader
+    prints, and no process outlives it."""
+
+    ROWS = [f"{'ab'[i % 2]},{i % 3 % 2},{i % 7},{'pq'[i % 5 % 2]}" for i in range(60)]
+    SCAN = ["--group-col=g", "--outcome-col=out", "--candidates=x,c", "--numeric=x",
+            "--bins=3"]
+
+    def run(self, tmp_path, rows, command="scan"):
+        """``command`` on the rows, read in two halves and serially."""
+        path = tmp_path / "split.csv"
+        path.write_text("g,out,x,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        options = self.SCAN if command == "scan" else ["--group-col=g", "--x=x", "--y=out"]
+        argv = [command, str(path), *options]
+        with mock.patch.object(ingest, "_cpus", lambda: 1):
+            serial = run_captured(argv)
+        with block_chars(64), split_read() as (forked, merged):
+            result = run_captured(argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert result == serial
+        return result, forked, merged
+
+    @pytest.mark.parametrize("command", ["scan", "decompose"])
+    def test_a_success(self, tmp_path, command):
+        (code, out, _), forked, merged = self.run(tmp_path, self.ROWS, command)
+        assert (code, len(forked), merged) == (0, 1, [True])
+        assert "60 rows" in out
+
+    @pytest.mark.parametrize("where", [[3], [55], [3, 55]], ids=["first", "second", "both"])
+    def test_a_fault_in_either_half(self, tmp_path, where):
+        rows = list(self.ROWS)
+        for i in where:
+            rows[i] = rows[i].replace(f",{i % 7},", ",zz,")
+        (code, _, err), forked, merged = self.run(tmp_path, rows)
+        assert (code, len(forked), merged) == (2, 1, [False])
+        assert err.startswith(f"error:non-numeric: line {where[0] + 2}: column 'x': 'zz'")
+
+    def test_a_helper_that_exits_1(self, tmp_path, monkeypatch):
+        # only the helper exports its tally
+        def fail(self):
+            raise RuntimeError("the helper fails")
+
+        monkeypatch.setattr(scanning._Tally, "state", fail)
+        (code, _, _), forked, merged = self.run(tmp_path, self.ROWS)
+        assert (code, len(forked), merged) == (0, 1, [False])
+
+    def test_a_helper_killed_by_a_signal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            scanning._Tally, "state", lambda self: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        (code, _, _), forked, merged = self.run(tmp_path, self.ROWS)
+        assert (code, len(forked), merged) == (0, 1, [False])
+
+    def test_a_fork_that_fails(self, tmp_path, monkeypatch):
+        def fail():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        (code, _, _), forked, merged = self.run(tmp_path, self.ROWS)
+        assert (code, forked, merged) == (0, [], [False])
+
+    def test_nothing_forks_while_a_second_thread_runs(self, tmp_path):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            (code, _, _), forked, merged = self.run(tmp_path, self.ROWS)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert (code, forked, merged) == (0, [], [])
+
+    def test_nothing_forks_without_os_fork(self, tmp_path, monkeypatch):
+        path = tmp_path / "split.csv"
+        path.write_text("g,out,x,c\n" + "\n".join(self.ROWS) + "\n", encoding="utf-8")
+        argv = ["scan", str(path), *self.SCAN]
+        serial = run_captured(argv)
+        halves = mock.Mock(side_effect=AssertionError("read in halves"))
+        with block_chars(64), mock.patch.object(ingest, "_read_halves", halves):
+            monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+            monkeypatch.delattr(os, "fork")
+            assert run_captured(argv) == serial
+        assert (serial[0], halves.call_count) == (0, 0)
+
+    def test_the_cut_follows_the_middle_line_end(self):
+        def cut(data: bytes):
+            return ingest._cut(lambda size, offset: data[offset : offset + size], len(data))
+
+        with block_chars(4):
+            # the second half starts after the middle byte if it is a line end
+            assert cut(b"h\n" + b"a" * 40 + b"\n" + b"b" * 40 + b"\n") == 43
+            # or the first line end after it
+            assert cut(b"h\n" + b"a" * 30 + b"\n" + b"b" * 20 + b"\n" + b"c" * 30 + b"\n") == 54
+            # the only line end after the middle leaves no block after it
+            assert cut(b"h\n" + b"a" * 10 + b"\n" + b"b" * 40 + b"\n") is None
+            assert cut(b"h\n" + b"a" * 10 + b"\n" + b"b" * 40) is None
+        with block_chars(64):  # halves under a block each
+            assert cut(b"h\n" + b"a" * 40 + b"\n" + b"b" * 40 + b"\n") is None
 
 
 def _first_record_error(text, header):
