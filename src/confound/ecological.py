@@ -106,10 +106,9 @@ class _Groups:
         fits = tuple(map(kinds.get, self.columns)) == wanted
         self._index = [index[name] for name in self.columns] if fits else None
 
-    def add(self, block, rows: int | None = None) -> None:
-        """Put one block of ``rows`` rows, given as its columns, into their
-        groups; by default the block has as many rows as its first column."""
-        self.n_rows += len(block[0]) if rows is None else rows
+    def add(self, block) -> None:
+        """Put one block of rows, given as its columns, into their groups."""
+        self.n_rows += len(block[0])
         if self._index is None:
             return
         labels, xs, ys = (block[i] for i in self._index)
@@ -156,7 +155,10 @@ class _Groups:
 def _grouped(records: RecordTable, group_col: str, x_col: str, y_col: str) -> _Groups:
     """A table's stored columns put into their groups, as one block."""
     groups = _Groups({c.name: c.kind for c in records.columns}, group_col, x_col, y_col)
-    groups.add(records._data, records.n_rows)
+    if records.columns:
+        groups.add(records._data)
+    else:  # rows of no cells, which no block holds
+        groups.n_rows = records.n_rows
     return groups
 
 

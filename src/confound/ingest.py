@@ -225,11 +225,10 @@ def _read_halves(
         try:
             os.close(out)
             theirs = accumulator(kinds)
-            typing = [numbers if kind == "numeric" else kind for kind in kinds.values()]
             rest = _plain_blocks(
                 _span(read, cut, size, "utf-8"), len(kinds), _csv.field_size_limit()
             )
-            rows = _fill(theirs, _typed_blocks(rest, typing, _refuse_half))
+            rows = _fill(theirs, _typed_records(rest, kinds.values(), numbers, _refuse_half))
             with open(put, "wb") as pipe:
                 marshal.dump((rows, theirs.state()), pipe)
             code = 0
@@ -411,11 +410,18 @@ def _record_blocks(
     blocks = _blocks(text)
     header = next(blocks)
     kinds = _record_kinds(header, numeric_columns, boolean_columns)
-    typing = [numbers if kind == "numeric" else kind for kind in kinds]
-    typed = _typed_blocks(
-        blocks, typing, lambda start: list(_typed_rows(text.lines(), start, header, kinds))
+    typed = _typed_records(
+        blocks, kinds, numbers,
+        lambda start: list(_typed_rows(text.lines(), start, header, kinds)),
     )
     return dict(zip(header, kinds)), typed
+
+
+def _typed_records(blocks, kinds: Sequence[str], numbers: str, report):
+    """:func:`_typed_blocks` of a records file's ``blocks``, whose columns
+    are of ``kinds``, with numeric columns as the kind ``numbers``."""
+    typing = [numbers if kind == "numeric" else kind for kind in kinds]
+    return _typed_blocks(blocks, typing, report)
 
 
 def _record_kinds(

@@ -436,6 +436,17 @@ def block_chars(chars: int):
 
 
 @contextlib.contextmanager
+def serial_read():
+    """The records reader as on a host of one CPU: it reads every file
+    serially, and a fork fails the test."""
+    def refuse():
+        raise AssertionError("forked on a host of one CPU")
+
+    with mock.patch.object(ingest, "_cpus", lambda: 1), mock.patch.object(os, "fork", refuse):
+        yield
+
+
+@contextlib.contextmanager
 def split_read():
     """The records reader free to read a file in two halves on any host, as
     on one with two CPUs, yielding ``(forked, merged)``: the pid of each

@@ -57,7 +57,7 @@ from confound.tables import Counts, StratifiedComparison, Stratum
 from goldens import GOLDEN
 from support import (
     BERKELEY, HOSPITAL, block_chars, count_digits, counts, hospital_records, python, quoted,
-    run_captured, split_read,
+    run_captured, serial_read, split_read,
 )
 
 HEADER = "stratum,group,total,positive\n"
@@ -683,21 +683,34 @@ def _placed_faults(rows, code: str, blanks: int = 100) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _placed_reading(placed: str):
+    """The reader of a case of :func:`_placed_faults`: the serial reader at
+    the default block size for the rows as written, on any host; blocks of
+    one character read in two halves where the faults are placed."""
+    if not placed:
+        with serial_read():
+            yield
+        return
+    with block_chars(1), split_read():
+        yield
+
+
 class TestScanPath:
     """``confound scan`` counts each block as it is read. The library
     composition it replaced (parse, ``where``, ``scan``, report) is the
     reference: both must exit, print and report errors alike."""
 
     @settings(max_examples=300, deadline=None)
-    @given(scan_cases())
-    def test_matches_the_library_composition(self, tmp_path_factory, case):
+    @given(scan_cases(), st.booleans())
+    def test_matches_the_library_composition(self, tmp_path_factory, case, split):
         text, argv, limit, block = case
         path = tmp_path_factory.getbasetemp() / "scan-case.csv"
         default = csv.field_size_limit()
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with block_chars(block), split_read():
+            with block_chars(block), split_read() if split else serial_read():
                 for copy in (text, quoted(text)):
                     path.write_text(copy, encoding="utf-8")
                     args = [a.replace("{path}", str(path)) for a in argv]
@@ -730,7 +743,7 @@ class TestScanPath:
                 "--candidates=x", *options]
         for placed, (text, expected) in _placed_faults(rows, code).items():
             path.write_text("g,out,x\n" + text, encoding="utf-8")
-            with block_chars(1), split_read() if placed else contextlib.nullcontext():
+            with _placed_reading(placed):
                 result = run_captured(argv)
             assert result == run_captured(argv, reference=True), placed
             assert result[2].startswith(f"error:{expected}"), (placed, result[2])
@@ -887,8 +900,8 @@ class TestDecomposePath:
     report errors alike."""
 
     @settings(max_examples=300, deadline=None)
-    @given(decompose_cases())
-    def test_matches_the_library_composition(self, tmp_path_factory, case):
+    @given(decompose_cases(), st.booleans())
+    def test_matches_the_library_composition(self, tmp_path_factory, case, split):
         text, argv, limit, block, encoded = case
         path = tmp_path_factory.getbasetemp() / "decompose-case.csv"
         args = [a.replace("{path}", str(path)) for a in argv]
@@ -896,7 +909,7 @@ class TestDecomposePath:
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with block_chars(block), split_read():
+            with block_chars(block), split_read() if split else serial_read():
                 for copy in (text, quoted(text)):
                     path.write_bytes(encoded(copy))
                     assert run_captured(args) == run_captured(args, reference=True)
@@ -924,7 +937,7 @@ class TestDecomposePath:
         exit_code, message = error.split(" ", 1)
         for placed, (data, expected) in _placed_faults(rows, message).items():
             path.write_bytes(b"g,x,y\n" + data)
-            with block_chars(1), split_read() if placed else contextlib.nullcontext():
+            with _placed_reading(placed):
                 code, out, err = run_captured(argv)
             assert (code, out, err) == run_captured(argv, reference=True), placed
             assert (code, out) == (int(exit_code), ""), placed
@@ -956,7 +969,7 @@ class TestSplitRead:
         path.write_text("g,out,x,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
         options = self.SCAN if command == "scan" else ["--group-col=g", "--x=x", "--y=out"]
         argv = [command, str(path), *options]
-        with mock.patch.object(ingest, "_cpus", lambda: 1):
+        with serial_read():
             serial = run_captured(argv)
         with block_chars(64), split_read() as (forked, merged):
             result = run_captured(argv)

@@ -27,7 +27,7 @@ from confound.records import RecordTable
 from confound.tables import Counts, Stratum
 import goldens
 from goldens import CASES, GOLDEN, _inputs, case_argv, golden_path, judged, write_inputs
-from support import SRC, block_chars, quoted, split_read
+from support import SRC, block_chars, quoted, serial_read, split_read
 
 
 @pytest.fixture(scope="module")
@@ -117,18 +117,21 @@ def test_decompose_builds_no_record_table(inputs_dir, monkeypatch):
 def test_scan_counts_any_blocks_alike(inputs_dir, block):
     """Blocks of one line, or of a few, give every scan and decompose case's
     bytes: the counts, the numbers converted, the zero rows and each group's
-    rows carry across blocks, and across the two halves of a split read.
-    A forked helper reads the second half of every input of four blocks or
-    more, none of an input under two, and on every case with a report the
-    helper's rows are merged."""
+    rows carry across blocks, read serially as on a host of one CPU, and
+    across the two halves of a split read. A forked helper reads the second
+    half of every input of four blocks or more, none of an input under two,
+    and on every case with a report the helper's rows are merged."""
     names = [name for name, (argv, _) in CASES.items() if argv[:1] in (["scan"], ["decompose"])]
     assert {CASES[name][0][0] for name in names} == {"scan", "decompose"}
     with block_chars(block):
         for name in names:
             argv, ext = CASES[name]
+            golden = golden_path(name).read_bytes()
+            with serial_read():
+                assert produce(name, inputs_dir) == golden, name
             size = len(Path(argv[1].replace("{d}", str(inputs_dir))).read_bytes())
             with split_read() as (forked, merged):
-                assert produce(name, inputs_dir) == golden_path(name).read_bytes(), name
+                assert produce(name, inputs_dir) == golden, name
             if size >= 4 * block:
                 assert len(forked) == 1, name
             elif size < 2 * block:
