@@ -35,8 +35,10 @@ from confound.errors import (
     NonNumeric,
     NumericOverflow,
     UndefinedCorrelation,
+    UnknownColumn,
     ValidationError,
 )
+from confound.records import RecordTable
 from support import records_from_columns
 
 
@@ -153,6 +155,12 @@ class TestDecompose:
         r = _records("a", [1.0], [1.0])
         with pytest.raises(InsufficientData):
             decompose(r, "g", "x", "y")
+
+    @pytest.mark.parametrize("rows, error", [(1, InsufficientData), (2, UnknownColumn)])
+    def test_a_table_of_no_columns_keeps_its_rows(self, rows, error):
+        # no block holds the rows of a table without columns, yet they count
+        with pytest.raises(error):
+            decompose(RecordTable([], [()] * rows), "g", "x", "y")
 
     @pytest.mark.parametrize(
         "entry, xs, ys",
