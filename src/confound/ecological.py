@@ -1,33 +1,37 @@
 """Between-group vs within-group association decomposition.
 
 Group-level (ecological) associations can differ from — even oppose — the
-individual-level association inside the groups. This module splits the
-population covariance of two numeric columns into a between-group part
-(covariance of group means, weighted by group size) and a within-group part
-(size-weighted mean of in-group covariances), and flags sign divergence
-between the two.
+individual-level association inside the groups (W. S. Robinson, 1950).
+This module splits the population covariance of two numeric columns into a
+between-group part (covariance of group means, weighted by group size) and
+a within-group part (size-weighted mean of in-group covariances), and flags
+sign divergence between the two.
 
 Conventions: population (1/N) covariance throughout, so the split is an
 exact identity; groups of size one contribute zero within-covariance;
 correlations are ``None`` when the matching variance vanishes.
 
-One core serves every decomposition. :class:`_Groups` puts a block of rows
-at a time into their groups, each group's x and y values in row order: the
-command line feeds it the CSV's typed blocks, :func:`decompose` and
-:func:`group_means` a table's stored columns as one block (:func:`_grouped`).
-The groups of a file's two halves, read at once, merge through
-:meth:`_Groups.state` and :meth:`_Groups.merge`.
-Building the groups checks nothing; :meth:`_Groups.groups` checks the
-columns after the last block, so the command's row faults come first.
+One core serves every decomposition, exact until a value is reported.
+:class:`_Groups` reduces a block of rows at a time to integer sums: a
+finite float is an integer over a power of two, so each column is taken as
+integers at one power of two, and only each group's row count, x sum and y
+sum and the all-row x·y, x² and y² sums are kept. The command line feeds it
+the CSV's typed blocks, :func:`decompose` and :func:`group_means` a table's
+stored columns as one block (:func:`_grouped`); the sums of a file's two
+halves, read at once, merge through :meth:`_Groups.state` and
+:meth:`_Groups.merge`. Each covariance, variance and group mean is one
+integer ratio, rounded once and correctly, and each correlation comes from
+the rounded moments. Building the groups checks nothing;
+:meth:`_Groups.groups` checks the columns after the last block, so the
+command's row faults come first.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import chain, repeat
-from math import fsum
-from operator import mul, sub
+from itertools import repeat
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -58,9 +62,10 @@ class GroupSummary(_Value):
 class EcologicalDecomposition(_Value):
     """Covariance split plus the matching correlations.
 
-    ``total_cov == between_cov + within_cov`` holds exactly up to float
-    rounding. A correlation is ``None`` (undefined) when the corresponding
-    x or y variance is zero.
+    Each covariance is its exact value correctly rounded, and
+    ``total_cov == between_cov + within_cov`` holds exactly before rounding.
+    A correlation is ``None`` (undefined) when the corresponding x or y
+    variance is zero.
     """
 
     total_cov: float
@@ -85,54 +90,76 @@ class DivergenceReport(_Value):
 
 
 class _Groups:
-    """The rows of a decomposition, put into their groups block by block.
+    """The rows of a decomposition, reduced block by block to integer sums.
 
     Construction checks nothing: ``kinds`` maps each column name to its
     kind, in the order of a block's columns. While the group column is
-    categorical and x and y are numeric, each block's x and y values are
-    appended to their group's lists, in row order; otherwise the rows are
-    only counted, and :meth:`groups` will raise.
+    categorical and x and y are numeric, each block's x and y values become
+    integers ``X`` and ``Y`` at the powers of two ``scales`` holds (x times
+    ``2**scales[0]``, y times ``2**scales[1]``), which are summed into
+    their group's ``[n, ΣX, ΣY]`` in ``sums`` and into the all-row ``[ΣXY,
+    ΣXX, ΣYY]`` of ``products``; otherwise the rows are only counted, and
+    :meth:`groups` will raise.
     """
 
     def __init__(self, kinds: dict[str, str], group_col: str, x_col: str, y_col: str):
         self.kinds = kinds
         self.columns = (group_col, x_col, y_col)
         self.n_rows = 0
-        self.buckets: dict[str, tuple[list[float], list[float]]] = defaultdict(
-            lambda: ([], [])
-        )
+        self.scales = [0, 0]
+        self.products = [0, 0, 0]
+        self.sums: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
         wanted = ("categorical", "numeric", "numeric")
         index = {name: i for i, name in enumerate(kinds)}
         fits = tuple(map(kinds.get, self.columns)) == wanted
         self._index = [index[name] for name in self.columns] if fits else None
 
     def add(self, block) -> None:
-        """Put one block of rows, given as its columns, into their groups."""
+        """Sum one block of rows, given as its columns, into their groups."""
         self.n_rows += len(block[0])
         if self._index is None:
             return
         labels, xs, ys = (block[i] for i in self._index)
-        for (gx, gy), x, y in zip(map(self.buckets.__getitem__, labels), xs, ys):
-            gx.append(x)
-            gy.append(y)
+        self._rescale(list(map(max, self.scales, map(_scale, (xs, ys)))))
+        xs, ys = map(_integers, (xs, ys), self.scales)
+        for i, (u, v) in enumerate(((xs, ys), (xs, xs), (ys, ys))):
+            self.products[i] += sum(map(mul, u, v))
+        sums = self.sums
+        for label, x, y in zip(labels, xs, ys):
+            s = sums[label]
+            s[0] += 1
+            s[1] += x
+            s[2] += y
+
+    def _rescale(self, scales: list[int]) -> None:
+        """Shift the held sums up to ``scales``, none below the held ones."""
+        dx, dy = map(int.__sub__, scales, self.scales)
+        if dx or dy:
+            self.scales = scales
+            self.products = [p << k for p, k in zip(self.products, (dx + dy, 2 * dx, 2 * dy))]
+            for s in self.sums.values():
+                s[1:] = s[1] << dx, s[2] << dy
 
     def state(self) -> tuple:
-        """The rows put into their groups, in types ``marshal`` writes, for
+        """The row count and integer sums, in types ``marshal`` writes, for
         :meth:`merge`."""
-        return self.n_rows, dict(self.buckets)
+        return self.n_rows, self.scales, self.products, dict(self.sums)
 
     def merge(self, state: tuple) -> None:
-        """Put into their groups, after this object's rows, those of another
-        of the same columns, given as its :meth:`state`."""
-        n_rows, buckets = state
+        """Add the rows of another object of the same columns, given as its
+        :meth:`state`, at the larger power of two of each column."""
+        n_rows, scales, products, sums = state
         self.n_rows += n_rows
-        for label, (xs, ys) in buckets.items():
-            gx, gy = self.buckets[label]
-            gx += xs
-            gy += ys
+        self._rescale(list(map(max, self.scales, scales)))
+        dx, dy = map(int.__sub__, self.scales, scales)
+        shifts = (dx + dy, 2 * dx, 2 * dy)
+        self.products = [p + (q << k) for p, q, k in zip(self.products, products, shifts)]
+        for label, (size, a, b) in sums.items():
+            s = self.sums[label]
+            s[:] = s[0] + size, s[1] + (a << dx), s[2] + (b << dy)
 
-    def groups(self) -> list[tuple[GroupSummary, list[float], list[float]]]:
-        """Each group's summary with its x and y values, ordered by group
+    def groups(self) -> list[GroupSummary]:
+        """Each group's summary, its means correctly rounded, ordered by
         label, after the column checks: x, then y, numeric, then the group
         column categorical."""
         def kind(col: str) -> str:
@@ -146,10 +173,29 @@ class _Groups:
                 raise NonNumeric(f"column {col!r} is {kind(col)}, need numeric")
         if kind(group_col) != "categorical":
             raise ValidationError(f"group column {group_col!r} must be categorical")
+        sx, sy = self.scales
         return [
-            (GroupSummary(label, len(gx), _mean(gx), _mean(gy)), gx, gy)
-            for label, (gx, gy) in sorted(self.buckets.items())
+            GroupSummary(label, n, a / (n << sx), b / (n << sy))
+            for label, (n, a, b) in sorted(self.sums.items())
         ]
+
+
+def _scale(values: list[float]) -> int:
+    """A power of two, at most 1074, at which every value is an integer: a
+    float of frexp exponent ``e`` is a multiple of ``2**(e - 53)``, and of
+    ``2**-1074``, so the least nonzero magnitude settles it."""
+    least = min(filter(None, map(abs, values)), default=0.0)
+    return max(0, min(1074, 53 - math.frexp(least)[1])) if least else 0
+
+
+def _integers(values: list[float], scale: int) -> list[int]:
+    """Each value times ``2**scale``, exactly: a float product where it is
+    finite, else the value's integer ratio."""
+    try:
+        return list(map(int, map(mul, values, repeat(2.0**scale))))
+    except OverflowError:  # 2.0**scale or a product past the float range
+        ratios = map(float.as_integer_ratio, values)
+        return [p << scale >> q.bit_length() - 1 for p, q in ratios]
 
 
 def _grouped(records: RecordTable, group_col: str, x_col: str, y_col: str) -> _Groups:
@@ -162,64 +208,11 @@ def _grouped(records: RecordTable, group_col: str, x_col: str, y_col: str) -> _G
     return groups
 
 
-def _mean(values: list[float]) -> float:
-    """The mean of finite floats, which is always finite: ``math.fsum``
-    raises when a partial sum leaves the float range, and then the exact
-    sum is divided by the count, rounding once."""
-    try:
-        return fsum(values) / len(values)
-    except OverflowError:
-        return _exact_sum(values, repeat(1), len(values))
-
-
 def group_means(
     records: RecordTable, group_col: str, x_col: str, y_col: str
 ) -> list[GroupSummary]:
     """Per-group sizes and (x, y) means, ordered by group label."""
-    return [g for g, _, _ in _grouped(records, group_col, x_col, y_col).groups()]
-
-
-def _exact_sum(values: list[float], sizes, divisor: int = 1) -> float:
-    """Σ size·value / divisor of finite floats, rounded once and correctly,
-    as ``math.fsum`` rounds: a float is an integer over a power of two, so
-    the sum is an integer over the largest; :class:`OverflowError` when the
-    result is past the float range or a value is infinite, and
-    :class:`ValueError` when one is NaN."""
-    ratios = list(map(float.as_integer_ratio, values))
-    den = max(q for _, q in ratios)
-    return sum(k * p * (den // q) for (p, q), k in zip(ratios, sizes)) / (den * divisor)
-
-
-def _centered(groups: list[list[float]], sizes: list[int]):
-    """One variable's values, group by group (``groups``, of ``sizes``
-    rows), centered on their mean, which ``math.fsum`` rounds exactly, so it
-    is the same in row or group order; each group's mean of the centered
-    values; and each group's between value, its mean centered again on the
-    rows' mean of those means, which the rounded overall mean leaves off
-    zero. A single group has no between-group spread, so its mean is zero
-    rather than that rounding residue."""
-    n = sum(sizes)
-    mean = fsum(chain.from_iterable(groups)) / n
-    centered = [list(map(sub, g, repeat(mean))) for g in groups]
-    means = [fsum(c) / len(c) for c in centered] if len(groups) > 1 else [0.0]
-    offset = _exact_sum(means, sizes) / n
-    return centered, means, [m - offset for m in means]
-
-
-def _moments(us, vs, n: int) -> tuple[float, float, float]:
-    """Population covariance and variances ``(cov, var_u, var_v)`` of two
-    centered columns of ``n`` rows, each a list of its groups' values. Every
-    sum is exactly rounded, so neither row order nor Python version changes it."""
-    pairs = ((us, vs), (us, us), (vs, vs))
-    rows = chain.from_iterable
-    return tuple(fsum(map(mul, rows(a), rows(b))) / n for a, b in pairs)
-
-
-def _between_moments(us, vs, sizes: list[int], n: int) -> tuple[float, float, float]:
-    """:func:`_moments` of two between columns, each a list of one value per
-    group that stands for the group's rows, summed per group."""
-    pairs = ((us, vs), (us, us), (vs, vs))
-    return tuple(_exact_sum(list(map(mul, a, b)), sizes) / n for a, b in pairs)
+    return _grouped(records, group_col, x_col, y_col).groups()
 
 
 def _corr(cov: float, var_x: float, var_y: float) -> float | None:
@@ -236,38 +229,44 @@ def decompose(
 ) -> EcologicalDecomposition:
     """Split the total x-y covariance into between- and within-group parts.
 
-    Values whose sums or products leave the float range raise
-    :class:`NumericOverflow` rather than yield infinite or NaN moments.
+    A covariance or variance past the float range raises
+    :class:`NumericOverflow` rather than yield an infinite moment.
     """
     return _decomposition(_grouped(records, group_col, x_col, y_col))
 
 
 def _decomposition(grouped: _Groups) -> EcologicalDecomposition:
     """:func:`decompose` of rows put into their groups: at least two rows,
-    then the column checks, then the split."""
+    then the column checks, then the split.
+
+    Over the integers (``N`` rows, group ``g`` of ``n_g`` rows and sums
+    ``a_g`` and ``b_g`` of a column pair, ``L`` the lcm of the group
+    sizes), each part times ``N²·L`` (and the columns' powers of two) is an
+    integer: the total is
+    ``L·(N·Σab − Σa·Σb)``, the within part ``N·(L·Σab − Σ_g (L/n_g)·a_g·b_g)``,
+    and the between part their difference."""
     n = grouped.n_rows
     if n < 2:
         raise InsufficientData(f"need at least 2 rows to decompose, got {n}")
     groups = grouped.groups()
-    _, x_col, y_col = grouped.columns
-    sizes = [g.n for g, _, _ in groups]
+    by_size = defaultdict(lambda: (0, 0, 0))  # Σ a_g·b_g of each pair, by n_g
+    for size, a, b in grouped.sums.values():
+        by_size[size] = tuple(map(int.__add__, by_size[size], (a * b, a * a, b * b)))
+    lcm = math.lcm(*by_size)
+    x, y = (sum(s[i] for s in grouped.sums.values()) for i in (1, 2))
+    sx, sy = grouped.scales
+    moments = []  # (total, between, within) of each pair
     try:
-        cx, mx, bx = _centered([gx for _, gx, _ in groups], sizes)
-        cy, my, by = _centered([gy for _, _, gy in groups], sizes)
-        total, between = _moments(cx, cy, n), _between_moments(bx, by, sizes, n)
-        # within = centered - group mean, in place: no second column is held
-        for c, m in zip(cx + cy, mx + my):
-            c[:] = map(sub, c, repeat(m))
-        within = _moments(cx, cy, n)
-    except (OverflowError, ValueError):  # a sum past the float range, inf or nan
+        for i, (u, v, scale) in enumerate(((x, y, sx + sy), (x, x, 2 * sx), (y, y, 2 * sy))):
+            total = lcm * (n * grouped.products[i] - u * v)
+            groupwise = sum(lcm // size * t[i] for size, t in by_size.items())
+            within = n * (lcm * grouped.products[i] - groupwise)
+            moments.append([c / (n * n * lcm << scale) for c in (total, total - within, within)])
+    except OverflowError:  # a moment past the float range
+        _, x_col, y_col = grouped.columns
         raise NumericOverflow(_TOO_LARGE.format(x_col, y_col)) from None
-    if not all(map(math.isfinite, total + between + within)):
-        raise NumericOverflow(_TOO_LARGE.format(x_col, y_col))
-    return EcologicalDecomposition(
-        total[0], between[0], within[0],
-        _corr(*total), _corr(*between), _corr(*within),
-        tuple(g for g, _, _ in groups),
-    )
+    cov, var_x, var_y = moments
+    return EcologicalDecomposition(*cov, *map(_corr, cov, var_x, var_y), tuple(groups))
 
 
 def sign_divergence_report(d: EcologicalDecomposition) -> DivergenceReport:

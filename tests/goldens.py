@@ -31,6 +31,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 TABLE_HEADER = "stratum,group,total,positive\n"
 REFERENCES = ("combined", "first", "second", "equal")
+# three groups whose x and y each take two values on a full grid, so the
+# exact within-group covariance is 0: float noise there would print a sign
+FLIP = (
+    "g,x,y\n"
+    "a,0.3,1.3\na,0.6,1.3\na,0.3,5.1\na,0.6,5.1\n"
+    "b,10.799999999999999,10.4\nb,11.0,10.4\nb,10.799999999999999,11.0\nb,11.0,11.0\n"
+    "c,10.799999999999999,10.4\nc,10.299999999999999,10.4\nc,10.799999999999999,11.0\n"
+    "c,10.299999999999999,11.0\n"
+)
 
 
 def _records_csv(seed: int, extra_group: bool = False) -> str:
@@ -120,6 +129,7 @@ def _inputs() -> dict[str, str]:
     files["ragged.csv"] = TABLE_HEADER + "s,g1,5\n"
     files["zero_total.csv"] = TABLE_HEADER + "s,g1,0,0\ns,g2,5,1\n"
     files["one_row.csv"] = "region,x,y\nsolo,1,2\n"
+    files["flip.csv"] = FLIP
     return files
 
 
@@ -162,6 +172,8 @@ def _cases() -> dict[str, tuple[list[str], str]]:
     add_both("decompose.hospital",
              ["decompose", "{d}/hospital.csv", "--group-col", "group",
               "--x", "total", "--y", "positive"])
+    add_both("decompose.flip",
+             ["decompose", "{d}/flip.csv", "--group-col", "g", "--x", "x", "--y", "y"])
 
     for seed in (0, 1, 2):
         add(f"generate.seed{seed}.text", ["generate", "--seed", str(seed)], "csv")

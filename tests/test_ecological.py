@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import random
-import sys
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, repeat
 from math import fsum
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +20,10 @@ from confound.ecological import (
     DivergenceReport,
     EcologicalDecomposition,
     GroupSummary,
-    _between_moments,
-    _centered,
     _corr,
-    _exact_sum,
+    _decomposition,
     _grouped,
+    _Groups,
     decompose,
     group_means,
     sign_divergence_report,
@@ -39,6 +37,7 @@ from confound.errors import (
     ValidationError,
 )
 from confound.records import RecordTable
+from goldens import FLIP, golden_path
 from support import records_from_columns
 
 
@@ -349,227 +348,181 @@ def test_invariances(data):
             assert a * b > 0  # sign preserved under positive scaling
 
 
-def _row_fsum(values, sizes):
-    """The row-level sum the group-level one stands for: each value once per row."""
-    return fsum(chain.from_iterable(map(repeat, values, sizes)))
+def _exact(labels, xs, ys):
+    """The decomposition by its definitions, in ``Fraction``: the (total,
+    between, within) covariance of x and y and variances of x and of y, and
+    each group's (label, n, mean x, mean y), ordered by label."""
+    members = defaultdict(list)
+    for i, label in enumerate(labels):
+        members[label].append(i)
+    n = len(labels)
+    fx, fy = list(map(Fraction, xs)), list(map(Fraction, ys))
+
+    def mean(v, rows):
+        return sum(v[i] for i in rows) / len(rows)
+
+    def parts(u, v):
+        mu, mv = mean(u, range(n)), mean(v, range(n))
+        total = sum((a - mu) * (b - mv) for a, b in zip(u, v)) / n
+        between = within = Fraction(0)
+        for rows in members.values():
+            gu, gv = mean(u, rows), mean(v, rows)
+            between += len(rows) * (gu - mu) * (gv - mv) / n
+            within += sum((u[i] - gu) * (v[i] - gv) for i in rows) / n
+        return total, between, within
+
+    groups = [(g, len(r), mean(fx, r), mean(fy, r)) for g, r in sorted(members.items())]
+    return parts(fx, fy), parts(fx, fx), parts(fy, fy), groups
 
 
-def _outcome(f, *args):
-    try:
-        return repr(f(*args))
-    except (OverflowError, ValueError) as exc:  # fsum past the float range, inf - inf
-        return type(exc).__name__
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _settled(f, *args):
-    """``f``'s moments as decompose takes them: their repr when all are
-    finite, else the one NumericOverflow it raises for an error or for a
-    moment that is not finite."""
-    try:
-        moments = f(*args)
-    except (OverflowError, ValueError):
-        return "NumericOverflow"
-    return repr(moments) if all(map(math.isfinite, moments)) else "NumericOverflow"
-
-
-class TestGroupLevelSums:
-    """The between moments and the mean offset are summed per group, as an
-    exact integer total; they must give the row-level fsum's bits wherever
-    fsum gives a float, and a float wherever the exact total is one."""
+class TestExactDifferential:
+    """Every decomposition against its definitions in ``Fraction``: each
+    covariance, variance and group mean is the exact value correctly
+    rounded, each correlation has the exact covariance's sign or is ``None``
+    exactly when a variance is 0 (a variance below the float range rounds
+    to 0), and ``NumericOverflow`` is raised exactly
+    when an exact moment is past the float range. Each case is read as one
+    block, as blocks of a few rows, and as two halves merged through
+    ``state()`` and ``merge()`` with ``marshal``, as the command's helper
+    sends them."""
 
     @staticmethod
-    def _values(rng, kind, n):
-        if kind == "huge":  # around 2**996 over the row count
-            edge = 2.0**996 / n
-            return lambda: rng.choice([-1, 1]) * edge * rng.choice(
-                [rng.uniform(0.5, 1.0), 1.0, rng.uniform(1.0, 2.0), 2.0**20, 2.0**27]
-            )
-        if kind == "tiny":  # subnormal and near the normal range
-            return lambda: rng.choice([-1, 1]) * rng.choice(
-                [5e-324 * rng.randrange(1, 2**20), 2.2250738585072014e-308 * rng.random(),
-                 rng.uniform(0, 1) * 2.0 ** rng.randint(-1074, -900)]
-            )
-        if kind == "mixed":  # magnitudes far apart, so terms cancel
-            return lambda: rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60)
-        return lambda: rng.uniform(-1e3, 1e3)
+    def _grid(rng):
+        # each group's x and y take two values apiece, on a full grid: the
+        # exact within covariance is 0
+        labels, xs, ys = [], [], []
+        for g in range(rng.randint(1, 4)):
+            base = rng.choice([0.0, 10.0, 1e3])
+            pairs = [(base + rng.uniform(0, 1), base + rng.uniform(0, 1)) for _ in "xy"]
+            k = rng.randint(1, 3)
+            for x in pairs[0]:
+                for y in pairs[1]:
+                    labels += [f"g{g}"] * k
+                    xs += [x] * k
+                    ys += [y] * k
+        return labels, xs, ys
 
-    @pytest.mark.parametrize("kind", ["huge", "tiny", "mixed", "plain"])
-    def test_repeated_sum_is_the_row_sum(self, kind):
-        rng = random.Random(f"group-level sums:{kind}")
-        for case in range(400):
-            k = rng.choice([1, 1, 2, 3, 7, 20])  # a single group, and more
-            sizes = [rng.choice([1, 1, 2, rng.randrange(1, 300)]) for _ in range(k)]
-            draw = self._values(rng, kind, sum(sizes))
-            values = [draw() for _ in range(k)]
-            assert _outcome(_exact_sum, values, sizes) == _outcome(
-                _row_fsum, values, sizes
-            ), (values, sizes)
+    @staticmethod
+    def _offset(rng):
+        offset = rng.choice([1e6, 1e9, 1e12, 1.7e12])
+        n = rng.randint(2, 30)
+        labels = [f"g{rng.randrange(rng.choice([1, 3, 6]))}" for _ in range(n)]
+        return labels, *([offset + rng.random() for _ in range(n)] for _ in "xy")
 
-    def test_repeated_sum_of_large_groups_is_exact(self):
-        # groups too large to sum row by row here: the exactly rounded total
-        rng = random.Random("group-level sums: large groups")
+    @staticmethod
+    def _subnormal(rng):
+        def value():
+            return rng.choice([-1, 1]) * rng.choice(
+                [5e-324 * rng.randrange(0, 2**20), 2.2250738585072014e-308 * rng.random()]
+            )
+
+        n = rng.randint(2, 20)
+        labels = [f"g{rng.randrange(rng.choice([1, 3]))}" for _ in range(n)]
+        return labels, [value() for _ in range(n)], [value() for _ in range(n)]
+
+    @staticmethod
+    def _top(rng):
+        n = rng.randint(2, 12)
+        labels = [f"g{rng.randrange(rng.choice([1, 3]))}" for _ in range(n)]
+        xs = [rng.choice([-1.7e308, 1.7e308, rng.uniform(-1e154, 1e154), 0.0]) for _ in range(n)]
+        return labels, xs, [rng.uniform(-1, 1) * rng.choice([1.0, 1e150]) for _ in range(n)]
+
+    @staticmethod
+    def _mixed(rng):
+        # a column of 1e300 (or 1e150) and 1e-300 is an integer only at a
+        # power of two past the float range: it takes the integer-ratio path
+        n = rng.randint(2, 16)
+        labels = [f"g{rng.randrange(rng.choice([1, 3]))}" for _ in range(n)]
+        top = rng.choice([1e150, 1e300])
+        xs = [rng.uniform(-1, 1) * rng.choice([top, 1e-300]) for _ in range(n)]
+        xs[:2] = [rng.uniform(0.5, 1) * top, rng.uniform(0.5, 1) * 1e-300]
+        return labels, xs, [rng.uniform(-1, 1) for _ in range(n)]
+
+    @staticmethod
+    def _outcomes(labels, xs, ys, rng, x_col, y_col):
+        """The group summaries and the decomposition of columns ``x_col``
+        and ``y_col``, or ``"NumericOverflow"``, read as one block, as blocks
+        of a few rows and as two halves merged."""
+        kinds = {"g": "categorical", "x": "numeric", "y": "numeric"}
+
+        def read(*spans):
+            groups = _Groups(kinds, "g", x_col, y_col)
+            for start, stop in spans:
+                groups.add((labels[start:stop], xs[start:stop], ys[start:stop]))
+            return groups
+
+        n = len(labels)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 4))))
+        first, second = read((0, cuts[0])), read((cuts[0], n))
+        first.merge(marshal.loads(marshal.dumps(second.state())))
+        for groups in (read((0, n)), read(*zip([0, *cuts], [*cuts, n])), first):
+            try:
+                yield groups.groups(), _decomposition(groups)
+            except NumericOverflow:
+                yield groups.groups(), "NumericOverflow"
+
+    @pytest.mark.parametrize("kind", ["_grid", "_offset", "_subnormal", "_top", "_mixed"])
+    def test_matches_the_exact_decomposition(self, kind):
+        rng = random.Random(f"exact decomposition:{kind}")
+        overflowed = 0
         for case in range(300):
-            k = rng.randrange(1, 5)
-            sizes = [rng.randrange(1, (2**27 - 1) // k) for _ in range(k)]
-            values = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 900) for _ in range(k)]
-            exact = sum(Fraction(v) * n for v, n in zip(values, sizes))
-            assert _exact_sum(values, sizes) == float(exact), (values, sizes)
-
-    @pytest.mark.parametrize(
-        "scale", [1.0, 1e-300, 5e-324, 1e150, 1e300, 2.0**990, 2.0**1000]
-    )
-    def test_between_values_and_moments_are_the_row_level_ones(self, scale):
-        # against the row-level formulas they replaced: each row's between
-        # value (its group's mean less the offset, the rows' mean of the
-        # group means), then fsum over the rows of their products
-        rng = random.Random(f"between moments:{scale}")
-        for case in range(60):
-            n = rng.randrange(2, 40)
-            labels = [f"g{rng.randrange(rng.choice([1, 3, 12]))}" for _ in range(n)]
-            xs = [rng.uniform(-1, 1) * scale for _ in range(n)]
-            ys = [rng.uniform(-2, 1) * rng.choice([1.0, scale]) for _ in range(n)]
-            records = _records(labels, xs, ys)
-            groups = _grouped(records, "g", "x", "y").groups()
-            sizes = [g.n for g, _, _ in groups]
-
-            def reference(cols):
-                mean = fsum(chain.from_iterable(cols)) / n
-                means = [fsum(v - mean for v in c) / len(c) for c in cols]
-                means = means if len(cols) > 1 else [0.0]
-                rows = [[m] * len(c) for m, c in zip(means, cols)]
-                offset = fsum(chain.from_iterable(rows)) / n
-                return list(chain.from_iterable([m - offset for m in r] for r in rows))
-
-            def new(cols):
-                between = _centered(cols, sizes)[2]
-                return list(chain.from_iterable(map(repeat, between, sizes)))
-
-            for pick in (1, 2):
-                cols = [g[pick] for g in groups]
-                assert _outcome(new, cols) == _outcome(reference, cols), case
+            labels, xs, ys = getattr(self, kind)(rng)
+            assert kind != "_mixed" or ecological._scale(xs) > 1023
+            cov, var_x, var_y, groups = _exact(labels, xs, ys)
+            d, dx, dy = (
+                list(self._outcomes(labels, xs, ys, rng, *columns))
+                for columns in (("x", "y"), ("x", "x"), ("y", "y"))
+            )
+            assert d == d[:1] * 3 and dx == dx[:1] * 3 and dy == dy[:1] * 3, case
+            # the means are correctly rounded whether a moment overflows or not
+            (summaries, d), (_, dx), (_, dy) = d[0], dx[0], dy[0]
+            assert summaries == [
+                GroupSummary(g, k, float(mx), float(my)) for g, k, mx, my in groups
+            ], case
             try:
-                bx, by = (
-                    _centered([g[i] for g in groups], sizes)[2] for i in (1, 2)
-                )
-            except (OverflowError, ValueError):
-                continue
-            rx, ry = (list(chain.from_iterable(map(repeat, b, sizes))) for b in (bx, by))
-            pairs = ((rx, ry), (rx, rx), (ry, ry))
-            assert _settled(_between_moments, bx, by, sizes, n) == _settled(
-                lambda: tuple(fsum(map(mul, a, b)) / n for a, b in pairs)
-            ), case
-
-    @pytest.mark.parametrize(
-        "values, sizes, total",
-        [
-            ([1e308, -1e308], [2, 2], 0.0),
-            ([1e308, -1e308], [3, 2], 1e308),
-            ([-1e308, 1e308, 5e-324], [2, 2, 3], 1.5e-323),
-        ],
-    )
-    def test_exact_where_the_row_sum_overflows_part_way(self, values, sizes, total):
-        # fsum's running sum over the rows leaves the float range, so it
-        # raises; the group-level sum is the exact total, correctly rounded
-        assert _outcome(_row_fsum, values, sizes) == "OverflowError"
-        assert _outcome(_exact_sum, values, sizes) == repr(total)
-
-    @pytest.mark.parametrize(
-        "values, sizes, outcome",
-        [
-            ([1e308], [2], "OverflowError"),
-            # half an ulp past the largest float rounds up, out of the range
-            ([sys.float_info.max, 2.0**970], [1, 1], "OverflowError"),
-            ([sys.float_info.max, 2.0**969], [1, 1], repr(sys.float_info.max)),
-            ([math.inf, 1.0], [2, 3], "inf"),
-            ([math.inf, -math.inf], [1, 1], "ValueError"),
-            ([math.nan, 1.0], [1, 1], "nan"),
-        ],
-    )
-    def test_past_the_float_range_and_non_finite(self, values, sizes, outcome):
-        # the row-level sum's outcome is the exact sum's for finite values;
-        # a non-finite one has no integer ratio, so the exact sum raises, and
-        # decompose reports either as one NumericOverflow (see below)
-        assert _outcome(_row_fsum, values, sizes) == outcome
-        if all(map(math.isfinite, values)):
-            assert _outcome(_exact_sum, values, sizes) == outcome
-        else:
-            with pytest.raises((OverflowError, ValueError)):
-                _exact_sum(values, sizes)
-
-    @pytest.mark.parametrize(
-        "xs, ys",
-        [
-            # a row centered past the float range: one group mean is inf
-            ([1.7e308, -1.7e308, -1.7e308], [1.0, 2.0, 3.0]),
-            # and -inf
-            ([-1.7e308, 1.7e308, 1.7e308], [1.0, 2.0, 3.0]),
-            # between products past the float range, all inf
-            ([1e200, -1e200], [1e200, -1e200]),
-            # inf and -inf, whose row-level sum is inf - inf
-            ([1e200, -1e200, 0.0], [1e200, 1e200, -2e200]),
-        ],
-    )
-    def test_non_finite_group_sums_are_numeric_overflow(self, xs, ys):
-        # a group-level sum of an inf takes no integer ratio; the rows' fsum
-        # of it is inf, nan or an error, which decompose reports the same way
-        records = _records("abc"[: len(xs)], xs, ys)
-        with pytest.raises(NumericOverflow) as err:
-            decompose(records, "g", "x", "y")
-        assert str(err.value) == ecological._TOO_LARGE.format("x", "y")
-
-    @staticmethod
-    def _near_the_top(rng):
-        # groups whose centered rows sum to negatives first, past -top
-        # together, then to positives; the mean keeps the raw rows' running
-        # sum in range, so the row-level sum of the group means overflows
-        # part-way and the exact one does not
-        top = sys.float_info.max
-        neg, pos = ([rng.uniform(0.4, 0.9) for _ in range(rng.randrange(2, 4))] for _ in "np")
-        scale = min(sum(neg), sum(pos))
-        sums = [-u * scale / sum(neg) for u in neg] + [v * scale / sum(pos) for v in pos]
-        sizes = [rng.choice([1, 1, 2]) for _ in sums]
-        mean = rng.uniform(0.2, 1) * top / sum(sizes)
-        xs = [s * (top - mean) / k + mean for s, k in zip(sums, sizes) for _ in range(k)]
-        labels = [f"g{i}" for i, k in enumerate(sizes) for _ in range(k)]
-        return labels, xs, [rng.uniform(-1, 1) for _ in xs]
-
-    @staticmethod
-    def _near_1e150(rng):
-        # products near 1e300 and finite moments: decompose's bytes
-        n = rng.randrange(2, 40)
-        labels = [f"g{rng.randrange(rng.choice([1, 3, 12]))}" for _ in range(n)]
-        xs = [rng.uniform(-1, 1) * 1e150 for _ in range(n)]
-        return labels, xs, [rng.uniform(-2, 1) * rng.choice([1.0, 1e150]) for _ in range(n)]
-
-    @pytest.mark.parametrize("kind", ["_near_the_top", "_near_1e150"])
-    def test_decompose_is_that_of_the_row_level_sums(self, kind, monkeypatch):
-        # decompose gives the same bytes, or the same NumericOverflow, as with
-        # every group-level sum taken row by row: where a group-level sum is
-        # finite but the row-level fsum overflows part-way, a variance sum
-        # overflows too (Cauchy-Schwarz)
-        rng = random.Random(f"decompose, row-level sums:{kind}")
-        part_way = 0
-
-        def row_level(values, sizes, divisor=1):
-            nonlocal part_way
-            if divisor != 1:  # a mean's exact fallback, not a group-level sum
-                return _exact_sum(values, sizes, divisor)
-            try:
-                return _row_fsum(values, sizes)
+                rounded = [[float(m) for m in part] for part in (cov, var_x, var_y)]
             except OverflowError:
-                part_way += _outcome(_exact_sum, values, sizes) != "OverflowError"
-                raise
+                assert d == "NumericOverflow", case
+                overflowed += 1
+                continue
+            assert d != "NumericOverflow", case
+            assert [d.total_cov, d.between_cov, d.within_cov] == rounded[0], case
+            for v, part in ((dx, rounded[1]), (dy, rounded[2])):
+                assert [v.total_cov, v.between_cov, v.within_cov] == part, case
+            assert list(d.group_summaries) == summaries, case
+            corrs = (d.total_corr, d.between_corr, d.within_corr)
+            for corr, c, vx, vy, rx, ry in zip(corrs, cov, var_x, var_y, *rounded[1:]):
+                if not (rx and ry):
+                    assert corr is None, case
+                    continue
+                assert corr is not None and _sign(corr) == _sign(c), case
+                square = float(c * c / (vx * vy))
+                if square > 1e-300:
+                    assert math.isclose(abs(corr), math.sqrt(square), rel_tol=1e-15), case
+            if kind == "_grid":
+                assert d.within_cov == 0.0, case
+                assert d.between_corr is None or not sign_divergence_report(d).divergent
+        if kind in ("_top", "_mixed"):
+            assert 0 < overflowed < 300
+        else:
+            assert overflowed == 0
 
-        def outcome(records):
-            try:
-                return repr(decompose(records, "g", "x", "y"))
-            except NumericOverflow as exc:
-                return str(exc)
-
-        for case in range(200):
-            records = _records(*getattr(self, kind)(rng))
-            new = outcome(records)
-            with monkeypatch.context() as m:
-                m.setattr(ecological, "_exact_sum", row_level)
-                assert outcome(records) == new, case
-        assert part_way > 0 or kind == "_near_1e150"
+    def test_the_flip_golden_is_the_exact_decomposition(self):
+        # the golden case's grid: its exact within covariance is 0, which
+        # sums of floats printed as -0.000000 with a DIVERGENT verdict
+        records = parse_records_csv(FLIP, numeric_columns=("x", "y"))
+        cov, var_x, var_y, groups = _exact(*map(records.values, "gxy"))
+        doc = json.loads(golden_path("decompose.flip.json").read_text(encoding="utf-8"))
+        parts = ("total", "between", "within")
+        assert [doc["covariance"][p] for p in parts] == list(map(float, cov))
+        assert [doc["correlation"][p] for p in parts] == [
+            _corr(*map(float, moments)) for moments in zip(cov, var_x, var_y)
+        ]
+        assert [tuple(g.values()) for g in doc["groups"]] == [
+            (g, n, float(mx), float(my)) for g, n, mx, my in groups
+        ]
+        assert (cov[2], doc["divergence"]["verdict"]) == (0, "NOT_DIVERGENT")

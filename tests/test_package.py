@@ -15,7 +15,6 @@ from __future__ import annotations
 import ast
 import os
 import re
-import shutil
 import subprocess
 import sys
 from importlib import import_module
@@ -25,10 +24,9 @@ import pytest
 
 import confound
 from confound import cli
-from goldens import CASES, golden_path
-from support import SRC, python
+from goldens import CASES, golden_path, write_inputs
+from support import python
 
-DATA = SRC / "confound" / "data"
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 # loaded by every subcommand: the package, the CLI and what it needs at import
@@ -51,6 +49,8 @@ LOADS = {
     "plot.hospital": {"commands.plot", "ingest", "tables", "geometry"},
     "decompose.robinson.text": {"commands.decompose", "ingest", "tables", "ecological"},
     "decompose.robinson.json": {"commands.decompose", "ingest", "tables", "ecological"},
+    "decompose.flip.text": {"commands.decompose", "ingest", "tables", "ecological"},
+    "decompose.flip.json": {"commands.decompose", "ingest", "tables", "ecological"},
     "scan.robinson.text": {"commands.scan", "ingest", "tables", "detector", "scanning"},
     "scan.robinson.json": {"commands.scan", "ingest", "tables", "detector", "scanning"},
 }
@@ -175,8 +175,7 @@ class TestLazyExports:
 
 @pytest.mark.parametrize("name", sorted(LOADS))
 def test_fresh_process_output_and_modules(name, tmp_path, watched):
-    for fixture in DATA.glob("*.csv"):
-        shutil.copy(fixture, tmp_path)
+    write_inputs(tmp_path)  # the bundled fixtures and the inputs written from seeds
     argv, ext = CASES[name]
     argv = [a.replace("{d}", str(tmp_path)) for a in argv]
     result, loaded = watched("-m", "confound", *argv, cwd=tmp_path)
