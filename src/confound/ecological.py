@@ -241,10 +241,10 @@ def _decomposition(grouped: _Groups) -> EcologicalDecomposition:
 
     Over the integers (``N`` rows, group ``g`` of ``n_g`` rows and sums
     ``a_g`` and ``b_g`` of a column pair, ``L`` the lcm of the group
-    sizes), each part times ``N²·L`` (and the columns' powers of two) is an
-    integer: the total is
-    ``L·(N·Σab − Σa·Σb)``, the within part ``N·(L·Σab − Σ_g (L/n_g)·a_g·b_g)``,
-    and the between part their difference."""
+    sizes), each part times ``N²·L`` and the columns' powers of two is an
+    integer: the total is ``L·(N·Σab − Σa·Σb)``, the within part
+    ``N·(L·Σab − Σ_g (L/n_g)·a_g·b_g)``, and the between part their
+    difference."""
     n = grouped.n_rows
     if n < 2:
         raise InsufficientData(f"need at least 2 rows to decompose, got {n}")

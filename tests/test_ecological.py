@@ -22,7 +22,6 @@ from confound.ecological import (
     GroupSummary,
     _corr,
     _decomposition,
-    _grouped,
     _Groups,
     decompose,
     group_means,
